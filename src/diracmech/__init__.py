@@ -24,7 +24,6 @@ from .errors import (
 )
 from .numcore import (
     DualScalar,
-    Matrix,
     ScalarField,
     grad,
     hessian_block,
@@ -32,7 +31,7 @@ from .numcore import (
     newton_solve,
     solve_linear,
 )
-from .frame import FrameField, StructureTensor, decompose, frame_inverse, frame_matrix, structure_functions_tangent
+from .frame import FrameField, decompose, frame_inverse, frame_matrix, structure_functions_tangent
 from .algebroid import (
     PhaseState,
     SkewAlgebroid,
@@ -50,6 +49,7 @@ from .dirac import (
     DiracAlgebroid,
     DiracElement,
     consistency_residual,
+    evaluate_reduced,
     make_element,
     oracle_magnetic,
     oracle_mechanical,
@@ -75,14 +75,12 @@ __all__ = [
     "EngineError",
     "ExprError",
     "FrameField",
-    "Matrix",
     "NonConvergenceError",
     "NumericDomainError",
     "PhaseState",
     "ScalarField",
     "SingularMatrixError",
     "SkewAlgebroid",
-    "StructureTensor",
     "SystemSpec",
     "Trajectory",
     "TruncatedTrajectoryError",
@@ -95,6 +93,7 @@ __all__ = [
     "change_frame",
     "consistency_residual",
     "decompose",
+    "evaluate_reduced",
     "frame_inverse",
     "frame_matrix",
     "from_tangent_frame",

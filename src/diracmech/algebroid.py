@@ -21,7 +21,7 @@ from .frame import (
     frame_matrix,
     structure_functions_tangent,
 )
-from .numcore import Matrix, ScalarField, grad, mat_inverse
+from .numcore import ScalarField, grad, mat_inverse
 
 __all__ = [
     "SkewAlgebroid",
@@ -43,12 +43,11 @@ class SkewAlgebroid:
 
     m: int
     rank: int
-    anchor: Callable  # q -> Matrix (m x rank)
+    anchor: Callable  # q -> array-like (m x rank)
     structure: Callable  # q -> ndarray (rank, rank, rank)
 
     def anchor_array(self, q) -> np.ndarray:
-        a = self.anchor(q)
-        return a.array if isinstance(a, Matrix) else np.asarray(a, dtype=float)
+        return np.asarray(self.anchor(q), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ def from_tangent_frame(fr: FrameField) -> SkewAlgebroid:
         m=fr.n,
         rank=fr.n,
         anchor=lambda q: frame_matrix(fr, q),
-        structure=lambda q: structure_functions_tangent(fr, q).values,
+        structure=lambda q: structure_functions_tangent(fr, q),
     )
 
 
@@ -112,12 +111,12 @@ def product_with_lie_algebra(fr_base: FrameField, dim_g: int, lie_constants) -> 
 
     def anchor(q):
         a = np.zeros((m, rank))
-        a[:, :m] = frame_matrix(fr_base, q).array
-        return Matrix(a)
+        a[:, :m] = frame_matrix(fr_base, q)
+        return a
 
     def structure(q):
         c = np.zeros((rank, rank, rank))
-        c[:m, :m, :m] = structure_functions_tangent(fr_base, q).values
+        c[:m, :m, :m] = structure_functions_tangent(fr_base, q)
         c[m:, m:, m:] = lie
         return c
 
@@ -136,12 +135,12 @@ def change_frame(alg: SkewAlgebroid, t_map: Callable) -> SkewAlgebroid:
 
     def anchor(q):
         t_vals, _ = eval_matrix_with_partials(t_map, [float(v) for v in q], (rank, rank))
-        return Matrix(alg.anchor_array(q) @ t_vals)
+        return alg.anchor_array(q) @ t_vals
 
     def structure(q):
         qf = [float(v) for v in q]
         t_vals, t_part = eval_matrix_with_partials(t_map, qf, (rank, rank))
-        t_inv = mat_inverse(Matrix(t_vals)).array
+        t_inv = mat_inverse(t_vals)
         anchor_new = alg.anchor_array(qf) @ t_vals
         return frame_change_structure(
             t_inv, anchor_new, t_part, base_c=alg.structure(qf), t_vals=t_vals
@@ -162,7 +161,7 @@ def restrict_to_constraint(alg: SkewAlgebroid, k: int) -> SkewAlgebroid:
     return SkewAlgebroid(
         m=alg.m,
         rank=k,
-        anchor=lambda q: Matrix(alg.anchor_array(q)[:, :k]),
+        anchor=lambda q: alg.anchor_array(q)[:, :k],
         structure=lambda q: np.array(alg.structure(q)[:k, :k, :k]),
     )
 

@@ -270,7 +270,7 @@ def check_structure_skater(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(20):
         phi = rng.uniform(-math.pi, math.pi)
-        c = structure_functions_tangent(fr, [0.0, 0.0, phi]).values
+        c = structure_functions_tangent(fr, [0.0, 0.0, phi])
         worst = max(worst, float(np.max(np.abs(c - expected))))
     return CheckResult(
         "structure_skater",

@@ -18,15 +18,12 @@ import configparser
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import exprparse
 from .algebroid import PhaseState
 from .checks import run_checks
-from .dirac import _reduced_rates, complete_state, solve_consistency
+from .dirac import evaluate_reduced
 from .errors import EngineError, TruncatedTrajectoryError
 from .integrate import simulate
-from .numcore import grad
 from .systems import build, catalog_names, hamiltonian_with_potential
 
 __all__ = ["RunConfig", "main", "cmd_list", "cmd_simulate", "cmd_check", "cmd_inspect"]
@@ -49,7 +46,6 @@ class RunConfig:
     stride: int = 10
     potential: str | None = None
     out: str | None = None
-    seed: int = 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -167,12 +163,9 @@ def cmd_inspect(system: str, q_values, eta_values, out=None, err=None) -> int:
         alg = spec.dirac.alg
         rho = alg.anchor_array(rs.q)
         c = alg.structure(rs.q)
-        eta_alpha = solve_consistency(
+        eta_alpha, _, qdot, etadot = evaluate_reduced(
             spec.dirac, spec.hamiltonian, rs.q, rs.eta, solution=spec.consistency
         )
-        full, _ = complete_state(spec.dirac, spec.hamiltonian, rs, solution=spec.consistency)
-        g = grad(spec.hamiltonian, full.q + full.eta)
-        qdot, etadot = _reduced_rates(spec.dirac, g, full.q, np.asarray(full.eta))
     except EngineError as exc:
         err.write(f"error: {exc}\n")
         return 1
@@ -220,9 +213,22 @@ def _parse_param(item: str):
         raise UsageError(f"parameter {name!r} needs a numeric value, got {value!r}") from exc
 
 
+def _config_number(path: str, section: str, key: str, text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise UsageError(
+            f"config file {path!r}: [{section}] {key} = {text!r} is not a valid {kind.__name__}"
+        ) from exc
+
+
 def _load_config(path: str):
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        detail = "; ".join(str(exc).splitlines())
+        raise UsageError(f"cannot parse config file {path!r}: {detail}") from exc
     if not read:
         raise UsageError(f"cannot read config file {path!r}")
     cfg = {}
@@ -231,17 +237,15 @@ def _load_config(path: str):
         for key in ("system", "potential", "out"):
             if key in run:
                 cfg[key] = run[key]
-        for key in ("t_end", "dt"):
+        for key, kind in (("t_end", float), ("dt", float), ("stride", int)):
             if key in run:
-                cfg[key] = float(run[key])
-        if "stride" in run:
-            cfg["stride"] = int(run["stride"])
-        if "seed" in run:
-            cfg["seed"] = int(run["seed"])
+                cfg[key] = _config_number(path, "run", key, run[key], kind)
         if "ic" in run:
             cfg["ic"] = _parse_floats(run["ic"])
     if parser.has_section("params"):
-        cfg["params"] = {k: float(v) for k, v in parser["params"].items()}
+        cfg["params"] = {
+            k: _config_number(path, "params", k, v) for k, v in parser["params"].items()
+        }
     return cfg
 
 

@@ -53,6 +53,7 @@ __all__ = [
     "consistency_residual",
     "solve_consistency",
     "complete_state",
+    "evaluate_reduced",
     "reduced_vector_field",
     "oracle_mechanical",
     "oracle_magnetic",
@@ -203,24 +204,35 @@ def solve_consistency(
     alpha_idx = list(range(m + k, m + k + nt))
     if guess is None:
         guess = np.zeros(nt)
+    jac = None
 
     def residual_map(eta_alpha):
+        nonlocal jac
         p = q + eta_a + list(eta_alpha)
         res = grad(h, p)[m + k :]
-        return res, hessian_block(h, p, alpha_idx)
+        jac = hessian_block(h, p, alpha_idx)
+        return res, jac
 
     try:
         sol = newton_solve(residual_map, guess)
         # enforce the nondegeneracy precondition even when the start already
         # solves the condition (a flat transverse block means the condition
-        # does not select a unique momentum)
-        mat_inverse(hessian_block(h, q + eta_a + list(sol), alpha_idx))
+        # does not select a unique momentum); the last Jacobian is at ``sol``
+        mat_inverse(jac)
     except SingularMatrixError as err:
         raise DegenerateHamiltonianError(
             "transverse Hessian block is singular; the dynamics does not project "
             "onto an effective phase space"
         ) from err
     return sol
+
+
+def _check_reduced(dirac: DiracAlgebroid, q, eta_a):
+    if len(q) != dirac.alg.m or len(eta_a) != dirac.k:
+        raise DimensionError(
+            f"reduced state ({len(q)}, {len(eta_a)}) on shape "
+            f"({dirac.alg.m}, {dirac.k})"
+        )
 
 
 def complete_state(
@@ -233,26 +245,36 @@ def complete_state(
     """Reduced state -> (full PhaseState, eta_alpha)."""
     if rs.full:
         raise DimensionError("reduced phase state required")
-    if len(rs.q) != dirac.alg.m or len(rs.eta) != dirac.k:
-        raise DimensionError(
-            f"reduced state ({len(rs.q)}, {len(rs.eta)}) on shape "
-            f"({dirac.alg.m}, {dirac.k})"
-        )
+    _check_reduced(dirac, rs.q, rs.eta)
     eta_alpha = solve_consistency(dirac, h, rs.q, rs.eta, guess=guess, solution=solution)
     full = PhaseState(q=rs.q, eta=rs.eta + tuple(eta_alpha), full=True)
     return full, eta_alpha
 
 
-def _reduced_rates(dirac: DiracAlgebroid, g: np.ndarray, q, eta_full: np.ndarray):
-    """Assemble (qdot, etadot_a) from a full gradient of H."""
+def evaluate_reduced(
+    dirac: DiracAlgebroid,
+    h: ScalarField,
+    q,
+    eta_a,
+    guess=None,
+    solution: ConsistencySolution = NEWTON_CONSISTENCY,
+):
+    """The reduced field at (q, eta_a) as ``(eta_alpha, grad_H, qdot,
+    etadot_a)``: eta_alpha solves the consistency condition (Newton from
+    ``guess`` unless a closed form is declared), and grad_H is taken at
+    the completed state."""
+    _check_reduced(dirac, q, eta_a)
     alg, k = dirac.alg, dirac.k
+    eta_alpha = solve_consistency(dirac, h, q, eta_a, guess=guess, solution=solution)
+    eta = np.concatenate([eta_a, eta_alpha])
+    g = grad(h, (*q, *eta))
     gq, geta = g[: alg.m], g[alg.m :]
     rho_adm = alg.anchor_array(q)[:, :k]
     c = dirac.admissible_structure(q)
     u = geta[:k]
     qdot = rho_adm @ u
-    etadot = (eta_full @ c.reshape(alg.rank, k * k)).reshape(k, k) @ u - rho_adm.T @ gq
-    return qdot, etadot
+    etadot = (eta @ c.reshape(alg.rank, k * k)).reshape(k, k) @ u - rho_adm.T @ gq
+    return eta_alpha, g, qdot, etadot
 
 
 def reduced_vector_field(
@@ -262,16 +284,16 @@ def reduced_vector_field(
     guess=None,
     solution: ConsistencySolution = NEWTON_CONSISTENCY,
 ):
-    """The explicit dynamics on the effective phase space.
+    """The explicit dynamics on the effective phase space, (qdot, etadot_a).
 
     Transverse momenta come from ``solve_consistency``; the transverse
     structure term c^alpha_{bd} eta_alpha dH/deta_d always uses the
     solved values, which is exactly what distinguishes a magnetic system
     from a mechanical one.
     """
-    full, eta_alpha = complete_state(dirac, h, rs, guess=guess, solution=solution)
-    g = grad(h, full.q + full.eta)
-    qdot, etadot = _reduced_rates(dirac, g, full.q, np.asarray(full.eta))
+    if rs.full:
+        raise DimensionError("reduced phase state required")
+    _, _, qdot, etadot = evaluate_reduced(dirac, h, rs.q, rs.eta, guess=guess, solution=solution)
     return qdot, etadot
 
 

@@ -16,11 +16,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .numcore import Matrix, mat_inverse, partials_of, seed_duals, solve_linear, value_of
+from .numcore import mat_inverse, partials_of, seed_duals, solve_linear, value_of
 
 __all__ = [
     "FrameField",
-    "StructureTensor",
     "frame_matrix",
     "frame_inverse",
     "structure_functions_tangent",
@@ -48,42 +47,23 @@ class FrameField:
             raise ValidationError(f"constraint rank {self.k} outside 1..{self.n}")
 
 
-@dataclass(frozen=True)
-class StructureTensor:
-    """Structure functions at one base point; antisymmetric in (j, k)."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def nonzeros(self, tol: float = 0.0):
-        """Sorted (i, j, k, value) with j < k and |value| > tol."""
-        out = []
-        n = self.n
-        for i in range(n):
-            for j in range(n):
-                for k in range(j + 1, n):
-                    v = self.values[i, j, k]
-                    if abs(v) > tol:
-                        out.append((i, j, k, float(v)))
-        return out
-
-
 def _check_point(fr: FrameField, q):
     if len(q) != fr.n:
         raise DimensionError(f"point of length {len(q)} on a chart of dimension {fr.n}")
 
 
-def frame_matrix(fr: FrameField, q) -> Matrix:
-    """Evaluate rho(q); columns are the frame sections."""
+def frame_matrix(fr: FrameField, q) -> np.ndarray:
+    """Evaluate rho(q) as a read-only array; columns are the frame sections."""
     _check_point(fr, q)
     rows = fr.rho([float(v) for v in q])
-    return Matrix([[value_of(e) for e in row] for row in rows])
+    rho = np.array([[value_of(e) for e in row] for row in rows], dtype=float)
+    if rho.ndim != 2:
+        raise DimensionError(f"frame map needs a 2-d layout, got shape {rho.shape}")
+    rho.flags.writeable = False
+    return rho
 
 
-def frame_inverse(fr: FrameField, q) -> Matrix:
+def frame_inverse(fr: FrameField, q) -> np.ndarray:
     return mat_inverse(frame_matrix(fr, q))
 
 
@@ -126,13 +106,15 @@ def frame_change_structure(t_inv, anchor_new, t_partials, base_c=None, t_vals=No
     return out
 
 
-def structure_functions_tangent(fr: FrameField, q) -> StructureTensor:
-    """Structure functions of the frame under the Lie bracket of vector
-    fields, from entry partials and the frame inverse."""
+def structure_functions_tangent(fr: FrameField, q) -> np.ndarray:
+    """Structure functions c[i][j][k] of the frame under the Lie bracket of
+    vector fields, from entry partials and the frame inverse; read-only,
+    antisymmetric in (j, k)."""
     _check_point(fr, q)
     values, partials = eval_matrix_with_partials(fr.rho, [float(v) for v in q], (fr.n, fr.n))
-    inv = mat_inverse(Matrix(values)).array
-    return StructureTensor(frame_change_structure(inv, values, partials))
+    c = frame_change_structure(mat_inverse(values), values, partials)
+    c.flags.writeable = False
+    return c
 
 
 def decompose(fr: FrameField, q, v) -> np.ndarray:

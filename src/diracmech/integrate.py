@@ -1,9 +1,11 @@
 """Fixed-step classical Runge-Kutta integration of the reduced dynamics,
-with transverse momenta reconstructed at recording time and diagnostic
-observables stored per sample.
+with transverse momenta and diagnostic observables stored per sample.
 
-One trajectory is strictly sequential; identical inputs give
-bit-identical output.
+Each state the integrator lands on is evaluated once
+(``dirac.evaluate_reduced``).  That one evaluation is the recorded
+sample, the first stage of the next step, and the Newton warm start for
+that step's other three stages.  One trajectory is strictly sequential;
+identical inputs give bit-identical output.
 """
 
 import math
@@ -13,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .algebroid import PhaseState
-from .dirac import _reduced_rates, complete_state, solve_consistency
-from .errors import EngineError, TruncatedTrajectoryError
-from .numcore import grad, solve_linear
+from .dirac import evaluate_reduced
+from .errors import DimensionError, EngineError, TruncatedTrajectoryError
+from .numcore import solve_linear
 from .systems import SystemSpec
 
 __all__ = ["Trajectory", "rk4_step", "simulate", "observables"]
@@ -40,14 +42,16 @@ class Trajectory:
         return len(self.states)
 
 
-def _rk4_increment(f: Callable, y: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_increment(f: Callable, y: np.ndarray, dt: float, k1=None) -> np.ndarray:
     """Four-stage increment (dt/6)(k1 + 2 k2 + 2 k3 + k4) at a flat state.
 
-    Failures are re-raised with the stage index attached.
+    ``k1`` is f(y) when the caller has already evaluated it.  Failures are
+    re-raised with the stage index attached.
     """
     stage = 0
     try:
-        k1 = f(y)
+        if k1 is None:
+            k1 = f(y)
         stage = 1
         k2 = f(y + (0.5 * dt) * k1)
         stage = 2
@@ -74,30 +78,6 @@ def _compensated_add(y: np.ndarray, comp: np.ndarray, inc: np.ndarray):
     return new, comp
 
 
-def _field_on_vector(spec: SystemSpec, warm_start):
-    """The reduced field as a map on flat (q, eta_a) vectors.
-
-    ``warm_start`` is a one-element list holding the Newton guess for the
-    transverse solve; stages within one step share it.
-    """
-    dirac = spec.dirac
-    h = spec.hamiltonian
-    solution = spec.consistency
-    m = spec.m
-
-    def f(y):
-        q = y[:m]
-        eta_a = y[m:]
-        eta_alpha = solve_consistency(
-            dirac, h, q, eta_a, guess=warm_start[0], solution=solution
-        )
-        g = grad(h, (*q, *eta_a, *eta_alpha))
-        qdot, etadot = _reduced_rates(dirac, g, q, np.concatenate([eta_a, eta_alpha]))
-        return np.concatenate([qdot, etadot])
-
-    return f
-
-
 def rk4_step(f: Callable, s: PhaseState, dt: float) -> PhaseState:
     """Advance a reduced state by one step of the classical scheme.
 
@@ -116,25 +96,25 @@ def rk4_step(f: Callable, s: PhaseState, dt: float) -> PhaseState:
     return PhaseState(q=y[:m], eta=y[m:], full=False)
 
 
-def _sample(spec: SystemSpec, rs: PhaseState, guess=None):
-    """(observables, eta_alpha) at one reduced state."""
-    full, eta_alpha = complete_state(
-        spec.dirac, spec.hamiltonian, rs, guess=guess, solution=spec.consistency
-    )
-    g = grad(spec.hamiltonian, full.q + full.eta)
+def _observables_of(spec: SystemSpec, q, eta_a, evaluation) -> dict:
+    """Energy plus the two residual diagnostics from one evaluation."""
+    eta_alpha, g, qdot, _ = evaluation
     res_cons = g[spec.m + spec.k :]
-    qdot, _ = _reduced_rates(spec.dirac, g, full.q, np.asarray(full.eta))
-    obs = {
-        "H": spec.hamiltonian.value(full.q + full.eta),
+    return {
+        "H": spec.hamiltonian.value((*q, *eta_a, *eta_alpha)),
         "consistency_residual_inf": float(np.max(np.abs(res_cons))) if res_cons.size else 0.0,
-        "admissibility_residual_inf": _admissibility_residual(spec, full.q, qdot),
+        "admissibility_residual_inf": _admissibility_residual(spec, q, qdot),
     }
-    return obs, eta_alpha
 
 
 def observables(spec: SystemSpec, rs: PhaseState, guess=None) -> dict:
     """Energy plus the two residual diagnostics at one reduced state."""
-    return _sample(spec, rs, guess=guess)[0]
+    if rs.full:
+        raise DimensionError("reduced phase state required")
+    evaluation = evaluate_reduced(
+        spec.dirac, spec.hamiltonian, rs.q, rs.eta, guess=guess, solution=spec.consistency
+    )
+    return _observables_of(spec, rs.q, rs.eta, evaluation)
 
 
 def _admissibility_residual(spec: SystemSpec, q, qdot) -> float:
@@ -160,33 +140,40 @@ def simulate(
 ) -> Trajectory:
     """Integrate from ``ic`` to ``t_end`` recording every stride-th step.
 
-    Transverse momenta and observables are evaluated at each recorded
-    sample; the Newton warm start for generic consistency solves is the
-    previous step's solution.  A failure mid-run raises
-    TruncatedTrajectoryError carrying the partial trajectory.
+    A failure mid-run raises TruncatedTrajectoryError carrying the partial
+    trajectory, at the time of the state or step whose evaluation failed.
     """
     if t_end <= 0.0 or dt <= 0.0 or stride < 1:
         raise ValueError("t_end and dt must be positive, stride at least 1")
+    if not all(math.isfinite(v) for v in (t_end, dt, t_end / dt)):
+        raise ValueError(f"t_end, dt and t_end/dt must be finite (t_end={t_end!r}, dt={dt!r})")
     if ic.full or len(ic.q) != spec.m or len(ic.eta) != spec.k:
         raise ValueError(
             f"initial condition must be reduced with shapes ({spec.m}, {spec.k})"
         )
     n_steps = math.ceil(t_end / dt)
-    warm_start = [None]
-    f = _field_on_vector(spec, warm_start)
     m = spec.m
+    guess = None
+
+    def evaluate(y):
+        return evaluate_reduced(
+            spec.dirac, spec.hamiltonian, y[:m], y[m:], guess=guess, solution=spec.consistency
+        )
+
+    def f(y):
+        return np.concatenate(evaluate(y)[2:])
 
     times = []
     states = []
     eta_rows = []
     obs_rows = {name: [] for name in OBSERVABLE_NAMES}
 
-    def record(step_index, y):
+    def record(step_index, y, evaluation):
         rs = PhaseState(q=y[:m], eta=y[m:], full=False)
-        obs, eta_alpha = _sample(spec, rs, guess=warm_start[0])
         times.append(step_index * dt)
         states.append(rs)
-        eta_rows.append(eta_alpha)
+        eta_rows.append(evaluation[0])
+        obs = _observables_of(spec, rs.q, rs.eta, evaluation)
         for name in OBSERVABLE_NAMES:
             obs_rows[name].append(obs[name])
 
@@ -202,12 +189,21 @@ def simulate(
     comp = np.zeros_like(y)
     step = 0
     try:
-        record(0, y)
-        for step in range(1, n_steps + 1):
-            y, comp = _compensated_add(y, comp, _rk4_increment(f, y, dt))
-            warm_start[0] = _warm_start_update(spec, y, warm_start[0])
-            if step % stride == 0:
-                record(step, y)
+        for step in range(n_steps + 1):
+            if step:
+                guess = here[0]
+                inc = _rk4_increment(f, y, dt, k1=np.concatenate(here[2:]))
+                y, comp = _compensated_add(y, comp, inc)
+            recorded = step % stride == 0
+            if recorded or step < n_steps:
+                # the sample when recorded, and stage 0 of the next step
+                try:
+                    here = evaluate(y)
+                except EngineError as err:
+                    err.stage_index = 0
+                    raise
+            if recorded:
+                record(step, y, here)
     except EngineError as err:
         failed_time = step * dt
         raise TruncatedTrajectoryError(
@@ -216,13 +212,3 @@ def simulate(
             failed_time=failed_time,
         ) from err
     return partial()
-
-
-def _warm_start_update(spec: SystemSpec, y, previous):
-    if spec.consistency.kind != "newton":
-        return previous
-    rs = PhaseState(q=y[: spec.m], eta=y[spec.m :], full=False)
-    _, eta_alpha = complete_state(
-        spec.dirac, spec.hamiltonian, rs, guess=previous, solution=spec.consistency
-    )
-    return eta_alpha

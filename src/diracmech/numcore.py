@@ -19,7 +19,6 @@ from .errors import (
 
 __all__ = [
     "DualScalar",
-    "Matrix",
     "ScalarField",
     "seed_duals",
     "grad",
@@ -327,8 +326,9 @@ def grad(f: ScalarField, p) -> np.ndarray:
     return g
 
 
-def hessian_block(f: ScalarField, p, idx) -> "Matrix":
-    """Second-derivative block of ``f`` over the variable subset ``idx``."""
+def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
+    """Second-derivative block of ``f`` over the variable subset ``idx``,
+    as a read-only array."""
     n = f.arity
     if len(p) != n:
         raise DimensionError(f"point of length {len(p)} for field of arity {n}")
@@ -341,7 +341,7 @@ def hessian_block(f: ScalarField, p, idx) -> "Matrix":
     for col, j in enumerate(idx):
         args[j] = DualScalar(DualScalar(args[j], seeds[col]), seeds[col])
     out = f(*args)
-    rows = [[0.0] * s for _ in range(s)]
+    block = np.empty((s, s))
     outer = partials_of(out, s)
     for c in range(s):
         inner = partials_of(outer[c], s)
@@ -349,67 +349,14 @@ def hessian_block(f: ScalarField, p, idx) -> "Matrix":
             h = _scalar(inner[r])
             if not math.isfinite(h):
                 raise NumericDomainError(f"non-finite second derivative at {tuple(p)!r}")
-            rows[r][c] = h
-    return Matrix(rows)
+            block[r, c] = h
+    block.flags.writeable = False
+    return block
 
 
 def _check_finite(v):
     if not math.isfinite(_scalar(v)):
         raise NumericDomainError("non-finite evaluation")
-
-
-class Matrix:
-    """Immutable dense matrix of floats, stored row-major."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, rows):
-        a = np.array(rows, dtype=float)
-        if a.ndim != 2:
-            raise DimensionError(f"matrix needs a 2-d layout, got shape {a.shape}")
-        a.flags.writeable = False
-        self._a = a
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries) -> "Matrix":
-        entries = list(entries)
-        if rows * cols != len(entries):
-            raise DimensionError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
-            )
-        return cls(np.array(entries, dtype=float).reshape(rows, cols))
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def entries(self) -> tuple:
-        return tuple(self._a.ravel())
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only ndarray view of the storage."""
-        return self._a
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self._a.T)
-
-    def __matmul__(self, other):
-        if isinstance(other, Matrix):
-            return Matrix(self._a @ other._a)
-        return self._a @ np.asarray(other, dtype=float)
-
-    def __repr__(self):
-        return f"Matrix({self._a.tolist()!r})"
 
 
 def _forward_eliminate(a: np.ndarray, rhs: np.ndarray):
@@ -444,18 +391,21 @@ def _back_substitute(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _as_square_array(a) -> np.ndarray:
-    arr = a.array if isinstance(a, Matrix) else np.asarray(a, dtype=float)
+    arr = np.array(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"square matrix required, got shape {arr.shape}")
-    return np.array(arr, dtype=float)
+    return arr
 
 
-def mat_inverse(a) -> Matrix:
-    """Inverse by Gaussian elimination with partial pivoting."""
+def mat_inverse(a) -> np.ndarray:
+    """Inverse by Gaussian elimination with partial pivoting, as a
+    read-only array."""
     work = _as_square_array(a)
     rhs = np.eye(work.shape[0])
     _forward_eliminate(work, rhs)
-    return Matrix(_back_substitute(work, rhs))
+    inv = _back_substitute(work, rhs)
+    inv.flags.writeable = False
+    return inv
 
 
 def solve_linear(a, b) -> np.ndarray:

@@ -107,7 +107,7 @@ def test_change_frame_reproduces_tangent_formula_exactly():
     rotated = change_frame(trivial, fr.rho)
     for phi in (0.0, 0.7, -1.9):
         q = (0.1, 0.2, phi)
-        want = structure_functions_tangent(fr, q).values
+        want = structure_functions_tangent(fr, q)
         assert np.array_equal(rotated.structure(q), want)
         assert np.allclose(rotated.anchor_array(q), trivial.anchor_array(q) @ np.array(fr.rho(list(q))), atol=1e-15)
 

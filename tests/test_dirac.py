@@ -216,6 +216,24 @@ def test_solve_consistency_degenerate_hamiltonian():
         solve_consistency(spec.dirac, flat, (0.0, 0.0, 0.0), (1.0, 1.0))
 
 
+def test_newton_builds_one_hessian_block_per_residual(monkeypatch):
+    from diracmech import dirac
+
+    spec = build("ball_magnetic")
+    counts = {"grad": 0, "hessian_block": 0}
+    for name in counts:
+        original = getattr(dirac, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dirac, name, counted)
+    sol = solve_consistency(spec.dirac, spec.hamiltonian, (0.2, -0.1), (1.0, 0.3, -0.2))
+    assert np.max(np.abs(sol - [0.0, 0.2])) <= 1e-12
+    assert counts["hessian_block"] == counts["grad"] >= 2
+
+
 # -- reduced field -------------------------------------------------------------------
 
 

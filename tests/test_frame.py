@@ -42,11 +42,11 @@ def shear_frame():
 
 def test_skater_frame_at_zero():
     rho = frame_matrix(skater_frame(), (0.0, 0.0, 0.0))
-    assert np.allclose(rho.array, [[1, 0, 0], [0, 0, 1], [0, 1, 0]], atol=1e-15)
+    assert np.allclose(rho, [[1, 0, 0], [0, 0, 1], [0, 1, 0]], atol=1e-15)
 
 
 def test_skater_frame_at_quarter_turn():
-    rho = frame_matrix(skater_frame(), (0.0, 0.0, math.pi / 2)).array
+    rho = frame_matrix(skater_frame(), (0.0, 0.0, math.pi / 2))
     assert np.allclose(rho[:, 0], [0, 1, 0], atol=1e-15)
     assert np.allclose(rho[:, 1], [0, 0, 1], atol=1e-15)
     assert np.allclose(rho[:, 2], [-1, 0, 0], atol=1e-15)
@@ -54,7 +54,7 @@ def test_skater_frame_at_quarter_turn():
 
 def test_identity_frame():
     fr = identity_frame(4, 2)
-    assert np.array_equal(frame_matrix(fr, (1.0, 2.0, 3.0, 4.0)).array, np.eye(4))
+    assert np.array_equal(frame_matrix(fr, (1.0, 2.0, 3.0, 4.0)), np.eye(4))
 
 
 def test_frame_rank_validation():
@@ -65,14 +65,14 @@ def test_frame_rank_validation():
 def test_frame_inverse_orthonormal_is_transpose():
     fr = skater_frame()
     rho = frame_matrix(fr, (0.0, 0.0, 0.0))
-    assert np.allclose(frame_inverse(fr, (0.0, 0.0, 0.0)).array, rho.array.T, atol=1e-15)
+    assert np.allclose(frame_inverse(fr, (0.0, 0.0, 0.0)), rho.T, atol=1e-15)
 
 
 def test_frame_inverse_scaled_identity():
     fr = FrameField(n=2, k=1, rho=lambda q: [[2.0, 0.0], [0.0, 2.0]])
-    assert np.allclose(frame_inverse(fr, (0.0, 0.0)).array, 0.5 * np.eye(2), atol=1e-16)
+    assert np.allclose(frame_inverse(fr, (0.0, 0.0)), 0.5 * np.eye(2), atol=1e-16)
     assert np.allclose(
-        frame_inverse(identity_frame(3), (0.0, 0.0, 0.0)).array, np.eye(3), atol=1e-16
+        frame_inverse(identity_frame(3), (0.0, 0.0, 0.0)), np.eye(3), atol=1e-16
     )
 
 
@@ -93,26 +93,26 @@ def test_skater_structure_constants():
     expected[0, 1, 2] = 1.0
     expected[0, 2, 1] = -1.0
     for phi in (0.0, 0.4, -2.2, math.pi / 2):
-        c = structure_functions_tangent(fr, (0.5, -0.1, phi)).values
+        c = structure_functions_tangent(fr, (0.5, -0.1, phi))
         assert np.max(np.abs(c - expected)) <= 1e-14
 
 
 def test_constant_frame_has_zero_structure():
     fr = FrameField(n=3, k=1, rho=lambda q: [[1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
-    c = structure_functions_tangent(fr, (0.3, 0.4, 0.5)).values
+    c = structure_functions_tangent(fr, (0.3, 0.4, 0.5))
     assert np.array_equal(c, np.zeros((3, 3, 3)))
 
 
 def test_polar_structure_value():
     # [f2, f1] = (1/r) f2, so c^2_{12} = 1/r = 0.5 at r = 2
-    c = structure_functions_tangent(polar_frame(), (2.0, 0.0)).values
+    c = structure_functions_tangent(polar_frame(), (2.0, 0.0))
     assert abs(c[1, 0, 1] - 0.5) <= 1e-14
     assert abs(c[0, 0, 1]) <= 1e-15
 
 
 def test_structure_antisymmetry_is_exact():
     for fr, q in ((polar_frame(), (1.7, 0.3)), (shear_frame(), (0.8, -0.6))):
-        c = structure_functions_tangent(fr, q).values
+        c = structure_functions_tangent(fr, q)
         assert np.array_equal(c, -c.swapaxes(1, 2))
 
 
@@ -120,7 +120,7 @@ def _numeric_commutator(fr, q, j, k, eps=1e-4):
     """[f_k, f_j] by central differencing along short frame flows."""
 
     def section(point, idx):
-        return frame_matrix(fr, point).array[:, idx]
+        return frame_matrix(fr, point)[:, idx]
 
     q = np.asarray(q, dtype=float)
     fk = section(q, k)
@@ -136,8 +136,8 @@ def test_structure_matches_numeric_commutator(maker):
     rng = np.random.default_rng(17)
     for _ in range(20):
         q = rng.uniform(0.5, 2.0, fr.n)
-        rho = frame_matrix(fr, q).array
-        c = structure_functions_tangent(fr, q).values
+        rho = frame_matrix(fr, q)
+        c = structure_functions_tangent(fr, q)
         for j in range(fr.n):
             for k in range(fr.n):
                 assembled = rho @ c[:, j, k]
@@ -164,7 +164,7 @@ def test_decompose_roundtrip():
     for _ in range(20):
         q = rng.uniform(-1.5, 1.5, 2)
         z = rng.uniform(-2, 2, 2)
-        v = frame_matrix(fr, q).array @ z
+        v = frame_matrix(fr, q) @ z
         assert np.max(np.abs(decompose(fr, q, v) - z)) <= 1e-12
 
 

@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diracmech.algebroid import PhaseState
+from diracmech.checks import ADMISSIBILITY_TOL, CONSISTENCY_TOL, ENERGY_DRIFT_TOL
+from diracmech.dirac import ConsistencySolution, solve_consistency
 from diracmech.errors import NumericDomainError, TruncatedTrajectoryError
 from diracmech.exprparse import parse_text
 from diracmech.integrate import observables, rk4_step, simulate
+from diracmech.numcore import ScalarField
 from diracmech.systems import analytic_state, build, hamiltonian_with_potential
 
 
@@ -116,12 +120,101 @@ def test_simulate_truncation_carries_partial_result():
     assert hasattr(err.__cause__, "stage_index")
 
 
+def test_simulate_failure_at_a_reached_state_is_stage_zero():
+    # the log wall is already crossed at the initial state
+    spec = hamiltonian_with_potential(build("skater_free"), parse_text("0.001*log(x)"))
+    with pytest.raises(TruncatedTrajectoryError) as info:
+        simulate(spec, reduced((-1.0, 0.0, 0.0), (1.0, 0.0)), t_end=1.0, dt=1e-3)
+    err = info.value
+    assert err.failed_time == 0.0 and len(err.partial) == 0
+    assert err.__cause__.stage_index == 0
+
+
 def test_simulate_validates_inputs():
     spec = build("skater_free")
     with pytest.raises(ValueError):
         simulate(spec, reduced((0, 0, 0), (1, 1)), t_end=-1.0)
     with pytest.raises(ValueError):
         simulate(spec, reduced((0, 0), (1, 1)), t_end=1.0)
+
+
+# -- generic Newton path -----------------------------------------------------------
+
+
+def newton_spec(spec):
+    return replace(spec, consistency=ConsistencySolution(kind="newton"))
+
+
+def quartic_skater():
+    """skater_charged plus a quartic transverse term: still convex in
+    eta_alpha, but only Newton solves its consistency condition."""
+    spec = build("skater_charged")
+    base = spec.hamiltonian.fn
+
+    def fn(x, y, phi, e1, e2, e3):
+        return base(x, y, phi, e1, e2, e3) + 0.25 * e3**4
+
+    return replace(
+        newton_spec(spec),
+        name="skater_quartic",
+        hamiltonian=ScalarField(spec.base_names, spec.fiber_names, fn),
+        analytic=None,
+        metric=None,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, ic",
+    [
+        ("skater_charged", reduced((0.1, -0.2, 0.3), (1.0, 0.5))),
+        ("ball_magnetic", reduced((0.2, -0.1), (1.0, 0.3, -0.2))),
+        ("ball_harmonic", reduced((0.2, -0.1), (1.0, 0.3, -0.2))),
+    ],
+)
+def test_forced_newton_matches_closed_form_path(name, ic):
+    spec = build(name)
+    closed = simulate(spec, ic, t_end=0.5, dt=1e-3, stride=5)
+    forced = simulate(newton_spec(spec), ic, t_end=0.5, dt=1e-3, stride=5)
+    for got, want in (
+        (forced.reduced_array(), closed.reduced_array()),
+        (forced.eta_alpha, closed.eta_alpha),
+    ):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+
+
+def test_quartic_transverse_term_holds_invariants():
+    spec = quartic_skater()
+    traj = simulate(spec, reduced((0.1, -0.2, 0.3), (1.0, 0.5)), t_end=1.0, dt=1e-3, stride=10)
+    assert len(traj) == 101
+    h = traj.observables["H"]
+    assert np.max(np.abs(h - h[0])) / max(1.0, abs(h[0])) <= ENERGY_DRIFT_TOL
+    assert np.max(traj.observables["consistency_residual_inf"]) <= CONSISTENCY_TOL
+    assert np.max(traj.observables["admissibility_residual_inf"]) <= ADMISSIBILITY_TOL
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["skater_free", "skater_slope", "skater_charged", "ball_free", "ball_magnetic", "ball_harmonic", "quartic"],
+)
+def test_recorded_samples_equal_fresh_evaluations(name):
+    # a generic solve at a recorded state starts from the previous state's
+    # solution, so the quartic run records every step
+    spec = quartic_skater() if name == "quartic" else build(name)
+    stride = 1 if name == "quartic" else 3
+    ic = reduced((0.1, -0.2, 0.3)[: spec.m], (1.0, 0.5, -0.2)[: spec.k])
+    traj = simulate(spec, ic, t_end=0.05, dt=1e-3, stride=stride)
+    guess = None
+    for i, rs in enumerate(traj.states):
+        eta_alpha = solve_consistency(
+            spec.dirac, spec.hamiltonian, rs.q, rs.eta, guess=guess, solution=spec.consistency
+        )
+        assert np.array_equal(traj.eta_alpha[i], eta_alpha)
+        obs = observables(spec, rs, guess=guess)
+        for key, value in obs.items():
+            assert traj.observables[key][i] == value
+        if spec.consistency.kind == "newton":
+            guess = traj.eta_alpha[i]
 
 
 # -- observables ------------------------------------------------------------------

@@ -11,7 +11,6 @@ from diracmech.errors import (
 )
 from diracmech.numcore import (
     DualScalar,
-    Matrix,
     ScalarField,
     grad,
     hessian_block,
@@ -90,13 +89,13 @@ def test_grad_matches_finite_differences_on_catalog_hamiltonians():
 def test_hessian_quadratic_form_identity():
     f = field(2, lambda u, v: 0.5 * (u * u + v * v))
     h = hessian_block(f, (0.7, -0.2), (0, 1))
-    assert np.allclose(h.array, np.eye(2), atol=1e-15)
+    assert np.allclose(h, np.eye(2), atol=1e-15)
 
 
 def test_hessian_product_off_diagonal():
     f = field(2, lambda u, v: u * v)
     h = hessian_block(f, (2.0, 5.0), (0, 1))
-    assert np.allclose(h.array, [[0, 1], [1, 0]], atol=1e-15)
+    assert np.allclose(h, [[0, 1], [1, 0]], atol=1e-15)
 
 
 def test_hessian_ball_free_transverse_block():
@@ -104,7 +103,7 @@ def test_hessian_ball_free_transverse_block():
     spec = build("ball_free")
     p = (0.1, -0.3, 0.5, 0.2, -0.8, 0.05, 0.9)
     h = hessian_block(spec.hamiltonian, p, (5, 6))
-    assert np.allclose(h.array, 0.5 * np.eye(2), atol=1e-15)
+    assert np.allclose(h, 0.5 * np.eye(2), atol=1e-15)
 
 
 def test_hessian_symmetry_on_random_polynomials():
@@ -121,7 +120,7 @@ def test_hessian_symmetry_on_random_polynomials():
             return out
 
         f = field(4, fn)
-        h = hessian_block(f, rng.uniform(-1, 1, 4), (0, 1, 2, 3)).array
+        h = hessian_block(f, rng.uniform(-1, 1, 4), (0, 1, 2, 3))
         assert np.max(np.abs(h - h.T)) <= 1e-12
 
 
@@ -134,27 +133,19 @@ def test_hessian_bad_index():
 # -- matrices ------------------------------------------------------------
 
 
-def test_matrix_entries_row_major():
-    m = Matrix([[1.0, 2.0], [3.0, 4.0]])
-    assert m.rows == 2 and m.cols == 2
-    assert m.entries == (1.0, 2.0, 3.0, 4.0)
-    with pytest.raises(DimensionError):
-        Matrix.from_entries(2, 2, [1.0, 2.0, 3.0])
-
-
 def test_mat_inverse_identity():
-    assert np.allclose(mat_inverse(Matrix.identity(4)).array, np.eye(4), atol=1e-15)
+    assert np.allclose(mat_inverse(np.eye(4)), np.eye(4), atol=1e-15)
 
 
 def test_mat_inverse_skater_frame_is_transpose():
     # orthonormal columns at phi = 0, inverted by hand
     rho = frame_matrix(skater_frame(), (0.0, 0.0, 0.0))
-    assert np.allclose(mat_inverse(rho).array, rho.array.T, atol=1e-15)
+    assert np.allclose(mat_inverse(rho), rho.T, atol=1e-15)
 
 
 def test_mat_inverse_diag():
-    inv = mat_inverse(Matrix([[2.0, 0.0], [0.0, 4.0]]))
-    assert np.allclose(inv.array, np.diag([0.5, 0.25]), atol=1e-16)
+    inv = mat_inverse(np.array([[2.0, 0.0], [0.0, 4.0]]))
+    assert np.allclose(inv, np.diag([0.5, 0.25]), atol=1e-16)
 
 
 def test_mat_inverse_involution_on_well_conditioned():
@@ -162,27 +153,27 @@ def test_mat_inverse_involution_on_well_conditioned():
     for _ in range(25):
         a = rng.uniform(-1, 1, (5, 5)) + 5.0 * np.eye(5)
         assert np.linalg.cond(a) <= 1e3
-        twice = mat_inverse(mat_inverse(Matrix(a)))
-        assert np.max(np.abs(twice.array - a)) <= 1e-10
+        twice = mat_inverse(mat_inverse(np.array(a)))
+        assert np.max(np.abs(twice - a)) <= 1e-10
 
 
 def test_mat_inverse_singular():
     with pytest.raises(SingularMatrixError):
-        mat_inverse(Matrix([[1.0, 2.0], [2.0, 4.0]]))
+        mat_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SingularMatrixError):
-        mat_inverse(Matrix(np.zeros((3, 3))))
+        mat_inverse(np.zeros((3, 3)))
 
 
 def test_solve_linear_simple():
-    assert np.allclose(solve_linear(Matrix.identity(3), [1.0, 2.0, 3.0]), [1, 2, 3])
-    assert np.allclose(solve_linear(Matrix([[2.0, 0.0], [0.0, 2.0]]), [2.0, 4.0]), [1, 2])
+    assert np.allclose(solve_linear(np.eye(3), [1.0, 2.0, 3.0]), [1, 2, 3])
+    assert np.allclose(solve_linear(np.array([[2.0, 0.0], [0.0, 2.0]]), [2.0, 4.0]), [1, 2])
 
 
 def test_solve_linear_residual():
     rng = np.random.default_rng(8)
     a = rng.uniform(-1, 1, (5, 5)) + 4.0 * np.eye(5)
     b = rng.uniform(-1, 1, 5)
-    x = solve_linear(Matrix(a), b)
+    x = solve_linear(np.array(a), b)
     res = np.max(np.abs(a @ x - b))
     bound = 1e-12 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
     assert res <= bound
@@ -190,7 +181,7 @@ def test_solve_linear_residual():
 
 def test_solve_linear_dimension_error():
     with pytest.raises(DimensionError):
-        solve_linear(Matrix.identity(3), [1.0, 2.0])
+        solve_linear(np.eye(3), [1.0, 2.0])
 
 
 # -- newton --------------------------------------------------------------
@@ -198,7 +189,7 @@ def test_solve_linear_dimension_error():
 
 def test_newton_sqrt():
     def f(x):
-        return np.array([x[0] ** 2 - 4.0]), Matrix([[2.0 * x[0]]])
+        return np.array([x[0] ** 2 - 4.0]), np.array([[2.0 * x[0]]])
 
     x = newton_solve(f, [3.0], tol=1e-12)
     assert abs(x[0] - 2.0) <= 1e-12
@@ -209,7 +200,7 @@ def test_newton_affine_single_iteration():
 
     def f(x):
         calls.append(x.copy())
-        return np.array([3.0 * x[0] - 6.0, x[1] + 1.0]), Matrix([[3.0, 0.0], [0.0, 1.0]])
+        return np.array([3.0 * x[0] - 6.0, x[1] + 1.0]), np.array([[3.0, 0.0], [0.0, 1.0]])
 
     x = newton_solve(f, [10.0, 10.0])
     assert np.allclose(x, [2.0, -1.0], atol=1e-12)
@@ -235,7 +226,7 @@ def test_newton_magnetic_skater_consistency():
 def test_newton_nonconvergence():
     # classic two-cycle 0 -> 1 -> 0 of x^3 - 2x + 2
     def f(x):
-        return np.array([x[0] ** 3 - 2.0 * x[0] + 2.0]), Matrix([[3.0 * x[0] ** 2 - 2.0]])
+        return np.array([x[0] ** 3 - 2.0 * x[0] + 2.0]), np.array([[3.0 * x[0] ** 2 - 2.0]])
 
     with pytest.raises(NonConvergenceError) as info:
         newton_solve(f, [0.0], tol=1e-12, max_iter=10)
@@ -244,7 +235,7 @@ def test_newton_nonconvergence():
 
 def test_newton_singular_jacobian():
     def f(x):
-        return np.array([x[0] - 1.0]), Matrix([[0.0]])
+        return np.array([x[0] - 1.0]), np.array([[0.0]])
 
     with pytest.raises(SingularMatrixError):
         newton_solve(f, [5.0])
