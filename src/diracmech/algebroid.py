@@ -49,6 +49,15 @@ class SkewAlgebroid:
     def anchor_array(self, q) -> np.ndarray:
         return np.asarray(self.anchor(q), dtype=float)
 
+    def rates(self, q, eta, x, a, k=None):
+        """(qdot, etadot) of the element with velocity x and base covector a
+        on the first k sections (all by default), eta holding all momenta:
+        qdot^i = rho^i_b x^b,  etadot_b = c^A_{bd} eta_A x^d - rho^l_b a_l."""
+        k = self.rank if k is None else k
+        rho = self.anchor_array(q)[:, :k]
+        c = self.structure(q)[:, :k, :k].reshape(self.rank, k * k)
+        return rho @ x, (eta @ c).reshape(k, k) @ x - rho.T @ a
+
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -174,13 +183,7 @@ def hamiltonian_vector_field(alg: SkewAlgebroid, h: ScalarField, s: PhaseState):
     """
     _check_full_state(alg, s)
     g = grad(h, s.q + s.eta)
-    gq, geta = g[: alg.m], g[alg.m :]
-    rho = alg.anchor_array(s.q)
-    c = alg.structure(s.q)
-    eta = np.asarray(s.eta)
-    qdot = rho @ geta
-    etadot = np.einsum("dbe,d,e->b", c, eta, geta) - rho.T @ gq
-    return qdot, etadot
+    return alg.rates(s.q, np.asarray(s.eta), g[alg.m :], g[: alg.m])
 
 
 def lagrangian_dynamics(alg: SkewAlgebroid, lagr: ScalarField, vs: VelocityState):
@@ -195,12 +198,8 @@ def lagrangian_dynamics(alg: SkewAlgebroid, lagr: ScalarField, vs: VelocityState
             f"velocity state ({len(vs.q)}, {len(vs.x)}) on shape ({alg.m}, {alg.rank})"
         )
     g = grad(lagr, vs.q + vs.x)
-    gq, gx = g[: alg.m], g[alg.m :]
-    rho = alg.anchor_array(vs.q)
-    c = alg.structure(vs.q)
-    x = np.asarray(vs.x)
-    qdot = rho @ x
-    etadot = np.einsum("dbe,d,e->b", c, gx, x) + rho.T @ gq
+    gx = g[alg.m :]
+    qdot, etadot = alg.rates(vs.q, gx, np.asarray(vs.x), -g[: alg.m])
     return gx, qdot, etadot
 
 

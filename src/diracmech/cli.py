@@ -116,24 +116,27 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
         err.write(f"error: {exc}\n")
         return 1
 
-    def emit(traj):
-        if cfg.out:
+    def emit(traj) -> bool:
+        if not cfg.out:
+            _write_csv(out, spec, traj)
+            return True
+        try:
             with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
                 _write_csv(fh, spec, traj)
-        else:
-            _write_csv(out, spec, traj)
+        except OSError as exc:
+            err.write(f"error: cannot write {cfg.out!r}: {exc.strerror or exc}\n")
+            return False
+        return True
 
     try:
         traj = simulate(spec, ic, t_end=cfg.t_end, dt=cfg.dt, stride=cfg.stride)
     except TruncatedTrajectoryError as exc:
-        emit(exc.partial)
         err.write(f"error: {exc}\n")
-        return 2
+        return 2 if emit(exc.partial) else 1
     except (EngineError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return 1
-    emit(traj)
-    return 0
+    return 0 if emit(traj) else 1
 
 
 def cmd_check(scope: str = "all", seed: int = 0, out=None) -> int:
@@ -223,7 +226,7 @@ def _config_number(path: str, section: str, key: str, text: str, kind=float):
 
 
 def _load_config(path: str):
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:

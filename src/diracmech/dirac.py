@@ -32,6 +32,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
+from .frame import eval_matrix_with_partials
 from .numcore import (
     ScalarField,
     grad,
@@ -40,7 +41,6 @@ from .numcore import (
     newton_solve,
     partials_of,
     seed_duals,
-    value_of,
 )
 
 __all__ = [
@@ -74,10 +74,6 @@ class DiracAlgebroid:
     @property
     def transverse(self) -> int:
         return self.alg.rank - self.k
-
-    def admissible_structure(self, q) -> np.ndarray:
-        """c[A][b][d] with both lower indices restricted to the constraint."""
-        return np.ascontiguousarray(self.alg.structure(q)[:, : self.k, : self.k])
 
 
 @dataclass(frozen=True)
@@ -133,11 +129,7 @@ def make_element(dirac: DiracAlgebroid, s: PhaseState, a, xb, etadot_alpha) -> D
         raise DimensionError(
             f"transverse rates of length {etadot_alpha.shape}, expected {dirac.transverse}"
         )
-    rho = alg.anchor_array(s.q)
-    c = alg.structure(s.q)
-    eta = np.asarray(s.eta)
-    qdot = rho[:, :k] @ xb
-    etadot_adm = np.einsum("abd,a,d->b", c[:, :k, :k], eta, xb) - rho[:, :k].T @ a
+    qdot, etadot_adm = alg.rates(s.q, np.asarray(s.eta), xb, a, k)
     return DiracElement(
         base=s,
         cov_base=a,
@@ -264,16 +256,11 @@ def evaluate_reduced(
     ``guess`` unless a closed form is declared), and grad_H is taken at
     the completed state."""
     _check_reduced(dirac, q, eta_a)
-    alg, k = dirac.alg, dirac.k
+    m, k = dirac.alg.m, dirac.k
     eta_alpha = solve_consistency(dirac, h, q, eta_a, guess=guess, solution=solution)
     eta = np.concatenate([eta_a, eta_alpha])
     g = grad(h, (*q, *eta))
-    gq, geta = g[: alg.m], g[alg.m :]
-    rho_adm = alg.anchor_array(q)[:, :k]
-    c = dirac.admissible_structure(q)
-    u = geta[:k]
-    qdot = rho_adm @ u
-    etadot = (eta @ c.reshape(alg.rank, k * k)).reshape(k, k) @ u - rho_adm.T @ gq
+    qdot, etadot = dirac.alg.rates(q, eta, g[m : m + k], g[:m], k)
     return eta_alpha, g, qdot, etadot
 
 
@@ -318,7 +305,7 @@ def oracle_mechanical(
     q = [float(v) for v in rs.q]
     eta = np.asarray(rs.eta)
     k = alg_c.rank
-    ginv_vals, ginv_part = _eval_metric_block(g_inv_sub, q, k)
+    ginv_vals, ginv_part = eval_matrix_with_partials(g_inv_sub, q, (k, k))
     rho = alg_c.anchor_array(q)
     c = alg_c.structure(q)
     gv = grad(potential, q)
@@ -387,17 +374,3 @@ def oracle_magnetic(
 
 def _is_zero_const(x):
     return not hasattr(x, "partials") and float(x) == 0.0
-
-
-def _eval_metric_block(block_map: Callable, q, k: int):
-    """Values and coordinate partials of a metric block at q."""
-    duals = seed_duals(q)
-    rows = block_map(duals)
-    vals = np.empty((k, k))
-    part = np.empty((k, k, len(q)))
-    for r in range(k):
-        for c in range(k):
-            entry = rows[r][c]
-            vals[r, c] = value_of(entry)
-            part[r, c, :] = partials_of(entry, len(q))
-    return vals, part

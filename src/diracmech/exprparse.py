@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import numcore
-from .errors import BindingError, ExprError, NumericDomainError
+from .errors import BindingError, ExprError
 
 __all__ = [
     "Token",
@@ -285,10 +285,8 @@ def eval_expr(e: ExprNode, bindings: Mapping):
         if e.op == "*":
             return left * right
         if e.op == "/":
-            if numcore._scalar(numcore.value_of(right)) == 0.0:
-                raise NumericDomainError("division by zero")
-            return left / right
-        return numcore._pow(left, right)
+            return numcore.divide(left, right)
+        return numcore.power(left, right)
     if isinstance(e, Call):
         fn = FUNCTIONS[e.name]
         return fn(*[eval_expr(a, bindings) for a in e.args])

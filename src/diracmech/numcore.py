@@ -32,6 +32,8 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
+    "divide",
+    "power",
     "value_of",
     "partials_of",
 ]
@@ -141,10 +143,10 @@ class DualScalar:
         return DualScalar(abs(self.value), tuple(s * a for a in self.partials))
 
     def __pow__(self, other):
-        return _pow(self, other)
+        return power(self, other)
 
     def __rpow__(self, other):
-        return _pow(other, self)
+        return power(other, self)
 
     # value comparisons, used by pivot searches and domain guards
     def __lt__(self, other):
@@ -215,7 +217,14 @@ def sqrt(x):
     return math.sqrt(x)
 
 
-def _pow(base, exponent):
+def divide(num, den):
+    """num / den; a zero divisor, plain or dual, raises NumericDomainError."""
+    if _scalar(value_of(den)) == 0.0:
+        raise NumericDomainError("division by zero")
+    return num / den
+
+
+def power(base, exponent):
     """Power with real-domain semantics shared by ``**`` and the parser.
 
     Integer exponents work for any base; non-integer exponents require a

@@ -25,9 +25,9 @@ from .algebroid import PhaseState, SkewAlgebroid, restrict_to_constraint
 from .dirac import (
     ConsistencySolution,
     DiracAlgebroid,
-    consistency_residual,
     oracle_magnetic,
     oracle_mechanical,
+    solve_consistency,
 )
 from .errors import (
     CatalogError,
@@ -248,23 +248,10 @@ def _build_skater_free(p) -> SystemSpec:
 
 def _build_skater_slope(p) -> SystemSpec:
     m, k2, lam = p["m"], p["k2"], p["lambda"]
-    free = _skater_free_hamiltonian(m, k2)
-
-    def fn(x, y, phi, e1, e2, e3):
-        return free.fn(x, y, phi, e1, e2, e3) + lam * x
-
+    free = replace(_build_skater_free(p), name="skater_slope")
     potential = ScalarField(_SKATER_BASE, (), lambda x, y, phi: lam * x)
-    return SystemSpec(
-        name="skater_slope",
-        dirac=DiracAlgebroid(_skater_algebroid(), k=2),
-        base_names=_SKATER_BASE,
-        fiber_names=_SKATER_FIBER,
-        params=p,
-        hamiltonian=ScalarField(_SKATER_BASE, _SKATER_FIBER, fn),
-        consistency=ConsistencySolution(kind="zero"),
-        analytic=_skater_analytic_slope(m, k2, lam),
-        metric=_skater_metric(m, k2, potential),
-    )
+    sloped = _with_extra_potential(free, potential)
+    return replace(sloped, analytic=_skater_analytic_slope(m, k2, lam))
 
 
 def _build_skater_charged(p) -> SystemSpec:
@@ -560,28 +547,23 @@ def build(name: str, overrides: Mapping | None = None) -> SystemSpec:
 
 
 def _spot_check_consistency(spec: SystemSpec, samples: int = 10):
+    if spec.consistency.kind == "newton":
+        raise ValidationError("catalog systems declare a closed-form consistency solution")
+    h = spec.hamiltonian
     rng = np.random.default_rng(20240917)
     for _ in range(samples):
         q = rng.uniform(-1.5, 1.5, spec.m)
         eta_a = rng.uniform(-2.0, 2.0, spec.k)
-        eta_alpha = _declared_transverse(spec, q)
+        eta_alpha = solve_consistency(spec.dirac, h, q, eta_a, solution=spec.consistency)
         full = PhaseState(q=q, eta=tuple(eta_a) + tuple(eta_alpha), full=True)
-        res = consistency_residual(spec.dirac, spec.hamiltonian, full)
-        scale = 1.0 + float(np.max(np.abs(grad(spec.hamiltonian, full.q + full.eta))))
+        g = grad(h, full.q + full.eta)
+        res = g[spec.m + spec.k :]
+        scale = 1.0 + float(np.max(np.abs(g)))
         if res.size and float(np.max(np.abs(res))) > 1e-12 * scale:
             raise ValidationError(
                 f"declared consistency solution of {spec.name!r} violates the "
                 f"consistency condition (residual {float(np.max(np.abs(res))):.3e})"
             )
-
-
-def _declared_transverse(spec: SystemSpec, q) -> np.ndarray:
-    nt = spec.n_fiber - spec.k
-    if spec.consistency.kind == "zero" or nt == 0:
-        return np.zeros(nt)
-    if spec.consistency.kind == "affine":
-        return np.asarray(spec.consistency.affine_map([float(v) for v in q]), dtype=float)
-    raise ValidationError("catalog systems declare a closed-form consistency solution")
 
 
 def analytic_state(spec: SystemSpec, ic: PhaseState, t: float) -> PhaseState:

@@ -135,6 +135,45 @@ def test_change_frame_ball_constants_match_hand_expansion(k2, radius):
     )
 
 
+# -- the element contraction ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["skater_charged", "ball_magnetic"])
+def test_rates_matches_einsum_reference(name):
+    """qdot = rho x and etadot_b = c^A_{bd} eta_A x^d - rho^l_b a_l on the
+    first k sections, for every k up to the rank, within 1e-15 of the sum
+    of absolute terms (the rounding scale of either summation order)."""
+    alg = build(name).dirac.alg
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for k in range(1, alg.rank + 1):
+        for _ in range(200):
+            q = rng.uniform(-2.0, 2.0, alg.m)
+            eta = rng.uniform(-3.0, 3.0, alg.rank)
+            x = rng.uniform(-3.0, 3.0, k)
+            a = rng.uniform(-3.0, 3.0, alg.m)
+            qdot, etadot = alg.rates(q, eta, x, a, k)
+            rho = alg.anchor_array(q)[:, :k]
+            c = alg.structure(q)[:, :k, :k]
+            terms = (
+                (qdot, np.einsum("ib,b->i", rho, x), np.abs(rho) @ np.abs(x)),
+                (
+                    etadot,
+                    np.einsum("abd,a,d->b", c, eta, x) - np.einsum("lb,l->b", rho, a),
+                    np.einsum("abd,a,d->b", np.abs(c), np.abs(eta), np.abs(x))
+                    + np.abs(rho).T @ np.abs(a),
+                ),
+            )
+            for got, want, scale in terms:
+                assert got.shape == want.shape
+                worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(scale, 1e-300))))
+    assert worst <= 1e-15
+    q, eta = (0.3, -0.2, 0.7)[: alg.m], np.arange(1.0, alg.rank + 1)
+    x, a = np.linspace(-1.0, 1.0, alg.rank), np.ones(alg.m)
+    for got, want in zip(alg.rates(q, eta, x, a), alg.rates(q, eta, x, a, alg.rank)):
+        assert np.array_equal(got, want)
+
+
 # -- Hamiltonian side -----------------------------------------------------------
 
 

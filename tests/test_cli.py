@@ -134,6 +134,48 @@ def test_simulate_malformed_config_is_a_usage_error(tmp_path, capsys, config, na
     assert str(path) in err and named in err
 
 
+def test_config_values_are_literal(tmp_path, capsys):
+    out = tmp_path / "run%1.csv"
+    path = tmp_path / "run.ini"
+    path.write_text(f"[run]\nsystem = skater_free\nt_end = 0.01\nout = {out}\n")
+    assert run_main(["simulate", "--config", str(path)]) == 0
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".csv"] == ["run%1.csv"]
+    assert out.read_text().startswith("t,x,y,phi")
+    assert capsys.readouterr().err == ""
+
+
+def test_config_percent_in_potential_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nsystem = skater_free\nt_end = 0.01\npotential = 5%x\n")
+    assert run_main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--system", "skater_free", "--t-end", "0.01"], 0),
+        (
+            ["--system", "skater_free", "--potential", "0.001*log(x)",
+             "--ic", "1,0," + repr(math.pi) + ",1,0.001", "--t-end", "5"],
+            2,
+        ),
+    ],
+    ids=["complete", "truncated"],
+)
+def test_simulate_unwritable_out_is_an_error(tmp_path, capsys, argv, code):
+    path = tmp_path / "missing_dir" / "x.csv"
+    assert run_main(["simulate", *argv]) == code
+    capsys.readouterr()
+    assert run_main(["simulate", *argv, "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {str(path)!r}: " in err
+    assert all(line.startswith("error: ") for line in err.splitlines())
+    assert not path.parent.exists()
+
+
 @pytest.mark.parametrize(
     "window", [["--t-end", "1e300", "--dt", "1e-300"], ["--t-end", "inf"]], ids=["overflow", "inf"]
 )

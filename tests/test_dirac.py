@@ -6,6 +6,7 @@ import pytest
 from diracmech.algebroid import PhaseState, restrict_to_constraint
 from diracmech.dirac import (
     consistency_residual,
+    evaluate_reduced,
     make_element,
     oracle_magnetic,
     oracle_mechanical,
@@ -97,6 +98,38 @@ def test_make_element_dimension_errors():
         make_element(spec.dirac, s, np.zeros(2), np.zeros(2), np.zeros(1))
     with pytest.raises(DimensionError):
         make_element(spec.dirac, s, np.zeros(3), np.zeros(3), np.zeros(1))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["skater_free", "skater_slope", "skater_charged", "ball_free", "ball_magnetic", "ball_harmonic"],
+)
+def test_reduced_field_is_the_element_of_dh(name):
+    """The reduced dynamics is the structure element whose covector is dH:
+    base part a = dH/dq, admissible velocity x = dH/deta_a, at the state
+    completed by the consistency solution."""
+    spec = build(name)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        q = tuple(rng.uniform(-1.5, 1.5, spec.m))
+        eta_a = tuple(rng.uniform(-2.0, 2.0, spec.k))
+        eta_alpha = solve_consistency(
+            spec.dirac, spec.hamiltonian, q, eta_a, solution=spec.consistency
+        )
+        full = PhaseState(q=q, eta=eta_a + tuple(eta_alpha), full=True)
+        g = grad(spec.hamiltonian, full.q + full.eta)
+        e = make_element(
+            spec.dirac,
+            full,
+            a=g[: spec.m],
+            xb=g[spec.m : spec.m + spec.k],
+            etadot_alpha=np.zeros(spec.dirac.transverse),
+        )
+        _, _, qdot, etadot = evaluate_reduced(
+            spec.dirac, spec.hamiltonian, q, eta_a, solution=spec.consistency
+        )
+        assert np.array(e.vec_base).tolist() == qdot.tolist()
+        assert np.array(e.vec_fiber[: spec.k]).tolist() == etadot.tolist()
 
 
 # -- pairing -------------------------------------------------------------------

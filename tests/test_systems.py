@@ -79,6 +79,12 @@ def test_spot_check_rejects_wrong_consistency():
         _spot_check_consistency(broken)
 
 
+def test_spot_check_rejects_newton_consistency():
+    spec = replace(build("ball_magnetic"), consistency=ConsistencySolution(kind="newton"))
+    with pytest.raises(ValidationError, match="closed-form consistency"):
+        _spot_check_consistency(spec)
+
+
 # -- analytic solutions ------------------------------------------------------------
 
 
