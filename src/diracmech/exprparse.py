@@ -8,9 +8,9 @@ Grammar:
     atom   := number | identifier | identifier '(' expr (',' expr)* ')'
               | '(' expr ')'
 
-Evaluation runs over DualScalar bindings, so parsed potentials are
-differentiable through the same forward-mode machinery as builtin
-Hamiltonians.
+Evaluation runs over float, DualScalar or traced bindings, so parsed
+potentials are differentiated by the same machinery as builtin
+Hamiltonians: ``numcore.grad`` traces and compiles them once.
 """
 
 from dataclasses import dataclass
@@ -265,7 +265,7 @@ def parse_text(text: str) -> ExprNode:
 
 
 def eval_expr(e: ExprNode, bindings: Mapping):
-    """Evaluate a tree over float or DualScalar bindings."""
+    """Evaluate a tree over float, DualScalar or traced bindings."""
     if isinstance(e, Constant):
         return e.value
     if isinstance(e, Variable):

@@ -24,6 +24,9 @@ __all__ = ["Trajectory", "rk4_step", "simulate", "observables"]
 
 OBSERVABLE_NAMES = ("H", "consistency_residual_inf", "admissibility_residual_inf")
 
+# Longest run simulate accepts; far above any run in the checks (10^4 steps).
+MAX_STEPS = 10**8
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -151,7 +154,14 @@ def simulate(
         raise ValueError(
             f"initial condition must be reduced with shapes ({spec.m}, {spec.k})"
         )
+    if not all(math.isfinite(v) for v in ic.q + ic.eta):
+        raise ValueError(f"initial condition must be finite, got {ic.q + ic.eta!r}")
     n_steps = math.ceil(t_end / dt)
+    if n_steps > MAX_STEPS:
+        raise ValueError(
+            f"t_end={t_end!r} with dt={dt!r} needs {n_steps} steps, "
+            f"more than MAX_STEPS={MAX_STEPS}"
+        )
     m = spec.m
     guess = None
 

@@ -1,11 +1,22 @@
-"""Numerical substrate: forward-mode dual scalars, small dense linear
-algebra with explicit pivot control, and a plain Newton iteration.
+"""Numerical substrate: forward-mode dual scalars, fields compiled to
+straight-line value-and-gradient code, small dense linear algebra with
+explicit pivot control, and a plain Newton iteration.
 
 Dual scalars carry a full partials vector (one slot per active variable)
 and nest, so Hessian blocks come from running duals through duals.
+
+``grad`` traces a field once with a tracing scalar and compiles the
+recorded operations into one Python function returning the value and
+the gradient.  The generated code applies DualScalar's rules operation
+for operation, leaving out only partials that are structurally zero, so
+it returns the dual sweep's numbers.  Where a dual operation would
+raise, the generated code gives up and ``grad`` runs the dual sweep,
+which raises the engine's error; fields that cannot be traced (they
+compare or convert their arguments) always take the dual sweep.
 """
 
 import math
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -169,6 +180,8 @@ def sin(x):
     if isinstance(x, DualScalar):
         c = cos(x.value)
         return DualScalar(sin(x.value), tuple(c * a for a in x.partials))
+    if isinstance(x, _Tracer):
+        return x.sin()
     return math.sin(x)
 
 
@@ -176,6 +189,8 @@ def cos(x):
     if isinstance(x, DualScalar):
         s = -sin(x.value)
         return DualScalar(cos(x.value), tuple(s * a for a in x.partials))
+    if isinstance(x, _Tracer):
+        return x.cos()
     return math.cos(x)
 
 
@@ -184,6 +199,8 @@ def tan(x):
         c = cos(x.value)
         f = 1.0 / (c * c)
         return DualScalar(tan(x.value), tuple(f * a for a in x.partials))
+    if isinstance(x, _Tracer):
+        return x.tan()
     return math.tan(x)
 
 
@@ -191,6 +208,8 @@ def exp(x):
     if isinstance(x, DualScalar):
         e = exp(x.value)
         return DualScalar(e, tuple(e * a for a in x.partials))
+    if isinstance(x, _Tracer):
+        return x.exp()
     try:
         return math.exp(x)
     except OverflowError as err:
@@ -198,6 +217,8 @@ def exp(x):
 
 
 def log(x):
+    if isinstance(x, _Tracer):
+        return x.log()
     if _scalar(value_of(x)) <= 0.0:
         raise NumericDomainError("log of a non-positive value")
     if isinstance(x, DualScalar):
@@ -206,6 +227,8 @@ def log(x):
 
 
 def sqrt(x):
+    if isinstance(x, _Tracer):
+        return x.sqrt()
     if _scalar(value_of(x)) < 0.0:
         raise NumericDomainError("sqrt of a negative value")
     if isinstance(x, DualScalar):
@@ -219,6 +242,8 @@ def sqrt(x):
 
 def divide(num, den):
     """num / den; a zero divisor, plain or dual, raises NumericDomainError."""
+    if isinstance(den, _Tracer):
+        return num / den  # the traced division guards its divisor itself
     if _scalar(value_of(den)) == 0.0:
         raise NumericDomainError("division by zero")
     return num / den
@@ -234,7 +259,11 @@ def power(base, exponent):
     exp_is_dual = isinstance(exponent, DualScalar)
     if exp_is_dual and any(_scalar(p) != 0.0 for p in exponent.partials):
         return exp(exponent * log(base))
+    # float() of a traced exponent raises: the dual rule above branches on
+    # the exponent's partials, so such fields stay on the dual sweep
     e = _scalar(value_of(exponent))
+    if isinstance(base, _Tracer):
+        return base.power(float(e))
     if float(e).is_integer():
         n = int(e)
         return _pow_int(base, n)
@@ -286,19 +315,312 @@ def seed_duals(p):
     return [DualScalar(float(v), seeds[j]) for j, v in enumerate(p)]
 
 
+# -- tracing and compiling fields -------------------------------------------
+
+# The partial of a variable with respect to itself.  Multiplying by 1.0 is
+# exact, so products with it are folded away.
+_ONE = "1.0"
+
+# Names the generated code may read besides its own x*, v*, d* and c*.
+_HELPERS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "fabs": math.fabs,
+}
+
+
+class _Untraceable(TypeError):
+    """The traced function asked for a value the trace does not have."""
+
+
+def _times(u: str, a: str) -> str:
+    if a == _ONE:
+        return u
+    if u == _ONE:
+        return a
+    return f"{u} * {a}"
+
+
+class _Tape:
+    """The straight-line program a trace records.
+
+    Every value and every partial is one assignment to a fresh local
+    (``v*`` and ``d*``), the arguments are ``x*``, and constants are read
+    as ``c*`` from the namespace the program runs in, so no source text
+    comes from the traced function.  A guard returns None where the dual
+    sweep would raise.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.consts = {}
+        self._const_names = {}
+        self._names = {}  # expression -> the name it was first assigned to
+
+    def const(self, c) -> str:
+        key = (type(c), repr(c))  # keeps 0.0 and -0.0 apart, and finds nan again
+        name = self._const_names.get(key)
+        if name is None:
+            name = self._const_names[key] = f"c{len(self.consts)}"
+            self.consts[name] = c
+        return name
+
+    def let(self, prefix: str, expr: str) -> str:
+        if expr == _ONE or expr.isidentifier():
+            return expr
+        name = self._names.get(expr)
+        if name is None:  # an expression already assigned has the same value
+            name = self._names[expr] = f"{prefix}{len(self.lines)}"
+            self.lines.append(f"{name} = {expr}")
+        return name
+
+    def guard(self, condition: str):
+        self.lines.append(f"if {condition}: return None")
+
+
+class _Tracer:
+    """A scalar being traced: the names its value and its nonzero partials
+    have in the program being recorded.
+
+    It has DualScalar's operator surface and emits DualScalar's rules.
+    Comparing it or converting it to a number raises _Untraceable.
+    """
+
+    __slots__ = ("tape", "value", "partials")
+
+    def __init__(self, tape: _Tape, value: str, partials: dict):
+        self.tape = tape
+        self.value = value
+        self.partials = partials  # variable index -> name; structural zeros absent
+
+    def _derived(self, value_expr: str, partials: dict) -> "_Tracer":
+        return _Tracer(self.tape, self.tape.let("v", value_expr), partials)
+
+    def _scaled(self, factor: str) -> dict:
+        return {j: self.tape.let("d", _times(factor, a)) for j, a in self.partials.items()}
+
+    def _negated(self) -> dict:
+        return {j: self.tape.let("d", f"-{a}") for j, a in self.partials.items()}
+
+    def _divided(self, divisor: str) -> dict:
+        return {j: self.tape.let("d", f"{a} / {divisor}") for j, a in self.partials.items()}
+
+    def _operand(self, other):
+        """The other operand as a tracer or a constant's name, else None."""
+        if isinstance(other, _Tracer):
+            if other.tape is not self.tape:
+                raise _Untraceable("scalar from another trace")
+            return other
+        if isinstance(other, numbers.Real):
+            return self.tape.const(float(other))
+        return None
+
+    def _combine(self, other: "_Tracer", both, left, right) -> dict:
+        out = {}
+        for j in sorted(self.partials.keys() | other.partials.keys()):
+            a, b = self.partials.get(j), other.partials.get(j)
+            if a is not None and b is not None:
+                out[j] = self.tape.let("d", both(a, b))
+            else:
+                out[j] = self.tape.let("d", left(a) if b is None else right(b))
+        return out
+
+    # -- arithmetic: DualScalar's rules, operation for operation ------------
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, str):
+            return self._derived(f"{self.value} + {o}", self.partials)
+        parts = self._combine(o, lambda a, b: f"{a} + {b}", lambda a: a, lambda b: b)
+        return self._derived(f"{self.value} + {o.value}", parts)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, str):
+            return self._derived(f"{self.value} - {o}", self.partials)
+        parts = self._combine(o, lambda a, b: f"{a} - {b}", lambda a: a, lambda b: f"-{b}")
+        return self._derived(f"{self.value} - {o.value}", parts)
+
+    def __rsub__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self._derived(f"{o} - {self.value}", self._negated())
+
+    def __mul__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if isinstance(o, str):
+            return self._derived(f"{self.value} * {o}", self._scaled(o))
+        sv, ov = self.value, o.value
+        parts = self._combine(
+            o,
+            lambda a, b: f"{_times(a, ov)} + {_times(sv, b)}",
+            lambda a: _times(a, ov),
+            lambda b: _times(sv, b),
+        )
+        return self._derived(f"{sv} * {ov}", parts)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        tape = self.tape
+        if isinstance(o, str):
+            return self._derived(f"{self.value} / {o}", self._divided(o))
+        ov = o.value
+        tape.guard(f"{ov} == 0.0")
+        q = tape.let("v", f"{self.value} / {ov}")
+        parts = self._combine(
+            o,
+            lambda a, b: f"({a} - {_times(q, b)}) / {ov}",
+            lambda a: f"{a} / {ov}",
+            lambda b: f"-{_times(q, b)} / {ov}",
+        )
+        return _Tracer(tape, q, parts)
+
+    def __rtruediv__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        tape, sv = self.tape, self.value
+        tape.guard(f"{sv} == 0.0")
+        q = tape.let("v", f"{o} / {sv}")
+        f = tape.let("v", f"{q} / {sv}")
+        return _Tracer(tape, q, self._scaled(f"-{f}"))
+
+    def __neg__(self):
+        return self._derived(f"-{self.value}", self._negated())
+
+    def __pos__(self):
+        return self
+
+    def __abs__(self):
+        s = self.tape.let("v", f"1.0 if {self.value} >= 0.0 else -1.0")
+        return self._derived(f"fabs({self.value})", self._scaled(s))
+
+    def __pow__(self, other):
+        return power(self, other)
+
+    def __rpow__(self, other):
+        return power(other, self)
+
+    def _untraceable(self, *args):
+        raise _Untraceable("a traced scalar has no value to compare or convert")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = __bool__ = __float__ = _untraceable
+
+    # -- elementary functions ----------------------------------------------
+
+    def sin(self):
+        c = self.tape.let("v", f"cos({self.value})")
+        return self._derived(f"sin({self.value})", self._scaled(c))
+
+    def cos(self):
+        s = self.tape.let("v", f"-sin({self.value})")
+        return self._derived(f"cos({self.value})", self._scaled(s))
+
+    def tan(self):
+        c = self.tape.let("v", f"cos({self.value})")
+        f = self.tape.let("v", f"1.0 / ({c} * {c})")
+        return self._derived(f"tan({self.value})", self._scaled(f))
+
+    def exp(self):
+        e = self.tape.let("v", f"exp({self.value})")
+        return _Tracer(self.tape, e, self._scaled(e))
+
+    def log(self):
+        sv = self.value
+        self.tape.guard(f"{sv} <= 0.0")
+        return self._derived(f"log({sv})", self._divided(sv))
+
+    def sqrt(self):
+        self.tape.guard(f"{self.value} <= 0.0")
+        r = self.tape.let("v", f"sqrt({self.value})")
+        return _Tracer(self.tape, r, self._scaled(self.tape.let("v", f"0.5 / {r}")))
+
+    def power(self, e: float):
+        """base ** e for a constant exponent, as ``power`` and ``_pow_int``
+        do it for a dual base."""
+        tape, sv = self.tape, self.value
+        if e.is_integer():
+            n = int(e)
+            if n == 0:
+                return _Tracer(tape, _ONE, self._scaled("0.0"))
+            if n < 0:
+                tape.guard(f"{sv} == 0.0")
+            cn, cm = tape.const(n), tape.const(n - 1)
+        else:
+            tape.guard(f"{sv} <= 0.0")
+            cn, cm = tape.const(e), tape.const(e - 1.0)
+        v = tape.let("v", f"{sv} ** {cn}")
+        f = tape.let("v", f"{cn} * {sv} ** {cm}")
+        return _Tracer(tape, v, self._scaled(f))
+
+
+def _traced_source(f: "ScalarField"):
+    """Trace ``f.fn`` once: the source of ``traced(x0, x1, ...) -> (value,
+    partials)`` and the constants it reads, or None when ``f.fn`` cannot be
+    traced."""
+    tape = _Tape()
+    n = f.arity
+    args = [_Tracer(tape, f"x{j}", {j: _ONE}) for j in range(n)]
+    try:
+        out = f.fn(*args)
+    except Exception:  # the dual sweep runs this field and raises what is wrong
+        return None
+    if not isinstance(out, _Tracer) or out.tape is not tape:
+        return None
+    partials = "".join(f"{out.partials.get(j, '0.0')}, " for j in range(n))
+    source = "\n    ".join(
+        [f"def traced({', '.join(a.value for a in args)}):", *tape.lines,
+         f"return {out.value}, ({partials})"]
+    )
+    return source, tape.consts
+
+
+def _compile_field(f: "ScalarField"):
+    """The compiled ``traced`` function of ``f``, or None."""
+    traced = _traced_source(f)
+    if traced is None:
+        return None
+    source, consts = traced
+    namespace = {**_HELPERS, **consts}
+    exec(compile(source, "<traced field>", "exec"), namespace)
+    return namespace["traced"]
+
+
 class ScalarField:
     """A scalar function of named base and fiber variables.
 
     ``fn`` takes one positional argument per variable (base variables
-    first) and must accept DualScalar as well as float inputs.
+    first) and must accept DualScalar as well as float inputs.  It must be
+    a pure function of its arguments: ``grad`` traces it once and reuses
+    the compiled result.  Value-dependent branches (comparisons, ``float``
+    or ``bool`` of an argument) are allowed, but such a field runs on the
+    dual sweep.
     """
 
-    __slots__ = ("base_names", "fiber_names", "fn")
+    __slots__ = ("base_names", "fiber_names", "fn", "_compiled")
 
     def __init__(self, base_names: Sequence[str], fiber_names: Sequence[str], fn: Callable):
         self.base_names = tuple(base_names)
         self.fiber_names = tuple(fiber_names)
         self.fn = fn
+        self._compiled = None  # filled by the first grad; False when untraceable
 
     @property
     def names(self):
@@ -321,17 +643,38 @@ class ScalarField:
 
 
 def grad(f: ScalarField, p) -> np.ndarray:
-    """Gradient of ``f`` at ``p``, one dual-number sweep for all partials."""
+    """Gradient of ``f`` at ``p``.
+
+    The first call traces ``f`` and compiles it; later calls run the
+    compiled code.  Untraceable fields, and points where the compiled code
+    gives up, take one dual-number sweep for all partials.
+    """
     n = f.arity
     if len(p) != n:
         raise DimensionError(f"point of length {len(p)} for field of arity {n}")
-    out = f(*seed_duals(p))
+    args = [float(v) for v in p]
+    compiled = f._compiled
+    if compiled is None:
+        compiled = f._compiled = _compile_field(f) or False
+    if compiled:
+        try:
+            out = compiled(*args)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            out = None
+        # A sum is finite only if every term is; an overflowing sum merely
+        # sends a finite gradient through the dual sweep.  Where the dual
+        # sweep multiplies a non-finite value by a partial this code leaves
+        # out, the code multiplies it by another one, and no rule makes a
+        # non-finite partial finite again: such points fail here too.
+        if out is not None and math.isfinite(sum(out[1], out[0])):
+            return np.array(out[1], dtype=float)
+    out = f(*seed_duals(args))
     if not isinstance(out, DualScalar):
         _check_finite(out)
         return np.zeros(n)
     g = np.array(out.partials, dtype=float)
     if not (math.isfinite(value_of(out)) and np.isfinite(g).all()):
-        raise NumericDomainError(f"non-finite derivative at {tuple(p)!r}")
+        raise NumericDomainError(f"non-finite derivative at {tuple(args)!r}")
     return g
 
 
@@ -346,7 +689,8 @@ def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
         raise DimensionError(f"index subset {idx} outside arity {n}")
     s = len(idx)
     seeds = _unit_seeds(s)
-    args = [float(v) for v in p]
+    point = tuple(float(v) for v in p)
+    args = list(point)
     for col, j in enumerate(idx):
         args[j] = DualScalar(DualScalar(args[j], seeds[col]), seeds[col])
     out = f(*args)
@@ -357,7 +701,7 @@ def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
         for r in range(s):
             h = _scalar(inner[r])
             if not math.isfinite(h):
-                raise NumericDomainError(f"non-finite second derivative at {tuple(p)!r}")
+                raise NumericDomainError(f"non-finite second derivative at {point!r}")
             block[r, c] = h
     block.flags.writeable = False
     return block

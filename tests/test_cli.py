@@ -184,6 +184,22 @@ def test_simulate_non_finite_step_count_is_rejected(capsys, window):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--system", "ball_free", "--ic", "0,0,1,0,nan", "--t-end", "0.01"],
+        ["--system", "skater_free", "--t-end", "1e9", "--dt", "1e-12"],
+    ],
+    ids=["nan-ic", "above-max-steps"],
+)
+def test_simulate_rejected_before_integration(tmp_path, capsys, argv):
+    path = tmp_path / "never.csv"
+    assert run_main(["simulate", *argv, "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not path.exists()
+
+
 def test_simulate_truncation_writes_partial_and_exits_2(tmp_path, capsys):
     path = tmp_path / "partial.csv"
     code = run_main([

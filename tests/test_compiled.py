@@ -1,0 +1,230 @@
+"""The compiled gradient path of ``numcore.grad`` against the dual sweep it
+replaces: equal numbers where it runs, the dual sweep's errors where it
+gives up, and generated source that reads only its own names."""
+
+import ast
+import math
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diracmech import numcore
+from diracmech.exprparse import parse_text
+from diracmech.numcore import DualScalar, ScalarField, grad, seed_duals
+from diracmech.systems import build, catalog_names, hamiltonian_with_potential, mechanical_lagrangian
+
+SPECS = {name: build(name) for name in catalog_names()}
+
+
+def random_points(spec, count, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        np.concatenate([rng.uniform(-1.5, 1.5, spec.m), rng.uniform(-2.0, 2.0, spec.n_fiber)])
+        for _ in range(count)
+    ]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def assert_compiled_matches_dual(f, points):
+    """The compiled value equals ``f.value`` bit for bit, and the compiled
+    gradient equals the dual sweep's under ``==``, differing in bits only
+    as signed zeros."""
+    grad(f, points[0])
+    compiled = f._compiled
+    assert compiled, "the field was not traced"
+    for p in points:
+        p = [float(v) for v in p]
+        out = compiled(*p)
+        assert out is not None, f"compiled code gave up at {p}"
+        value, partials = out
+        dual = f(*seed_duals(p))
+        assert bits(value) == bits(f.value(p)) == bits(dual.value)
+        got = np.array(partials, dtype=float)
+        want = np.array(dual.partials, dtype=float)
+        assert np.array_equal(got, want)
+        differ = bits(got) != bits(want)
+        assert not np.any(got[differ]), "a nonzero partial differs in bits"
+
+
+def quartic_skater():
+    spec = SPECS["skater_charged"]
+    base = spec.hamiltonian.fn
+
+    def fn(x, y, phi, e1, e2, e3):
+        return base(x, y, phi, e1, e2, e3) + 0.25 * e3**4
+
+    return replace(spec, hamiltonian=ScalarField(spec.base_names, spec.fiber_names, fn))
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "skater_quartic"])
+def test_compiled_hamiltonian_matches_dual_sweep(name):
+    spec = quartic_skater() if name == "skater_quartic" else SPECS[name]
+    assert_compiled_matches_dual(spec.hamiltonian, random_points(spec, 200, seed=3))
+
+
+@pytest.mark.parametrize("name", ["skater_free", "skater_slope", "ball_free"])
+def test_compiled_mechanical_lagrangian_matches_dual_sweep(name):
+    spec = SPECS[name]
+    assert_compiled_matches_dual(mechanical_lagrangian(spec), random_points(spec, 200, seed=4))
+
+
+# Domain-safe terms of the potential grammar: every wrapper keeps its
+# argument inside the domain of log, sqrt, division and powers.
+WRAPPERS = [
+    "sin({})", "cos({})", "-{}", "abs({})", "exp(sin({}))", "sqrt(2+sin({}))",
+    "log(2+cos({}))", "tan(0.5*sin({}))", "{0}/(2+cos({0}))", "1/(1+({})^2)",
+    "sin({})^3", "(1+abs({}))^1.5", "(2+cos({}))^-2",
+]
+
+
+def potentials(names):
+    leaf = st.one_of(st.sampled_from(names), st.sampled_from(["0.5", "2", "3.25"]))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+            st.tuples(st.sampled_from(WRAPPERS), inner).map(lambda t: t[0].format(t[1])),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+@st.composite
+def system_and_potential(draw):
+    name = draw(st.sampled_from(catalog_names()))
+    return name, draw(potentials(SPECS[name].base_names))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(system_and_potential())
+def test_compiled_parsed_potential_matches_dual_sweep(case):
+    name, text = case
+    spec = hamiltonian_with_potential(SPECS[name], parse_text(text))
+    assert_compiled_matches_dual(spec.hamiltonian, random_points(spec, 20, seed=5))
+
+
+# Every rule with partials on both operands, on one variable and on two.
+POTENTIALS = [
+    "0.3*sin(x)+y^2/(2+cos(x))",
+    "exp(-x*x)*sqrt(1+y*y)-1/(3+x^2)",
+    "(1+abs(x))^1.5-x/(2+sin(x*y))+log(2+cos(y))*tan(0.3*x)",
+    "(2+cos(x))^-2*(x*y-2.5)-3/(4+x*y)",
+]
+
+
+@pytest.mark.parametrize("name", ["skater_charged", "ball_magnetic"])
+@pytest.mark.parametrize("text", POTENTIALS)
+def test_compiled_potential_matches_dual_sweep(name, text):
+    spec = hamiltonian_with_potential(SPECS[name], parse_text(text))
+    assert_compiled_matches_dual(spec.hamiltonian, random_points(spec, 200, seed=6))
+
+
+def test_second_grad_does_not_trace_again():
+    calls = []
+
+    def fn(x, y):
+        calls.append(type(x))
+        return x * numcore.sin(y)
+
+    f = ScalarField(("x", "y"), (), fn)
+    first = grad(f, (0.5, 0.25))
+    second = grad(f, (0.75, -1.0))
+    assert len(calls) == 1 and calls[0] is not DualScalar and calls[0] is not float
+    assert np.array_equal(first, [math.sin(0.25), 0.5 * math.cos(0.25)])
+    assert np.array_equal(second, [math.sin(-1.0), 0.75 * math.cos(-1.0)])
+
+
+# -- fallback to the dual sweep ----------------------------------------------
+
+
+def dual_only(f):
+    """The same field behind a comparison of its first argument, which a
+    trace cannot answer, so grad always takes the dual sweep."""
+
+    def fn(*args):
+        if args[0] < 0.0 or True:
+            return f.fn(*args)
+
+    return ScalarField(f.base_names, f.fiber_names, fn)
+
+
+def two(fn):
+    return ScalarField(("x", "y"), (), fn)
+
+
+GUARDS = {
+    "log-negative": (two(lambda x, y: numcore.log(x) * y), (-1.0, 2.0)),
+    "log-zero": (two(lambda x, y: numcore.log(x) * y), (0.0, 2.0)),
+    "sqrt-negative": (two(lambda x, y: numcore.sqrt(x) + y), (-0.5, 1.0)),
+    "sqrt-derivative-at-zero": (two(lambda x, y: numcore.sqrt(x) + y), (0.0, 1.0)),
+    "divide-by-zero": (two(lambda x, y: y / x), (0.0, 1.0)),
+    "constant-over-zero": (two(lambda x, y: 2.0 / (x - y)), (1.0, 1.0)),
+    "parsed-divide-by-zero": (
+        hamiltonian_with_potential(SPECS["ball_free"], parse_text("1/(x-y)")).hamiltonian,
+        (0.5, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0),
+    ),
+    "zero-base-negative-exponent": (two(lambda x, y: x**-2 * y), (0.0, 1.0)),
+    "negative-base-non-integer-exponent": (two(lambda x, y: x**0.5 * y), (-1.0, 1.0)),
+    "zero-base-non-integer-exponent": (two(lambda x, y: x**1.5 * y), (0.0, 1.0)),
+    "power-overflow": (two(lambda x, y: x**3 + y), (1e200, 1.0)),
+    "exp-overflow": (two(lambda x, y: numcore.exp(x) * y), (1000.0, 1.0)),
+    "sin-of-infinity": (two(lambda x, y: numcore.sin(x * y)), (1e308, 10.0)),
+    "non-finite-result": (two(lambda x, y: x * 1e308 * y), (10.0, 10.0)),
+    "absorbed-infinity": (two(lambda x, y: 1.0 / (x * x * y)), (1e200, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(GUARDS))
+def test_guard_raises_the_dual_sweeps_error(case):
+    f, p = GUARDS[case]
+    with pytest.raises(Exception) as want:
+        grad(dual_only(f), p)
+    with pytest.raises(Exception) as got:
+        grad(f, p)
+    assert f._compiled, "the field was not traced"
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_value_dependent_branch_falls_back_to_the_dual_sweep():
+    def fn(x, y):
+        if x > 0:
+            return x * y
+        return -x * y * y
+
+    f = two(fn)
+    for p in [(2.0, 3.0), (-2.0, 3.0)]:
+        dual = fn(*seed_duals(p))
+        assert np.array_equal(grad(f, p), dual.partials)
+    assert f._compiled is False
+
+
+def test_non_finite_derivative_message_shows_plain_floats():
+    f = SPECS["ball_free"].hamiltonian
+    with pytest.raises(numcore.NumericDomainError) as info:
+        grad(f, np.array([0.0, 0.0, 1.0, 0.0, np.nan, 0.0, 0.0]))
+    assert str(info.value) == "non-finite derivative at (0.0, 0.0, 1.0, 0.0, nan, 0.0, 0.0)"
+
+
+def test_generated_source_reads_only_generated_names():
+    text = "0.3*sin(x)+y^2/(2+cos(x))-tan(0.1*x)*exp(-y)+log(3+x)*sqrt(4+y)+abs(x)^1.5+1/y"
+    spec = hamiltonian_with_potential(SPECS["skater_slope"], parse_text(text))
+    f = ScalarField(
+        spec.base_names,
+        spec.fiber_names,
+        lambda *a: spec.hamiltonian.fn(*a) + a[0] / math.inf - a[1] * -0.0 + math.nan * 0.0 * a[2],
+    )
+    source, consts = numcore._traced_source(f)
+    generated = re.compile(r"[xvdc]\d+")
+    names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    assert names
+    assert all(generated.fullmatch(n) or n in numcore._HELPERS for n in names), names
+    assert {repr(v) for v in consts.values()} >= {"inf", "-0.0", "nan"}
+    assert "inf" not in source and "nan" not in source

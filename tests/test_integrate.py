@@ -9,7 +9,7 @@ from diracmech.checks import ADMISSIBILITY_TOL, CONSISTENCY_TOL, ENERGY_DRIFT_TO
 from diracmech.dirac import ConsistencySolution, solve_consistency
 from diracmech.errors import NumericDomainError, TruncatedTrajectoryError
 from diracmech.exprparse import parse_text
-from diracmech.integrate import observables, rk4_step, simulate
+from diracmech.integrate import MAX_STEPS, observables, rk4_step, simulate
 from diracmech.numcore import ScalarField
 from diracmech.systems import analytic_state, build, hamiltonian_with_potential
 
@@ -136,6 +136,21 @@ def test_simulate_validates_inputs():
         simulate(spec, reduced((0, 0, 0), (1, 1)), t_end=-1.0)
     with pytest.raises(ValueError):
         simulate(spec, reduced((0, 0), (1, 1)), t_end=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_simulate_rejects_non_finite_initial_condition(bad):
+    with pytest.raises(ValueError, match=r"initial condition must be finite, got \(0\.0, 0\.0, 1\.0, 0\.0, "):
+        simulate(build("ball_free"), reduced((0.0, 0.0), (1.0, 0.0, bad)), t_end=0.01)
+
+
+def test_simulate_rejects_runs_above_max_steps():
+    assert MAX_STEPS == 10**8
+    with pytest.raises(ValueError) as info:
+        simulate(build("skater_free"), reduced((0, 0, 0), (1, 1)), t_end=1e9, dt=1e-12)
+    message = str(info.value)
+    assert "t_end=1000000000.0" in message and "dt=1e-12" in message
+    assert f"needs {math.ceil(1e9 / 1e-12)} steps" in message
 
 
 # -- generic Newton path -----------------------------------------------------------
