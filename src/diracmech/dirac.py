@@ -200,7 +200,7 @@ def solve_consistency(
 
     def residual_map(eta_alpha):
         nonlocal jac
-        p = q + eta_a + list(eta_alpha)
+        p = q + eta_a + eta_alpha.tolist()
         res = grad(h, p)[m + k :]
         jac = hessian_block(h, p, alpha_idx)
         return res, jac

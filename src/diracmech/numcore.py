@@ -1,22 +1,26 @@
 """Numerical substrate: forward-mode dual scalars, fields compiled to
-straight-line value-and-gradient code, small dense linear algebra with
-explicit pivot control, and a plain Newton iteration.
+straight-line value-and-gradient and Hessian-block code, small dense
+linear algebra with explicit pivot control, and a plain Newton iteration.
 
 Dual scalars carry a full partials vector (one slot per active variable)
 and nest, so Hessian blocks come from running duals through duals.
 
 ``grad`` traces a field once with a tracing scalar and compiles the
 recorded operations into one Python function returning the value and
-the gradient.  The generated code applies DualScalar's rules operation
-for operation, leaving out only partials that are structurally zero, so
-it returns the dual sweep's numbers.  Where a dual operation would
-raise, the generated code gives up and ``grad`` runs the dual sweep,
-which raises the engine's error; fields that cannot be traced (they
-compare or convert their arguments) always take the dual sweep.
+the gradient.  ``hessian_block`` compiles one function per index set the
+same way, tracing the nested-dual sweep with the tracing scalar as its
+innermost number, so the generated code repeats the nested rules.  The
+generated code applies DualScalar's rules operation for operation,
+leaving out only partials that are structurally zero, so it returns the
+dual sweep's numbers.  Where a dual operation would raise, the generated
+code gives up and the caller runs the dual sweep, which raises the
+engine's error; fields that cannot be traced (they compare or convert
+their arguments) always take the dual sweep.
 """
 
 import math
 import numbers
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,6 +63,33 @@ def _scalar(x):
     while isinstance(x, DualScalar):
         x = x.value
     return x
+
+
+_DOMAIN_TESTS = {"==": operator.eq, "<": operator.lt, "<=": operator.le}
+
+
+def _fails(x, test: str) -> bool:
+    """Whether the innermost value of ``x`` satisfies ``test`` against 0.0,
+    the domain test on which a dual rule raises.
+
+    A traced value has no number to test: the test becomes a guard of the
+    program being recorded, which gives up where it holds, and the trace
+    goes on down the branch that does not raise.
+    """
+    x = _scalar(x)
+    if isinstance(x, _Tracer):
+        x.tape.guard(f"{x.value} {test} 0.0")
+        return False
+    return _DOMAIN_TESTS[test](x, 0.0)
+
+
+def _sign(x):
+    """1.0 where the innermost value of ``x`` is >= 0.0, else -1.0 (a traced
+    sign for a traced value)."""
+    x = _scalar(x)
+    if isinstance(x, _Tracer):
+        return _Tracer(x.tape, x.tape.let("v", f"1.0 if {x.value} >= 0.0 else -1.0"), {})
+    return 1.0 if x >= 0.0 else -1.0
 
 
 def value_of(x):
@@ -125,19 +156,19 @@ class DualScalar:
     def __truediv__(self, other):
         if isinstance(other, DualScalar):
             ov = other.value
-            if _scalar(ov) == 0.0:
+            if _fails(ov, "=="):
                 raise NumericDomainError("division by zero")
             q = self.value / ov
             return DualScalar(
                 q,
                 tuple((a - q * b) / ov for a, b in zip(self.partials, other.partials)),
             )
-        if _scalar(other) == 0.0:
+        if _fails(other, "=="):
             raise NumericDomainError("division by zero")
         return DualScalar(self.value / other, tuple(a / other for a in self.partials))
 
     def __rtruediv__(self, other):
-        if _scalar(self.value) == 0.0:
+        if _fails(self.value, "=="):
             raise NumericDomainError("division by zero")
         q = other / self.value
         f = q / self.value
@@ -150,7 +181,7 @@ class DualScalar:
         return self
 
     def __abs__(self):
-        s = 1.0 if _scalar(self.value) >= 0.0 else -1.0
+        s = _sign(self.value)
         return DualScalar(abs(self.value), tuple(s * a for a in self.partials))
 
     def __pow__(self, other):
@@ -219,7 +250,7 @@ def exp(x):
 def log(x):
     if isinstance(x, _Tracer):
         return x.log()
-    if _scalar(value_of(x)) <= 0.0:
+    if _fails(x, "<="):
         raise NumericDomainError("log of a non-positive value")
     if isinstance(x, DualScalar):
         return DualScalar(log(x.value), tuple(a / x.value for a in x.partials))
@@ -229,10 +260,10 @@ def log(x):
 def sqrt(x):
     if isinstance(x, _Tracer):
         return x.sqrt()
-    if _scalar(value_of(x)) < 0.0:
+    if _fails(x, "<"):
         raise NumericDomainError("sqrt of a negative value")
     if isinstance(x, DualScalar):
-        if _scalar(x.value) == 0.0:
+        if _fails(x.value, "=="):
             raise NumericDomainError("sqrt derivative at zero")
         r = sqrt(x.value)
         f = 0.5 / r
@@ -244,7 +275,7 @@ def divide(num, den):
     """num / den; a zero divisor, plain or dual, raises NumericDomainError."""
     if isinstance(den, _Tracer):
         return num / den  # the traced division guards its divisor itself
-    if _scalar(value_of(den)) == 0.0:
+    if _fails(den, "=="):
         raise NumericDomainError("division by zero")
     return num / den
 
@@ -267,16 +298,15 @@ def power(base, exponent):
     if float(e).is_integer():
         n = int(e)
         return _pow_int(base, n)
-    b = _scalar(value_of(base))
-    if b < 0.0:
+    if _fails(base, "<"):
         raise NumericDomainError("negative base with non-integer exponent")
     if isinstance(base, DualScalar):
-        if b == 0.0:
+        if _fails(base, "=="):
             raise NumericDomainError("zero base with non-integer exponent")
         v = base.value ** e
         f = e * base.value ** (e - 1.0)
         return DualScalar(v, tuple(f * a for a in base.partials))
-    return b ** e
+    return base ** e
 
 
 def _pow_int(base, n):
@@ -284,7 +314,7 @@ def _pow_int(base, n):
         if isinstance(base, DualScalar):
             if n == 0:
                 return DualScalar(1.0, tuple(0.0 * a for a in base.partials))
-            if _scalar(base.value) == 0.0 and n < 0:
+            if n < 0 and _fails(base.value, "=="):
                 raise NumericDomainError("zero base with negative exponent")
             v = base.value ** n
             f = n * base.value ** (n - 1)
@@ -360,6 +390,7 @@ class _Tape:
         self.consts = {}
         self._const_names = {}
         self._names = {}  # expression -> the name it was first assigned to
+        self._guards = set()
 
     def const(self, c) -> str:
         key = (type(c), repr(c))  # keeps 0.0 and -0.0 apart, and finds nan again
@@ -379,15 +410,21 @@ class _Tape:
         return name
 
     def guard(self, condition: str):
-        self.lines.append(f"if {condition}: return None")
+        if condition not in self._guards:  # a test already passed passes again
+            self._guards.add(condition)
+            self.lines.append(f"if {condition}: return None")
 
 
 class _Tracer:
     """A scalar being traced: the names its value and its nonzero partials
     have in the program being recorded.
 
-    It has DualScalar's operator surface and emits DualScalar's rules.
-    Comparing it or converting it to a number raises _Untraceable.
+    It has DualScalar's operator surface and emits DualScalar's rules.  A
+    tracer without partials stands for a plain number (a variable the
+    sweep does not differentiate): it is an operand as a constant is, and
+    divided by a tracer with partials it takes that tracer's reflected
+    rule, as a plain number over a dual does.  Comparing it or converting
+    it to a number raises _Untraceable.
     """
 
     __slots__ = ("tape", "value", "partials")
@@ -410,11 +447,12 @@ class _Tracer:
         return {j: self.tape.let("d", f"{a} / {divisor}") for j, a in self.partials.items()}
 
     def _operand(self, other):
-        """The other operand as a tracer or a constant's name, else None."""
+        """The other operand as a tracer with partials or a constant's name,
+        else None."""
         if isinstance(other, _Tracer):
             if other.tape is not self.tape:
                 raise _Untraceable("scalar from another trace")
-            return other
+            return other if other.partials else other.value
         if isinstance(other, numbers.Real):
             return self.tape.const(float(other))
         return None
@@ -481,6 +519,8 @@ class _Tracer:
         tape = self.tape
         if isinstance(o, str):
             return self._derived(f"{self.value} / {o}", self._divided(o))
+        if not self.partials:  # a plain number over a dual: the dual's rule
+            return o.__rtruediv__(self)
         ov = o.value
         tape.guard(f"{ov} == 0.0")
         q = tape.let("v", f"{self.value} / {ov}")
@@ -509,8 +549,7 @@ class _Tracer:
         return self
 
     def __abs__(self):
-        s = self.tape.let("v", f"1.0 if {self.value} >= 0.0 else -1.0")
-        return self._derived(f"fabs({self.value})", self._scaled(s))
+        return self._derived(f"fabs({self.value})", self._scaled(_sign(self).value))
 
     def __pow__(self, other):
         return power(self, other)
@@ -571,30 +610,64 @@ class _Tracer:
         return _Tracer(tape, v, self._scaled(f))
 
 
+def _run_traced(f: "ScalarField", args):
+    """``f.fn`` at traced arguments, or None when it cannot be traced."""
+    try:
+        return f.fn(*args)
+    except Exception:  # the dual sweep runs this field and raises what is wrong
+        return None
+
+
+def _program(tape: _Tape, arity: int, result: str):
+    """The source of ``traced(x0, x1, ...)`` returning ``result``, and the
+    constants it reads."""
+    header = f"def traced({', '.join(f'x{j}' for j in range(arity))}):"
+    return "\n    ".join([header, *tape.lines, f"return {result}"]), tape.consts
+
+
 def _traced_source(f: "ScalarField"):
     """Trace ``f.fn`` once: the source of ``traced(x0, x1, ...) -> (value,
     partials)`` and the constants it reads, or None when ``f.fn`` cannot be
     traced."""
     tape = _Tape()
     n = f.arity
-    args = [_Tracer(tape, f"x{j}", {j: _ONE}) for j in range(n)]
-    try:
-        out = f.fn(*args)
-    except Exception:  # the dual sweep runs this field and raises what is wrong
-        return None
+    out = _run_traced(f, [_Tracer(tape, f"x{j}", {j: _ONE}) for j in range(n)])
     if not isinstance(out, _Tracer) or out.tape is not tape:
         return None
     partials = "".join(f"{out.partials.get(j, '0.0')}, " for j in range(n))
-    source = "\n    ".join(
-        [f"def traced({', '.join(a.value for a in args)}):", *tape.lines,
-         f"return {out.value}, ({partials})"]
-    )
-    return source, tape.consts
+    return _program(tape, n, f"{out.value}, ({partials})")
 
 
-def _compile_field(f: "ScalarField"):
-    """The compiled ``traced`` function of ``f``, or None."""
-    traced = _traced_source(f)
+def _traced_hessian_source(f: "ScalarField", idx):
+    """Trace ``hessian_block``'s nested-dual sweep of ``f.fn`` over ``idx``
+    once, with a tracer as the innermost scalar: the source of
+    ``traced(x0, x1, ...)`` returning the block's entries row by row, and
+    the constants it reads, or None when ``f.fn`` cannot be traced."""
+    tape = _Tape()
+    s = len(idx)
+    seeds = _unit_seeds(s)
+    args = [_Tracer(tape, f"x{j}", {}) for j in range(f.arity)]
+    for col, j in enumerate(idx):
+        args[j] = DualScalar(_Tracer(tape, f"x{j}", {col: _ONE}), seeds[col])
+    out = _run_traced(f, args)
+    if not isinstance(out, DualScalar):
+        return None
+    # column c holds the partials of the outer partial c; a plain number
+    # there has none, as ``partials_of`` reads it
+    cols = []
+    for outer in out.partials:
+        if isinstance(outer, _Tracer) and outer.tape is tape:
+            cols.append(outer.partials)
+        elif isinstance(outer, numbers.Real):
+            cols.append({})
+        else:
+            return None
+    entries = "".join(f"{cols[c].get(r, '0.0')}, " for r in range(s) for c in range(s))
+    return _program(tape, f.arity, f"({entries})")
+
+
+def _compile(traced):
+    """The compiled ``traced`` function of a traced source, or None."""
     if traced is None:
         return None
     source, consts = traced
@@ -609,18 +682,20 @@ class ScalarField:
     ``fn`` takes one positional argument per variable (base variables
     first) and must accept DualScalar as well as float inputs.  It must be
     a pure function of its arguments: ``grad`` traces it once and reuses
-    the compiled result.  Value-dependent branches (comparisons, ``float``
-    or ``bool`` of an argument) are allowed, but such a field runs on the
-    dual sweep.
+    the compiled result, and ``hessian_block`` does the same once per
+    index set, with nested duals as the fallback.  Value-dependent
+    branches (comparisons, ``float`` or ``bool`` of an argument) are
+    allowed, but such a field runs on the dual sweep.
     """
 
-    __slots__ = ("base_names", "fiber_names", "fn", "_compiled")
+    __slots__ = ("base_names", "fiber_names", "fn", "_compiled", "_hessians")
 
     def __init__(self, base_names: Sequence[str], fiber_names: Sequence[str], fn: Callable):
         self.base_names = tuple(base_names)
         self.fiber_names = tuple(fiber_names)
         self.fn = fn
         self._compiled = None  # filled by the first grad; False when untraceable
+        self._hessians = {}  # tuple(idx) -> compiled block, or False when untraceable
 
     @property
     def names(self):
@@ -655,7 +730,7 @@ def grad(f: ScalarField, p) -> np.ndarray:
     args = [float(v) for v in p]
     compiled = f._compiled
     if compiled is None:
-        compiled = f._compiled = _compile_field(f) or False
+        compiled = f._compiled = _compile(_traced_source(f)) or False
     if compiled:
         try:
             out = compiled(*args)
@@ -680,16 +755,36 @@ def grad(f: ScalarField, p) -> np.ndarray:
 
 def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
     """Second-derivative block of ``f`` over the variable subset ``idx``,
-    as a read-only array."""
+    as a read-only array.
+
+    The first call for an index set traces the nested-dual sweep of ``f``
+    and compiles it; later calls with that set run the compiled code.
+    Untraceable fields, and points where the compiled code gives up, take
+    the nested-dual sweep.
+    """
     n = f.arity
     if len(p) != n:
         raise DimensionError(f"point of length {len(p)} for field of arity {n}")
-    idx = list(idx)
-    if any(j < 0 or j >= n for j in idx):
-        raise DimensionError(f"index subset {idx} outside arity {n}")
+    idx = tuple(idx)
+    compiled = f._hessians.get(idx)  # only index sets that passed the check
+    if compiled is None:
+        if any(j < 0 or j >= n for j in idx):
+            raise DimensionError(f"index subset {list(idx)} outside arity {n}")
+        compiled = f._hessians[idx] = _compile(_traced_hessian_source(f, idx)) or False
     s = len(idx)
+    point = [float(v) for v in p]
+    if compiled:
+        try:
+            out = compiled(*point)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            out = None
+        # The nested sweep checks every entry, as this sum does; by grad's
+        # argument an entry the sweep makes non-finite is non-finite here.
+        if out is not None and math.isfinite(sum(out)):
+            block = np.array(out, dtype=float).reshape(s, s)
+            block.flags.writeable = False
+            return block
     seeds = _unit_seeds(s)
-    point = tuple(float(v) for v in p)
     args = list(point)
     for col, j in enumerate(idx):
         args[j] = DualScalar(DualScalar(args[j], seeds[col]), seeds[col])
@@ -701,7 +796,7 @@ def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
         for r in range(s):
             h = _scalar(inner[r])
             if not math.isfinite(h):
-                raise NumericDomainError(f"non-finite second derivative at {point!r}")
+                raise NumericDomainError(f"non-finite second derivative at {tuple(point)!r}")
             block[r, c] = h
     block.flags.writeable = False
     return block
@@ -784,8 +879,10 @@ def newton_solve(
 
     Returns the first iterate with ``max|F| <= tol``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
     x = np.array(x0, dtype=float)
     norm = math.inf
     for attempt in range(max_iter + 1):

@@ -1,8 +1,13 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diracmech
 from diracmech import checks, dirac
 from diracmech.checks import CheckResult
 from diracmech.cli import cmd_check, cmd_inspect, main
@@ -365,3 +370,14 @@ def test_golden_potential_csv_digest(tmp_path):
         "--potential", "0.3*sin(x)+y^2/(2+cos(x))",
     ]
     assert _csv_digest(tmp_path, argv) == GOLDEN_POTENTIAL_DIGEST
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(diracmech.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "diracmech", "list"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert run_main(["list"]) == 0
+    assert done.stdout == capsys.readouterr().out

@@ -1,6 +1,7 @@
-"""The compiled gradient path of ``numcore.grad`` against the dual sweep it
-replaces: equal numbers where it runs, the dual sweep's errors where it
-gives up, and generated source that reads only its own names."""
+"""The compiled paths of ``numcore.grad`` and ``numcore.hessian_block``
+against the dual sweeps they replace: equal numbers where they run, the
+dual sweep's errors where they give up, and generated source that reads
+only its own names."""
 
 import ast
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from diracmech import numcore
 from diracmech.exprparse import parse_text
-from diracmech.numcore import DualScalar, ScalarField, grad, seed_duals
+from diracmech.numcore import DualScalar, ScalarField, grad, hessian_block, seed_duals
 from diracmech.systems import build, catalog_names, hamiltonian_with_potential, mechanical_lagrangian
 
 SPECS = {name: build(name) for name in catalog_names()}
@@ -222,6 +223,148 @@ def test_generated_source_reads_only_generated_names():
         lambda *a: spec.hamiltonian.fn(*a) + a[0] / math.inf - a[1] * -0.0 + math.nan * 0.0 * a[2],
     )
     source, consts = numcore._traced_source(f)
+    generated = re.compile(r"[xvdc]\d+")
+    names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    assert names
+    assert all(generated.fullmatch(n) or n in numcore._HELPERS for n in names), names
+    assert {repr(v) for v in consts.values()} >= {"inf", "-0.0", "nan"}
+    assert "inf" not in source and "nan" not in source
+
+
+# -- compiled Hessian blocks ----------------------------------------------------
+
+
+def transverse(spec):
+    start = spec.m + spec.k
+    return tuple(range(start, start + spec.dirac.transverse))
+
+
+def assert_compiled_hessian_matches_dual(f, idx, points):
+    """The compiled block over ``idx`` equals the nested-dual sweep's under
+    ``==``, differing in bits only as signed zeros, and ``hessian_block``
+    returns the compiled block."""
+    hessian_block(f, points[0], idx)
+    compiled = f._hessians[idx]
+    assert compiled, "the field was not traced"
+    reference = dual_only(f)
+    s = len(idx)
+    for p in points:
+        p = [float(v) for v in p]
+        out = compiled(*p)
+        assert out is not None, f"compiled code gave up at {p}"
+        got = np.array(out, dtype=float).reshape(s, s)
+        want = hessian_block(reference, p, idx)
+        assert np.array_equal(got, want)
+        differ = bits(got) != bits(want)
+        assert not np.any(got[differ]), "a nonzero entry differs in bits"
+        assert np.array_equal(bits(hessian_block(f, p, idx)), bits(got))
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "skater_quartic"])
+def test_compiled_transverse_hessian_matches_dual_sweep(name):
+    spec = quartic_skater() if name == "skater_quartic" else SPECS[name]
+    assert transverse(spec)
+    assert_compiled_hessian_matches_dual(spec.hamiltonian, transverse(spec), random_points(spec, 200, seed=7))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(system_and_potential())
+def test_compiled_parsed_potential_hessian_matches_dual_sweep(case):
+    name, text = case
+    spec = hamiltonian_with_potential(SPECS[name], parse_text(text))
+    f = spec.hamiltonian
+    assert_compiled_hessian_matches_dual(f, tuple(range(f.arity)), random_points(spec, 20, seed=8))
+
+
+@pytest.mark.parametrize("name", ["skater_charged", "ball_magnetic"])
+@pytest.mark.parametrize("text", POTENTIALS)
+def test_compiled_potential_hessian_matches_dual_sweep(name, text):
+    spec = hamiltonian_with_potential(SPECS[name], parse_text(text))
+    f = spec.hamiltonian
+    assert_compiled_hessian_matches_dual(f, tuple(range(f.arity)), random_points(spec, 200, seed=9))
+
+
+# x is not differentiated: every rule between a plain number and a dual,
+# with the plain number on either side
+MIXED = {
+    "add-sub": lambda x, y: (x - y * y) + (y * y - x) * y + (2.0 - x) * (x + y) * y,
+    "mul": lambda x, y: x * y * y - y * x * y,
+    "div": lambda x, y: x / (1.5 + y * y) + y * y / (2.0 + x * x) - (x * y) / (x - 3.0),
+    "rdiv": lambda x, y: (x + 0.5) / y + 1.0 / (x * y + 4.0),
+    "abs-power": lambda x, y: abs(x) * y**3 + abs(x * y) ** 1.5 + (x * x + 1.0) ** y,
+    "elementary": lambda x, y: numcore.sin(x) * numcore.exp(y) + numcore.log(2.0 + numcore.cos(x * y)),
+}
+
+
+@pytest.mark.parametrize("case", list(MIXED))
+def test_compiled_hessian_with_plain_number_operands_matches_dual_sweep(case):
+    rng = np.random.default_rng(10)
+    points = [(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 2.0)) for _ in range(200)]
+    assert_compiled_hessian_matches_dual(two(MIXED[case]), (1,), points)
+
+
+def outcome(f, p, idx):
+    try:
+        return "block", bits(hessian_block(f, p, idx)).tolist()
+    except Exception as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("case", list(GUARDS))
+def test_hessian_guard_gives_the_dual_sweeps_outcome(case):
+    f, p = GUARDS[case]
+    idx = tuple(range(f.arity))
+    want = outcome(dual_only(f), p, idx)
+    assert outcome(f, p, idx) == want
+    assert f._hessians[idx], "the field was not traced"
+    # x * 1e308 * y is bilinear: its Hessian is finite where its value is not
+    assert (want[0] == "block") == (case == "non-finite-result")
+
+
+def test_hessian_value_dependent_branch_falls_back_to_the_dual_sweep():
+    def fn(x, y):
+        if x > 0:
+            return x * y * y
+        return -x * x * y
+
+    f = two(fn)
+    for p in [(2.0, 3.0), (-2.0, 3.0)]:
+        want = hessian_block(dual_only(f), p, (0, 1))
+        assert np.array_equal(bits(hessian_block(f, p, (0, 1))), bits(want))
+    assert f._hessians == {(0, 1): False}
+
+
+def test_hessian_is_traced_once_per_index_set():
+    calls = []
+
+    def fn(x, y):
+        calls.append(type(x))
+        return x * x * numcore.sin(y)
+
+    f = two(fn)
+    first = hessian_block(f, (0.5, 0.25), [0, 1])
+    second = hessian_block(f, (0.75, -1.0), (0, 1))
+    assert len(calls) == 1
+    assert np.array_equal(first, [[2 * math.sin(0.25), 2 * 0.5 * math.cos(0.25)],
+                                  [2 * 0.5 * math.cos(0.25), -0.25 * math.sin(0.25)]])
+    assert np.array_equal(second, [[2 * math.sin(-1.0), 2 * 0.75 * math.cos(-1.0)],
+                                   [2 * 0.75 * math.cos(-1.0), -0.5625 * math.sin(-1.0)]])
+    block = hessian_block(f, (0.75, -1.0), [1])
+    assert len(calls) == 2
+    assert set(f._hessians) == {(0, 1), (1,)}
+    assert np.array_equal(block, [[-0.5625 * math.sin(-1.0)]])
+    assert f._compiled is None, "a Hessian block does not compile the gradient"
+
+
+def test_generated_hessian_source_reads_only_generated_names():
+    text = "0.3*sin(x)+y^2/(2+cos(x))-tan(0.1*x)*exp(-y)+log(3+x)*sqrt(4+y)+abs(x)^1.5+1/y"
+    spec = hamiltonian_with_potential(SPECS["skater_slope"], parse_text(text))
+    f = ScalarField(
+        spec.base_names,
+        spec.fiber_names,
+        lambda *a: spec.hamiltonian.fn(*a) + a[0] / math.inf - a[1] * -0.0 + math.nan * 0.0 * a[2] * a[5],
+    )
+    source, consts = numcore._traced_hessian_source(f, (0, 1, 5))
     generated = re.compile(r"[xvdc]\d+")
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
     assert names

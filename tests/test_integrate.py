@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -206,6 +207,40 @@ def test_quartic_transverse_term_holds_invariants():
     assert np.max(np.abs(h - h[0])) / max(1.0, abs(h[0])) <= ENERGY_DRIFT_TOL
     assert np.max(traj.observables["consistency_residual_inf"]) <= CONSISTENCY_TOL
     assert np.max(traj.observables["admissibility_residual_inf"]) <= ADMISSIBILITY_TOL
+
+
+# SHA-256 over the bytes of reduced_array, eta_alpha and every observable
+# (keys sorted) of four Newton runs, recorded with the nested-dual Hessian
+# sweep as Newton's Jacobian.
+NEWTON_DIGESTS = {
+    "skater_charged": "71bd2d15ff8a2c9aa6c313b62f9f6789f76e36d1dffd785d1dc079e1bb0447d6",
+    "ball_magnetic": "7c3103957100bc2c9e9632f048b6fc5044c0d3398720978f912a8e54e20de5c3",
+    "ball_harmonic": "afc774d4e2d662fb1777037d15b034f042b4d858e68deaeea709b222d05f7f06",
+    "quartic": "15c95e29e83dffa3acac6749d37f0a0324523bdfb61fccd82e6427604503991d",
+}
+
+
+def trajectory_digest(traj):
+    h = hashlib.sha256()
+    for arr in (traj.reduced_array(), traj.eta_alpha):
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    for key in sorted(traj.observables):
+        h.update(key.encode())
+        h.update(np.ascontiguousarray(traj.observables[key], dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_DIGESTS))
+def test_newton_trajectories_are_pinned_bit_for_bit(name):
+    if name == "quartic":
+        spec, t_end, stride = quartic_skater(), 1.0, 10
+        ic = reduced((0.1, -0.2, 0.3), (1.0, 0.5))
+    else:
+        spec, t_end, stride = newton_spec(build(name)), 0.5, 5
+        ic = reduced((0.1, -0.2, 0.3), (1.0, 0.5)) if spec.m == 3 else reduced((0.2, -0.1), (1.0, 0.3, -0.2))
+    traj = simulate(spec, ic, t_end=t_end, dt=1e-3, stride=stride)
+    assert len(traj) == 101
+    assert trajectory_digest(traj) == NEWTON_DIGESTS[name]
 
 
 @pytest.mark.parametrize(

@@ -233,6 +233,29 @@ def test_newton_nonconvergence():
     assert info.value.residual is not None
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tol": math.nan}, "tol must be positive and finite, got nan"),
+        ({"tol": math.inf}, "tol must be positive and finite, got inf"),
+        ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+        ({"tol": -1e-12}, "tol must be positive and finite, got -1e-12"),
+        ({"max_iter": -1}, "max_iter must be non-negative, got -1"),
+    ],
+)
+def test_newton_rejects_bad_arguments_before_evaluating(kwargs, message):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x, np.eye(1)
+
+    with pytest.raises(ValueError) as info:
+        newton_solve(f, [1.0], **kwargs)
+    assert str(info.value) == message
+    assert calls == []
+
+
 def test_newton_singular_jacobian():
     def f(x):
         return np.array([x[0] - 1.0]), np.array([[0.0]])
