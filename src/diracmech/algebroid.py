@@ -6,6 +6,12 @@ Conventions:  anchor(q) is an m x N matrix with dq^i/dt = rho^i_A x^A,
 structure(q) is an (N, N, N) array with [f_D, f_B] = c[A][B][D] f_A.
 The bracket is antisymmetric but need not satisfy the Jacobi identity,
 and no Jacobi check is performed anywhere.
+
+The element contraction (``SkewAlgebroid.scalar_rates``) is plain
+Python arithmetic with every sum in a fixed order, so its results do not
+depend on a BLAS kernel.  The same code runs on floats and on tracing
+scalars: ``float_rates`` runs code generated from it once per k, and
+``dirac.reduced_field`` traces it into the reduced field.
 """
 
 from dataclasses import dataclass
@@ -21,7 +27,15 @@ from .frame import (
     frame_matrix,
     structure_functions_tangent,
 )
-from .numcore import ScalarField, grad, mat_inverse
+from .numcore import (
+    ScalarField,
+    compile_traced,
+    dot,
+    gauss_solve,
+    grad,
+    mat_inverse,
+    max_abs,
+)
 
 __all__ = [
     "SkewAlgebroid",
@@ -37,26 +51,180 @@ __all__ = [
 ]
 
 
+class _Constant:
+    """A constant anchor or structure tensor: called at any q it returns
+    the same read-only array."""
+
+    def __init__(self, value, shape, what):
+        array = np.array(value, dtype=float)
+        if array.shape != shape:
+            raise DimensionError(f"constant {what} of shape {array.shape}, expected {shape}")
+        array.flags.writeable = False
+        self.array = array
+        self.rows = array.tolist()
+        self._pinv = {}
+
+    def __call__(self, q):
+        return self.array
+
+    def pinv(self, k):
+        """Pseudo-inverse rows of the first k columns (an anchor's), computed
+        once per k."""
+        rows = self._pinv.get(k)
+        if rows is None:
+            rows = self._pinv[k] = np.linalg.pinv(self.array[:, :k]).tolist()
+        return rows
+
+
 @dataclass(frozen=True)
 class SkewAlgebroid:
-    """Anchor and structure-function rules over an m-dimensional chart."""
+    """Anchor and structure-function rules over an m-dimensional chart.
+
+    ``anchor`` and ``structure`` are maps of q, or constant arrays, which
+    are stored as maps returning the read-only array.  The contraction
+    sums the structural nonzeros of a constant, listed once, and every
+    entry a map returns.
+    """
 
     m: int
     rank: int
-    anchor: Callable  # q -> array-like (m x rank)
-    structure: Callable  # q -> ndarray (rank, rank, rank)
+    anchor: Callable  # q -> array-like (m x rank), or a constant array
+    structure: Callable  # q -> ndarray (rank, rank, rank), or a constant array
+
+    def __post_init__(self):
+        if not callable(self.anchor):
+            anchor = _Constant(self.anchor, (self.m, self.rank), "anchor")
+            object.__setattr__(self, "anchor", anchor)
+        if not callable(self.structure):
+            structure = _Constant(self.structure, (self.rank,) * 3, "structure")
+            object.__setattr__(self, "structure", structure)
+        # (kind, k) -> the terms of a constant, or the compiled contraction
+        object.__setattr__(self, "_cache", {})
 
     def anchor_array(self, q) -> np.ndarray:
         return np.asarray(self.anchor(q), dtype=float)
 
-    def rates(self, q, eta, x, a, k=None):
-        """(qdot, etadot) of the element with velocity x and base covector a
-        on the first k sections (all by default), eta holding all momenta:
-        qdot^i = rho^i_b x^b,  etadot_b = c^A_{bd} eta_A x^d - rho^l_b a_l."""
+    def _terms(self, which: str, q, k: int, plan: Callable):
+        """``plan`` of the anchor or structure on the first k sections;
+        listed once for a constant."""
+        source = getattr(self, which)
+        if not isinstance(source, _Constant):
+            return plan(_as_rows(source(q)), k, False)
+        terms = self._cache.get((which, k))
+        if terms is None:
+            terms = self._cache[(which, k)] = plan(source.rows, k, True)
+        return terms
+
+    def scalar_rates(self, q, eta, x, a, k=None):
+        """(qdot, etadot) as lists for the element with velocity x and base
+        covector a on the first k sections (all by default), eta holding all
+        momenta:
+
+            qdot^i   = rho^i_b x^b,
+            etadot_b = w_bd x^d - rho^l_b a_l,  w_bd = c^A_{bd} eta_A,
+
+        each sum left to right over its upper index.  This is the one
+        transcription of the element formula: it runs on floats and on
+        tracing scalars, from which ``float_rates`` and
+        ``dirac.reduced_field`` generate code."""
         k = self.rank if k is None else k
-        rho = self.anchor_array(q)[:, :k]
-        c = self.structure(q)[:, :k, :k].reshape(self.rank, k * k)
-        return rho @ x, (eta @ c).reshape(k, k) @ x - rho.T @ a
+        qrows, cols = self._terms("anchor", q, k, _anchor_plan)
+        wrows = self._terms("structure", q, k, _structure_plan)
+        # "+ 0.0" makes a zero rate +0.0, as a dot product accumulated from
+        # +0.0 gives it; it leaves every other value as it is
+        qdot = [dot(row, x) + 0.0 for row in qrows]
+        etadot = []
+        for wrow, col in zip(wrows, cols):
+            u = dot([(d, dot(coeffs, eta)) for d, coeffs in wrow], x)
+            etadot.append((u - dot(col, a)) + 0.0)
+        return qdot, etadot
+
+    def float_rates(self, q, eta, x, a, k=None):
+        """``scalar_rates`` at float lists of matching lengths, through code
+        generated from it once per k; ``scalar_rates`` itself where the
+        anchor or structure cannot be traced.  Both give the same numbers."""
+        k = self.rank if k is None else k
+        m, rank = self.m, self.rank
+        program = self._cache.get(("rates", k))
+        if program is None:
+            bounds = (0, m, m + rank, m + rank + k, 2 * m + rank + k)
+
+            def flat(*xs):
+                qdot, etadot = self.scalar_rates(*(xs[i:j] for i, j in zip(bounds, bounds[1:])), k)
+                return qdot + etadot
+
+            program = self._cache[("rates", k)] = compile_traced(flat, bounds[-1]) or False
+        out = None
+        if program:
+            try:
+                out = program(*q, *eta, *x, *a)
+            except (OverflowError, ValueError, ZeroDivisionError):
+                pass
+        if out is None:  # the loop raises what the anchor raises
+            return self.scalar_rates(q, eta, x, a, k)
+        return out[:m], out[m:]
+
+    def rates(self, q, eta, x, a, k=None):
+        """``float_rates`` at any point of numbers, as two arrays."""
+        k = self.rank if k is None else k
+        parts = [_floats(v) for v in (q, eta, x, a)]
+        if [len(v) for v in parts] != [self.m, self.rank, k, self.m]:
+            raise DimensionError(
+                f"element of lengths {tuple(len(v) for v in parts)} on shape "
+                f"({self.m}, {self.rank}) with k={k}"
+            )
+        qdot, etadot = self.float_rates(*parts, k)
+        return np.array(qdot, dtype=float), np.array(etadot, dtype=float)
+
+    def admissibility_residual(self, q, qdot, k) -> float:
+        """How far qdot lies off the span of the first k sections: its
+        largest coefficient on the other sections when the anchor is square,
+        else its largest component off the image of the first k anchor
+        columns.  Fixed-order float arithmetic, except that a non-constant
+        non-square anchor takes a least-squares solve."""
+        qdot = [float(v) for v in qdot]
+        if self.m == self.rank:
+            return max_abs(gauss_solve(self.anchor(q), qdot)[k:])
+        if isinstance(self.anchor, _Constant):
+            rows = self.anchor.rows
+            z = [dot(enumerate(p), qdot) for p in self.anchor.pinv(k)]
+            return max_abs(v - dot(enumerate(row[:k]), z) for v, row in zip(qdot, rows))
+        adm = self.anchor_array(q)[:, :k]
+        z, *_ = np.linalg.lstsq(adm, np.array(qdot), rcond=None)
+        return float(np.max(np.abs(qdot - adm @ z)))
+
+
+def _floats(v) -> list:
+    if isinstance(v, np.ndarray):
+        return np.asarray(v, dtype=float).tolist()
+    return [float(u) for u in v]
+
+
+def _as_rows(matrix):
+    return matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
+
+
+def _pairs(values, constant) -> tuple:
+    """(index, value) pairs; a constant's zeros are left out."""
+    return tuple((i, v) for i, v in enumerate(values) if not (constant and v == 0.0))
+
+
+def _anchor_plan(rows, k, constant):
+    """qrows[i]: (b, rho^i_b) over b < k; cols[b]: (l, rho^l_b) over l."""
+    return (
+        [_pairs(row[:k], constant) for row in rows],
+        [_pairs([row[b] for row in rows], constant) for b in range(k)],
+    )
+
+
+def _structure_plan(c, k, constant):
+    """wrows[b]: (d, ((A, c[A][b][d]), ...)) over d < k, empty sums left out."""
+    rank = len(c)
+    wrows = []
+    for b in range(k):
+        pairs = ((d, _pairs([c[a][b][d] for a in range(rank)], constant)) for d in range(k))
+        wrows.append([(d, coeffs) for d, coeffs in pairs if coeffs])
+    return wrows
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,19 @@ condition dH/deta_alpha = 0 plus the reduced phase equations
                - rho^l_b dH/dq^l,
 
 where eta_alpha is reconstructed pointwise from the consistency
-condition rather than integrated.  Two independent transcriptions of the
-classical constrained dynamics (mechanical metric form and magnetic
-almost-Poisson form) live here as oracles for cross-validation.
+condition rather than integrated.  The shape of this field is fixed by
+the algebroid and the consistency solution, whatever H is:
+``reduced_field`` traces it once per system (the consistency map, the
+dual sweep of H and the element contraction on one tape) into
+straight-line float code, and ``evaluate_reduced`` is the float
+reference it equals and falls back to.  Every sum runs in a fixed
+order, so the output does not depend on the BLAS kernel.  Two
+independent transcriptions of the classical constrained dynamics
+(mechanical metric form and magnetic almost-Poisson form) live here as
+oracles for cross-validation.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,12 +43,15 @@ from .errors import (
 from .frame import eval_matrix_with_partials
 from .numcore import (
     ScalarField,
+    compile_traced,
+    gauss_solve,
     grad,
     hessian_block,
-    mat_inverse,
-    newton_solve,
+    hessian_rows,
+    newton_iterate,
     partials_of,
     seed_duals,
+    value_and_grad,
 )
 
 __all__ = [
@@ -54,6 +65,7 @@ __all__ = [
     "solve_consistency",
     "complete_state",
     "evaluate_reduced",
+    "reduced_field",
     "reduced_vector_field",
     "oracle_mechanical",
     "oracle_magnetic",
@@ -190,27 +202,30 @@ def solve_consistency(
         if out.shape != (nt,):
             raise DimensionError(f"affine map returned {out.shape}, expected {(nt,)}")
         return out
-    m, k = dirac.alg.m, dirac.k
-    q = [float(v) for v in q]
-    eta_a = [float(v) for v in eta_a]
-    alpha_idx = list(range(m + k, m + k + nt))
-    if guess is None:
-        guess = np.zeros(nt)
+    return np.array(_newton_transverse(dirac, h, q, eta_a, guess, grad, hessian_block))
+
+
+def _newton_transverse(dirac, h, q, eta_a, guess, gradient, hessian) -> list:
+    """Newton's solution of dH/deta_alpha = 0 from ``guess``, as a list;
+    ``gradient`` and ``hessian`` take (h, point) and (h, point, idx)."""
+    m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
+    head = [float(v) for v in q] + [float(v) for v in eta_a]
+    alpha_idx = tuple(range(m + k, m + k + nt))
     jac = None
 
     def residual_map(eta_alpha):
         nonlocal jac
-        p = q + eta_a + eta_alpha.tolist()
-        res = grad(h, p)[m + k :]
-        jac = hessian_block(h, p, alpha_idx)
+        p = head + eta_alpha
+        res = gradient(h, p)[m + k :]
+        jac = hessian(h, p, alpha_idx)
         return res, jac
 
     try:
-        sol = newton_solve(residual_map, guess)
+        sol = newton_iterate(residual_map, [0.0] * nt if guess is None else guess)
         # enforce the nondegeneracy precondition even when the start already
         # solves the condition (a flat transverse block means the condition
         # does not select a unique momentum); the last Jacobian is at ``sol``
-        mat_inverse(jac)
+        gauss_solve(jac, [0.0] * nt)
     except SingularMatrixError as err:
         raise DegenerateHamiltonianError(
             "transverse Hessian block is singular; the dynamics does not project "
@@ -243,6 +258,25 @@ def complete_state(
     return full, eta_alpha
 
 
+def _field_outputs(dirac: DiracAlgebroid, h: ScalarField, q, eta_a, eta_alpha, rates) -> list:
+    """The reduced field at a completed state, flat: qdot, etadot_a,
+    eta_alpha, H, grad_H.  ``rates`` is the algebroid's ``scalar_rates``
+    on tracing scalars, or its ``float_rates`` on floats."""
+    m, k = dirac.alg.m, dirac.k
+    eta = [*eta_a, *eta_alpha]
+    value, g = value_and_grad(h, [*q, *eta])
+    qdot, etadot = rates(q, eta, g[m : m + k], g[:m], k)
+    return [*qdot, *etadot, *eta_alpha, value, *g]
+
+
+def _reference_field(dirac, h, q, eta_a, guess, solution) -> list:
+    """``_field_outputs`` on floats, with eta_alpha from ``solve_consistency``."""
+    q = [float(v) for v in q]
+    eta_a = [float(v) for v in eta_a]
+    eta_alpha = solve_consistency(dirac, h, q, eta_a, guess=guess, solution=solution)
+    return _field_outputs(dirac, h, q, eta_a, eta_alpha.tolist(), dirac.alg.float_rates)
+
+
 def evaluate_reduced(
     dirac: DiracAlgebroid,
     h: ScalarField,
@@ -254,14 +288,96 @@ def evaluate_reduced(
     """The reduced field at (q, eta_a) as ``(eta_alpha, grad_H, qdot,
     etadot_a)``: eta_alpha solves the consistency condition (Newton from
     ``guess`` unless a closed form is declared), and grad_H is taken at
-    the completed state."""
+    the completed state.  This is the reference evaluation that
+    ``reduced_field`` compiles."""
     _check_reduced(dirac, q, eta_a)
-    m, k = dirac.alg.m, dirac.k
-    eta_alpha = solve_consistency(dirac, h, q, eta_a, guess=guess, solution=solution)
-    eta = np.concatenate([eta_a, eta_alpha])
-    g = grad(h, (*q, *eta))
-    qdot, etadot = dirac.alg.rates(q, eta, g[m : m + k], g[:m], k)
-    return eta_alpha, g, qdot, etadot
+    m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
+    out = _reference_field(dirac, h, q, eta_a, guess, solution)
+    n = m + k
+    return (
+        np.array(out[n : n + nt], dtype=float),
+        np.array(out[n + nt + 1 :], dtype=float),
+        np.array(out[:m], dtype=float),
+        np.array(out[m:n], dtype=float),
+    )
+
+
+def reduced_field(
+    dirac: DiracAlgebroid,
+    h: ScalarField,
+    solution: ConsistencySolution = NEWTON_CONSISTENCY,
+) -> Callable:
+    """The reduced field of (dirac, h, solution) compiled to straight-line
+    float code, as ``evaluate(y, guess=None)``.
+
+    ``y`` is the reduced state (q, eta_a) as one sequence of floats, and
+    the result one flat sequence: qdot, etadot_a, eta_alpha, H, grad_H
+    (n = m + k, nt transverse momenta: the derivative of y is ``[:n]``,
+    eta_alpha ``[n:n + nt]``, H ``[n + nt]``, grad_H ``[n + nt + 1:]``).
+    It equals ``evaluate_reduced``, which it falls back to for systems
+    that cannot be traced and at points where the code gives up.
+
+    One tape holds the declared consistency map (``zero`` as constants,
+    ``affine`` traced), the dual sweep of H and the element contraction.
+    A ``newton`` system runs the float Newton loop on the compiled
+    gradient and Hessian block of H, then the traced rest from the
+    solved eta_alpha.  The program is compiled on the first call for a
+    (dirac, solution) pair and cached on ``h``.
+    """
+    key = (id(dirac), id(solution))  # the cached closure keeps both alive
+    evaluate = h._programs.get(key)
+    if evaluate is None:
+        evaluate = h._programs[key] = _compile_field(dirac, h, solution)
+    return evaluate
+
+
+def _compile_field(dirac, h, solution) -> Callable:
+    m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
+    n = m + k
+    newton = nt > 0 and solution.kind == "newton"
+
+    def reference(y, guess=None):
+        return _reference_field(dirac, h, y[:m], y[m:], guess, solution)
+
+    if newton:
+        program = compile_traced(
+            lambda *xs: _field_outputs(dirac, h, xs[:m], xs[m:n], xs[n:], dirac.alg.scalar_rates),
+            n + nt,
+        )
+    else:
+
+        def closed_form(*xs):
+            q = list(xs[:m])
+            eta_alpha = [0.0] * nt
+            if nt and solution.kind == "affine":
+                eta_alpha = list(solution.affine_map(q))
+                if len(eta_alpha) != nt:  # solve_consistency reports it
+                    raise DimensionError(f"affine map returned {len(eta_alpha)} values")
+            return _field_outputs(dirac, h, q, xs[m:], eta_alpha, dirac.alg.scalar_rates)
+
+        program = compile_traced(closed_form, n)
+    if program is None:
+        return reference
+
+    def gradient(f, p):
+        return value_and_grad(f, p)[1]
+
+    def evaluate(y, guess=None):
+        args = y
+        if newton:
+            eta_alpha = _newton_transverse(dirac, h, y[:m], y[m:], guess, gradient, hessian_rows)
+            args = [*y, *eta_alpha]
+        try:
+            out = program(*args)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            out = None
+        # where the code gives up, or anything is not finite, the float
+        # path gives the same numbers or raises the engine's error
+        if out is None or not math.isfinite(sum(out)):
+            return reference(y, guess)
+        return out
+
+    return evaluate
 
 
 def reduced_vector_field(

@@ -1,11 +1,15 @@
 """Fixed-step classical Runge-Kutta integration of the reduced dynamics,
 with transverse momenta and diagnostic observables stored per sample.
 
-Each state the integrator lands on is evaluated once
-(``dirac.evaluate_reduced``).  That one evaluation is the recorded
-sample, the first stage of the next step, and the Newton warm start for
-that step's other three stages.  One trajectory is strictly sequential;
-identical inputs give bit-identical output.
+``simulate`` steps on the system's compiled reduced field
+(``dirac.reduced_field``), and runs RK4 and the compensated update on
+Python floats; the arrays of the ``Trajectory`` are built once, at the
+end.  Each state the integrator lands on is evaluated once.  That one
+evaluation is the recorded sample (H comes from it too), the first stage
+of the next step, and the Newton warm start for that step's other three
+stages.  One trajectory is strictly sequential, and every sum is in a
+fixed order: identical inputs give bit-identical output, whatever BLAS
+kernel numpy loads.
 """
 
 import math
@@ -15,9 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .algebroid import PhaseState
-from .dirac import evaluate_reduced
+from .dirac import reduced_field
 from .errors import DimensionError, EngineError, TruncatedTrajectoryError
-from .numcore import solve_linear
+from .numcore import max_abs
 from .systems import SystemSpec
 
 __all__ = ["Trajectory", "rk4_step", "simulate", "observables"]
@@ -45,40 +49,45 @@ class Trajectory:
         return len(self.states)
 
 
-def _rk4_increment(f: Callable, y: np.ndarray, dt: float, k1=None) -> np.ndarray:
-    """Four-stage increment (dt/6)(k1 + 2 k2 + 2 k3 + k4) at a flat state.
+def _rk4_increment(f: Callable, y: list, dt: float, k1=None) -> list:
+    """Four-stage increment (dt/6)(k1 + 2 k2 + 2 k3 + k4) at a flat state
+    of floats.
 
     ``k1`` is f(y) when the caller has already evaluated it.  Failures are
     re-raised with the stage index attached.
     """
     stage = 0
+    half = 0.5 * dt
     try:
         if k1 is None:
             k1 = f(y)
         stage = 1
-        k2 = f(y + (0.5 * dt) * k1)
+        k2 = f([u + half * v for u, v in zip(y, k1)])
         stage = 2
-        k3 = f(y + (0.5 * dt) * k2)
+        k3 = f([u + half * v for u, v in zip(y, k2)])
         stage = 3
-        k4 = f(y + dt * k3)
+        k4 = f([u + dt * v for u, v in zip(y, k3)])
     except EngineError as err:
         err.stage_index = stage
         raise
-    return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    sixth = dt / 6.0
+    return [sixth * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)]
 
 
-def _compensated_add(y: np.ndarray, comp: np.ndarray, inc: np.ndarray):
+def _compensated_add(y: list, comp: list, inc: list):
     """One Neumaier-compensated update of the accumulated state.
 
     Long fixed-step runs otherwise accumulate a per-step rounding bias
     linear in the step count, which would drown the O(dt^4) truncation
     error of interest.
     """
-    delta = inc + comp
-    new = y + delta
-    big = np.abs(y) >= np.abs(delta)
-    comp = np.where(big, (y - new) + delta, (delta - new) + y)
-    return new, comp
+    new, new_comp = [], []
+    for u, c, i in zip(y, comp, inc):
+        delta = i + c
+        v = u + delta
+        new.append(v)
+        new_comp.append((u - v) + delta if abs(u) >= abs(delta) else (delta - v) + u)
+    return new, new_comp
 
 
 def rk4_step(f: Callable, s: PhaseState, dt: float) -> PhaseState:
@@ -92,46 +101,36 @@ def rk4_step(f: Callable, s: PhaseState, dt: float) -> PhaseState:
 
     def on_vec(y):
         qdot, etadot = f(PhaseState(q=y[:m], eta=y[m:], full=False))
-        return np.concatenate([np.asarray(qdot, float), np.asarray(etadot, float)])
+        return [*(float(v) for v in qdot), *(float(v) for v in etadot)]
 
-    y = np.array(s.q + s.eta)
-    y = y + _rk4_increment(on_vec, y, dt)
+    y = list(s.q + s.eta)
+    y = [u + v for u, v in zip(y, _rk4_increment(on_vec, y, dt))]
     return PhaseState(q=y[:m], eta=y[m:], full=False)
 
 
-def _observables_of(spec: SystemSpec, q, eta_a, evaluation) -> dict:
-    """Energy plus the two residual diagnostics from one evaluation."""
-    eta_alpha, g, qdot, _ = evaluation
-    res_cons = g[spec.m + spec.k :]
-    return {
-        "H": spec.hamiltonian.value((*q, *eta_a, *eta_alpha)),
-        "consistency_residual_inf": float(np.max(np.abs(res_cons))) if res_cons.size else 0.0,
-        "admissibility_residual_inf": _admissibility_residual(spec, q, qdot),
-    }
+def _observables_of(spec: SystemSpec, q, evaluation) -> tuple:
+    """Energy plus the two residual diagnostics from one evaluation of the
+    compiled field (see ``dirac.reduced_field`` for its layout)."""
+    n = spec.m + spec.k
+    nt = spec.n_fiber - spec.k
+    return (
+        evaluation[n + nt],
+        max_abs(evaluation[n + nt + 1 + n :]),
+        spec.dirac.alg.admissibility_residual(q, evaluation[: spec.m], spec.k),
+    )
 
 
 def observables(spec: SystemSpec, rs: PhaseState, guess=None) -> dict:
     """Energy plus the two residual diagnostics at one reduced state."""
     if rs.full:
         raise DimensionError("reduced phase state required")
-    evaluation = evaluate_reduced(
-        spec.dirac, spec.hamiltonian, rs.q, rs.eta, guess=guess, solution=spec.consistency
-    )
-    return _observables_of(spec, rs.q, rs.eta, evaluation)
-
-
-def _admissibility_residual(spec: SystemSpec, q, qdot) -> float:
-    """Largest transverse coefficient of qdot in the frame, or (when the
-    anchor is not square) the distance of qdot from the admissible image."""
-    rho = spec.dirac.alg.anchor_array(q)
-    k = spec.k
-    if rho.shape[0] == rho.shape[1]:
-        z = solve_linear(rho, qdot)
-        trans = z[k:]
-        return float(np.max(np.abs(trans))) if trans.size else 0.0
-    adm = rho[:, :k]
-    z, *_ = np.linalg.lstsq(adm, qdot, rcond=None)
-    return float(np.max(np.abs(qdot - adm @ z)))
+    if len(rs.q) != spec.m or len(rs.eta) != spec.k:
+        raise DimensionError(
+            f"reduced state ({len(rs.q)}, {len(rs.eta)}) on shape ({spec.m}, {spec.k})"
+        )
+    evaluate = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    evaluation = evaluate([*rs.q, *rs.eta], guess)
+    return dict(zip(OBSERVABLE_NAMES, _observables_of(spec, rs.q, evaluation)))
 
 
 def simulate(
@@ -162,58 +161,52 @@ def simulate(
             f"t_end={t_end!r} with dt={dt!r} needs {n_steps} steps, "
             f"more than MAX_STEPS={MAX_STEPS}"
         )
-    m = spec.m
+    m, n = spec.m, spec.m + spec.k
+    nt = spec.n_fiber - spec.k
+    evaluate = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
     guess = None
 
-    def evaluate(y):
-        return evaluate_reduced(
-            spec.dirac, spec.hamiltonian, y[:m], y[m:], guess=guess, solution=spec.consistency
-        )
-
     def f(y):
-        return np.concatenate(evaluate(y)[2:])
+        return evaluate(y, guess)[:n]
 
     times = []
-    states = []
+    rows = []  # recorded reduced states
     eta_rows = []
-    obs_rows = {name: [] for name in OBSERVABLE_NAMES}
-
-    def record(step_index, y, evaluation):
-        rs = PhaseState(q=y[:m], eta=y[m:], full=False)
-        times.append(step_index * dt)
-        states.append(rs)
-        eta_rows.append(evaluation[0])
-        obs = _observables_of(spec, rs.q, rs.eta, evaluation)
-        for name in OBSERVABLE_NAMES:
-            obs_rows[name].append(obs[name])
+    obs_rows = []
 
     def partial() -> Trajectory:
+        columns = list(zip(*obs_rows)) or [()] * len(OBSERVABLE_NAMES)
         return Trajectory(
             times=np.array(times),
-            states=tuple(states),
-            eta_alpha=np.array(eta_rows) if eta_rows else np.zeros((0, spec.n_fiber - spec.k)),
-            observables={name: np.array(vals) for name, vals in obs_rows.items()},
+            states=tuple(PhaseState(q=y[:m], eta=y[m:], full=False) for y in rows),
+            eta_alpha=np.array(eta_rows) if eta_rows else np.zeros((0, nt)),
+            observables={
+                name: np.array(col) for name, col in zip(OBSERVABLE_NAMES, columns)
+            },
         )
 
-    y = np.array(ic.q + ic.eta)
-    comp = np.zeros_like(y)
+    y = [*ic.q, *ic.eta]
+    comp = [0.0] * n
     step = 0
     try:
         for step in range(n_steps + 1):
             if step:
-                guess = here[0]
-                inc = _rk4_increment(f, y, dt, k1=np.concatenate(here[2:]))
+                guess = here[n : n + nt]
+                inc = _rk4_increment(f, y, dt, k1=here[:n])
                 y, comp = _compensated_add(y, comp, inc)
             recorded = step % stride == 0
             if recorded or step < n_steps:
                 # the sample when recorded, and stage 0 of the next step
                 try:
-                    here = evaluate(y)
+                    here = evaluate(y, guess)
                 except EngineError as err:
                     err.stage_index = 0
                     raise
             if recorded:
-                record(step, y, here)
+                times.append(step * dt)
+                rows.append(y)
+                eta_rows.append(here[n : n + nt])
+                obs_rows.append(_observables_of(spec, y[:m], here))
     except EngineError as err:
         failed_time = step * dt
         raise TruncatedTrajectoryError(

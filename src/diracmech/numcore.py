@@ -1,6 +1,7 @@
 """Numerical substrate: forward-mode dual scalars, fields compiled to
 straight-line value-and-gradient and Hessian-block code, small dense
-linear algebra with explicit pivot control, and a plain Newton iteration.
+linear algebra on float lists with explicit pivot control, and a plain
+Newton iteration.
 
 Dual scalars carry a full partials vector (one slot per active variable)
 and nest, so Hessian blocks come from running duals through duals.
@@ -11,16 +12,25 @@ the gradient.  ``hessian_block`` compiles one function per index set the
 same way, tracing the nested-dual sweep with the tracing scalar as its
 innermost number, so the generated code repeats the nested rules.  The
 generated code applies DualScalar's rules operation for operation,
-leaving out only partials that are structurally zero, so it returns the
-dual sweep's numbers.  Where a dual operation would raise, the generated
-code gives up and the caller runs the dual sweep, which raises the
-engine's error; fields that cannot be traced (they compare or convert
-their arguments) always take the dual sweep.
+leaving out only partials that are structurally zero and products with
+1.0, so it returns the dual sweep's numbers; one backward liveness pass
+drops the assignments nothing reads.  Where a dual operation would
+raise, the generated code gives up and the caller runs the dual sweep,
+which raises the engine's error; fields that cannot be traced (they
+compare or convert their arguments) always take the dual sweep.
+``compile_traced`` compiles any function of such operations the same
+way, the dual sweep of a field included (``value_and_grad`` on tracing
+scalars), which is how ``dirac.reduced_field`` builds one program per
+system.
+
+The linear algebra and every sum in ``dot`` run on Python floats in a
+fixed order, so no result depends on the BLAS kernel numpy loads.
 """
 
 import math
 import numbers
 import operator
+import re
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,10 +46,17 @@ __all__ = [
     "DualScalar",
     "ScalarField",
     "seed_duals",
+    "value_and_grad",
     "grad",
+    "hessian_rows",
     "hessian_block",
+    "compile_traced",
+    "dot",
+    "max_abs",
+    "gauss_solve",
     "mat_inverse",
     "solve_linear",
+    "newton_iterate",
     "newton_solve",
     "sin",
     "cos",
@@ -212,7 +229,7 @@ def sin(x):
         c = cos(x.value)
         return DualScalar(sin(x.value), tuple(c * a for a in x.partials))
     if isinstance(x, _Tracer):
-        return x.sin()
+        return x._sin()
     return math.sin(x)
 
 
@@ -221,7 +238,7 @@ def cos(x):
         s = -sin(x.value)
         return DualScalar(cos(x.value), tuple(s * a for a in x.partials))
     if isinstance(x, _Tracer):
-        return x.cos()
+        return x._cos()
     return math.cos(x)
 
 
@@ -231,7 +248,7 @@ def tan(x):
         f = 1.0 / (c * c)
         return DualScalar(tan(x.value), tuple(f * a for a in x.partials))
     if isinstance(x, _Tracer):
-        return x.tan()
+        return x._tan()
     return math.tan(x)
 
 
@@ -240,7 +257,7 @@ def exp(x):
         e = exp(x.value)
         return DualScalar(e, tuple(e * a for a in x.partials))
     if isinstance(x, _Tracer):
-        return x.exp()
+        return x._exp()
     try:
         return math.exp(x)
     except OverflowError as err:
@@ -249,7 +266,7 @@ def exp(x):
 
 def log(x):
     if isinstance(x, _Tracer):
-        return x.log()
+        return x._log()
     if _fails(x, "<="):
         raise NumericDomainError("log of a non-positive value")
     if isinstance(x, DualScalar):
@@ -259,7 +276,7 @@ def log(x):
 
 def sqrt(x):
     if isinstance(x, _Tracer):
-        return x.sqrt()
+        return x._sqrt()
     if _fails(x, "<"):
         raise NumericDomainError("sqrt of a negative value")
     if isinstance(x, DualScalar):
@@ -294,7 +311,7 @@ def power(base, exponent):
     # the exponent's partials, so such fields stay on the dual sweep
     e = _scalar(value_of(exponent))
     if isinstance(base, _Tracer):
-        return base.power(float(e))
+        return base._power(float(e))
     if float(e).is_integer():
         n = int(e)
         return _pow_int(base, n)
@@ -409,6 +426,10 @@ class _Tape:
             self.lines.append(f"{name} = {expr}")
         return name
 
+    def is_const(self, name: str, text: str) -> bool:
+        """Whether ``name`` is the float constant written ``text``."""
+        return self._const_names.get((float, text)) == name
+
     def guard(self, condition: str):
         if condition not in self._guards:  # a test already passed passes again
             self._guards.add(condition)
@@ -439,6 +460,11 @@ class _Tracer:
 
     def _scaled(self, factor: str) -> dict:
         return {j: self.tape.let("d", _times(factor, a)) for j, a in self.partials.items()}
+
+    def _factor(self, expr: str):
+        """The name of a derivative factor, recorded only when there are
+        partials to scale: a plain number's rule computes no factor."""
+        return self.tape.let("v", expr) if self.partials else None
 
     def _negated(self) -> dict:
         return {j: self.tape.let("d", f"-{a}") for j, a in self.partials.items()}
@@ -474,6 +500,8 @@ class _Tracer:
         if o is None:
             return NotImplemented
         if isinstance(o, str):
+            if self.tape.is_const(o, "-0.0"):  # x + -0.0 is x, exactly
+                return self
             return self._derived(f"{self.value} + {o}", self.partials)
         parts = self._combine(o, lambda a, b: f"{a} + {b}", lambda a: a, lambda b: b)
         return self._derived(f"{self.value} + {o.value}", parts)
@@ -485,6 +513,8 @@ class _Tracer:
         if o is None:
             return NotImplemented
         if isinstance(o, str):
+            if self.tape.is_const(o, "0.0"):  # x - 0.0 is x, exactly
+                return self
             return self._derived(f"{self.value} - {o}", self.partials)
         parts = self._combine(o, lambda a, b: f"{a} - {b}", lambda a: a, lambda b: f"-{b}")
         return self._derived(f"{self.value} - {o.value}", parts)
@@ -500,6 +530,8 @@ class _Tracer:
         if o is None:
             return NotImplemented
         if isinstance(o, str):
+            if self.tape.is_const(o, "1.0"):  # x * 1.0 is x, exactly
+                return self
             return self._derived(f"{self.value} * {o}", self._scaled(o))
         sv, ov = self.value, o.value
         parts = self._combine(
@@ -518,6 +550,8 @@ class _Tracer:
             return NotImplemented
         tape = self.tape
         if isinstance(o, str):
+            if self.tape.is_const(o, "1.0"):  # x / 1.0 is x, exactly
+                return self
             return self._derived(f"{self.value} / {o}", self._divided(o))
         if not self.partials:  # a plain number over a dual: the dual's rule
             return o.__rtruediv__(self)
@@ -539,7 +573,7 @@ class _Tracer:
         tape, sv = self.tape, self.value
         tape.guard(f"{sv} == 0.0")
         q = tape.let("v", f"{o} / {sv}")
-        f = tape.let("v", f"{q} / {sv}")
+        f = self._factor(f"{q} / {sv}")
         return _Tracer(tape, q, self._scaled(f"-{f}"))
 
     def __neg__(self):
@@ -549,7 +583,8 @@ class _Tracer:
         return self
 
     def __abs__(self):
-        return self._derived(f"fabs({self.value})", self._scaled(_sign(self).value))
+        sign = _sign(self).value if self.partials else None
+        return self._derived(f"fabs({self.value})", self._scaled(sign))
 
     def __pow__(self, other):
         return power(self, other)
@@ -562,36 +597,37 @@ class _Tracer:
 
     __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = __bool__ = __float__ = _untraceable
 
-    # -- elementary functions ----------------------------------------------
+    # -- elementary functions (private names, so that numpy's object loops
+    # do not find them and substitute math's results for numpy's) -----------
 
-    def sin(self):
-        c = self.tape.let("v", f"cos({self.value})")
+    def _sin(self):
+        c = self._factor(f"cos({self.value})")
         return self._derived(f"sin({self.value})", self._scaled(c))
 
-    def cos(self):
-        s = self.tape.let("v", f"-sin({self.value})")
+    def _cos(self):
+        s = self._factor(f"-sin({self.value})")
         return self._derived(f"cos({self.value})", self._scaled(s))
 
-    def tan(self):
-        c = self.tape.let("v", f"cos({self.value})")
-        f = self.tape.let("v", f"1.0 / ({c} * {c})")
+    def _tan(self):
+        c = self._factor(f"cos({self.value})")
+        f = self._factor(f"1.0 / ({c} * {c})")
         return self._derived(f"tan({self.value})", self._scaled(f))
 
-    def exp(self):
+    def _exp(self):
         e = self.tape.let("v", f"exp({self.value})")
         return _Tracer(self.tape, e, self._scaled(e))
 
-    def log(self):
+    def _log(self):
         sv = self.value
         self.tape.guard(f"{sv} <= 0.0")
         return self._derived(f"log({sv})", self._divided(sv))
 
-    def sqrt(self):
+    def _sqrt(self):
         self.tape.guard(f"{self.value} <= 0.0")
         r = self.tape.let("v", f"sqrt({self.value})")
-        return _Tracer(self.tape, r, self._scaled(self.tape.let("v", f"0.5 / {r}")))
+        return _Tracer(self.tape, r, self._scaled(self._factor(f"0.5 / {r}")))
 
-    def power(self, e: float):
+    def _power(self, e: float):
         """base ** e for a constant exponent, as ``power`` and ``_pow_int``
         do it for a dual base."""
         tape, sv = self.tape, self.value
@@ -606,7 +642,7 @@ class _Tracer:
             tape.guard(f"{sv} <= 0.0")
             cn, cm = tape.const(e), tape.const(e - 1.0)
         v = tape.let("v", f"{sv} ** {cn}")
-        f = tape.let("v", f"{cn} * {sv} ** {cm}")
+        f = self._factor(f"{cn} * {sv} ** {cm}")
         return _Tracer(tape, v, self._scaled(f))
 
 
@@ -618,11 +654,37 @@ def _run_traced(f: "ScalarField", args):
         return None
 
 
+# Names a tape line assigns, and expressions that may raise.  A line that
+# may raise is kept even when nothing reads its value, so that the code
+# gives up wherever the sweep it repeats raises.
+_ASSIGNED = re.compile(r"\b[vd]\d+\b")
+_MAY_RAISE = re.compile(r"/|\*\*|\b(?:sin|cos|tan|exp|log|sqrt)\(")
+
+
+def _live_lines(lines, result: str) -> list:
+    """``lines`` without the assignments nothing reads: one backward
+    liveness pass.  Guards and lines that may raise always stay."""
+    needed = set(_ASSIGNED.findall(result))
+    kept = []
+    for line in reversed(lines):
+        if line.startswith("if "):
+            expr = line
+        else:
+            name, expr = line.split(" = ", 1)
+            if name not in needed and not _MAY_RAISE.search(expr):
+                continue
+        kept.append(line)
+        needed.update(_ASSIGNED.findall(expr))
+    kept.reverse()
+    return kept
+
+
 def _program(tape: _Tape, arity: int, result: str):
     """The source of ``traced(x0, x1, ...)`` returning ``result``, and the
     constants it reads."""
     header = f"def traced({', '.join(f'x{j}' for j in range(arity))}):"
-    return "\n    ".join([header, *tape.lines, f"return {result}"]), tape.consts
+    body = _live_lines(tape.lines, result)
+    return "\n    ".join([header, *body, f"return {result}"]), tape.consts
 
 
 def _traced_source(f: "ScalarField"):
@@ -676,6 +738,33 @@ def _compile(traced):
     return namespace["traced"]
 
 
+def _output_name(tape: _Tape, v) -> str:
+    if isinstance(v, _Tracer) and v.tape is tape and not v.partials:
+        return v.value
+    if isinstance(v, numbers.Real):
+        return tape.const(float(v))
+    raise _Untraceable("an output is not a traced or plain number")
+
+
+def compile_traced(fn: Callable, arity: int):
+    """Trace ``fn`` once and compile it to straight-line float code.
+
+    ``fn`` is called with ``arity`` tracing scalars that stand for plain
+    numbers and must return a sequence of scalars computed from them with
+    the operations of this module (``value_and_grad`` included).  The
+    result is ``traced(x0, ..., x{arity-1})`` returning those scalars as a
+    tuple of floats, or None where a recorded guard gives up (a rule would
+    raise there).  Returns None when ``fn`` cannot be traced.
+    """
+    tape = _Tape()
+    try:
+        outs = fn(*[_Tracer(tape, f"x{j}", {}) for j in range(arity)])
+        names = [_output_name(tape, v) for v in outs]
+    except Exception:  # the caller's float path raises what is wrong
+        return None
+    return _compile(_program(tape, arity, "(" + "".join(f"{v}, " for v in names) + ")"))
+
+
 class ScalarField:
     """A scalar function of named base and fiber variables.
 
@@ -685,10 +774,12 @@ class ScalarField:
     the compiled result, and ``hessian_block`` does the same once per
     index set, with nested duals as the fallback.  Value-dependent
     branches (comparisons, ``float`` or ``bool`` of an argument) are
-    allowed, but such a field runs on the dual sweep.
+    allowed, but such a field runs on the dual sweep.  Programs that
+    other modules compile around the field (``dirac.reduced_field``) are
+    cached on it too, in ``_programs``.
     """
 
-    __slots__ = ("base_names", "fiber_names", "fn", "_compiled", "_hessians")
+    __slots__ = ("base_names", "fiber_names", "fn", "_compiled", "_hessians", "_programs")
 
     def __init__(self, base_names: Sequence[str], fiber_names: Sequence[str], fn: Callable):
         self.base_names = tuple(base_names)
@@ -696,6 +787,7 @@ class ScalarField:
         self.fn = fn
         self._compiled = None  # filled by the first grad; False when untraceable
         self._hessians = {}  # tuple(idx) -> compiled block, or False when untraceable
+        self._programs = {}  # key chosen by the compiling module -> its program
 
     @property
     def names(self):
@@ -717,17 +809,50 @@ class ScalarField:
         return float(value_of(out))
 
 
-def grad(f: ScalarField, p) -> np.ndarray:
-    """Gradient of ``f`` at ``p``.
+def _traced_value_and_grad(f: ScalarField, p, tape: _Tape):
+    """The dual sweep of ``f`` recorded on ``tape`` at a point of tracing
+    scalars and plain numbers, every variable seeded: its value and
+    partials as tracing scalars that stand for plain numbers (plain 0.0
+    for a structural zero, 1.0 for a variable's partial in itself)."""
+    args = []
+    for j, v in enumerate(p):
+        if isinstance(v, _Tracer):
+            if v.tape is not tape or v.partials:
+                raise _Untraceable("a point from another trace")
+            args.append(_Tracer(tape, v.value, {j: _ONE}))
+        else:
+            args.append(_Tracer(tape, tape.const(float(v)), {j: _ONE}))
+    out = f.fn(*args)
+    if isinstance(out, numbers.Real):
+        return float(out), (0.0,) * len(p)
+    if not isinstance(out, _Tracer) or out.tape is not tape:
+        raise _Untraceable("the field returned no traced number")
+
+    def plain(name):
+        if name is None:
+            return 0.0
+        return 1.0 if name == _ONE else _Tracer(tape, name, {})
+
+    return plain(out.value), tuple(plain(out.partials.get(j)) for j in range(len(p)))
+
+
+def value_and_grad(f: ScalarField, p):
+    """Value and gradient (a tuple) of ``f`` at ``p``.
 
     The first call traces ``f`` and compiles it; later calls run the
     compiled code.  Untraceable fields, and points where the compiled code
-    gives up, take one dual-number sweep for all partials.
+    gives up, take one dual-number sweep for all partials.  Inside
+    ``compile_traced`` a point holding tracing scalars records the sweep
+    instead, so the caller's program contains it.
     """
     n = f.arity
     if len(p) != n:
         raise DimensionError(f"point of length {len(p)} for field of arity {n}")
-    args = [float(v) for v in p]
+    try:
+        args = [float(v) for v in p]
+    except _Untraceable:  # a tracing scalar has no float
+        tape = next(v.tape for v in p if isinstance(v, _Tracer))
+        return _traced_value_and_grad(f, p, tape)
     compiled = f._compiled
     if compiled is None:
         compiled = f._compiled = _compile(_traced_source(f)) or False
@@ -742,20 +867,25 @@ def grad(f: ScalarField, p) -> np.ndarray:
         # out, the code multiplies it by another one, and no rule makes a
         # non-finite partial finite again: such points fail here too.
         if out is not None and math.isfinite(sum(out[1], out[0])):
-            return np.array(out[1], dtype=float)
+            return out
     out = f(*seed_duals(args))
     if not isinstance(out, DualScalar):
         _check_finite(out)
-        return np.zeros(n)
-    g = np.array(out.partials, dtype=float)
-    if not (math.isfinite(value_of(out)) and np.isfinite(g).all()):
+        return float(_scalar(out)), (0.0,) * n
+    g = tuple(float(v) for v in out.partials)
+    if not (math.isfinite(value_of(out)) and all(math.isfinite(v) for v in g)):
         raise NumericDomainError(f"non-finite derivative at {tuple(args)!r}")
-    return g
+    return float(out.value), g
 
 
-def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
+def grad(f: ScalarField, p) -> np.ndarray:
+    """Gradient of ``f`` at ``p`` (``value_and_grad`` as an array)."""
+    return np.array(value_and_grad(f, p)[1], dtype=float)
+
+
+def hessian_rows(f: ScalarField, p, idx) -> list:
     """Second-derivative block of ``f`` over the variable subset ``idx``,
-    as a read-only array.
+    as a list of float rows.
 
     The first call for an index set traces the nested-dual sweep of ``f``
     and compiles it; later calls with that set run the compiled code.
@@ -781,15 +911,13 @@ def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
         # The nested sweep checks every entry, as this sum does; by grad's
         # argument an entry the sweep makes non-finite is non-finite here.
         if out is not None and math.isfinite(sum(out)):
-            block = np.array(out, dtype=float).reshape(s, s)
-            block.flags.writeable = False
-            return block
+            return [out[r * s : (r + 1) * s] for r in range(s)]
     seeds = _unit_seeds(s)
     args = list(point)
     for col, j in enumerate(idx):
         args[j] = DualScalar(DualScalar(args[j], seeds[col]), seeds[col])
     out = f(*args)
-    block = np.empty((s, s))
+    rows = [[0.0] * s for _ in range(s)]
     outer = partials_of(out, s)
     for c in range(s):
         inner = partials_of(outer[c], s)
@@ -797,7 +925,15 @@ def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
             h = _scalar(inner[r])
             if not math.isfinite(h):
                 raise NumericDomainError(f"non-finite second derivative at {tuple(point)!r}")
-            block[r, c] = h
+            rows[r][c] = float(h)
+    return rows
+
+
+def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
+    """``hessian_rows`` as a read-only (len(idx), len(idx)) array."""
+    idx = tuple(idx)
+    s = len(idx)
+    block = np.array(hessian_rows(f, p, idx), dtype=float).reshape(s, s)
     block.flags.writeable = False
     return block
 
@@ -807,66 +943,157 @@ def _check_finite(v):
         raise NumericDomainError("non-finite evaluation")
 
 
-def _forward_eliminate(a: np.ndarray, rhs: np.ndarray):
-    """In-place Gaussian elimination with partial pivoting on [a | rhs]."""
-    n = a.shape[0]
-    biggest = np.max(np.abs(a)) if a.size else 0.0
+def max_abs(values) -> float:
+    """Largest absolute value, 0.0 for none; a nan anywhere gives nan."""
+    out = 0.0
+    for v in values:
+        v = abs(v)
+        if v != v:
+            return float(v)
+        if v > out:
+            out = v
+    return float(out)
+
+
+def _eliminate(a: list, rhs: list):
+    """In-place Gaussian elimination with partial pivoting on [a | rhs],
+    float rows; ``rhs`` rows hold one entry per right-hand side."""
+    n = len(a)
+    biggest = max_abs(v for row in a for v in row)
     if biggest == 0.0:
         raise SingularMatrixError("zero matrix")
     threshold = SINGULARITY_RELATIVE_THRESHOLD * biggest
     for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot_row, col]) < threshold:
+        pivot_row = col  # the first row of largest magnitude
+        for r in range(col + 1, n):
+            if abs(a[r][col]) > abs(a[pivot_row][col]):
+                pivot_row = r
+        if abs(a[pivot_row][col]) < threshold:
             raise SingularMatrixError(
-                f"pivot {a[pivot_row, col]:.3e} below {threshold:.3e} in column {col}"
+                f"pivot {a[pivot_row][col]:.3e} below {threshold:.3e} in column {col}"
             )
         if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            rhs[[col, pivot_row]] = rhs[[pivot_row, col]]
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
+        top, top_rhs = a[col], rhs[col]
         for r in range(col + 1, n):
-            if a[r, col] != 0.0:
-                lam = a[r, col] / a[col, col]
-                a[r, col:] -= lam * a[col, col:]
-                rhs[r] -= lam * rhs[col]
+            row = a[r]
+            if row[col] != 0.0:
+                lam = row[col] / top[col]
+                for j in range(col, n):
+                    row[j] -= lam * top[j]
+                rhs[r] = [u - lam * v for u, v in zip(rhs[r], top_rhs)]
 
 
-def _back_substitute(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    x = np.zeros_like(rhs)
-    for r in range(n - 1, -1, -1):
-        x[r] = (rhs[r] - a[r, r + 1:] @ x[r + 1:]) / a[r, r]
-    return x
+def _back_substitute(a: list, rhs: list) -> list:
+    """Solution rows of the triangular system left by ``_eliminate``."""
+    n = len(a)
+    cols = []
+    for c in range(len(rhs[0])):
+        x = [0.0] * n
+        for r in range(n - 1, -1, -1):
+            row = a[r]
+            x[r] = (rhs[r][c] - dot(enumerate(row[r + 1 :], r + 1), x)) / row[r]
+        cols.append(x)
+    return [list(row) for row in zip(*cols)]
 
 
-def _as_square_array(a) -> np.ndarray:
+def dot(terms, values):
+    """c * values[i] summed over the ``(i, c)`` pairs of ``terms``, left to
+    right, 0.0 for none: the one summation order of the dot products on the
+    trajectory path.  It runs on floats and on tracing scalars alike."""
+    total = None
+    for i, c in terms:
+        term = c * values[i]
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
+
+
+def _float_rows(a) -> list:
     arr = np.array(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"square matrix required, got shape {arr.shape}")
-    return arr
+    return arr.tolist()
+
+
+def _float_square_rows(a) -> list:
+    """Float rows of a square matrix given as an ndarray or as rows."""
+    if isinstance(a, np.ndarray):
+        return _float_rows(a)
+    rows = [[float(v) for v in row] for row in a]
+    if any(len(row) != len(rows) for row in rows):
+        raise DimensionError(
+            f"square matrix required, got rows of lengths {[len(row) for row in rows]}"
+        )
+    return rows
+
+
+def gauss_solve(a, b) -> list:
+    """Solve a x = b as float lists: Gaussian elimination with partial
+    pivoting, every sum in a fixed order, so the result does not depend
+    on a BLAS kernel.  ``a`` is an ndarray or a sequence of rows."""
+    rows = _float_square_rows(a)
+    rhs = [[float(v)] for v in b]
+    if len(rhs) != len(rows):
+        raise DimensionError(
+            f"right-hand side of length {(len(rhs),)} for {len(rows)} equations"
+        )
+    _eliminate(rows, rhs)
+    return [r[0] for r in _back_substitute(rows, rhs)]
 
 
 def mat_inverse(a) -> np.ndarray:
     """Inverse by Gaussian elimination with partial pivoting, as a
     read-only array."""
-    work = _as_square_array(a)
-    rhs = np.eye(work.shape[0])
-    _forward_eliminate(work, rhs)
-    inv = _back_substitute(work, rhs)
+    rows = _float_rows(a)
+    n = len(rows)
+    rhs = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    _eliminate(rows, rhs)
+    inv = np.array(_back_substitute(rows, rhs), dtype=float).reshape(n, n)
     inv.flags.writeable = False
     return inv
 
 
 def solve_linear(a, b) -> np.ndarray:
     """Solve a x = b for a single right-hand side."""
-    work = _as_square_array(a)
+    rows = _float_rows(a)
     rhs = np.array(b, dtype=float)
-    if rhs.shape != (work.shape[0],):
+    if rhs.shape != (len(rows),):
         raise DimensionError(
-            f"right-hand side of length {rhs.shape} for {work.shape[0]} equations"
+            f"right-hand side of length {rhs.shape} for {len(rows)} equations"
         )
-    rhs = rhs.reshape(-1, 1)
-    _forward_eliminate(work, rhs)
-    return _back_substitute(work, rhs).ravel()
+    return np.array(gauss_solve(rows, rhs.tolist()), dtype=float)
+
+
+def newton_iterate(
+    residual_map: Callable,
+    x0,
+    tol: float = NEWTON_TOL,
+    max_iter: int = NEWTON_MAX_ITER,
+) -> list:
+    """Undamped Newton iteration on float lists: ``residual_map(x) -> (F,
+    J)`` with F a sequence and J its Jacobian rows.
+
+    Returns the first iterate with ``max|F| <= tol``.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
+    x = [float(v) for v in x0]
+    norm = math.inf
+    for attempt in range(max_iter + 1):
+        res, jac = residual_map(x)
+        norm = max_abs(res)
+        if norm <= tol:
+            return x
+        if attempt == max_iter:
+            break
+        x = [u - v for u, v in zip(x, gauss_solve(jac, res))]
+    raise NonConvergenceError(
+        f"no convergence in {max_iter} iterations (last residual {norm:.3e})",
+        residual=norm,
+    )
 
 
 def newton_solve(
@@ -875,26 +1102,7 @@ def newton_solve(
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
 ) -> np.ndarray:
-    """Undamped Newton iteration on ``residual_map(x) -> (F, J)``.
-
-    Returns the first iterate with ``max|F| <= tol``.
-    """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
-    x = np.array(x0, dtype=float)
-    norm = math.inf
-    for attempt in range(max_iter + 1):
-        res, jac = residual_map(x)
-        res = np.asarray(res, dtype=float)
-        norm = float(np.max(np.abs(res))) if res.size else 0.0
-        if norm <= tol:
-            return x
-        if attempt == max_iter:
-            break
-        x = x - solve_linear(jac, res)
-    raise NonConvergenceError(
-        f"no convergence in {max_iter} iterations (last residual {norm:.3e})",
-        residual=norm,
-    )
+    """``newton_iterate`` with ndarray iterates: ``residual_map`` receives
+    each iterate as an array, and the solution is returned as one."""
+    x = newton_iterate(lambda x: residual_map(np.array(x, dtype=float)), x0, tol, max_iter)
+    return np.array(x, dtype=float)

@@ -108,12 +108,6 @@ class SystemSpec:
         return self.base_names + self.admissible_names
 
 
-def _constant_structure(c: np.ndarray) -> Callable:
-    c = np.asarray(c, dtype=float)
-    c.flags.writeable = False
-    return lambda q: c
-
-
 def _constant_rows(rows) -> Callable:
     return lambda q: rows
 
@@ -146,17 +140,10 @@ _SKATER_STRUCTURE[0, 1, 2] = 1.0
 _SKATER_STRUCTURE[0, 2, 1] = -1.0
 
 
-def _skater_anchor(q):
-    phi = float(q[2])
-    c = math.cos(phi)
-    s = math.sin(phi)
-    return np.array([[c, 0.0, -s], [s, 0.0, c], [0.0, 1.0, 0.0]])
-
-
 def _skater_algebroid() -> SkewAlgebroid:
-    return SkewAlgebroid(
-        m=3, rank=3, anchor=_skater_anchor, structure=_constant_structure(_SKATER_STRUCTURE)
-    )
+    # the anchor is the frame itself, built from numcore.cos and sin so
+    # that it traces
+    return SkewAlgebroid(m=3, rank=3, anchor=skater_frame().rho, structure=_SKATER_STRUCTURE)
 
 
 def _skater_metric(m: float, k2: float, potential, a_par=None, a_perp=None) -> MetricBlocks:
@@ -361,13 +348,11 @@ _BALL_FIBER = ("eta1", "eta2", "eta3", "eta4", "eta5")
 
 def _ball_algebroid(k2: float, radius: float) -> SkewAlgebroid:
     r = radius
-    anchor = np.array([[r, 0.0, 0.0, k2, 0.0], [0.0, -r, 0.0, 0.0, k2]])
-    anchor.flags.writeable = False
     return SkewAlgebroid(
         m=2,
         rank=5,
-        anchor=lambda q: anchor,
-        structure=_constant_structure(ball_structure_constants(k2, radius)),
+        anchor=[[r, 0.0, 0.0, k2, 0.0], [0.0, -r, 0.0, 0.0, k2]],
+        structure=ball_structure_constants(k2, radius),
     )
 
 

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -330,12 +332,15 @@ GOLDEN_IC = {
 # SHA-256 of (the CSV of a 20-step run at stride 1, the inspect output at
 # the initial state), recorded before the reduced-field pipeline was
 # merged into dirac.evaluate_reduced (CPython 3.11, numpy 2.4, x86-64
-# Linux); the outputs must stay byte-identical.
+# Linux); the outputs must stay byte-identical.  The ball_free inspect
+# digest was re-recorded when the element contraction became fixed-order
+# float code: d(eta1)/dt, which cancels exactly, prints 0 where numpy's
+# fused multiply-add left 1.6653345369377347e-18.
 GOLDEN_DIGESTS = {
     "skater_free": ("b5ff69788921961d2ace881540fd331c5558890bfbbcbb02b7307fced552d483", "a80322cf000386cf347a0673fb226de01fa758db97bcfc6d2108e0d2506c5bbd"),
     "skater_slope": ("035bd92c3cae334d55160374279ba131c3934b0bc4e615f0a513cbebcf32d19b", "1d31876291edff8ce74a93653b9228e1146a50dd49b391f36382a55976bb7ce4"),
     "skater_charged": ("c26d87bcc83ce1d303178f72021b156b73bb32347c9b29992b582f80e7646d9f", "ccefdf11437e4bb9bf3f8135ec54e9169ae2b7d7636e5fe2434a3b7d17b1f77b"),
-    "ball_free": ("0b562a508d3fbd529a2713e552208efd55ea4fec684f0c5849836866ddbc3d7e", "b678877cccfbd53e098d9402cc370df7594272ada29fa3bfb3773945bb33a466"),
+    "ball_free": ("0b562a508d3fbd529a2713e552208efd55ea4fec684f0c5849836866ddbc3d7e", "59d2c759b7b44c1bca3d2abcadff5cef96efe87be20617f04e2e90923fd4a50e"),
     "ball_magnetic": ("209fc553b7c7140213948734e84d90c95c89d16eb4d38b88d28e55bc43f1bccd", "a441b1532de9c86b0526aa14cf1afd1bced86a2b0924f4f4cdbcd97ac108f532"),
     "ball_harmonic": ("41a3922b28bf04e49e311aa7a88318fdb9e54aa16898d35f05f71ed83190e57d", "db7e3f3b4c3da72091b84af5255a84a14af1f915a508aaf9bbd01e1d2bce3b50"),
 }
@@ -370,6 +375,72 @@ def test_golden_potential_csv_digest(tmp_path):
         "--potential", "0.3*sin(x)+y^2/(2+cos(x))",
     ]
     assert _csv_digest(tmp_path, argv) == GOLDEN_POTENTIAL_DIGEST
+
+
+# Regenerates every pinned output in a fresh interpreter and prints the
+# digests as JSON: the six CSV and inspect outputs, the --potential CSV,
+# and the four Newton trajectories of test_integrate.
+_DIGEST_CHILD = r"""
+import contextlib, hashlib, io, json, pathlib, sys, tempfile
+sys.path[:0] = sys.argv[1:3]
+import test_cli, test_integrate as ti
+from diracmech import build, simulate
+
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    tmp = pathlib.Path(tmp)
+    for name, ic in test_cli.GOLDEN_IC.items():
+        m = 3 if name.startswith("skater") else 2
+        values = ic.split(",")
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            test_cli.run_main(["inspect", "--system", name, "--q", ",".join(values[:m]),
+                               "--eta", ",".join(values[m:])])
+        out[name] = [test_cli._csv_digest(tmp, ["--system", name, "--ic", ic]),
+                     hashlib.sha256(text.getvalue().encode()).hexdigest()]
+    out["potential"] = test_cli._csv_digest(tmp, [
+        "--system", "skater_charged", "--ic", test_cli.GOLDEN_IC["skater_charged"],
+        "--potential", "0.3*sin(x)+y^2/(2+cos(x))"])
+for name in sorted(ti.NEWTON_DIGESTS):
+    if name == "quartic":
+        spec, t_end, stride, ic = ti.quartic_skater(), 1.0, 10, ti.reduced((0.1, -0.2, 0.3), (1.0, 0.5))
+    else:
+        spec, t_end, stride = ti.newton_spec(build(name)), 0.5, 5
+        ic = ti.reduced((0.1, -0.2, 0.3), (1.0, 0.5)) if spec.m == 3 else ti.reduced((0.2, -0.1), (1.0, 0.3, -0.2))
+    out["newton_" + name] = ti.trajectory_digest(simulate(spec, ic, t_end=t_end, dt=1e-3, stride=stride))
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_pinned_outputs_do_not_depend_on_the_blas_kernel():
+    """The same bytes with OpenBLAS's Prescott kernel (no fused multiply-add)
+    and its Haswell kernel (fused multiply-add), each set in a child's
+    environment only, and the pinned digests in both."""
+    src = str(Path(diracmech.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    digests = []
+    for kernel in ("Prescott", "Haswell"):
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGEST_CHILD, src, tests],
+            env={**os.environ, "OPENBLAS_CORETYPE": kernel},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(json.loads(done.stdout))
+    assert digests[0] == digests[1]
+    from test_integrate import NEWTON_DIGESTS
+
+    want = {name: list(pair) for name, pair in GOLDEN_DIGESTS.items()}
+    want["potential"] = GOLDEN_POTENTIAL_DIGEST
+    want.update({"newton_" + name: digest for name, digest in NEWTON_DIGESTS.items()})
+    assert digests[0] == want
+
+
+def test_every_check_line_carries_its_runtime(capsys):
+    assert cmd_check(scope="skater_free", seed=0) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("CHECK ")]
+    assert len(lines) == 6
+    assert all(re.search(r" runtime=\d+\.\d\ds$", line) for line in lines), lines
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -1,0 +1,352 @@
+"""The compiled reduced field (``dirac.reduced_field``) against the float
+reference it replaces (``dirac.evaluate_reduced``): equal numbers where
+it runs, the reference's results and errors where it falls back, and the
+element contraction it is generated from."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from diracmech import dirac, exprparse, numcore
+from diracmech.algebroid import PhaseState, SkewAlgebroid, change_frame, from_tangent_frame
+from diracmech.dirac import ConsistencySolution, DiracAlgebroid, evaluate_reduced, reduced_field
+from diracmech.errors import (
+    DegenerateHamiltonianError,
+    DimensionError,
+    NumericDomainError,
+    TruncatedTrajectoryError,
+)
+from diracmech.integrate import simulate
+from diracmech.numcore import ScalarField, hessian_block
+from diracmech.systems import build, catalog_names, hamiltonian_with_potential, skater_frame
+
+NEWTON = ConsistencySolution(kind="newton")
+
+
+def quartic_skater():
+    spec = build("skater_charged")
+    base = spec.hamiltonian.fn
+
+    def fn(x, y, phi, e1, e2, e3):
+        return base(x, y, phi, e1, e2, e3) + 0.25 * e3**4
+
+    h = ScalarField(spec.base_names, spec.fiber_names, fn)
+    return replace(spec, hamiltonian=h, consistency=NEWTON)
+
+
+def spec_named(name):
+    if name == "skater_quartic":
+        return quartic_skater()
+    if name.startswith("newton_"):
+        return replace(build(name[len("newton_"):]), consistency=NEWTON)
+    return build(name)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def assert_equal_but_signed_zeros(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(got, want)
+    differ = bits(got) != bits(want)
+    assert not np.any(got[differ]), "a nonzero value differs in bits"
+
+
+def count_reference_calls(monkeypatch):
+    calls = []
+    original = dirac._reference_field
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dirac, "_reference_field", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        *catalog_names(),
+        "skater_quartic",
+        "newton_skater_charged",
+        "newton_ball_magnetic",
+        "newton_ball_harmonic",
+    ],
+)
+def test_compiled_field_equals_reference(name, monkeypatch):
+    spec = spec_named(name)
+    h, sol = spec.hamiltonian, spec.consistency
+    evaluate = reduced_field(spec.dirac, h, sol)
+    calls = count_reference_calls(monkeypatch)
+    n, nt = spec.m + spec.k, spec.n_fiber - spec.k
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        q = rng.uniform(-1.5, 1.5, spec.m).tolist()
+        eta_a = rng.uniform(-2.0, 2.0, spec.k).tolist()
+        guess = rng.uniform(-1.0, 1.0, nt).tolist() if sol.kind == "newton" else None
+        out = evaluate(q + eta_a, guess)
+        eta_alpha, g, qdot, etadot = evaluate_reduced(
+            spec.dirac, h, q, eta_a, guess=guess, solution=sol
+        )
+        assert_equal_but_signed_zeros(out[:n], [*qdot, *etadot])
+        assert_equal_but_signed_zeros(out[n : n + nt], eta_alpha)
+        assert bits(out[n + nt]) == bits(h.value(q + eta_a + eta_alpha.tolist()))
+        assert_equal_but_signed_zeros(out[n + nt + 1 :], g)
+    # evaluate_reduced runs the reference once per point; the compiled
+    # field never fell back to it
+    assert len(calls) == 200
+
+
+def test_compiled_field_is_cached_per_algebroid_and_consistency():
+    spec = build("skater_charged")
+    first = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    assert reduced_field(spec.dirac, spec.hamiltonian, spec.consistency) is first
+    forced = reduced_field(spec.dirac, spec.hamiltonian, NEWTON)
+    assert forced is not first
+    assert set(spec.hamiltonian._programs) == {
+        (id(spec.dirac), id(spec.consistency)),
+        (id(spec.dirac), id(NEWTON)),
+    }
+
+
+def test_build_compiles_no_field():
+    spec = build("ball_harmonic")
+    assert spec.hamiltonian._programs == {}
+
+
+def frame_skater():
+    """skater_free on the algebroid of the skater frame: the anchor
+    converts q to floats (so nothing traces) and the structure is a map
+    (so the contraction loops over the dense tensor)."""
+    spec = build("skater_free")
+    return replace(spec, dirac=DiracAlgebroid(from_tangent_frame(skater_frame()), k=2))
+
+
+def test_untraceable_anchor_falls_back_to_the_reference(monkeypatch):
+    spec = frame_skater()
+    evaluate = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    calls = count_reference_calls(monkeypatch)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        y = rng.uniform(-1.5, 1.5, 5).tolist()
+        out = evaluate(y)
+        eta_alpha, g, qdot, etadot = evaluate_reduced(
+            spec.dirac, spec.hamiltonian, y[:3], y[3:], solution=spec.consistency
+        )
+        assert list(out[:5]) == [*qdot, *etadot]
+    assert len(calls) == 40
+    ic = PhaseState(q=(0.1, -0.2, 0.3), eta=(1.0, 0.5), full=False)
+    catalog = simulate(build("skater_free"), ic, t_end=0.2, dt=1e-3, stride=10)
+    framed = simulate(spec, ic, t_end=0.2, dt=1e-3, stride=10)
+    assert np.max(np.abs(framed.reduced_array() - catalog.reduced_array())) <= 1e-13
+
+
+def branching_skater():
+    """skater_free whose H branches on its argument, so it cannot be traced."""
+    spec = build("skater_free")
+    base = spec.hamiltonian.fn
+
+    def fn(x, y, phi, e1, e2, e3):
+        return base(x, y, phi, e1, e2, e3) + (0.001 * numcore.log(x) if x > 0.0 else 0.0 * x)
+
+    return replace(spec, hamiltonian=ScalarField(spec.base_names, spec.fiber_names, fn))
+
+
+def test_untraceable_hamiltonian_falls_back_with_the_same_results(monkeypatch):
+    spec = branching_skater()
+    evaluate = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    calls = count_reference_calls(monkeypatch)
+    for y in ([0.5, 0.1, 0.2, 1.0, 0.5], [-0.5, 0.1, 0.2, 1.0, 0.5]):
+        _, g, qdot, etadot = evaluate_reduced(
+            spec.dirac, spec.hamiltonian, y[:3], y[3:], solution=spec.consistency
+        )
+        out = evaluate(y)
+        assert list(out[:5]) == [*qdot, *etadot]
+        assert list(out[7:]) == g.tolist()
+    assert len(calls) == 4
+
+
+def test_field_gives_up_where_the_reference_raises():
+    # the log wall records a guard; past it the reference raises its error
+    spec = hamiltonian_with_potential(build("skater_free"), exprparse.parse_text("0.001*log(x)"))
+    evaluate = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    assert len(evaluate([0.5, 0.0, 0.0, 1.0, 0.5])) == 5 + 1 + 1 + 6
+    with pytest.raises(NumericDomainError) as compiled:
+        evaluate([-0.5, 0.0, 0.0, 1.0, 0.5])
+    with pytest.raises(NumericDomainError) as reference:
+        evaluate_reduced(
+            spec.dirac, spec.hamiltonian, [-0.5, 0.0, 0.0], [1.0, 0.5], solution=spec.consistency
+        )
+    assert str(compiled.value) == str(reference.value)
+    with pytest.raises(TruncatedTrajectoryError) as info:
+        simulate(spec, PhaseState(q=(1.0, 0.0, math.pi), eta=(1.0, 0.001), full=False), t_end=5.0)
+    assert isinstance(info.value.__cause__, NumericDomainError)
+    assert info.value.__cause__.stage_index in (0, 1, 2, 3)
+    assert 0.0 < info.value.failed_time <= 5.0
+
+
+def test_field_gives_up_on_a_non_finite_gradient():
+    # H = 1e308 x^2 is finite at x = 1 and its gradient is not: the code
+    # returns a non-finite sum, and the reference raises the dual sweep's
+    # error
+    spec = build("skater_free")
+    base = spec.hamiltonian.fn
+    h = ScalarField(spec.base_names, spec.fiber_names, lambda *a: base(*a) + 1e308 * a[0] * a[0])
+    spec = replace(spec, hamiltonian=h)
+    evaluate = reduced_field(spec.dirac, h, spec.consistency)
+    assert math.isfinite(h.value([1.0, 0.0, 0.0, 1.0, 0.5, 0.0]))
+    with pytest.raises(NumericDomainError, match="non-finite derivative"):
+        evaluate([1.0, 0.0, 0.0, 1.0, 0.5])
+
+
+def test_newton_field_raises_the_reference_errors():
+    spec = replace(build("skater_free"), consistency=NEWTON)
+    flat = ScalarField(
+        spec.base_names, spec.fiber_names, lambda x, y, phi, e1, e2, e3: 0.5 * (e1 * e1 + e2 * e2)
+    )
+    spec = replace(spec, hamiltonian=flat)
+    evaluate = reduced_field(spec.dirac, flat, NEWTON)
+    with pytest.raises(DegenerateHamiltonianError) as compiled:
+        evaluate([0.0, 0.0, 0.0, 1.0, 1.0])
+    with pytest.raises(DegenerateHamiltonianError) as reference:
+        evaluate_reduced(spec.dirac, flat, [0.0] * 3, [1.0, 1.0], solution=NEWTON)
+    assert str(compiled.value) == str(reference.value)
+    assert type(compiled.value.__cause__) is type(reference.value.__cause__)
+
+
+# -- the element contraction -------------------------------------------------------
+
+
+def structure_as_map(alg):
+    """The same algebroid with its constant structure given as a map."""
+    c = alg.structure(None)
+    return SkewAlgebroid(m=alg.m, rank=alg.rank, anchor=alg.anchor, structure=lambda q: c)
+
+
+@pytest.mark.parametrize("name", ["skater_charged", "ball_magnetic"])
+def test_dense_loop_equals_the_listed_nonzeros(name):
+    """A map is summed over every entry, a constant over its nonzeros; the
+    zero terms change no sum, and every rate comes out as the same float."""
+    alg = build(name).dirac.alg
+    dense = structure_as_map(alg)
+    rng = np.random.default_rng(13)
+    for k in range(1, alg.rank + 1):
+        for _ in range(50):
+            args = (
+                rng.uniform(-2.0, 2.0, alg.m).tolist(),
+                rng.uniform(-3.0, 3.0, alg.rank).tolist(),
+                rng.uniform(-3.0, 3.0, k).tolist(),
+                rng.uniform(-3.0, 3.0, alg.m).tolist(),
+            )
+            sparse_rates = alg.scalar_rates(*args, k)
+            dense_rates = dense.scalar_rates(*args, k)
+            for got, want in zip(dense_rates, sparse_rates):
+                assert bits(got).tolist() == bits(want).tolist()
+    assert ("structure", alg.rank) in alg._cache
+    assert ("structure", alg.rank) not in dense._cache
+
+
+@pytest.mark.parametrize("kind", ["tangent_frame", "change_frame"])
+def test_frame_algebroids_take_the_dense_loop(kind):
+    if kind == "tangent_frame":
+        alg = from_tangent_frame(skater_frame())
+    else:
+        alg = change_frame(build("ball_free").dirac.alg, lambda q: np.eye(5).tolist())
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        q = rng.uniform(-1.0, 1.0, alg.m)
+        eta = rng.uniform(-2.0, 2.0, alg.rank)
+        x = rng.uniform(-2.0, 2.0, alg.rank)
+        a = rng.uniform(-2.0, 2.0, alg.m)
+        qdot, etadot = alg.rates(q, eta, x, a)
+        rho, c = alg.anchor_array(q), alg.structure(q)
+        assert np.allclose(qdot, rho @ x, rtol=0.0, atol=1e-14)
+        want = np.einsum("abd,a,d->b", c, eta, x) - rho.T @ a
+        assert np.allclose(etadot, want, rtol=0.0, atol=1e-13)
+        loop = alg.scalar_rates(q.tolist(), eta.tolist(), x.tolist(), a.tolist())
+        assert [qdot.tolist(), etadot.tolist()] == list(loop)
+    assert not any(key[0] == "structure" for key in alg._cache)
+
+
+@pytest.mark.parametrize("name", ["skater_charged", "ball_magnetic"])
+def test_compiled_rates_equal_the_loop(name):
+    alg = build(name).dirac.alg
+    rng = np.random.default_rng(19)
+    for k in (1, alg.rank):
+        for _ in range(50):
+            args = (
+                rng.uniform(-2.0, 2.0, alg.m).tolist(),
+                rng.uniform(-3.0, 3.0, alg.rank).tolist(),
+                rng.uniform(-3.0, 3.0, k).tolist(),
+                rng.uniform(-3.0, 3.0, alg.m).tolist(),
+            )
+            qdot, etadot = alg.rates(*args, k)
+            assert [bits(qdot).tolist(), bits(etadot).tolist()] == [
+                bits(v).tolist() for v in alg.scalar_rates(*args, k)
+            ]
+        assert alg._cache[("rates", k)], "the contraction was not compiled"
+
+
+def test_rates_reject_mismatched_lengths():
+    alg = build("skater_free").dirac.alg
+    with pytest.raises(DimensionError, match=r"element of lengths \(3, 3, 2, 3\)"):
+        alg.rates([0.0] * 3, [0.0] * 3, [0.0] * 2, [0.0] * 3)
+
+
+def test_no_zero_rate_is_negative():
+    spec = build("skater_free")
+    _, _, qdot, etadot = evaluate_reduced(
+        spec.dirac, spec.hamiltonian, (0.1, -0.2, 0.3), (1.0, 0.5), solution=spec.consistency
+    )
+    assert etadot[1] == 0.0 and math.copysign(1.0, etadot[1]) == 1.0
+
+
+# -- generated code ------------------------------------------------------------------
+
+
+def test_liveness_pass_keeps_guards_and_lines_that_may_raise():
+    lines = [
+        "v0 = x0 * x1",  # dead, pure: dropped
+        "v1 = x0 ** c0",  # dead, may overflow: kept
+        "if x1 == 0.0: return None",
+        "v3 = sin(x0)",  # dead, may raise: kept
+        "v4 = x0 + x1",
+        "d5 = v4 * v4",
+    ]
+    assert numcore._live_lines(lines, "(d5, )") == lines[1:]
+
+
+def test_transverse_hessian_code_is_only_the_live_lines():
+    h = build("ball_magnetic").hamiltonian
+    source, _ = numcore._traced_hessian_source(h, (5, 6))
+    body = source.splitlines()[1:-1]
+    assert len(body) <= 6, source
+    hessian_block(h, [0.1] * 7, (5, 6))
+
+
+def test_potential_is_evaluated_only_while_tracing(monkeypatch):
+    calls = []
+    depth = [0]
+    original = exprparse.eval_expr
+
+    def counted(*args, **kwargs):
+        if depth[0] == 0:  # the expression's own recursion is not a call
+            calls.append(args)
+        depth[0] += 1
+        try:
+            return original(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    potential = exprparse.parse_text("0.3*sin(x)+y^2/(2+cos(x))")
+    spec = hamiltonian_with_potential(build("skater_charged"), potential)
+    monkeypatch.setattr(exprparse, "eval_expr", counted)
+    ic = PhaseState(q=(0.1, -0.2, 0.3), eta=(1.0, 0.5), full=False)
+    traj = simulate(spec, ic, t_end=0.048, dt=1e-3, stride=1)
+    assert len(traj) == 49
+    # one trace of the field; recording H at every sample runs no expression
+    assert 0 < len(calls) <= 4
