@@ -154,13 +154,8 @@ class SkewAlgebroid:
                 return qdot + etadot
 
             program = self._cache[("rates", k)] = compile_traced(flat, bounds[-1]) or False
-        out = None
-        if program:
-            try:
-                out = program(*q, *eta, *x, *a)
-            except (OverflowError, ValueError, ZeroDivisionError):
-                pass
-        if out is None:  # the loop raises what the anchor raises
+        out = program(*q, *eta, *x, *a) if program else None
+        if out is None:  # the loop gives the same numbers or raises what the anchor raises
             return self.scalar_rates(q, eta, x, a, k)
         return out[:m], out[m:]
 

@@ -27,7 +27,6 @@ independent transcriptions of the classical constrained dynamics
 oracles for cross-validation.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +45,6 @@ from .numcore import (
     compile_traced,
     gauss_solve,
     grad,
-    hessian_block,
     hessian_rows,
     newton_iterate,
     partials_of,
@@ -202,12 +200,12 @@ def solve_consistency(
         if out.shape != (nt,):
             raise DimensionError(f"affine map returned {out.shape}, expected {(nt,)}")
         return out
-    return np.array(_newton_transverse(dirac, h, q, eta_a, guess, grad, hessian_block))
+    return np.array(_newton_transverse(dirac, h, q, eta_a, guess))
 
 
-def _newton_transverse(dirac, h, q, eta_a, guess, gradient, hessian) -> list:
-    """Newton's solution of dH/deta_alpha = 0 from ``guess``, as a list;
-    ``gradient`` and ``hessian`` take (h, point) and (h, point, idx)."""
+def _newton_transverse(dirac, h, q, eta_a, guess) -> list:
+    """Newton's solution of dH/deta_alpha = 0 from ``guess``, as a list,
+    on the compiled gradient and transverse Hessian block of H."""
     m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
     head = [float(v) for v in q] + [float(v) for v in eta_a]
     alpha_idx = tuple(range(m + k, m + k + nt))
@@ -216,8 +214,8 @@ def _newton_transverse(dirac, h, q, eta_a, guess, gradient, hessian) -> list:
     def residual_map(eta_alpha):
         nonlocal jac
         p = head + eta_alpha
-        res = gradient(h, p)[m + k :]
-        jac = hessian(h, p, alpha_idx)
+        res = value_and_grad(h, p)[1][m + k :]
+        jac = hessian_rows(h, p, alpha_idx)
         return res, jac
 
     try:
@@ -359,23 +357,14 @@ def _compile_field(dirac, h, solution) -> Callable:
     if program is None:
         return reference
 
-    def gradient(f, p):
-        return value_and_grad(f, p)[1]
-
     def evaluate(y, guess=None):
         args = y
         if newton:
-            eta_alpha = _newton_transverse(dirac, h, y[:m], y[m:], guess, gradient, hessian_rows)
-            args = [*y, *eta_alpha]
-        try:
-            out = program(*args)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            out = None
-        # where the code gives up, or anything is not finite, the float
-        # path gives the same numbers or raises the engine's error
-        if out is None or not math.isfinite(sum(out)):
-            return reference(y, guess)
-        return out
+            args = [*y, *_newton_transverse(dirac, h, y[:m], y[m:], guess)]
+        out = program(*args)
+        # where the code gives up, the float path gives the same numbers or
+        # raises the engine's error
+        return reference(y, guess) if out is None else out
 
     return evaluate
 

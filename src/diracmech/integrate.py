@@ -133,6 +133,21 @@ def observables(spec: SystemSpec, rs: PhaseState, guess=None) -> dict:
     return dict(zip(OBSERVABLE_NAMES, _observables_of(spec, rs.q, evaluation)))
 
 
+def _time_grid(t_end: float, dt: float, n_steps: int):
+    """The number of steps from 0 to ``t_end`` and the length of the last
+    one, from ``n_steps = ceil(t_end / dt)``: whole steps of ``dt``, then
+    one shorter step that lands on ``t_end``.  A last step within a few
+    ulps of ``t_end`` of ``dt`` is a whole step (``dt`` itself), and one
+    within a few ulps of zero is none: that much is the rounding of a
+    decimal ``t_end`` and ``dt``, not a remainder."""
+    tol = 4.0 * math.ulp(t_end)
+    last = t_end - (n_steps - 1) * dt
+    if last <= tol and n_steps > 1:
+        n_steps -= 1
+        last = t_end - (n_steps - 1) * dt
+    return n_steps, dt if abs(last - dt) <= tol else last
+
+
 def simulate(
     spec: SystemSpec,
     ic: PhaseState,
@@ -140,7 +155,10 @@ def simulate(
     dt: float = 1e-3,
     stride: int = 10,
 ) -> Trajectory:
-    """Integrate from ``ic`` to ``t_end`` recording every stride-th step.
+    """Integrate from ``ic`` to ``t_end`` recording every stride-th step
+    and the final state.  The steps are ``dt`` long, except one shorter last
+    step that lands on ``t_end`` when ``t_end`` is not a whole number of
+    steps; the final state is then recorded at ``t_end``.
 
     A failure mid-run raises TruncatedTrajectoryError carrying the partial
     trajectory, at the time of the state or step whose evaluation failed.
@@ -161,6 +179,7 @@ def simulate(
             f"t_end={t_end!r} with dt={dt!r} needs {n_steps} steps, "
             f"more than MAX_STEPS={MAX_STEPS}"
         )
+    n_steps, last = _time_grid(t_end, dt, n_steps)
     m, n = spec.m, spec.m + spec.k
     nt = spec.n_fiber - spec.k
     evaluate = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
@@ -185,6 +204,9 @@ def simulate(
             },
         )
 
+    def time_of(step):
+        return t_end if step == n_steps and last != dt else step * dt
+
     y = [*ic.q, *ic.eta]
     comp = [0.0] * n
     step = 0
@@ -192,23 +214,22 @@ def simulate(
         for step in range(n_steps + 1):
             if step:
                 guess = here[n : n + nt]
-                inc = _rk4_increment(f, y, dt, k1=here[:n])
+                h = dt if step < n_steps else last
+                inc = _rk4_increment(f, y, h, k1=here[:n])
                 y, comp = _compensated_add(y, comp, inc)
-            recorded = step % stride == 0
-            if recorded or step < n_steps:
-                # the sample when recorded, and stage 0 of the next step
-                try:
-                    here = evaluate(y, guess)
-                except EngineError as err:
-                    err.stage_index = 0
-                    raise
-            if recorded:
-                times.append(step * dt)
+            # the sample when recorded, and stage 0 of the next step
+            try:
+                here = evaluate(y, guess)
+            except EngineError as err:
+                err.stage_index = 0
+                raise
+            if step % stride == 0 or step == n_steps:
+                times.append(time_of(step))
                 rows.append(y)
                 eta_rows.append(here[n : n + nt])
                 obs_rows.append(_observables_of(spec, y[:m], here))
     except EngineError as err:
-        failed_time = step * dt
+        failed_time = time_of(step)
         raise TruncatedTrajectoryError(
             f"integration of {spec.name!r} failed near t={failed_time:.6g}: {err}",
             partial=partial(),

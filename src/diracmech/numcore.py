@@ -5,23 +5,24 @@ Newton iteration.
 
 Dual scalars carry a full partials vector (one slot per active variable)
 and nest, so Hessian blocks come from running duals through duals.
+``DualScalar`` and the elementary functions here hold the only
+derivative rules.
 
-``grad`` traces a field once with a tracing scalar and compiles the
-recorded operations into one Python function returning the value and
-the gradient.  ``hessian_block`` compiles one function per index set the
-same way, tracing the nested-dual sweep with the tracing scalar as its
-innermost number, so the generated code repeats the nested rules.  The
-generated code applies DualScalar's rules operation for operation,
-leaving out only partials that are structurally zero and products with
-1.0, so it returns the dual sweep's numbers; one backward liveness pass
-drops the assignments nothing reads.  Where a dual operation would
-raise, the generated code gives up and the caller runs the dual sweep,
-which raises the engine's error; fields that cannot be traced (they
-compare or convert their arguments) always take the dual sweep.
-``compile_traced`` compiles any function of such operations the same
-way, the dual sweep of a field included (``value_and_grad`` on tracing
-scalars), which is how ``dirac.reduced_field`` builds one program per
-system.
+``compile_traced`` runs a function once on tracing scalars that know no
+calculus: each float operation on one records one line of straight-line
+code, and the lines are compiled into one Python function.  ``grad``
+compiles a field's dual sweep that way, and ``hessian_block`` its
+nested-dual sweep once per index set, so the generated code applies
+DualScalar's rules operation for operation.  At a traced point the seed
+partials are ``_ZERO``, a zero that drops out of every rule, so
+structurally zero partials cost no code; products with 1.0 are folded,
+and one backward liveness pass drops the lines nothing reads.  The
+generated function returns None where the float sweep would raise (a
+domain guard, a float error) or an output is not finite; the caller then
+runs the float sweep, which gives the same numbers or raises the
+engine's error.  Fields that cannot be traced (they compare or convert
+their arguments) always take the float sweep.  ``dirac.reduced_field``
+compiles one program per system the same way.
 
 The linear algebra and every sum in ``dot`` run on Python floats in a
 fixed order, so no result depends on the BLAS kernel numpy loads.
@@ -95,7 +96,7 @@ def _fails(x, test: str) -> bool:
     """
     x = _scalar(x)
     if isinstance(x, _Tracer):
-        x.tape.guard(f"{x.value} {test} 0.0")
+        x.tape.guard(f"{x.name} {test} 0.0")
         return False
     return _DOMAIN_TESTS[test](x, 0.0)
 
@@ -105,7 +106,7 @@ def _sign(x):
     sign for a traced value)."""
     x = _scalar(x)
     if isinstance(x, _Tracer):
-        return _Tracer(x.tape, x.tape.let("v", f"1.0 if {x.value} >= 0.0 else -1.0"), {})
+        return x._let(f"1.0 if {x.name} >= 0.0 else -1.0")
     return 1.0 if x >= 0.0 else -1.0
 
 
@@ -221,25 +222,26 @@ class DualScalar:
         return _scalar(self.value) >= _scalar(value_of(other))
 
 
-# -- elementary functions (dispatch on dual vs plain number) --------------
+# -- elementary functions (dispatch on dual, traced or plain number) ------
+
+
+def _apply(fn, x):
+    """``fn`` from math at a plain number, recorded at a traced one."""
+    return x.call(fn.__name__) if isinstance(x, _Tracer) else fn(x)
 
 
 def sin(x):
     if isinstance(x, DualScalar):
         c = cos(x.value)
         return DualScalar(sin(x.value), tuple(c * a for a in x.partials))
-    if isinstance(x, _Tracer):
-        return x._sin()
-    return math.sin(x)
+    return _apply(math.sin, x)
 
 
 def cos(x):
     if isinstance(x, DualScalar):
         s = -sin(x.value)
         return DualScalar(cos(x.value), tuple(s * a for a in x.partials))
-    if isinstance(x, _Tracer):
-        return x._cos()
-    return math.cos(x)
+    return _apply(math.cos, x)
 
 
 def tan(x):
@@ -247,36 +249,28 @@ def tan(x):
         c = cos(x.value)
         f = 1.0 / (c * c)
         return DualScalar(tan(x.value), tuple(f * a for a in x.partials))
-    if isinstance(x, _Tracer):
-        return x._tan()
-    return math.tan(x)
+    return _apply(math.tan, x)
 
 
 def exp(x):
     if isinstance(x, DualScalar):
         e = exp(x.value)
         return DualScalar(e, tuple(e * a for a in x.partials))
-    if isinstance(x, _Tracer):
-        return x._exp()
     try:
-        return math.exp(x)
+        return _apply(math.exp, x)
     except OverflowError as err:
         raise NumericDomainError(f"exp overflow at {x!r}") from err
 
 
 def log(x):
-    if isinstance(x, _Tracer):
-        return x._log()
     if _fails(x, "<="):
         raise NumericDomainError("log of a non-positive value")
     if isinstance(x, DualScalar):
         return DualScalar(log(x.value), tuple(a / x.value for a in x.partials))
-    return math.log(x)
+    return _apply(math.log, x)
 
 
 def sqrt(x):
-    if isinstance(x, _Tracer):
-        return x._sqrt()
     if _fails(x, "<"):
         raise NumericDomainError("sqrt of a negative value")
     if isinstance(x, DualScalar):
@@ -285,13 +279,11 @@ def sqrt(x):
         r = sqrt(x.value)
         f = 0.5 / r
         return DualScalar(r, tuple(f * a for a in x.partials))
-    return math.sqrt(x)
+    return _apply(math.sqrt, x)
 
 
 def divide(num, den):
     """num / den; a zero divisor, plain or dual, raises NumericDomainError."""
-    if isinstance(den, _Tracer):
-        return num / den  # the traced division guards its divisor itself
     if _fails(den, "=="):
         raise NumericDomainError("division by zero")
     return num / den
@@ -310,11 +302,8 @@ def power(base, exponent):
     # float() of a traced exponent raises: the dual rule above branches on
     # the exponent's partials, so such fields stay on the dual sweep
     e = _scalar(value_of(exponent))
-    if isinstance(base, _Tracer):
-        return base._power(float(e))
     if float(e).is_integer():
-        n = int(e)
-        return _pow_int(base, n)
+        return _pow_int(base, int(e))
     if _fails(base, "<"):
         raise NumericDomainError("negative base with non-integer exponent")
     if isinstance(base, DualScalar):
@@ -323,7 +312,7 @@ def power(base, exponent):
         v = base.value ** e
         f = e * base.value ** (e - 1.0)
         return DualScalar(v, tuple(f * a for a in base.partials))
-    return base ** e
+    return _plain_pow(base, e)
 
 
 def _pow_int(base, n):
@@ -336,23 +325,33 @@ def _pow_int(base, n):
             v = base.value ** n
             f = n * base.value ** (n - 1)
             return DualScalar(v, tuple(f * a for a in base.partials))
-        if base == 0 and n < 0:
+        if n < 0 and _fails(base, "=="):
             raise NumericDomainError("zero base with negative exponent")
-        return base ** n
+        return _plain_pow(base, n)
     except OverflowError as err:
         raise NumericDomainError(f"power overflow for exponent {n}") from err
+
+
+def _plain_pow(base, e):
+    """base ** e once ``power``'s guards have run: recorded for a traced
+    base, whose ``**`` goes through ``power``."""
+    if isinstance(base, _Tracer):
+        return base._binary("**", e)
+    return base ** e
 
 
 _SEED_CACHE: dict = {}
 
 
-def _unit_seeds(n):
-    seeds = _SEED_CACHE.get(n)
+def _unit_seeds(n, zero=0.0):
+    """The n unit partials vectors, ``zero`` off the diagonal."""
+    key = (n, zero is _ZERO)
+    seeds = _SEED_CACHE.get(key)
     if seeds is None:
         seeds = tuple(
-            tuple(1.0 if i == j else 0.0 for i in range(n)) for j in range(n)
+            tuple(1.0 if i == j else zero for i in range(n)) for j in range(n)
         )
-        _SEED_CACHE[n] = seeds
+        _SEED_CACHE[key] = seeds
     return seeds
 
 
@@ -362,13 +361,9 @@ def seed_duals(p):
     return [DualScalar(float(v), seeds[j]) for j, v in enumerate(p)]
 
 
-# -- tracing and compiling fields -------------------------------------------
+# -- tracing and compiling ----------------------------------------------------
 
-# The partial of a variable with respect to itself.  Multiplying by 1.0 is
-# exact, so products with it are folded away.
-_ONE = "1.0"
-
-# Names the generated code may read besides its own x*, v*, d* and c*.
+# Names the generated code may read besides its own x*, v* and c*.
 _HELPERS = {
     "sin": math.sin,
     "cos": math.cos,
@@ -377,6 +372,9 @@ _HELPERS = {
     "log": math.log,
     "sqrt": math.sqrt,
     "fabs": math.fabs,
+    "isfinite": math.isfinite,
+    # what float code raises where a rule of this module raises
+    "float_errors": (OverflowError, ValueError, ZeroDivisionError),
 }
 
 
@@ -384,22 +382,13 @@ class _Untraceable(TypeError):
     """The traced function asked for a value the trace does not have."""
 
 
-def _times(u: str, a: str) -> str:
-    if a == _ONE:
-        return u
-    if u == _ONE:
-        return a
-    return f"{u} * {a}"
-
-
 class _Tape:
     """The straight-line program a trace records.
 
-    Every value and every partial is one assignment to a fresh local
-    (``v*`` and ``d*``), the arguments are ``x*``, and constants are read
-    as ``c*`` from the namespace the program runs in, so no source text
-    comes from the traced function.  A guard returns None where the dual
-    sweep would raise.
+    Every float operation is one assignment to a fresh local ``v*``, the
+    arguments are ``x*``, and constants are read as ``c*`` from the
+    namespace the program runs in, so no source text comes from the traced
+    function.  A guard returns None where the float sweep would raise.
     """
 
     def __init__(self):
@@ -417,16 +406,14 @@ class _Tape:
             self.consts[name] = c
         return name
 
-    def let(self, prefix: str, expr: str) -> str:
-        if expr == _ONE or expr.isidentifier():
-            return expr
+    def let(self, expr: str) -> str:
         name = self._names.get(expr)
         if name is None:  # an expression already assigned has the same value
-            name = self._names[expr] = f"{prefix}{len(self.lines)}"
+            name = self._names[expr] = f"v{len(self.lines)}"
             self.lines.append(f"{name} = {expr}")
         return name
 
-    def is_const(self, name: str, text: str) -> bool:
+    def is_const(self, name: str, text) -> bool:
         """Whether ``name`` is the float constant written ``text``."""
         return self._const_names.get((float, text)) == name
 
@@ -436,155 +423,66 @@ class _Tape:
             self.lines.append(f"if {condition}: return None")
 
 
-class _Tracer:
-    """A scalar being traced: the names its value and its nonzero partials
-    have in the program being recorded.
+# x op c is x, exactly, for these constants c
+_IDENTITIES = {"+": "-0.0", "-": "0.0", "*": "1.0", "/": "1.0"}
 
-    It has DualScalar's operator surface and emits DualScalar's rules.  A
-    tracer without partials stands for a plain number (a variable the
-    sweep does not differentiate): it is an operand as a constant is, and
-    divided by a tracer with partials it takes that tracer's reflected
-    rule, as a plain number over a dual does.  Comparing it or converting
-    it to a number raises _Untraceable.
+
+class _Tracer:
+    """A plain number being traced: the name its value has in the program
+    being recorded.
+
+    Each float operation on it records one assignment, and it knows no
+    derivative rule: DualScalar's rules run on it as they run on a float.
+    Comparing it or converting it to a number raises _Untraceable.
     """
 
-    __slots__ = ("tape", "value", "partials")
+    __slots__ = ("tape", "name")
 
-    def __init__(self, tape: _Tape, value: str, partials: dict):
+    def __init__(self, tape: _Tape, name: str):
         self.tape = tape
-        self.value = value
-        self.partials = partials  # variable index -> name; structural zeros absent
+        self.name = name
 
-    def _derived(self, value_expr: str, partials: dict) -> "_Tracer":
-        return _Tracer(self.tape, self.tape.let("v", value_expr), partials)
+    def _let(self, expr: str) -> "_Tracer":
+        return _Tracer(self.tape, self.tape.let(expr))
 
-    def _scaled(self, factor: str) -> dict:
-        return {j: self.tape.let("d", _times(factor, a)) for j, a in self.partials.items()}
-
-    def _factor(self, expr: str):
-        """The name of a derivative factor, recorded only when there are
-        partials to scale: a plain number's rule computes no factor."""
-        return self.tape.let("v", expr) if self.partials else None
-
-    def _negated(self) -> dict:
-        return {j: self.tape.let("d", f"-{a}") for j, a in self.partials.items()}
-
-    def _divided(self, divisor: str) -> dict:
-        return {j: self.tape.let("d", f"{a} / {divisor}") for j, a in self.partials.items()}
-
-    def _operand(self, other):
-        """The other operand as a tracer with partials or a constant's name,
-        else None."""
+    def _binary(self, op: str, other, reflected=False):
         if isinstance(other, _Tracer):
             if other.tape is not self.tape:
                 raise _Untraceable("scalar from another trace")
-            return other if other.partials else other.value
-        if isinstance(other, numbers.Real):
-            return self.tape.const(float(other))
-        return None
+            o = other.name
+        elif isinstance(other, numbers.Real):
+            o = self.tape.const(float(other))
+        else:  # a dual or a structural zero applies its own rule
+            return NotImplemented
+        if not reflected and self.tape.is_const(o, _IDENTITIES.get(op)):
+            return self
+        return self._let(f"{o} {op} {self.name}" if reflected else f"{self.name} {op} {o}")
 
-    def _combine(self, other: "_Tracer", both, left, right) -> dict:
-        out = {}
-        for j in sorted(self.partials.keys() | other.partials.keys()):
-            a, b = self.partials.get(j), other.partials.get(j)
-            if a is not None and b is not None:
-                out[j] = self.tape.let("d", both(a, b))
-            else:
-                out[j] = self.tape.let("d", left(a) if b is None else right(b))
-        return out
-
-    # -- arithmetic: DualScalar's rules, operation for operation ------------
+    def call(self, fn: str) -> "_Tracer":
+        """``fn(self)`` for a function ``fn`` in ``_HELPERS``."""
+        return self._let(f"{fn}({self.name})")
 
     def __add__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, str):
-            if self.tape.is_const(o, "-0.0"):  # x + -0.0 is x, exactly
-                return self
-            return self._derived(f"{self.value} + {o}", self.partials)
-        parts = self._combine(o, lambda a, b: f"{a} + {b}", lambda a: a, lambda b: b)
-        return self._derived(f"{self.value} + {o.value}", parts)
+        return self._binary("+", other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, str):
-            if self.tape.is_const(o, "0.0"):  # x - 0.0 is x, exactly
-                return self
-            return self._derived(f"{self.value} - {o}", self.partials)
-        parts = self._combine(o, lambda a, b: f"{a} - {b}", lambda a: a, lambda b: f"-{b}")
-        return self._derived(f"{self.value} - {o.value}", parts)
+        return self._binary("-", other)
 
     def __rsub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return self._derived(f"{o} - {self.value}", self._negated())
+        return self._binary("-", other, reflected=True)
 
     def __mul__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, str):
-            if self.tape.is_const(o, "1.0"):  # x * 1.0 is x, exactly
-                return self
-            return self._derived(f"{self.value} * {o}", self._scaled(o))
-        sv, ov = self.value, o.value
-        parts = self._combine(
-            o,
-            lambda a, b: f"{_times(a, ov)} + {_times(sv, b)}",
-            lambda a: _times(a, ov),
-            lambda b: _times(sv, b),
-        )
-        return self._derived(f"{sv} * {ov}", parts)
+        return self._binary("*", other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        tape = self.tape
-        if isinstance(o, str):
-            if self.tape.is_const(o, "1.0"):  # x / 1.0 is x, exactly
-                return self
-            return self._derived(f"{self.value} / {o}", self._divided(o))
-        if not self.partials:  # a plain number over a dual: the dual's rule
-            return o.__rtruediv__(self)
-        ov = o.value
-        tape.guard(f"{ov} == 0.0")
-        q = tape.let("v", f"{self.value} / {ov}")
-        parts = self._combine(
-            o,
-            lambda a, b: f"({a} - {_times(q, b)}) / {ov}",
-            lambda a: f"{a} / {ov}",
-            lambda b: f"-{_times(q, b)} / {ov}",
-        )
-        return _Tracer(tape, q, parts)
+        return self._binary("/", other)
 
     def __rtruediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        tape, sv = self.tape, self.value
-        tape.guard(f"{sv} == 0.0")
-        q = tape.let("v", f"{o} / {sv}")
-        f = self._factor(f"{q} / {sv}")
-        return _Tracer(tape, q, self._scaled(f"-{f}"))
-
-    def __neg__(self):
-        return self._derived(f"-{self.value}", self._negated())
-
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        sign = _sign(self).value if self.partials else None
-        return self._derived(f"fabs({self.value})", self._scaled(sign))
+        return self._binary("/", other, reflected=True)
 
     def __pow__(self, other):
         return power(self, other)
@@ -592,72 +490,59 @@ class _Tracer:
     def __rpow__(self, other):
         return power(other, self)
 
+    def __neg__(self):
+        return self._let(f"-{self.name}")
+
+    def __pos__(self):
+        return self
+
+    def __abs__(self):
+        return self.call("fabs")
+
     def _untraceable(self, *args):
         raise _Untraceable("a traced scalar has no value to compare or convert")
 
     __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = __bool__ = __float__ = _untraceable
 
-    # -- elementary functions (private names, so that numpy's object loops
-    # do not find them and substitute math's results for numpy's) -----------
 
-    def _sin(self):
-        c = self._factor(f"cos({self.value})")
-        return self._derived(f"sin({self.value})", self._scaled(c))
+class _Zero:
+    """The seed partial that is structurally zero, at traced points only.
 
-    def _cos(self):
-        s = self._factor(f"-sin({self.value})")
-        return self._derived(f"cos({self.value})", self._scaled(s))
+    It drops out of every rule (0 + a is a, 0 * a is 0), so no code is
+    recorded for it.  Float sweeps seed 0.0, which gives the same numbers
+    up to signed zeros and to a non-finite value times 0.0; the sum check
+    of the generated code sends such points to the float sweep.
+    """
 
-    def _tan(self):
-        c = self._factor(f"cos({self.value})")
-        f = self._factor(f"1.0 / ({c} * {c})")
-        return self._derived(f"tan({self.value})", self._scaled(f))
+    __slots__ = ()
 
-    def _exp(self):
-        e = self.tape.let("v", f"exp({self.value})")
-        return _Tracer(self.tape, e, self._scaled(e))
+    def __add__(self, other):
+        return other
 
-    def _log(self):
-        sv = self.value
-        self.tape.guard(f"{sv} <= 0.0")
-        return self._derived(f"log({sv})", self._divided(sv))
+    __radd__ = __rsub__ = __add__
 
-    def _sqrt(self):
-        self.tape.guard(f"{self.value} <= 0.0")
-        r = self.tape.let("v", f"sqrt({self.value})")
-        return _Tracer(self.tape, r, self._scaled(self._factor(f"0.5 / {r}")))
+    def __sub__(self, other):
+        return -other
 
-    def _power(self, e: float):
-        """base ** e for a constant exponent, as ``power`` and ``_pow_int``
-        do it for a dual base."""
-        tape, sv = self.tape, self.value
-        if e.is_integer():
-            n = int(e)
-            if n == 0:
-                return _Tracer(tape, _ONE, self._scaled("0.0"))
-            if n < 0:
-                tape.guard(f"{sv} == 0.0")
-            cn, cm = tape.const(n), tape.const(n - 1)
-        else:
-            tape.guard(f"{sv} <= 0.0")
-            cn, cm = tape.const(e), tape.const(e - 1.0)
-        v = tape.let("v", f"{sv} ** {cn}")
-        f = self._factor(f"{cn} * {sv} ** {cm}")
-        return _Tracer(tape, v, self._scaled(f))
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __truediv__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __ne__(self, other):
+        return other != 0.0
 
 
-def _run_traced(f: "ScalarField", args):
-    """``f.fn`` at traced arguments, or None when it cannot be traced."""
-    try:
-        return f.fn(*args)
-    except Exception:  # the dual sweep runs this field and raises what is wrong
-        return None
+_ZERO = _Zero()
 
 
 # Names a tape line assigns, and expressions that may raise.  A line that
 # may raise is kept even when nothing reads its value, so that the code
 # gives up wherever the sweep it repeats raises.
-_ASSIGNED = re.compile(r"\b[vd]\d+\b")
+_ASSIGNED = re.compile(r"\bv\d+\b")
 _MAY_RAISE = re.compile(r"/|\*\*|\b(?:sin|cos|tan|exp|log|sqrt)\(")
 
 
@@ -679,90 +564,61 @@ def _live_lines(lines, result: str) -> list:
     return kept
 
 
-def _program(tape: _Tape, arity: int, result: str):
-    """The source of ``traced(x0, x1, ...)`` returning ``result``, and the
-    constants it reads."""
-    header = f"def traced({', '.join(f'x{j}' for j in range(arity))}):"
-    body = _live_lines(tape.lines, result)
-    return "\n    ".join([header, *body, f"return {result}"]), tape.consts
+def _output(tape: _Tape, out, flat: list) -> str:
+    """The source of ``out``, a number or a sequence of outputs, as a
+    tuple; the name of each number is appended to ``flat``."""
+    if isinstance(out, (tuple, list)):
+        return "(" + "".join(f"{_output(tape, v, flat)}, " for v in out) + ")"
+    if isinstance(out, _Tracer) and out.tape is tape:
+        name = out.name
+    elif out is _ZERO or isinstance(out, numbers.Real):
+        name = tape.const(0.0 if out is _ZERO else float(out))
+    else:
+        raise _Untraceable("an output is not a traced or plain number")
+    flat.append(name)
+    return name
 
 
-def _traced_source(f: "ScalarField"):
-    """Trace ``f.fn`` once: the source of ``traced(x0, x1, ...) -> (value,
-    partials)`` and the constants it reads, or None when ``f.fn`` cannot be
-    traced."""
+def _source(fn: Callable, arity: int):
+    """Trace ``fn`` once: the source of ``compile_traced``'s function and
+    the constants it reads, or None when ``fn`` cannot be traced."""
     tape = _Tape()
-    n = f.arity
-    out = _run_traced(f, [_Tracer(tape, f"x{j}", {j: _ONE}) for j in range(n)])
-    if not isinstance(out, _Tracer) or out.tape is not tape:
+    flat = []
+    try:
+        result = _output(tape, fn(*[_Tracer(tape, f"x{j}") for j in range(arity)]), flat)
+    except Exception:  # the caller's float path raises what is wrong
         return None
-    partials = "".join(f"{out.partials.get(j, '0.0')}, " for j in range(n))
-    return _program(tape, n, f"{out.value}, ({partials})")
-
-
-def _traced_hessian_source(f: "ScalarField", idx):
-    """Trace ``hessian_block``'s nested-dual sweep of ``f.fn`` over ``idx``
-    once, with a tracer as the innermost scalar: the source of
-    ``traced(x0, x1, ...)`` returning the block's entries row by row, and
-    the constants it reads, or None when ``f.fn`` cannot be traced."""
-    tape = _Tape()
-    s = len(idx)
-    seeds = _unit_seeds(s)
-    args = [_Tracer(tape, f"x{j}", {}) for j in range(f.arity)]
-    for col, j in enumerate(idx):
-        args[j] = DualScalar(_Tracer(tape, f"x{j}", {col: _ONE}), seeds[col])
-    out = _run_traced(f, args)
-    if not isinstance(out, DualScalar):
-        return None
-    # column c holds the partials of the outer partial c; a plain number
-    # there has none, as ``partials_of`` reads it
-    cols = []
-    for outer in out.partials:
-        if isinstance(outer, _Tracer) and outer.tape is tape:
-            cols.append(outer.partials)
-        elif isinstance(outer, numbers.Real):
-            cols.append({})
-        else:
-            return None
-    entries = "".join(f"{cols[c].get(r, '0.0')}, " for r in range(s) for c in range(s))
-    return _program(tape, f.arity, f"({entries})")
-
-
-def _compile(traced):
-    """The compiled ``traced`` function of a traced source, or None."""
-    if traced is None:
-        return None
-    source, consts = traced
-    namespace = {**_HELPERS, **consts}
-    exec(compile(source, "<traced field>", "exec"), namespace)
-    return namespace["traced"]
-
-
-def _output_name(tape: _Tape, v) -> str:
-    if isinstance(v, _Tracer) and v.tape is tape and not v.partials:
-        return v.value
-    if isinstance(v, numbers.Real):
-        return tape.const(float(v))
-    raise _Untraceable("an output is not a traced or plain number")
+    body = _live_lines(tape.lines, result) or ["pass"]
+    source = [
+        f"def traced({', '.join(f'x{j}' for j in range(arity))}):",
+        "    try:",
+        *(f"        {line}" for line in body),
+        "    except float_errors:",
+        "        return None",
+        f"    return {result} if isfinite({' + '.join(flat) or '0.0'}) else None",
+    ]
+    return "\n".join(source), tape.consts
 
 
 def compile_traced(fn: Callable, arity: int):
     """Trace ``fn`` once and compile it to straight-line float code.
 
     ``fn`` is called with ``arity`` tracing scalars that stand for plain
-    numbers and must return a sequence of scalars computed from them with
-    the operations of this module (``value_and_grad`` included).  The
-    result is ``traced(x0, ..., x{arity-1})`` returning those scalars as a
-    tuple of floats, or None where a recorded guard gives up (a rule would
-    raise there).  Returns None when ``fn`` cannot be traced.
+    numbers.  It must return a number, or a sequence of such outputs,
+    computed from them with the operations of this module, dual sweeps
+    included.  The result is ``traced(x0, ..., x{arity-1})`` returning the
+    same outputs as floats in tuples, or None where the code gives up: a
+    recorded guard holds (a rule would raise there), a float operation
+    raises, or the sum of the outputs, in order, is not finite.  Returns
+    None when ``fn`` cannot be traced.
     """
-    tape = _Tape()
-    try:
-        outs = fn(*[_Tracer(tape, f"x{j}", {}) for j in range(arity)])
-        names = [_output_name(tape, v) for v in outs]
-    except Exception:  # the caller's float path raises what is wrong
+    traced = _source(fn, arity)
+    if traced is None:
         return None
-    return _compile(_program(tape, arity, "(" + "".join(f"{v}, " for v in names) + ")"))
+    source, consts = traced
+    namespace = {**_HELPERS, **consts}
+    exec(compile(source, "<traced>", "exec"), namespace)
+    return namespace["traced"]
 
 
 class ScalarField:
@@ -770,13 +626,12 @@ class ScalarField:
 
     ``fn`` takes one positional argument per variable (base variables
     first) and must accept DualScalar as well as float inputs.  It must be
-    a pure function of its arguments: ``grad`` traces it once and reuses
-    the compiled result, and ``hessian_block`` does the same once per
-    index set, with nested duals as the fallback.  Value-dependent
-    branches (comparisons, ``float`` or ``bool`` of an argument) are
-    allowed, but such a field runs on the dual sweep.  Programs that
-    other modules compile around the field (``dirac.reduced_field``) are
-    cached on it too, in ``_programs``.
+    a pure function of its arguments: ``grad`` compiles its dual sweep
+    once and reuses the result, and ``hessian_block`` does the same once
+    per index set.  Value-dependent branches (comparisons, ``float`` or
+    ``bool`` of an argument) are allowed, but such a field runs on the
+    dual sweep.  Programs that other modules compile around the field
+    (``dirac.reduced_field``) are cached on it too, in ``_programs``.
     """
 
     __slots__ = ("base_names", "fiber_names", "fn", "_compiled", "_hessians", "_programs")
@@ -809,41 +664,28 @@ class ScalarField:
         return float(value_of(out))
 
 
-def _traced_value_and_grad(f: ScalarField, p, tape: _Tape):
-    """The dual sweep of ``f`` recorded on ``tape`` at a point of tracing
-    scalars and plain numbers, every variable seeded: its value and
-    partials as tracing scalars that stand for plain numbers (plain 0.0
-    for a structural zero, 1.0 for a variable's partial in itself)."""
-    args = []
-    for j, v in enumerate(p):
-        if isinstance(v, _Tracer):
-            if v.tape is not tape or v.partials:
-                raise _Untraceable("a point from another trace")
-            args.append(_Tracer(tape, v.value, {j: _ONE}))
-        else:
-            args.append(_Tracer(tape, tape.const(float(v)), {j: _ONE}))
-    out = f.fn(*args)
-    if isinstance(out, numbers.Real):
-        return float(out), (0.0,) * len(p)
-    if not isinstance(out, _Tracer) or out.tape is not tape:
-        raise _Untraceable("the field returned no traced number")
+def _traced(p) -> bool:
+    return any(isinstance(v, _Tracer) for v in p)
 
-    def plain(name):
-        if name is None:
-            return 0.0
-        return 1.0 if name == _ONE else _Tracer(tape, name, {})
 
-    return plain(out.value), tuple(plain(out.partials.get(j)) for j in range(len(p)))
+def _dual_sweep(f: ScalarField, p):
+    """The value and partials of ``f`` at ``p``, floats or tracing scalars,
+    from one dual sweep; a traced sweep is seeded with ``_ZERO``."""
+    zero = _ZERO if _traced(p) else 0.0
+    out = f.fn(*[DualScalar(v, seed) for v, seed in zip(p, _unit_seeds(len(p), zero))])
+    if isinstance(out, DualScalar):
+        return out.value, out.partials
+    return out, (zero,) * len(p)
 
 
 def value_and_grad(f: ScalarField, p):
     """Value and gradient (a tuple) of ``f`` at ``p``.
 
-    The first call traces ``f`` and compiles it; later calls run the
+    The first call compiles the dual sweep of ``f``; later calls run the
     compiled code.  Untraceable fields, and points where the compiled code
-    gives up, take one dual-number sweep for all partials.  Inside
-    ``compile_traced`` a point holding tracing scalars records the sweep
-    instead, so the caller's program contains it.
+    gives up, take the dual sweep on floats.  Inside ``compile_traced`` a
+    point holding tracing scalars records the sweep instead, so the
+    caller's program contains it.
     """
     n = f.arity
     if len(p) != n:
@@ -851,31 +693,24 @@ def value_and_grad(f: ScalarField, p):
     try:
         args = [float(v) for v in p]
     except _Untraceable:  # a tracing scalar has no float
-        tape = next(v.tape for v in p if isinstance(v, _Tracer))
-        return _traced_value_and_grad(f, p, tape)
+        value, partials = _dual_sweep(f, [v if isinstance(v, _Tracer) else float(v) for v in p])
+        return value, tuple(0.0 if v is _ZERO else v for v in partials)
     compiled = f._compiled
     if compiled is None:
-        compiled = f._compiled = _compile(_traced_source(f)) or False
-    if compiled:
-        try:
-            out = compiled(*args)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            out = None
-        # A sum is finite only if every term is; an overflowing sum merely
-        # sends a finite gradient through the dual sweep.  Where the dual
-        # sweep multiplies a non-finite value by a partial this code leaves
-        # out, the code multiplies it by another one, and no rule makes a
-        # non-finite partial finite again: such points fail here too.
-        if out is not None and math.isfinite(sum(out[1], out[0])):
-            return out
-    out = f(*seed_duals(args))
-    if not isinstance(out, DualScalar):
-        _check_finite(out)
-        return float(_scalar(out)), (0.0,) * n
-    g = tuple(float(v) for v in out.partials)
-    if not (math.isfinite(value_of(out)) and all(math.isfinite(v) for v in g)):
+        compiled = f._compiled = compile_traced(lambda *xs: _dual_sweep(f, xs), n) or False
+    # By construction the code gives up wherever the sweep below raises.
+    # Where the sweep multiplies a non-finite value by a structural zero
+    # the code leaves out, the code multiplies it by another partial, and
+    # no rule makes a non-finite partial finite again: the code's sum
+    # check sends such points here too.
+    out = compiled(*args) if compiled else None
+    if out is not None:
+        return out
+    value, partials = _dual_sweep(f, args)
+    g = tuple(float(v) for v in partials)
+    if not (math.isfinite(value) and all(math.isfinite(v) for v in g)):
         raise NumericDomainError(f"non-finite derivative at {tuple(args)!r}")
-    return float(out.value), g
+    return float(value), g
 
 
 def grad(f: ScalarField, p) -> np.ndarray:
@@ -883,14 +718,29 @@ def grad(f: ScalarField, p) -> np.ndarray:
     return np.array(value_and_grad(f, p)[1], dtype=float)
 
 
+def _hessian_sweep(f: ScalarField, p, idx) -> tuple:
+    """The second-derivative block of ``f`` over ``idx`` at ``p``, floats
+    or tracing scalars, row by row in one tuple, from the nested-dual
+    sweep; a traced sweep seeds its inner level with ``_ZERO``."""
+    s = len(idx)
+    inner = _unit_seeds(s, _ZERO if _traced(p) else 0.0)
+    outer = _unit_seeds(s)
+    args = list(p)
+    for col, j in enumerate(idx):
+        args[j] = DualScalar(DualScalar(args[j], inner[col]), outer[col])
+    # column c holds the partials of the outer partial c
+    cols = [partials_of(c, s) for c in partials_of(f.fn(*args), s)]
+    return tuple(_scalar(cols[c][r]) for r in range(s) for c in range(s))
+
+
 def hessian_rows(f: ScalarField, p, idx) -> list:
     """Second-derivative block of ``f`` over the variable subset ``idx``,
     as a list of float rows.
 
-    The first call for an index set traces the nested-dual sweep of ``f``
-    and compiles it; later calls with that set run the compiled code.
-    Untraceable fields, and points where the compiled code gives up, take
-    the nested-dual sweep.
+    The first call for an index set compiles the nested-dual sweep of
+    ``f``; later calls with that set run the compiled code.  Untraceable
+    fields, and points where the compiled code gives up, take the
+    nested-dual sweep on floats.
     """
     n = f.arity
     if len(p) != n:
@@ -900,33 +750,20 @@ def hessian_rows(f: ScalarField, p, idx) -> list:
     if compiled is None:
         if any(j < 0 or j >= n for j in idx):
             raise DimensionError(f"index subset {list(idx)} outside arity {n}")
-        compiled = f._hessians[idx] = _compile(_traced_hessian_source(f, idx)) or False
+        compiled = f._hessians[idx] = (
+            compile_traced(lambda *xs: _hessian_sweep(f, xs, idx), n) or False
+        )
     s = len(idx)
     point = [float(v) for v in p]
-    if compiled:
-        try:
-            out = compiled(*point)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            out = None
-        # The nested sweep checks every entry, as this sum does; by grad's
-        # argument an entry the sweep makes non-finite is non-finite here.
-        if out is not None and math.isfinite(sum(out)):
-            return [out[r * s : (r + 1) * s] for r in range(s)]
-    seeds = _unit_seeds(s)
-    args = list(point)
-    for col, j in enumerate(idx):
-        args[j] = DualScalar(DualScalar(args[j], seeds[col]), seeds[col])
-    out = f(*args)
-    rows = [[0.0] * s for _ in range(s)]
-    outer = partials_of(out, s)
-    for c in range(s):
-        inner = partials_of(outer[c], s)
-        for r in range(s):
-            h = _scalar(inner[r])
-            if not math.isfinite(h):
-                raise NumericDomainError(f"non-finite second derivative at {tuple(point)!r}")
-            rows[r][c] = float(h)
-    return rows
+    # by value_and_grad's argument an entry the sweep makes non-finite is
+    # non-finite in the code too
+    out = compiled(*point) if compiled else None
+    if out is None:
+        out = _hessian_sweep(f, point, idx)
+        if not all(math.isfinite(h) for h in out):
+            raise NumericDomainError(f"non-finite second derivative at {tuple(point)!r}")
+        out = [float(h) for h in out]
+    return [out[r * s : (r + 1) * s] for r in range(s)]
 
 
 def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
@@ -936,11 +773,6 @@ def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
     block = np.array(hessian_rows(f, p, idx), dtype=float).reshape(s, s)
     block.flags.writeable = False
     return block
-
-
-def _check_finite(v):
-    if not math.isfinite(_scalar(v)):
-        raise NumericDomainError("non-finite evaluation")
 
 
 def max_abs(values) -> float:

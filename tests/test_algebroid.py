@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracmech import numcore
 from diracmech.algebroid import (
@@ -23,6 +25,7 @@ from diracmech.systems import (
     ball_structure_constants,
     ball_transition_matrix,
     build,
+    catalog_names,
     mechanical_lagrangian,
     skater_frame,
     so3_constants,
@@ -133,6 +136,58 @@ def test_change_frame_ball_constants_match_hand_expansion(k2, radius):
         [[radius, 0.0, 0.0, k2, 0.0], [0.0, -radius, 0.0, 0.0, k2]],
         atol=1e-15,
     )
+
+
+def matmul(a, b):
+    return [[sum((a[i][l] * b[l][j] for l in range(len(b))), 0.0) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@st.composite
+def frame_changes(draw):
+    """A catalog algebroid and a frame change T = D (I + N(q)) with D a
+    constant diagonal of powers of two and N strictly upper triangular
+    (entries u + v sin(q_l)), with T^-1 = (I - N + N^2 - ...) D^-1 written
+    out, so both maps take dual coordinates."""
+    alg = build(draw(st.sampled_from(catalog_names()))).dirac.alg
+    r = alg.rank
+    coeff = st.floats(-1.0, 1.0)
+    diag = [draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0])) for _ in range(r)]
+    upper = {
+        (i, j): (draw(coeff), draw(coeff), draw(st.integers(0, alg.m - 1)))
+        for i in range(r)
+        for j in range(i + 1, r)
+    }
+
+    def nilpotent(q):
+        return [
+            [upper[i, j][0] + upper[i, j][1] * numcore.sin(q[upper[i, j][2]]) if j > i else 0.0 for j in range(r)]
+            for i in range(r)
+        ]
+
+    def t_map(q):
+        n = nilpotent(q)
+        return [[diag[i] * ((1.0 if i == j else 0.0) + n[i][j]) for j in range(r)] for i in range(r)]
+
+    def t_inverse(q):
+        minus_n = [[-v for v in row] for row in nilpotent(q)]
+        power = [[1.0 if i == j else 0.0 for j in range(r)] for i in range(r)]
+        total = power
+        for _ in range(r - 1):
+            power = matmul(power, minus_n)
+            total = [[u + v for u, v in zip(a, b)] for a, b in zip(total, power)]
+        return [[total[i][j] / diag[j] for j in range(r)] for i in range(r)]
+
+    q = [draw(st.floats(-1.5, 1.5)) for _ in range(alg.m)]
+    return alg, t_map, t_inverse, q
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(frame_changes())
+def test_change_frame_there_and_back_returns_anchor_and_structure(case):
+    alg, t_map, t_inverse, q = case
+    back = change_frame(change_frame(alg, t_map), t_inverse)
+    assert np.allclose(back.anchor_array(q), alg.anchor_array(q), rtol=0.0, atol=1e-12)
+    assert np.allclose(back.structure(q), alg.structure(q), rtol=0.0, atol=1e-12)
 
 
 # -- the element contraction ----------------------------------------------------

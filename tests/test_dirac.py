@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracmech.algebroid import PhaseState, restrict_to_constraint
 from diracmech.dirac import (
@@ -15,6 +17,7 @@ from diracmech.dirac import (
     reduced_vector_field,
     solve_consistency,
 )
+from diracmech.checks import ISOTROPY_TOL
 from diracmech.errors import (
     DegenerateHamiltonianError,
     DimensionError,
@@ -23,7 +26,7 @@ from diracmech.errors import (
 from diracmech.frame import decompose
 from diracmech.integrate import simulate
 from diracmech.numcore import ScalarField, grad, seed_duals, partials_of
-from diracmech.systems import build, oracle_reduced_field, skater_frame
+from diracmech.systems import build, catalog_names, oracle_reduced_field, skater_frame
 
 
 def full_state(spec, rng):
@@ -168,6 +171,37 @@ def test_pairing_isotropy_on_structure_elements():
             assert abs(pairing(e1, e1)) <= 1e-12 * max(pairing_scale(e1, e1), 1e-30)
 
 
+def components(n, bound):
+    # 0 or at least 1e-30 in magnitude: products of a few components stay
+    # normal floats, where the rounding of the pairing is relative
+    part = st.floats(-bound, bound).map(lambda v: v if abs(v) >= 1e-30 else 0.0)
+    return st.lists(part, min_size=n, max_size=n)
+
+
+SPECS = {name: build(name) for name in catalog_names()}
+
+
+@st.composite
+def element_pairs(draw):
+    spec = SPECS[draw(st.sampled_from(catalog_names()))]
+    s = PhaseState(draw(components(spec.m, 1.5)), draw(components(spec.n_fiber, 2.0)))
+    nt = spec.n_fiber - spec.k
+    return [
+        make_element(
+            spec.dirac, s, draw(components(spec.m, 2.0)), draw(components(spec.k, 2.0)),
+            draw(components(nt, 2.0)),
+        )
+        for _ in range(2)
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(element_pairs())
+def test_pairing_isotropy_on_random_elements_of_every_system(pair):
+    e1, e2 = pair
+    assert abs(pairing(e1, e2)) <= ISOTROPY_TOL * pairing_scale(e1, e2)
+
+
 def test_pairing_base_mismatch():
     spec = build("skater_free")
     s1 = PhaseState((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
@@ -253,7 +287,7 @@ def test_newton_builds_one_hessian_block_per_residual(monkeypatch):
     from diracmech import dirac
 
     spec = build("ball_magnetic")
-    counts = {"grad": 0, "hessian_block": 0}
+    counts = {"value_and_grad": 0, "hessian_rows": 0}
     for name in counts:
         original = getattr(dirac, name)
 
@@ -264,7 +298,7 @@ def test_newton_builds_one_hessian_block_per_residual(monkeypatch):
         monkeypatch.setattr(dirac, name, counted)
     sol = solve_consistency(spec.dirac, spec.hamiltonian, (0.2, -0.1), (1.0, 0.3, -0.2))
     assert np.max(np.abs(sol - [0.0, 0.2])) <= 1e-12
-    assert counts["hessian_block"] == counts["grad"] >= 2
+    assert counts["hessian_rows"] == counts["value_and_grad"] >= 2
 
 
 # -- reduced field -------------------------------------------------------------------

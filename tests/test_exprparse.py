@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracmech.errors import BindingError, ExprError, NumericDomainError
 from diracmech.exprparse import (
+    FUNCTIONS,
     Binary,
     Call,
     Constant,
@@ -180,6 +183,29 @@ def test_roundtrip_parse_of_printed_ast():
     for _ in range(200):
         ast = random_ast(rng)
         assert parse_text(to_source(ast)) == ast
+
+
+# Trees of the README grammar: a number is a finite float without a sign
+# (a sign is a unary minus), an identifier is [A-Za-z_][A-Za-z0-9_]*, and
+# calls take one argument.
+GRAMMAR_TREES = st.recursive(
+    st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False).map(lambda v: Constant(abs(v))),
+        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True).map(Variable),
+    ),
+    lambda inner: st.one_of(
+        inner.map(lambda child: Unary("-", child)),
+        st.builds(Binary, st.sampled_from("+-*/^"), inner, inner),
+        st.builds(lambda name, arg: Call(name, (arg,)), st.sampled_from(sorted(FUNCTIONS)), inner),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(GRAMMAR_TREES)
+def test_roundtrip_parse_of_printed_grammar_tree(tree):
+    assert parse_text(to_source(tree)) == tree
 
 
 FD_CASES = {

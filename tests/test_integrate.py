@@ -68,8 +68,38 @@ def test_simulate_sample_count_and_times():
     assert len(traj) == 2
     assert traj.times[0] == 0.0 and traj.times[1] == 1e-3
     longer = simulate(spec, reduced((0, 0, 0), (1, 1)), t_end=0.025, dt=1e-3, stride=10)
-    assert len(longer) == 3  # samples at steps 0, 10, 20 of 25
-    assert np.allclose(np.diff(longer.times), 0.01, atol=1e-18)
+    assert len(longer) == 4  # samples at steps 0, 10, 20 of 25, and the final state
+    assert np.allclose(np.diff(longer.times[:3]), 0.01, atol=1e-18)
+    assert longer.times[-1] == 0.025
+
+
+def test_simulate_records_the_final_state_off_the_stride():
+    spec = build("skater_free")
+    ic = reduced((0.1, -0.2, 0.3), (1.0, 0.5))
+    traj = simulate(spec, ic, t_end=1.0, dt=1e-3, stride=7)
+    assert traj.times[-2] == 994 * 1e-3 and traj.times[-1] == 1.0
+    every = simulate(spec, ic, t_end=1.0, dt=1e-3, stride=1)
+    assert traj.states[-1] == every.states[-1]
+    assert len(every) == 1001 and every.times[-1] == 1.0
+
+
+def test_simulate_lands_on_t_end_with_one_shorter_step():
+    spec = build("skater_free")
+    ic = reduced((0.0, 0.0, 0.0), (1.0, 1.0))
+    traj = simulate(spec, ic, t_end=2 * math.pi, dt=1e-3, stride=10)
+    assert traj.times[-2] == 6280 * 1e-3 and traj.times[-1] == 2 * math.pi
+    final, want = traj.states[-1], analytic_state(spec, ic, 2 * math.pi)
+    assert np.max(np.abs(np.array(final.q + final.eta) - np.array(want.q + want.eta))) <= 1e-12
+    short = simulate(spec, ic, t_end=1e-4, dt=1e-3, stride=1)
+    assert short.times.tolist() == [0.0, 1e-4]
+    final, want = short.states[-1], analytic_state(spec, ic, 1e-4)
+    assert np.max(np.abs(np.array(final.q + final.eta) - np.array(want.q + want.eta))) <= 1e-15
+
+
+@pytest.mark.parametrize("t_end, dt, steps", [(1.1, 0.1, 11), (0.3, 0.1, 3), (0.7, 0.1, 7), (0.025, 1e-3, 25)])
+def test_simulate_counts_a_last_step_within_rounding_of_dt_as_whole(t_end, dt, steps):
+    traj = simulate(build("skater_free"), reduced((0, 0, 0), (1, 1)), t_end=t_end, dt=dt, stride=1)
+    assert traj.times.tolist() == [step * dt for step in range(steps + 1)]
 
 
 def test_simulate_free_skater_circle_closure():

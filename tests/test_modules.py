@@ -84,3 +84,33 @@ def test_no_module_uses_private_names_of_another():
     assert MODULES >= {"numcore", "exprparse", "dirac", "systems", "cli"}
     offenders = [hit for p in sorted(PACKAGE_DIR.glob("*.py")) for hit in _private_reads(p)]
     assert offenders == []
+
+
+def _caught_names(path: Path) -> set:
+    """Names of the exception classes a module's ``except`` clauses catch."""
+    caught = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught.update(t.id for t in types if isinstance(t, ast.Name))
+    return caught
+
+
+def test_only_numcore_catches_float_errors():
+    # generated code gives up on float errors by itself; every other module
+    # only asks whether it returned None
+    offenders = {
+        p.name: sorted(_caught_names(p) & {"OverflowError", "ZeroDivisionError"})
+        for p in sorted(PACKAGE_DIR.glob("*.py"))
+        if p.stem != "numcore"
+    }
+    assert {name: hit for name, hit in offenders.items() if hit} == {}
+    assert "OverflowError" in _caught_names(PACKAGE_DIR / "numcore.py")
+
+
+def test_tracer_carries_no_partials():
+    # the tracing scalar records float operations only; the derivative rules
+    # are DualScalar's
+    from diracmech import numcore
+
+    assert "partials" not in numcore._Tracer.__slots__

@@ -315,14 +315,14 @@ def test_liveness_pass_keeps_guards_and_lines_that_may_raise():
         "if x1 == 0.0: return None",
         "v3 = sin(x0)",  # dead, may raise: kept
         "v4 = x0 + x1",
-        "d5 = v4 * v4",
+        "v5 = v4 * v4",
     ]
-    assert numcore._live_lines(lines, "(d5, )") == lines[1:]
+    assert numcore._live_lines(lines, "(v5, )") == lines[1:]
 
 
 def test_transverse_hessian_code_is_only_the_live_lines():
     h = build("ball_magnetic").hamiltonian
-    source, _ = numcore._traced_hessian_source(h, (5, 6))
+    source, _ = numcore._source(lambda *xs: numcore._hessian_sweep(h, xs, (5, 6)), h.arity)
     body = source.splitlines()[1:-1]
     assert len(body) <= 6, source
     hessian_block(h, [0.1] * 7, (5, 6))
