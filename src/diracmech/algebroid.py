@@ -140,9 +140,8 @@ class SkewAlgebroid:
         return qdot, etadot
 
     def float_rates(self, q, eta, x, a, k=None):
-        """``scalar_rates`` at float lists of matching lengths, through code
-        generated from it once per k; ``scalar_rates`` itself where the
-        anchor or structure cannot be traced.  Both give the same numbers."""
+        """``scalar_rates`` at float lists of matching lengths, through its
+        program, compiled once per k (``numcore.compile_traced``)."""
         k = self.rank if k is None else k
         m, rank = self.m, self.rank
         program = self._cache.get(("rates", k))
@@ -153,10 +152,8 @@ class SkewAlgebroid:
                 qdot, etadot = self.scalar_rates(*(xs[i:j] for i, j in zip(bounds, bounds[1:])), k)
                 return qdot + etadot
 
-            program = self._cache[("rates", k)] = compile_traced(flat, bounds[-1]) or False
-        out = program(*q, *eta, *x, *a) if program else None
-        if out is None:  # the loop gives the same numbers or raises what the anchor raises
-            return self.scalar_rates(q, eta, x, a, k)
+            program = self._cache[("rates", k)] = compile_traced(flat, bounds[-1])
+        out = program(*q, *eta, *x, *a)
         return out[:m], out[m:]
 
     def rates(self, q, eta, x, a, k=None):
@@ -175,18 +172,19 @@ class SkewAlgebroid:
         """How far qdot lies off the span of the first k sections: its
         largest coefficient on the other sections when the anchor is square,
         else its largest component off the image of the first k anchor
-        columns.  Fixed-order float arithmetic, except that a non-constant
-        non-square anchor takes a least-squares solve."""
+        columns, through their pseudo-inverse (computed once per k for a
+        constant anchor, per call for a map).  Fixed-order float arithmetic
+        apart from the pseudo-inverse itself."""
         qdot = [float(v) for v in qdot]
         if self.m == self.rank:
             return max_abs(gauss_solve(self.anchor(q), qdot)[k:])
         if isinstance(self.anchor, _Constant):
-            rows = self.anchor.rows
-            z = [dot(enumerate(p), qdot) for p in self.anchor.pinv(k)]
-            return max_abs(v - dot(enumerate(row[:k]), z) for v, row in zip(qdot, rows))
-        adm = self.anchor_array(q)[:, :k]
-        z, *_ = np.linalg.lstsq(adm, np.array(qdot), rcond=None)
-        return float(np.max(np.abs(qdot - adm @ z)))
+            rows, pinv = self.anchor.rows, self.anchor.pinv(k)
+        else:
+            anchor = self.anchor_array(q)
+            rows, pinv = anchor.tolist(), np.linalg.pinv(anchor[:, :k]).tolist()
+        z = [dot(enumerate(p), qdot) for p in pinv]
+        return max_abs(v - dot(enumerate(row[:k]), z) for v, row in zip(qdot, rows))
 
 
 def _floats(v) -> list:

@@ -16,15 +16,14 @@ condition dH/deta_alpha = 0 plus the reduced phase equations
 
 where eta_alpha is reconstructed pointwise from the consistency
 condition rather than integrated.  The shape of this field is fixed by
-the algebroid and the consistency solution, whatever H is:
-``reduced_field`` traces it once per system (the consistency map, the
-dual sweep of H and the element contraction on one tape) into
-straight-line float code, and ``evaluate_reduced`` is the float
-reference it equals and falls back to.  Every sum runs in a fixed
-order, so the output does not depend on the BLAS kernel.  Two
-independent transcriptions of the classical constrained dynamics
-(mechanical metric form and magnetic almost-Poisson form) live here as
-oracles for cross-validation.
+the algebroid and the consistency solution, whatever H is: one
+function of the state (``_transverse``, the one transcription of the
+consistency map, then ``_field_outputs``) that ``reduced_field`` traces
+once per system into straight-line float code and ``evaluate_reduced``
+runs on floats.  Every sum runs in a fixed order, so the output does not
+depend on the BLAS kernel.  Two independent transcriptions of the
+classical constrained dynamics (mechanical metric form and magnetic
+almost-Poisson form) live here as oracles for cross-validation.
 """
 
 from dataclasses import dataclass
@@ -46,6 +45,7 @@ from .numcore import (
     gauss_solve,
     grad,
     hessian_rows,
+    is_traced,
     newton_iterate,
     partials_of,
     seed_duals,
@@ -190,17 +190,22 @@ def solve_consistency(
     Declared closed forms are used directly; otherwise Newton runs from
     ``guess`` with the transverse Hessian block of H as Jacobian.
     """
+    return np.array(_transverse(dirac, h, q, eta_a, guess, solution), dtype=float)
+
+
+def _transverse(dirac, h, q, eta_a, guess, solution) -> list:
+    """The transverse momenta eta_alpha at (q, eta_a) as a list: the one
+    transcription of the consistency kinds.  The closed forms run on
+    floats and on tracing scalars, Newton on floats."""
     nt = dirac.transverse
-    if nt == 0:
-        return np.zeros(0)
-    if solution.kind == "zero":
-        return np.zeros(nt)
+    if nt == 0 or solution.kind == "zero":
+        return [0.0] * nt
     if solution.kind == "affine":
-        out = np.asarray(solution.affine_map([float(v) for v in q]), dtype=float)
-        if out.shape != (nt,):
-            raise DimensionError(f"affine map returned {out.shape}, expected {(nt,)}")
+        out = list(solution.affine_map(list(q)))
+        if len(out) != nt or any(hasattr(v, "__len__") for v in out):  # one number each
+            raise DimensionError(f"affine map returned {np.shape(out)}, expected {(nt,)}")
         return out
-    return np.array(_newton_transverse(dirac, h, q, eta_a, guess))
+    return _newton_transverse(dirac, h, q, eta_a, guess)
 
 
 def _newton_transverse(dirac, h, q, eta_a, guess) -> list:
@@ -256,23 +261,17 @@ def complete_state(
     return full, eta_alpha
 
 
-def _field_outputs(dirac: DiracAlgebroid, h: ScalarField, q, eta_a, eta_alpha, rates) -> list:
+def _field_outputs(dirac: DiracAlgebroid, h: ScalarField, q, eta_a, eta_alpha) -> list:
     """The reduced field at a completed state, flat: qdot, etadot_a,
-    eta_alpha, H, grad_H.  ``rates`` is the algebroid's ``scalar_rates``
-    on tracing scalars, or its ``float_rates`` on floats."""
-    m, k = dirac.alg.m, dirac.k
+    eta_alpha, H, grad_H.  The element contraction is the algebroid's
+    ``scalar_rates`` on tracing scalars, its compiled ``float_rates`` on
+    floats."""
+    alg, m, k = dirac.alg, dirac.alg.m, dirac.k
     eta = [*eta_a, *eta_alpha]
     value, g = value_and_grad(h, [*q, *eta])
+    rates = alg.scalar_rates if is_traced(eta_a) else alg.float_rates
     qdot, etadot = rates(q, eta, g[m : m + k], g[:m], k)
     return [*qdot, *etadot, *eta_alpha, value, *g]
-
-
-def _reference_field(dirac, h, q, eta_a, guess, solution) -> list:
-    """``_field_outputs`` on floats, with eta_alpha from ``solve_consistency``."""
-    q = [float(v) for v in q]
-    eta_a = [float(v) for v in eta_a]
-    eta_alpha = solve_consistency(dirac, h, q, eta_a, guess=guess, solution=solution)
-    return _field_outputs(dirac, h, q, eta_a, eta_alpha.tolist(), dirac.alg.float_rates)
 
 
 def evaluate_reduced(
@@ -286,11 +285,14 @@ def evaluate_reduced(
     """The reduced field at (q, eta_a) as ``(eta_alpha, grad_H, qdot,
     etadot_a)``: eta_alpha solves the consistency condition (Newton from
     ``guess`` unless a closed form is declared), and grad_H is taken at
-    the completed state.  This is the reference evaluation that
-    ``reduced_field`` compiles."""
+    the completed state.  This is the field that ``reduced_field``
+    compiles, run on floats."""
     _check_reduced(dirac, q, eta_a)
     m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
-    out = _reference_field(dirac, h, q, eta_a, guess, solution)
+    q = [float(v) for v in q]
+    eta_a = [float(v) for v in eta_a]
+    eta_alpha = _transverse(dirac, h, q, eta_a, guess, solution)
+    out = _field_outputs(dirac, h, q, eta_a, eta_alpha)
     n = m + k
     return (
         np.array(out[n : n + nt], dtype=float),
@@ -312,14 +314,15 @@ def reduced_field(
     the result one flat sequence: qdot, etadot_a, eta_alpha, H, grad_H
     (n = m + k, nt transverse momenta: the derivative of y is ``[:n]``,
     eta_alpha ``[n:n + nt]``, H ``[n + nt]``, grad_H ``[n + nt + 1:]``).
-    It equals ``evaluate_reduced``, which it falls back to for systems
-    that cannot be traced and at points where the code gives up.
+    It equals ``evaluate_reduced``.
 
     One tape holds the declared consistency map (``zero`` as constants,
     ``affine`` traced), the dual sweep of H and the element contraction.
     A ``newton`` system runs the float Newton loop on the compiled
-    gradient and Hessian block of H, then the traced rest from the
-    solved eta_alpha.  The program is compiled on the first call for a
+    gradient and Hessian block of H, then the program traced from the
+    solved eta_alpha on.  Where the code gives up, and for a system that
+    cannot be traced, the program runs the same field on floats
+    (``numcore.compile_traced``).  It is compiled on the first call for a
     (dirac, solution) pair and cached on ``h``.
     """
     key = (id(dirac), id(solution))  # the cached closure keeps both alive
@@ -332,41 +335,18 @@ def reduced_field(
 def _compile_field(dirac, h, solution) -> Callable:
     m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
     n = m + k
-    newton = nt > 0 and solution.kind == "newton"
-
-    def reference(y, guess=None):
-        return _reference_field(dirac, h, y[:m], y[m:], guess, solution)
-
-    if newton:
-        program = compile_traced(
-            lambda *xs: _field_outputs(dirac, h, xs[:m], xs[m:n], xs[n:], dirac.alg.scalar_rates),
-            n + nt,
+    if nt and solution.kind == "newton":
+        solved = compile_traced(
+            lambda *xs: _field_outputs(dirac, h, xs[:m], xs[m:n], xs[n:]), n + nt
         )
-    else:
+        return lambda y, guess=None: solved(*y, *_newton_transverse(dirac, h, y[:m], y[m:], guess))
 
-        def closed_form(*xs):
-            q = list(xs[:m])
-            eta_alpha = [0.0] * nt
-            if nt and solution.kind == "affine":
-                eta_alpha = list(solution.affine_map(q))
-                if len(eta_alpha) != nt:  # solve_consistency reports it
-                    raise DimensionError(f"affine map returned {len(eta_alpha)} values")
-            return _field_outputs(dirac, h, q, xs[m:], eta_alpha, dirac.alg.scalar_rates)
+    def field(*xs):
+        q, eta_a = xs[:m], xs[m:]
+        return _field_outputs(dirac, h, q, eta_a, _transverse(dirac, h, q, eta_a, None, solution))
 
-        program = compile_traced(closed_form, n)
-    if program is None:
-        return reference
-
-    def evaluate(y, guess=None):
-        args = y
-        if newton:
-            args = [*y, *_newton_transverse(dirac, h, y[:m], y[m:], guess)]
-        out = program(*args)
-        # where the code gives up, the float path gives the same numbers or
-        # raises the engine's error
-        return reference(y, guess) if out is None else out
-
-    return evaluate
+    program = compile_traced(field, n)
+    return lambda y, guess=None: program(*y)
 
 
 def reduced_vector_field(

@@ -16,13 +16,13 @@ nested-dual sweep once per index set, so the generated code applies
 DualScalar's rules operation for operation.  At a traced point the seed
 partials are ``_ZERO``, a zero that drops out of every rule, so
 structurally zero partials cost no code; products with 1.0 are folded,
-and one backward liveness pass drops the lines nothing reads.  The
-generated function returns None where the float sweep would raise (a
-domain guard, a float error) or an output is not finite; the caller then
-runs the float sweep, which gives the same numbers or raises the
-engine's error.  Fields that cannot be traced (they compare or convert
-their arguments) always take the float sweep.  ``dirac.reduced_field``
-compiles one program per system the same way.
+and one backward liveness pass drops the lines nothing reads.  A
+compiled program stands in for the function it was traced from: where a
+domain guard holds, a float operation raises or an output is not finite,
+it runs that function, which gives the same numbers or raises the
+engine's error.  A function that cannot be traced (it compares or
+converts its arguments) is its own program.  ``dirac.reduced_field`` and
+``SkewAlgebroid.float_rates`` compile their programs the same way.
 
 The linear algebra and every sum in ``dot`` run on Python floats in a
 fixed order, so no result depends on the BLAS kernel numpy loads.
@@ -52,6 +52,7 @@ __all__ = [
     "hessian_rows",
     "hessian_block",
     "compile_traced",
+    "is_traced",
     "dot",
     "max_abs",
     "gauss_solve",
@@ -227,7 +228,12 @@ class DualScalar:
 
 def _apply(fn, x):
     """``fn`` from math at a plain number, recorded at a traced one."""
-    return x.call(fn.__name__) if isinstance(x, _Tracer) else fn(x)
+    if isinstance(x, _Tracer):
+        return x.call(fn.__name__)
+    try:
+        return fn(x)
+    except ValueError as err:  # sin, cos or tan of an infinity
+        raise NumericDomainError(f"{fn.__name__} of {x!r}") from err
 
 
 def sin(x):
@@ -363,6 +369,11 @@ def seed_duals(p):
 
 # -- tracing and compiling ----------------------------------------------------
 
+
+class _GiveUp(Exception):
+    """A recorded guard holds: the rule it stands for raises here."""
+
+
 # Names the generated code may read besides its own x*, v* and c*.
 _HELPERS = {
     "sin": math.sin,
@@ -375,6 +386,7 @@ _HELPERS = {
     "isfinite": math.isfinite,
     # what float code raises where a rule of this module raises
     "float_errors": (OverflowError, ValueError, ZeroDivisionError),
+    "give_up": _GiveUp,
 }
 
 
@@ -388,7 +400,7 @@ class _Tape:
     Every float operation is one assignment to a fresh local ``v*``, the
     arguments are ``x*``, and constants are read as ``c*`` from the
     namespace the program runs in, so no source text comes from the traced
-    function.  A guard returns None where the float sweep would raise.
+    function.  A guard gives up where the traced function would raise.
     """
 
     def __init__(self):
@@ -420,7 +432,7 @@ class _Tape:
     def guard(self, condition: str):
         if condition not in self._guards:  # a test already passed passes again
             self._guards.add(condition)
-            self.lines.append(f"if {condition}: return None")
+            self.lines.append(f"if {condition}: raise give_up")
 
 
 # x op c is x, exactly, for these constants c
@@ -456,7 +468,12 @@ class _Tracer:
             return NotImplemented
         if not reflected and self.tape.is_const(o, _IDENTITIES.get(op)):
             return self
-        return self._let(f"{o} {op} {self.name}" if reflected else f"{self.name} {op} {o}")
+        a, b = (o, self.name) if reflected else (self.name, o)
+        # IEEE + and * commute bit for bit unless both operands are NaN, and
+        # a NaN output gives up through the sum check: one line for both orders
+        if op in ("+", "*") and b < a:
+            a, b = b, a
+        return self._let(f"{a} {op} {b}")
 
     def call(self, fn: str) -> "_Tracer":
         """``fn(self)`` for a function ``fn`` in ``_HELPERS``."""
@@ -586,37 +603,39 @@ def _source(fn: Callable, arity: int):
     flat = []
     try:
         result = _output(tape, fn(*[_Tracer(tape, f"x{j}") for j in range(arity)]), flat)
-    except Exception:  # the caller's float path raises what is wrong
+    except Exception:  # fn itself, on floats, raises what is wrong
         return None
-    body = _live_lines(tape.lines, result) or ["pass"]
+    args = ", ".join(f"x{j}" for j in range(arity))
     source = [
-        f"def traced({', '.join(f'x{j}' for j in range(arity))}):",
+        f"def traced({args}):",
         "    try:",
-        *(f"        {line}" for line in body),
-        "    except float_errors:",
-        "        return None",
-        f"    return {result} if isfinite({' + '.join(flat) or '0.0'}) else None",
+        *(f"        {line}" for line in _live_lines(tape.lines, result)),
+        f"        if isfinite({' + '.join(flat) or '0.0'}): return {result}",
+        "    except (give_up, *float_errors): pass",
+        f"    return reference({args})",
     ]
     return "\n".join(source), tape.consts
 
 
-def compile_traced(fn: Callable, arity: int):
+def compile_traced(fn: Callable, arity: int) -> Callable:
     """Trace ``fn`` once and compile it to straight-line float code.
 
     ``fn`` is called with ``arity`` tracing scalars that stand for plain
     numbers.  It must return a number, or a sequence of such outputs,
     computed from them with the operations of this module, dual sweeps
-    included.  The result is ``traced(x0, ..., x{arity-1})`` returning the
-    same outputs as floats in tuples, or None where the code gives up: a
-    recorded guard holds (a rule would raise there), a float operation
-    raises, or the sum of the outputs, in order, is not finite.  Returns
-    None when ``fn`` cannot be traced.
+    included.  The result is ``traced(x0, ..., x{arity-1})``, equal to
+    ``fn`` on floats: it returns the same outputs as floats in tuples, and
+    where the code gives up it returns ``fn(x0, ..., x{arity-1})``, which
+    gives the same numbers or raises.  The code gives up where a recorded
+    guard holds (a rule would raise there), a float operation raises, or
+    the sum of the outputs, in order, is not finite.  A ``fn`` that cannot
+    be traced is returned as it is.
     """
     traced = _source(fn, arity)
     if traced is None:
-        return None
+        return fn
     source, consts = traced
-    namespace = {**_HELPERS, **consts}
+    namespace = {**_HELPERS, **consts, "reference": fn}
     exec(compile(source, "<traced>", "exec"), namespace)
     return namespace["traced"]
 
@@ -640,8 +659,8 @@ class ScalarField:
         self.base_names = tuple(base_names)
         self.fiber_names = tuple(fiber_names)
         self.fn = fn
-        self._compiled = None  # filled by the first grad; False when untraceable
-        self._hessians = {}  # tuple(idx) -> compiled block, or False when untraceable
+        self._compiled = None  # the gradient program, filled by the first grad
+        self._hessians = {}  # tuple(idx) -> the program of that Hessian block
         self._programs = {}  # key chosen by the compiling module -> its program
 
     @property
@@ -664,28 +683,42 @@ class ScalarField:
         return float(value_of(out))
 
 
-def _traced(p) -> bool:
-    return any(isinstance(v, _Tracer) for v in p)
+def is_traced(values) -> bool:
+    """Whether any of ``values`` is a tracing scalar: the caller runs inside
+    ``compile_traced`` and records what it computes."""
+    for v in values:  # a plain loop: evaluate_reduced asks on every call
+        if isinstance(v, _Tracer):
+            return True
+    return False
 
 
 def _dual_sweep(f: ScalarField, p):
-    """The value and partials of ``f`` at ``p``, floats or tracing scalars,
-    from one dual sweep; a traced sweep is seeded with ``_ZERO``."""
-    zero = _ZERO if _traced(p) else 0.0
-    out = f.fn(*[DualScalar(v, seed) for v, seed in zip(p, _unit_seeds(len(p), zero))])
-    if isinstance(out, DualScalar):
-        return out.value, out.partials
-    return out, (zero,) * len(p)
+    """The value and partials of ``f`` at ``p`` from one dual sweep.
+
+    At tracing scalars the sweep is seeded with ``_ZERO`` and recorded.  At
+    floats it returns floats, and raises where one is not finite.  The code
+    traced from it gives up wherever the float sweep raises: where the
+    sweep multiplies a non-finite value by a structural zero the code
+    leaves out, the code multiplies it by another partial, and no rule
+    makes a non-finite partial finite again, so the sum check gives up.
+    """
+    traced = is_traced(p)
+    seeds = _unit_seeds(len(p), _ZERO if traced else 0.0)
+    out = f.fn(*[DualScalar(v, seed) for v, seed in zip(p, seeds)])
+    if traced:
+        return value_of(out), partials_of(out, len(p))
+    value, partials = float(value_of(out)), tuple(float(v) for v in partials_of(out, len(p)))
+    if not (math.isfinite(value) and all(math.isfinite(v) for v in partials)):
+        raise NumericDomainError(f"non-finite derivative at {tuple(p)!r}")
+    return value, partials
 
 
 def value_and_grad(f: ScalarField, p):
     """Value and gradient (a tuple) of ``f`` at ``p``.
 
-    The first call compiles the dual sweep of ``f``; later calls run the
-    compiled code.  Untraceable fields, and points where the compiled code
-    gives up, take the dual sweep on floats.  Inside ``compile_traced`` a
-    point holding tracing scalars records the sweep instead, so the
-    caller's program contains it.
+    The first call compiles the dual sweep of ``f``, and every call runs
+    that program.  Inside ``compile_traced`` a point holding tracing
+    scalars records the sweep instead, so the caller's program contains it.
     """
     n = f.arity
     if len(p) != n:
@@ -697,20 +730,8 @@ def value_and_grad(f: ScalarField, p):
         return value, tuple(0.0 if v is _ZERO else v for v in partials)
     compiled = f._compiled
     if compiled is None:
-        compiled = f._compiled = compile_traced(lambda *xs: _dual_sweep(f, xs), n) or False
-    # By construction the code gives up wherever the sweep below raises.
-    # Where the sweep multiplies a non-finite value by a structural zero
-    # the code leaves out, the code multiplies it by another partial, and
-    # no rule makes a non-finite partial finite again: the code's sum
-    # check sends such points here too.
-    out = compiled(*args) if compiled else None
-    if out is not None:
-        return out
-    value, partials = _dual_sweep(f, args)
-    g = tuple(float(v) for v in partials)
-    if not (math.isfinite(value) and all(math.isfinite(v) for v in g)):
-        raise NumericDomainError(f"non-finite derivative at {tuple(args)!r}")
-    return float(value), g
+        compiled = f._compiled = compile_traced(lambda *xs: _dual_sweep(f, xs), n)
+    return compiled(*args)
 
 
 def grad(f: ScalarField, p) -> np.ndarray:
@@ -719,18 +740,26 @@ def grad(f: ScalarField, p) -> np.ndarray:
 
 
 def _hessian_sweep(f: ScalarField, p, idx) -> tuple:
-    """The second-derivative block of ``f`` over ``idx`` at ``p``, floats
-    or tracing scalars, row by row in one tuple, from the nested-dual
-    sweep; a traced sweep seeds its inner level with ``_ZERO``."""
+    """The second-derivative block of ``f`` over ``idx`` at ``p``, row by
+    row in one tuple, from the nested-dual sweep.  At tracing scalars the
+    inner level is seeded with ``_ZERO`` and the sweep recorded; at floats
+    it returns floats, and raises where one is not finite (the code traced
+    from it gives up there too, by ``_dual_sweep``'s argument)."""
     s = len(idx)
-    inner = _unit_seeds(s, _ZERO if _traced(p) else 0.0)
+    traced = is_traced(p)
+    inner = _unit_seeds(s, _ZERO if traced else 0.0)
     outer = _unit_seeds(s)
     args = list(p)
     for col, j in enumerate(idx):
         args[j] = DualScalar(DualScalar(args[j], inner[col]), outer[col])
     # column c holds the partials of the outer partial c
     cols = [partials_of(c, s) for c in partials_of(f.fn(*args), s)]
-    return tuple(_scalar(cols[c][r]) for r in range(s) for c in range(s))
+    block = tuple(_scalar(cols[c][r]) for r in range(s) for c in range(s))
+    if traced:
+        return block
+    if not all(math.isfinite(h) for h in block):
+        raise NumericDomainError(f"non-finite second derivative at {tuple(p)!r}")
+    return tuple(float(h) for h in block)
 
 
 def hessian_rows(f: ScalarField, p, idx) -> list:
@@ -738,9 +767,7 @@ def hessian_rows(f: ScalarField, p, idx) -> list:
     as a list of float rows.
 
     The first call for an index set compiles the nested-dual sweep of
-    ``f``; later calls with that set run the compiled code.  Untraceable
-    fields, and points where the compiled code gives up, take the
-    nested-dual sweep on floats.
+    ``f``, and every call with that set runs that program.
     """
     n = f.arity
     if len(p) != n:
@@ -750,19 +777,9 @@ def hessian_rows(f: ScalarField, p, idx) -> list:
     if compiled is None:
         if any(j < 0 or j >= n for j in idx):
             raise DimensionError(f"index subset {list(idx)} outside arity {n}")
-        compiled = f._hessians[idx] = (
-            compile_traced(lambda *xs: _hessian_sweep(f, xs, idx), n) or False
-        )
+        compiled = f._hessians[idx] = compile_traced(lambda *xs: _hessian_sweep(f, xs, idx), n)
     s = len(idx)
-    point = [float(v) for v in p]
-    # by value_and_grad's argument an entry the sweep makes non-finite is
-    # non-finite in the code too
-    out = compiled(*point) if compiled else None
-    if out is None:
-        out = _hessian_sweep(f, point, idx)
-        if not all(math.isfinite(h) for h in out):
-            raise NumericDomainError(f"non-finite second derivative at {tuple(point)!r}")
-        out = [float(h) for h in out]
+    out = compiled(*[float(v) for v in p])
     return [out[r * s : (r + 1) * s] for r in range(s)]
 
 
@@ -785,49 +802,6 @@ def max_abs(values) -> float:
         if v > out:
             out = v
     return float(out)
-
-
-def _eliminate(a: list, rhs: list):
-    """In-place Gaussian elimination with partial pivoting on [a | rhs],
-    float rows; ``rhs`` rows hold one entry per right-hand side."""
-    n = len(a)
-    biggest = max_abs(v for row in a for v in row)
-    if biggest == 0.0:
-        raise SingularMatrixError("zero matrix")
-    threshold = SINGULARITY_RELATIVE_THRESHOLD * biggest
-    for col in range(n):
-        pivot_row = col  # the first row of largest magnitude
-        for r in range(col + 1, n):
-            if abs(a[r][col]) > abs(a[pivot_row][col]):
-                pivot_row = r
-        if abs(a[pivot_row][col]) < threshold:
-            raise SingularMatrixError(
-                f"pivot {a[pivot_row][col]:.3e} below {threshold:.3e} in column {col}"
-            )
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
-        top, top_rhs = a[col], rhs[col]
-        for r in range(col + 1, n):
-            row = a[r]
-            if row[col] != 0.0:
-                lam = row[col] / top[col]
-                for j in range(col, n):
-                    row[j] -= lam * top[j]
-                rhs[r] = [u - lam * v for u, v in zip(rhs[r], top_rhs)]
-
-
-def _back_substitute(a: list, rhs: list) -> list:
-    """Solution rows of the triangular system left by ``_eliminate``."""
-    n = len(a)
-    cols = []
-    for c in range(len(rhs[0])):
-        x = [0.0] * n
-        for r in range(n - 1, -1, -1):
-            row = a[r]
-            x[r] = (rhs[r][c] - dot(enumerate(row[r + 1 :], r + 1), x)) / row[r]
-        cols.append(x)
-    return [list(row) for row in zip(*cols)]
 
 
 def dot(terms, values):
@@ -860,28 +834,61 @@ def _float_square_rows(a) -> list:
     return rows
 
 
+def _solve_in_place(a: list, columns: list) -> None:
+    """Solve a x = b in place for each right-hand side b in ``columns``: one
+    Gaussian elimination of the float rows ``a`` with partial pivoting (the
+    first row of largest magnitude), then back substitution per column,
+    every sum in a fixed order, so no result depends on a BLAS kernel."""
+    n = len(a)
+    biggest = max_abs(v for row in a for v in row)
+    if biggest == 0.0:
+        raise SingularMatrixError("zero matrix")
+    threshold = SINGULARITY_RELATIVE_THRESHOLD * biggest
+    for col in range(n):
+        pivot_row = col
+        for r in range(col + 1, n):
+            if abs(a[r][col]) > abs(a[pivot_row][col]):
+                pivot_row = r
+        if abs(a[pivot_row][col]) < threshold:
+            raise SingularMatrixError(
+                f"pivot {a[pivot_row][col]:.3e} below {threshold:.3e} in column {col}"
+            )
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            for x in columns:
+                x[col], x[pivot_row] = x[pivot_row], x[col]
+        top = a[col]
+        for r in range(col + 1, n):
+            row = a[r]
+            if row[col] != 0.0:
+                lam = row[col] / top[col]
+                for j in range(col, n):
+                    row[j] -= lam * top[j]
+                for x in columns:
+                    x[r] -= lam * x[col]
+    for x in columns:
+        for r in range(n - 1, -1, -1):
+            row = a[r]
+            x[r] = (x[r] - dot(enumerate(row[r + 1 :], r + 1), x)) / row[r]
+
+
 def gauss_solve(a, b) -> list:
-    """Solve a x = b as float lists: Gaussian elimination with partial
-    pivoting, every sum in a fixed order, so the result does not depend
-    on a BLAS kernel.  ``a`` is an ndarray or a sequence of rows."""
-    rows = _float_square_rows(a)
-    rhs = [[float(v)] for v in b]
-    if len(rhs) != len(rows):
-        raise DimensionError(
-            f"right-hand side of length {(len(rhs),)} for {len(rows)} equations"
-        )
-    _eliminate(rows, rhs)
-    return [r[0] for r in _back_substitute(rows, rhs)]
+    """Solve a x = b as float lists (``_solve_in_place``).  ``a`` is an
+    ndarray or a sequence of rows."""
+    a = _float_square_rows(a)
+    x = [float(v) for v in b]
+    if len(x) != len(a):
+        raise DimensionError(f"right-hand side of length {(len(x),)} for {len(a)} equations")
+    _solve_in_place(a, [x])
+    return x
 
 
 def mat_inverse(a) -> np.ndarray:
-    """Inverse by Gaussian elimination with partial pivoting, as a
-    read-only array."""
+    """Inverse by ``_solve_in_place`` on the identity, as a read-only array."""
     rows = _float_rows(a)
-    n = len(rows)
-    rhs = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    _eliminate(rows, rhs)
-    inv = np.array(_back_substitute(rows, rhs), dtype=float).reshape(n, n)
+    cols = [[float(i == j) for i in range(len(rows))] for j in range(len(rows))]
+    _solve_in_place(rows, cols)
+    inv = np.array(cols, dtype=float).T.copy()
     inv.flags.writeable = False
     return inv
 

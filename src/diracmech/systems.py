@@ -518,14 +518,22 @@ def catalog_names() -> tuple:
 
 def build(name: str, overrides: Mapping | None = None) -> SystemSpec:
     """Assemble a catalog system, applying parameter overrides, then
-    spot-check the declared consistency solution on random states."""
+    spot-check the declared consistency solution on random states.  An
+    override must be finite, and ``m`` and ``k2`` positive."""
     if name not in _BUILDERS:
         raise CatalogError(f"unknown system {name!r}; available: {', '.join(catalog_names())}")
     params = dict(CATALOG_DEFAULTS[name])
     for key, value in (overrides or {}).items():
         if key not in params:
             raise CatalogError(f"system {name!r} has no parameter {key!r}")
-        params[key] = float(value)
+        value = float(value)
+        positive = key in ("m", "k2")  # the Hamiltonians and metrics divide by these
+        if not math.isfinite(value) or (positive and value <= 0.0):
+            need = "positive and finite" if positive else "finite"
+            raise DegenerateParameterError(
+                f"parameter {key!r} of system {name!r} must be {need}, got {value!r}"
+            )
+        params[key] = value
     spec = _BUILDERS[name](params)
     _spot_check_consistency(spec)
     return spec

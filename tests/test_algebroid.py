@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from diracmech import numcore
 from diracmech.algebroid import (
     PhaseState,
+    SkewAlgebroid,
     VelocityState,
     change_frame,
     from_tangent_frame,
@@ -227,6 +228,21 @@ def test_rates_matches_einsum_reference(name):
     x, a = np.linspace(-1.0, 1.0, alg.rank), np.ones(alg.m)
     for got, want in zip(alg.rates(q, eta, x, a), alg.rates(q, eta, x, a, alg.rank)):
         assert np.array_equal(got, want)
+
+
+def test_admissibility_of_a_constant_anchor_given_as_a_map_has_the_same_bits():
+    alg = build("ball_free").dirac.alg
+    anchor = alg.anchor(None)
+    mapped = SkewAlgebroid(m=alg.m, rank=alg.rank, anchor=lambda q: anchor, structure=alg.structure)
+    rng = np.random.default_rng(23)
+    mismatches = 0
+    for _ in range(200):
+        q = rng.uniform(-1.5, 1.5, alg.m)
+        qdot = rng.uniform(-2.0, 2.0, alg.m)
+        k = int(rng.integers(1, alg.rank + 1))
+        got, want = mapped.admissibility_residual(q, qdot, k), alg.admissibility_residual(q, qdot, k)
+        mismatches += np.float64(got).view(np.uint64) != np.float64(want).view(np.uint64)
+    assert mismatches == 0
 
 
 # -- Hamiltonian side -----------------------------------------------------------

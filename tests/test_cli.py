@@ -13,6 +13,7 @@ import diracmech
 from diracmech import checks, dirac
 from diracmech.checks import CheckResult
 from diracmech.cli import cmd_check, cmd_inspect, main
+from diracmech.systems import build
 
 
 def run_main(argv):
@@ -282,18 +283,39 @@ def test_inspect_seventeen_digit_output(capsys):
 
 def test_inspect_solves_consistency_once(monkeypatch, capsys):
     calls = []
-    original = dirac.solve_consistency
+    original = dirac._transverse
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(dirac, "solve_consistency", counted)
-    # an engine that imports the function by name is counted too
-    monkeypatch.setattr("diracmech.cli.solve_consistency", counted, raising=False)
+    # every consistency solve, solve_consistency's included, runs _transverse
+    monkeypatch.setattr(dirac, "_transverse", counted)
+    build("ball_magnetic")
+    spot_checks = len(calls)  # the solves build's spot check makes
+    calls.clear()
     assert cmd_inspect("ball_magnetic", [0.2, -0.1], [1.0, 0.3, -0.2]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert len(calls) - spot_checks == 1
+
+
+def test_inspect_at_an_infinite_heading_is_an_error(capsys):
+    assert run_main(["inspect", "--system", "skater_free", "--q", "0,0,inf", "--eta", "1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cos of inf\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("params", [["k2=0"], ["k2=-1", "R=-1"], ["m=inf"]])
+def test_simulate_rejects_degenerate_parameters(params, capsys):
+    system = "skater_free" if params == ["k2=0"] else "ball_free"
+    argv = ["simulate", "--system", system, "--t-end", "0.01"]
+    for item in params:
+        argv += ["--param", item]
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: parameter '(k2|m)' of system '\w+' must be positive and finite, got \S+\n", captured.err)
+    assert captured.out == ""
 
 
 def test_inspect_errors(capsys):

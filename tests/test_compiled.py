@@ -33,6 +33,11 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
+def is_generated(program):
+    """Whether ``program`` is code ``numcore.compile_traced`` generated."""
+    return program.__code__.co_filename == "<traced>"
+
+
 def assert_compiled_matches_dual(f, points):
     """The compiled value equals ``f.value`` bit for bit, and the compiled
     gradient equals the dual sweep's under ``==``, differing in bits only
@@ -205,7 +210,7 @@ def test_value_dependent_branch_falls_back_to_the_dual_sweep():
     for p in [(2.0, 3.0), (-2.0, 3.0)]:
         dual = fn(*seed_duals(p))
         assert np.array_equal(grad(f, p), dual.partials)
-    assert f._compiled is False
+    assert not is_generated(f._compiled)
 
 
 def test_non_finite_derivative_message_shows_plain_floats():
@@ -227,7 +232,7 @@ def test_generated_source_reads_only_generated_names():
     generated = re.compile(r"[xvdc]\d+")
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
     assert names
-    assert all(generated.fullmatch(n) or n in numcore._HELPERS for n in names), names
+    assert all(generated.fullmatch(n) or n in numcore._HELPERS or n == "reference" for n in names), names
     assert {repr(v) for v in consts.values()} >= {"inf", "-0.0", "nan"}
     assert "inf" not in source and "nan" not in source
 
@@ -332,7 +337,8 @@ def test_hessian_value_dependent_branch_falls_back_to_the_dual_sweep():
     for p in [(2.0, 3.0), (-2.0, 3.0)]:
         want = hessian_block(dual_only(f), p, (0, 1))
         assert np.array_equal(bits(hessian_block(f, p, (0, 1))), bits(want))
-    assert f._hessians == {(0, 1): False}
+    assert set(f._hessians) == {(0, 1)}
+    assert not is_generated(f._hessians[(0, 1)])
 
 
 def test_hessian_is_traced_once_per_index_set():
@@ -369,6 +375,131 @@ def test_generated_hessian_source_reads_only_generated_names():
     generated = re.compile(r"[xvdc]\d+")
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
     assert names
-    assert all(generated.fullmatch(n) or n in numcore._HELPERS for n in names), names
+    assert all(generated.fullmatch(n) or n in numcore._HELPERS or n == "reference" for n in names), names
     assert {repr(v) for v in consts.values()} >= {"inf", "-0.0", "nan"}
     assert "inf" not in source and "nan" not in source
+
+
+# -- the generated code runs on its own ------------------------------------------------
+
+
+def counted_program(sweep, f, *extra):
+    """``compile_traced`` of ``sweep`` on ``f``, with the float calls of its
+    reference (the points where the code gave up) listed."""
+    calls = []
+
+    def fn(*xs):
+        if not numcore.is_traced(xs):
+            calls.append(xs)
+        return sweep(f, xs, *extra)
+
+    return numcore.compile_traced(fn, f.arity), calls
+
+
+def fallback_calls(program, run):
+    """The float calls ``program``, generated code, makes of the function
+    it was traced from (the points where its code gave up) while ``run()``
+    runs."""
+    assert is_generated(program)
+    namespace, calls = program.__globals__, []
+    reference = namespace["reference"]
+    namespace["reference"] = lambda *xs: calls.append(xs) or reference(*xs)
+    try:
+        run()
+    finally:
+        namespace["reference"] = reference
+    return calls
+
+
+def assert_never_gives_up(f, points, idx=None):
+    """The program ``grad`` compiles for ``f`` (or ``hessian_block`` over
+    ``idx``) is generated code and returns its own outputs at every point."""
+    if idx is None:
+        grad(f, points[0])
+        program = f._compiled
+    else:
+        hessian_block(f, points[0], idx)
+        program = f._hessians[idx]
+    floats = [[float(v) for v in p] for p in points]
+    assert fallback_calls(program, lambda: [program(*p) for p in floats]) == []
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "skater_quartic"])
+def test_catalog_programs_are_generated_and_never_give_up(name):
+    spec = quartic_skater() if name == "skater_quartic" else SPECS[name]
+    h, idx = spec.hamiltonian, transverse(spec)
+    points = [[float(v) for v in p] for p in random_points(spec, 200, seed=3)]
+    for sweep, extra in ((numcore._dual_sweep, ()), (numcore._hessian_sweep, (idx,))):
+        program, calls = counted_program(sweep, h, *extra)
+        assert is_generated(program)
+        for p in points:
+            program(*p)
+        assert calls == []
+    grad(h, points[0])
+    hessian_block(h, points[0], idx)
+    assert is_generated(h._compiled) and is_generated(h._hessians[idx])
+
+
+# The inputs of the matches-dual-sweep tests above, where the generated
+# code must run on its own: a program that fell back everywhere would
+# compare the dual sweep with itself there.
+
+
+@pytest.mark.parametrize("name", ["skater_free", "skater_slope", "ball_free"])
+def test_mechanical_lagrangian_program_never_gives_up(name):
+    spec = SPECS[name]
+    assert_never_gives_up(mechanical_lagrangian(spec), random_points(spec, 200, seed=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(system_and_potential())
+def test_parsed_potential_programs_never_give_up(case):
+    name, text = case
+    f = hamiltonian_with_potential(SPECS[name], parse_text(text)).hamiltonian
+    spec = SPECS[name]
+    assert_never_gives_up(f, random_points(spec, 20, seed=5))
+    assert_never_gives_up(f, random_points(spec, 20, seed=8), tuple(range(f.arity)))
+
+
+@pytest.mark.parametrize("name", ["skater_charged", "ball_magnetic"])
+@pytest.mark.parametrize("text", POTENTIALS)
+def test_potential_programs_never_give_up(name, text):
+    f = hamiltonian_with_potential(SPECS[name], parse_text(text)).hamiltonian
+    spec = SPECS[name]
+    assert_never_gives_up(f, random_points(spec, 200, seed=6))
+    assert_never_gives_up(f, random_points(spec, 200, seed=9), tuple(range(f.arity)))
+
+
+@pytest.mark.parametrize("case", list(MIXED))
+def test_mixed_hessian_program_never_gives_up(case):
+    rng = np.random.default_rng(10)
+    points = [(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 2.0)) for _ in range(200)]
+    assert_never_gives_up(two(MIXED[case]), points, (1,))
+
+
+@pytest.mark.parametrize("case", list(GUARDS))
+def test_guarded_fields_are_generated_code(case):
+    f, p = GUARDS[case]
+    idx = tuple(range(f.arity))
+    outcome(f, p, idx)
+    assert is_generated(f._hessians[idx])
+    with pytest.raises(Exception):
+        grad(f, p)
+    assert is_generated(f._compiled)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_contractions_are_generated_code(name):
+    spec = SPECS[name]
+    alg = spec.dirac.alg
+    alg.rates([0.1] * alg.m, [0.2] * alg.rank, [0.3] * spec.k, [0.4] * alg.m, spec.k)
+    assert is_generated(alg._cache[("rates", spec.k)])
+
+
+def test_commutative_operations_are_recorded_once():
+    h = SPECS["skater_charged"].hamiltonian
+    source, _ = numcore._source(lambda *xs: numcore._dual_sweep(h, xs), h.arity)
+    pairs = re.findall(r"= (\w+) ([+*]) (\w+)$", source, flags=re.MULTILINE)
+    assert pairs
+    assert not {(a, op, b) for a, op, b in pairs} & {(b, op, a) for a, op, b in pairs if a != b}
+    assert sum(line.strip().startswith("v") for line in source.splitlines()) == 48

@@ -4,6 +4,8 @@ module's private (underscore) names."""
 import ast
 from pathlib import Path
 
+import pytest
+
 import diracmech
 
 PACKAGE_DIR = Path(diracmech.__file__).parent
@@ -97,8 +99,8 @@ def _caught_names(path: Path) -> set:
 
 
 def test_only_numcore_catches_float_errors():
-    # generated code gives up on float errors by itself; every other module
-    # only asks whether it returned None
+    # generated code catches float errors by itself and then runs the
+    # function it was traced from, so no other module needs to
     offenders = {
         p.name: sorted(_caught_names(p) & {"OverflowError", "ZeroDivisionError"})
         for p in sorted(PACKAGE_DIR.glob("*.py"))
@@ -114,3 +116,42 @@ def test_tracer_carries_no_partials():
     from diracmech import numcore
 
     assert "partials" not in numcore._Tracer.__slots__
+
+
+def test_no_module_caches_a_false_program():
+    # a compiled program is a drop-in for the function it was traced from,
+    # so no caller keeps a sentinel for an untraceable one
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+                first = node.values[0]
+                if isinstance(first, ast.Call) and getattr(first.func, "id", None) == "compile_traced":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_generated_code_has_one_exit_to_its_reference():
+    from diracmech import numcore
+
+    def fn(x, y):
+        return numcore.log(x) / y + numcore.sqrt(y) * x**0.5
+
+    source, _ = numcore._source(fn, 2)
+    assert "raise give_up" in source
+    assert "return None" not in source
+    assert source.count("reference(") == 1
+    assert source.splitlines()[-1] == "    return reference(x0, x1)"
+    program = numcore.compile_traced(fn, 2)
+    assert program(4.0, 1.0) == fn(4.0, 1.0)
+    with pytest.raises(numcore.NumericDomainError, match="log of a non-positive value"):
+        program(-1.0, 1.0)  # a guard gives up, and the reference raises
+
+
+def test_compile_traced_returns_an_untraceable_function_itself():
+    from diracmech import numcore
+
+    def fn(x):
+        return x if x > 0.0 else -x
+
+    assert numcore.compile_traced(fn, 1) is fn

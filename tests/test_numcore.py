@@ -9,12 +9,15 @@ from diracmech.errors import (
     NumericDomainError,
     SingularMatrixError,
 )
+from diracmech import numcore
 from diracmech.numcore import (
     DualScalar,
     ScalarField,
+    gauss_solve,
     grad,
     hessian_block,
     mat_inverse,
+    newton_iterate,
     newton_solve,
     solve_linear,
 )
@@ -130,6 +133,20 @@ def test_hessian_bad_index():
         hessian_block(f, (0.0, 0.0), (0, 5))
 
 
+@pytest.mark.parametrize("fn", ["sin", "cos", "tan"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_trigonometric_function_of_an_infinity_is_a_domain_error(fn, x):
+    with pytest.raises(NumericDomainError) as info:
+        getattr(numcore, fn)(x)
+    assert str(info.value) == f"{fn} of {x!r}"
+
+
+def test_grad_at_an_infinite_heading_is_a_domain_error():
+    h = build("skater_charged").hamiltonian
+    with pytest.raises(NumericDomainError, match=r"^(sin|cos) of inf$"):
+        grad(h, [0.0, 0.0, math.inf, 1.0, 1.0, 0.0])
+
+
 # -- matrices ------------------------------------------------------------
 
 
@@ -184,7 +201,82 @@ def test_solve_linear_dimension_error():
         solve_linear(np.eye(3), [1.0, 2.0])
 
 
+def test_gauss_solve_on_rows_swaps_to_the_pivot_and_leaves_its_input():
+    a = [[0.0, 2.0], [4.0, 0.0]]
+    assert gauss_solve(a, [2.0, 8.0]) == [2.0, 1.0]
+    assert a == [[0.0, 2.0], [4.0, 0.0]]
+    assert gauss_solve(((3,),), (6,)) == [2.0]
+
+
+@pytest.mark.parametrize(
+    "a, pivot",
+    [
+        ([[1e-20, 1.0], [-1e-20, 1.0]], "1.000e-20"),  # a tie goes to the first row
+        ([[-1e-20, 1.0], [1e-20, 1.0]], "-1.000e-20"),
+        ([[1e-20, 1.0], [-2e-20, 1.0]], "-2.000e-20"),  # else the largest magnitude
+    ],
+)
+def test_gauss_solve_pivots_on_the_first_row_of_largest_magnitude(a, pivot):
+    with pytest.raises(SingularMatrixError) as info:
+        gauss_solve(a, [1.0, 1.0])
+    assert str(info.value) == f"pivot {pivot} below 1.000e-13 in column 0"
+
+
+def test_gauss_solve_messages():
+    with pytest.raises(SingularMatrixError) as info:
+        gauss_solve([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
+    assert str(info.value) == "zero matrix"
+    with pytest.raises(DimensionError) as info:
+        gauss_solve([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0])
+    assert str(info.value) == "right-hand side of length (3,) for 2 equations"
+    with pytest.raises(DimensionError) as info:
+        gauss_solve([[1.0, 0.0], [1.0]], [1.0, 2.0])
+    assert str(info.value) == "square matrix required, got rows of lengths [2, 1]"
+
+
+def test_mat_inverse_columns_are_gauss_solves():
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-1, 1, (4, 4)) + 2.0 * np.eye(4)
+    inv = mat_inverse(a)
+    for j in range(4):
+        column = gauss_solve(a, [float(i == j) for i in range(4)])
+        assert inv[:, j].tolist() == column
+
+
 # -- newton --------------------------------------------------------------
+
+
+def test_newton_iterate_on_lists():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return [x[0] * x[0] - 4.0, 3.0 * x[1] - 6.0], [[2.0 * x[0], 0.0], [0.0, 3.0]]
+
+    x = newton_iterate(f, (3, 10))
+    assert type(x) is list and abs(x[0] - 2.0) <= 1e-12 and x[1] == 2.0
+    assert all(type(v) is list for v in seen)
+    assert seen[0] == [3.0, 10.0]
+
+
+def test_newton_iterate_returns_a_start_that_solves_without_a_step():
+    def f(x):
+        return [x[0] - 1.0], [[0.0]]  # a singular Jacobian is never solved here
+
+    assert newton_iterate(f, [1.0], max_iter=0) == [1.0]
+
+
+def test_newton_iterate_stops_at_max_iter():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return [x[0] * x[0] + 1.0], [[2.0 * x[0] + 1.0]]
+
+    with pytest.raises(NonConvergenceError) as info:
+        newton_iterate(f, [0.0], max_iter=3)
+    assert len(calls) == 4
+    assert info.value.residual == calls[-1][0] ** 2 + 1.0
 
 
 def test_newton_sqrt():

@@ -56,14 +56,16 @@ def assert_equal_but_signed_zeros(got, want):
 
 
 def count_reference_calls(monkeypatch):
+    """Calls of the field function on floats: the compiled field traced it
+    already, so only evaluate_reduced and a fallback call it again."""
     calls = []
-    original = dirac._reference_field
+    original = dirac._field_outputs
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(dirac, "_reference_field", counted)
+    monkeypatch.setattr(dirac, "_field_outputs", counted)
     return calls
 
 
@@ -218,6 +220,22 @@ def test_newton_field_raises_the_reference_errors():
     assert type(compiled.value.__cause__) is type(reference.value.__cause__)
 
 
+@pytest.mark.parametrize(
+    "affine_map, shape",
+    [(lambda q: [q[0], q[1]], "(2,)"), (lambda q: np.array([[q[0]]]), "(1, 1)")],
+)
+def test_affine_map_of_the_wrong_shape_is_rejected(affine_map, shape):
+    spec = build("skater_charged")
+    bad = ConsistencySolution(kind="affine", affine_map=affine_map)
+    message = f"affine map returned {shape}, expected (1,)"
+    with pytest.raises(DimensionError) as info:
+        dirac.solve_consistency(spec.dirac, spec.hamiltonian, [0.1, 0.2, 0.3], [1.0, 0.5], solution=bad)
+    assert str(info.value) == message
+    with pytest.raises(DimensionError) as info:
+        reduced_field(spec.dirac, spec.hamiltonian, bad)([0.1, 0.2, 0.3, 1.0, 0.5])
+    assert str(info.value) == message
+
+
 # -- the element contraction -------------------------------------------------------
 
 
@@ -289,6 +307,27 @@ def test_compiled_rates_equal_the_loop(name):
                 bits(v).tolist() for v in alg.scalar_rates(*args, k)
             ]
         assert alg._cache[("rates", k)], "the contraction was not compiled"
+
+
+@pytest.mark.parametrize("name", ["skater_charged", "ball_magnetic"])
+def test_compiled_rates_never_fall_back_to_the_loop(name):
+    from test_compiled import fallback_calls
+
+    alg = build(name).dirac.alg
+    rng = np.random.default_rng(19)  # the points of test_compiled_rates_equal_the_loop
+    for k in (1, alg.rank):
+        points = [
+            (
+                rng.uniform(-2.0, 2.0, alg.m).tolist(),
+                rng.uniform(-3.0, 3.0, alg.rank).tolist(),
+                rng.uniform(-3.0, 3.0, k).tolist(),
+                rng.uniform(-3.0, 3.0, alg.m).tolist(),
+            )
+            for _ in range(50)
+        ]
+        alg.rates(*points[0], k)
+        program = alg._cache[("rates", k)]
+        assert fallback_calls(program, lambda: [alg.rates(*args, k) for args in points]) == []
 
 
 def test_rates_reject_mismatched_lengths():

@@ -72,6 +72,27 @@ def test_build_unknown_name_and_param():
         build("skater_free", {"R": 2.0})
 
 
+@pytest.mark.parametrize(
+    "name, overrides, param",
+    [
+        ("skater_free", {"k2": 0.0}, "k2"),
+        ("ball_free", {"k2": -1.0, "R": -1.0}, "k2"),
+        ("ball_free", {"m": math.inf}, "m"),
+        ("skater_slope", {"m": -1.0}, "m"),
+        ("skater_charged", {"B": math.nan}, "B"),
+        ("ball_harmonic", {"omega": -math.inf}, "omega"),
+    ],
+)
+def test_build_rejects_degenerate_overrides(name, overrides, param):
+    with pytest.raises(DegenerateParameterError, match=f"parameter '{param}' of system '{name}'"):
+        build(name, overrides)
+
+
+def test_build_accepts_finite_overrides_of_any_sign():
+    assert build("ball_free", {"R": -1.0, "k2": 0.5, "m": 2.0}).params["R"] == -1.0
+    assert build("skater_charged", {"B": -2.0, "e_c": 0.0, "d": 0.0}).params["B"] == -2.0
+
+
 def test_spot_check_rejects_wrong_consistency():
     spec = build("ball_magnetic")
     broken = replace(spec, consistency=ConsistencySolution(kind="zero"))
