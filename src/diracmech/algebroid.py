@@ -9,9 +9,11 @@ and no Jacobi check is performed anywhere.
 
 The element contraction (``SkewAlgebroid.scalar_rates``) is plain
 Python arithmetic with every sum in a fixed order, so its results do not
-depend on a BLAS kernel.  The same code runs on floats and on tracing
-scalars: ``float_rates`` runs code generated from it once per k, and
-``dirac.reduced_field`` traces it into the reduced field.
+depend on a BLAS kernel.  It reads a constant tensor and a map of q the
+same way, and leaves out every coefficient that is a plain float zero.
+The same code runs on floats and on tracing scalars: ``float_rates``
+runs code generated from it once per k, and ``dirac.reduced_field``
+traces it into the reduced field.
 """
 
 from dataclasses import dataclass
@@ -61,7 +63,6 @@ class _Constant:
             raise DimensionError(f"constant {what} of shape {array.shape}, expected {shape}")
         array.flags.writeable = False
         self.array = array
-        self.rows = array.tolist()
         self._pinv = {}
 
     def __call__(self, q):
@@ -82,8 +83,7 @@ class SkewAlgebroid:
 
     ``anchor`` and ``structure`` are maps of q, or constant arrays, which
     are stored as maps returning the read-only array.  The contraction
-    sums the structural nonzeros of a constant, listed once, and every
-    entry a map returns.
+    reads both kinds alike.
     """
 
     m: int
@@ -92,28 +92,15 @@ class SkewAlgebroid:
     structure: Callable  # q -> ndarray (rank, rank, rank), or a constant array
 
     def __post_init__(self):
-        if not callable(self.anchor):
-            anchor = _Constant(self.anchor, (self.m, self.rank), "anchor")
-            object.__setattr__(self, "anchor", anchor)
-        if not callable(self.structure):
-            structure = _Constant(self.structure, (self.rank,) * 3, "structure")
-            object.__setattr__(self, "structure", structure)
-        # (kind, k) -> the terms of a constant, or the compiled contraction
+        for what, shape in (("anchor", (self.m, self.rank)), ("structure", (self.rank,) * 3)):
+            value = getattr(self, what)
+            if not callable(value):
+                object.__setattr__(self, what, _Constant(value, shape, what))
+        # ("rates", k) -> the compiled contraction
         object.__setattr__(self, "_cache", {})
 
     def anchor_array(self, q) -> np.ndarray:
         return np.asarray(self.anchor(q), dtype=float)
-
-    def _terms(self, which: str, q, k: int, plan: Callable):
-        """``plan`` of the anchor or structure on the first k sections;
-        listed once for a constant."""
-        source = getattr(self, which)
-        if not isinstance(source, _Constant):
-            return plan(_as_rows(source(q)), k, False)
-        terms = self._cache.get((which, k))
-        if terms is None:
-            terms = self._cache[(which, k)] = plan(source.rows, k, True)
-        return terms
 
     def scalar_rates(self, q, eta, x, a, k=None):
         """(qdot, etadot) as lists for the element with velocity x and base
@@ -123,20 +110,21 @@ class SkewAlgebroid:
             qdot^i   = rho^i_b x^b,
             etadot_b = w_bd x^d - rho^l_b a_l,  w_bd = c^A_{bd} eta_A,
 
-        each sum left to right over its upper index.  This is the one
+        each sum left to right over its upper index, without the
+        coefficients that are plain float zeros.  This is the one
         transcription of the element formula: it runs on floats and on
         tracing scalars, from which ``float_rates`` and
         ``dirac.reduced_field`` generate code."""
         k = self.rank if k is None else k
-        qrows, cols = self._terms("anchor", q, k, _anchor_plan)
-        wrows = self._terms("structure", q, k, _structure_plan)
+        rho, c = _as_rows(self.anchor(q)), _as_rows(self.structure(q))
         # "+ 0.0" makes a zero rate +0.0, as a dot product accumulated from
         # +0.0 gives it; it leaves every other value as it is
-        qdot = [dot(row, x) + 0.0 for row in qrows]
+        qdot = [dot(_pairs(row[:k]), x) + 0.0 for row in rho]
         etadot = []
-        for wrow, col in zip(wrows, cols):
-            u = dot([(d, dot(coeffs, eta)) for d, coeffs in wrow], x)
-            etadot.append((u - dot(col, a)) + 0.0)
+        for b in range(k):
+            wrow = ((d, _pairs([ca[b][d] for ca in c])) for d in range(k))
+            u = dot([(d, dot(coeffs, eta)) for d, coeffs in wrow if coeffs], x)
+            etadot.append((u - dot(_pairs([row[b] for row in rho]), a)) + 0.0)
         return qdot, etadot
 
     def float_rates(self, q, eta, x, a, k=None):
@@ -178,13 +166,13 @@ class SkewAlgebroid:
         qdot = [float(v) for v in qdot]
         if self.m == self.rank:
             return max_abs(gauss_solve(self.anchor(q), qdot)[k:])
+        anchor = self.anchor_array(q)
         if isinstance(self.anchor, _Constant):
-            rows, pinv = self.anchor.rows, self.anchor.pinv(k)
+            pinv = self.anchor.pinv(k)
         else:
-            anchor = self.anchor_array(q)
-            rows, pinv = anchor.tolist(), np.linalg.pinv(anchor[:, :k]).tolist()
+            pinv = np.linalg.pinv(anchor[:, :k]).tolist()
         z = [dot(enumerate(p), qdot) for p in pinv]
-        return max_abs(v - dot(enumerate(row[:k]), z) for v, row in zip(qdot, rows))
+        return max_abs(v - dot(enumerate(row[:k]), z) for v, row in zip(qdot, anchor.tolist()))
 
 
 def _floats(v) -> list:
@@ -197,27 +185,10 @@ def _as_rows(matrix):
     return matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
 
 
-def _pairs(values, constant) -> tuple:
-    """(index, value) pairs; a constant's zeros are left out."""
-    return tuple((i, v) for i, v in enumerate(values) if not (constant and v == 0.0))
-
-
-def _anchor_plan(rows, k, constant):
-    """qrows[i]: (b, rho^i_b) over b < k; cols[b]: (l, rho^l_b) over l."""
-    return (
-        [_pairs(row[:k], constant) for row in rows],
-        [_pairs([row[b] for row in rows], constant) for b in range(k)],
-    )
-
-
-def _structure_plan(c, k, constant):
-    """wrows[b]: (d, ((A, c[A][b][d]), ...)) over d < k, empty sums left out."""
-    rank = len(c)
-    wrows = []
-    for b in range(k):
-        pairs = ((d, _pairs([c[a][b][d] for a in range(rank)], constant)) for d in range(k))
-        wrows.append([(d, coeffs) for d, coeffs in pairs if coeffs])
-    return wrows
+def _pairs(values) -> tuple:
+    """(index, value) pairs without the plain float zeros: such a term is
+    +-0 at finite points, and the rates' "+ 0.0" fixes a zero's sign."""
+    return tuple((i, v) for i, v in enumerate(values) if not (isinstance(v, float) and v == 0.0))
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,23 @@ def tokenize(text: str) -> list:
     return tokens
 
 
+# Deepest tree, and most parentheses open at once, that parsing accepts:
+# parsing recurses per parenthesis, and evaluating or printing a tree per
+# level, far below Python's recursion limit.  A printed tree parses again.
+MAX_DEPTH = 100
+
+
+def _within(tok, depth):
+    """``depth`` if it is at most MAX_DEPTH, else an error at ``tok``."""
+    if depth > MAX_DEPTH:
+        raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels", tok.position)
+    return depth
+
+
 class _Parser:
+    """Each rule returns a pair: the node it parsed and the depth of its
+    tree (a leaf is 0)."""
+
     def __init__(self, tokens, length):
         self.tokens = tokens
         self.pos = 0
@@ -189,37 +205,46 @@ class _Parser:
         tok = self.peek()
         return tok is not None and tok.kind == OPERATOR and tok.text in ops
 
+    def binary(self, tok, left, right):
+        return Binary(tok.text, left[0], right[0]), _within(tok, 1 + max(left[1], right[1]))
+
     def expr(self):
-        node = self.term()
+        parsed = self.term()
         while self.at_operator("+", "-"):
-            op = self.next().text
-            node = Binary(op, node, self.term())
-        return node
+            tok = self.next()
+            parsed = self.binary(tok, parsed, self.term())
+        return parsed
 
     def term(self):
-        node = self.factor()
+        parsed = self.factor()
         while self.at_operator("*", "/"):
-            op = self.next().text
-            node = Binary(op, node, self.factor())
-        return node
+            tok = self.next()
+            parsed = self.binary(tok, parsed, self.factor())
+        return parsed
 
     def factor(self):
-        if self.at_operator("-"):
-            self.next()
-            return Unary("-", self.factor())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.at_operator("^"):
-            self.next()
-            node = Binary("^", node, self.factor())
-        return node
+        """factor := ('-' factor) | power and power := atom ('^' factor)?,
+        read as a stack of pending '-' and 'base ^' and built from the
+        right, so that neither rule recurses."""
+        pending = []  # (operator token, the base of a '^', None for a '-')
+        while True:
+            while self.at_operator("-"):
+                pending.append((self.next(), None))
+            parsed = self.atom()
+            if not self.at_operator("^"):
+                break
+            pending.append((self.next(), parsed))
+        for tok, base in reversed(pending):
+            if base is None:
+                parsed = Unary("-", parsed[0]), _within(tok, parsed[1] + 1)
+            else:
+                parsed = self.binary(tok, base, parsed)
+        return parsed
 
     def atom(self):
         tok = self.next()
         if tok.kind == NUMBER:
-            return Constant(float(tok.text))
+            return Constant(float(tok.text)), 0
         if tok.kind == IDENT:
             nxt = self.peek()
             if nxt is not None and nxt.kind == LPAREN:
@@ -235,12 +260,13 @@ class _Parser:
                     raise ExprError(
                         f"{tok.text} takes one argument, got {len(args)}", tok.position
                     )
-                return Call(tok.text, tuple(args))
-            return Variable(tok.text)
+                arg, depth = args[0]
+                return Call(tok.text, (arg,)), _within(tok, depth + 1)
+            return Variable(tok.text), 0
         if tok.kind == LPAREN:
-            node = self.expr()
+            parsed = self.expr()
             self.expect(RPAREN)
-            return node
+            return parsed
         raise ExprError(f"unexpected token {tok.text!r}", tok.position)
 
 
@@ -252,8 +278,11 @@ def parse(tokens: Sequence, length: int | None = None) -> ExprNode:
     if length is None:
         last = tokens[-1]
         length = last.position + len(last.text)
+    opened = 0  # the parser recurses once per parenthesis open
+    for tok in tokens:
+        opened = _within(tok, opened + (tok.kind == LPAREN) - (tok.kind == RPAREN))
     p = _Parser(tokens, length)
-    node = p.expr()
+    node, _ = p.expr()
     trailing = p.peek()
     if trailing is not None:
         raise ExprError(f"unexpected token {trailing.text!r}", trailing.position)

@@ -95,8 +95,8 @@ def rk4_step(f: Callable, s: PhaseState, dt: float) -> PhaseState:
 
     ``f`` maps a reduced PhaseState to (qdot, etadot_a).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     m = len(s.q)
 
     def on_vec(y):

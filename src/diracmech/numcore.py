@@ -815,23 +815,23 @@ def dot(terms, values):
     return 0.0 if total is None else total
 
 
-def _float_rows(a) -> list:
-    arr = np.array(a, dtype=float)
+def _float_square_rows(a) -> list:
+    """Float rows of a square matrix given as an ndarray or as rows."""
+    if not isinstance(a, np.ndarray):
+        try:
+            rows = [[float(v) for v in row] for row in a]
+        except TypeError:  # not rows of numbers: numpy finds the shape
+            a = np.array(a, dtype=float)
+        else:
+            if any(len(row) != len(rows) for row in rows):
+                raise DimensionError(
+                    f"square matrix required, got rows of lengths {[len(row) for row in rows]}"
+                )
+            return rows
+    arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"square matrix required, got shape {arr.shape}")
     return arr.tolist()
-
-
-def _float_square_rows(a) -> list:
-    """Float rows of a square matrix given as an ndarray or as rows."""
-    if isinstance(a, np.ndarray):
-        return _float_rows(a)
-    rows = [[float(v) for v in row] for row in a]
-    if any(len(row) != len(rows) for row in rows):
-        raise DimensionError(
-            f"square matrix required, got rows of lengths {[len(row) for row in rows]}"
-        )
-    return rows
 
 
 def _solve_in_place(a: list, columns: list) -> None:
@@ -876,16 +876,19 @@ def gauss_solve(a, b) -> list:
     """Solve a x = b as float lists (``_solve_in_place``).  ``a`` is an
     ndarray or a sequence of rows."""
     a = _float_square_rows(a)
-    x = [float(v) for v in b]
-    if len(x) != len(a):
-        raise DimensionError(f"right-hand side of length {(len(x),)} for {len(a)} equations")
+    try:
+        x = [float(v) for v in b]
+    except TypeError:  # not a sequence of numbers
+        x = None
+    if x is None or len(x) != len(a):
+        raise DimensionError(f"right-hand side of length {np.shape(b)} for {len(a)} equations")
     _solve_in_place(a, [x])
     return x
 
 
 def mat_inverse(a) -> np.ndarray:
     """Inverse by ``_solve_in_place`` on the identity, as a read-only array."""
-    rows = _float_rows(a)
+    rows = _float_square_rows(a)
     cols = [[float(i == j) for i in range(len(rows))] for j in range(len(rows))]
     _solve_in_place(rows, cols)
     inv = np.array(cols, dtype=float).T.copy()
@@ -895,13 +898,7 @@ def mat_inverse(a) -> np.ndarray:
 
 def solve_linear(a, b) -> np.ndarray:
     """Solve a x = b for a single right-hand side."""
-    rows = _float_rows(a)
-    rhs = np.array(b, dtype=float)
-    if rhs.shape != (len(rows),):
-        raise DimensionError(
-            f"right-hand side of length {rhs.shape} for {len(rows)} equations"
-        )
-    return np.array(gauss_solve(rows, rhs.tolist()), dtype=float)
+    return np.array(gauss_solve(a, b), dtype=float)
 
 
 def newton_iterate(

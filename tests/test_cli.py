@@ -197,8 +197,9 @@ def test_simulate_non_finite_step_count_is_rejected(capsys, window):
     [
         ["--system", "ball_free", "--ic", "0,0,1,0,nan", "--t-end", "0.01"],
         ["--system", "skater_free", "--t-end", "1e9", "--dt", "1e-12"],
+        ["--system", "skater_free", "--t-end", "0.002", "--potential", "(" * 600 + "x" + ")" * 600],
     ],
-    ids=["nan-ic", "above-max-steps"],
+    ids=["nan-ic", "above-max-steps", "deep-potential"],
 )
 def test_simulate_rejected_before_integration(tmp_path, capsys, argv):
     path = tmp_path / "never.csv"

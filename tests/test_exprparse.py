@@ -104,6 +104,42 @@ def test_parse_error_offset_points_at_token():
     assert info.value.offset == 4
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(" * 600 + "x" + ")" * 600, 100),
+        ("+".join(["x"] * 3000), 201),
+        ("-" * 3000 + "x", 2899),
+        ("x^" * 3000 + "x", 5799),
+        ("sin(" * 600 + "x" + ")" * 600, 403),
+    ],
+    ids=["parentheses", "sum", "negation", "power", "calls"],
+)
+def test_parse_rejects_nesting_deeper_than_the_bound(text, offset):
+    with pytest.raises(ExprError) as info:
+        parse_text(text)
+    assert info.value.offset == offset
+    assert "nested deeper than 100 levels" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 100 + "x" + ")" * 100,
+        "+".join(["x"] * 101),
+        "-" * 100 + "x",
+        "x^" * 100 + "1",
+        "sin(" * 100 + "x" + ")" * 100,
+    ],
+    ids=["parentheses", "sum", "negation", "power", "calls"],
+)
+def test_nesting_at_the_bound_parses_evaluates_and_prints(text):
+    tree = parse_text(text)
+    assert parse_text(to_source(tree)) == tree
+    assert free_variables(tree) == {"x"}
+    eval_expr(tree, duals(x=0.5))
+
+
 # -- eval -----------------------------------------------------------------
 
 

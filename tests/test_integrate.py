@@ -54,9 +54,10 @@ def test_rk4_single_step_tracks_closed_form():
     assert np.max(np.abs(np.array(out.q + out.eta) - np.array(want.q + want.eta))) <= 1e-14
 
 
-def test_rk4_rejects_bad_step():
+@pytest.mark.parametrize("dt", [0.0, math.nan, math.inf])
+def test_rk4_rejects_bad_step(dt):
     with pytest.raises(ValueError):
-        rk4_step(lambda s: (np.zeros(0), np.zeros(1)), PhaseState((), (0.0,), full=False), 0.0)
+        rk4_step(lambda s: (np.zeros(0), np.zeros(1)), PhaseState((), (0.0,), full=False), dt)
 
 
 # -- simulate -------------------------------------------------------------------

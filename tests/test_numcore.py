@@ -223,15 +223,39 @@ def test_gauss_solve_pivots_on_the_first_row_of_largest_magnitude(a, pivot):
 
 
 def test_gauss_solve_messages():
-    with pytest.raises(SingularMatrixError) as info:
-        gauss_solve([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
-    assert str(info.value) == "zero matrix"
-    with pytest.raises(DimensionError) as info:
-        gauss_solve([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0])
-    assert str(info.value) == "right-hand side of length (3,) for 2 equations"
-    with pytest.raises(DimensionError) as info:
-        gauss_solve([[1.0, 0.0], [1.0]], [1.0, 2.0])
-    assert str(info.value) == "square matrix required, got rows of lengths [2, 1]"
+    cases = [
+        (lambda: gauss_solve([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0]), SingularMatrixError, "zero matrix"),
+        (
+            lambda: gauss_solve([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0]),
+            DimensionError,
+            "right-hand side of length (3,) for 2 equations",
+        ),
+        (
+            lambda: gauss_solve([[1.0, 0.0], [1.0]], [1.0, 2.0]),
+            DimensionError,
+            "square matrix required, got rows of lengths [2, 1]",
+        ),
+        (
+            lambda: gauss_solve(np.eye(2), [[1.0], [2.0]]),
+            DimensionError,
+            "right-hand side of length (2, 1) for 2 equations",
+        ),
+        (
+            lambda: mat_inverse([[1.0, 2.0], [3.0]]),
+            DimensionError,
+            "square matrix required, got rows of lengths [2, 1]",
+        ),
+        (
+            lambda: solve_linear([[1.0, 2.0], [3.0]], [1.0, 2.0]),
+            DimensionError,
+            "square matrix required, got rows of lengths [2, 1]",
+        ),
+        (lambda: mat_inverse([1.0, 2.0]), DimensionError, "square matrix required, got shape (2,)"),
+    ]
+    for solve, error, message in cases:
+        with pytest.raises(error) as info:
+            solve()
+        assert str(info.value) == message
 
 
 def test_mat_inverse_columns_are_gauss_solves():

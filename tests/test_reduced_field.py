@@ -4,6 +4,7 @@ it runs, the reference's results and errors where it falls back, and the
 element contraction it is generated from."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -122,8 +123,7 @@ def test_build_compiles_no_field():
 
 def frame_skater():
     """skater_free on the algebroid of the skater frame: the anchor
-    converts q to floats (so nothing traces) and the structure is a map
-    (so the contraction loops over the dense tensor)."""
+    converts q to floats, so nothing traces."""
     spec = build("skater_free")
     return replace(spec, dirac=DiracAlgebroid(from_tangent_frame(skater_frame()), k=2))
 
@@ -239,18 +239,26 @@ def test_affine_map_of_the_wrong_shape_is_rejected(affine_map, shape):
 # -- the element contraction -------------------------------------------------------
 
 
-def structure_as_map(alg):
-    """The same algebroid with its constant structure given as a map."""
-    c = alg.structure(None)
-    return SkewAlgebroid(m=alg.m, rank=alg.rank, anchor=alg.anchor, structure=lambda q: c)
+def as_maps(alg):
+    """The same algebroid with its anchor and structure given as maps."""
+    rho, c = alg.anchor, alg.structure
+    return SkewAlgebroid(m=alg.m, rank=alg.rank, anchor=lambda q: rho(q), structure=lambda q: c(q))
+
+
+def contraction_source(alg, k):
+    """The source and constants of the contraction ``float_rates`` compiles
+    at k, traced again from the function the program runs in its place."""
+    alg.rates([0.1] * alg.m, [0.2] * alg.rank, [0.3] * k, [0.4] * alg.m, k)
+    program = alg._cache[("rates", k)]
+    return numcore._source(program.__globals__["reference"], program.__code__.co_argcount)
 
 
 @pytest.mark.parametrize("name", ["skater_charged", "ball_magnetic"])
-def test_dense_loop_equals_the_listed_nonzeros(name):
-    """A map is summed over every entry, a constant over its nonzeros; the
-    zero terms change no sum, and every rate comes out as the same float."""
+def test_maps_give_the_rates_of_constants(name):
+    """A map and a constant are summed over the same terms, so every rate
+    comes out as the same float."""
     alg = build(name).dirac.alg
-    dense = structure_as_map(alg)
+    maps = as_maps(alg)
     rng = np.random.default_rng(13)
     for k in range(1, alg.rank + 1):
         for _ in range(50):
@@ -260,16 +268,34 @@ def test_dense_loop_equals_the_listed_nonzeros(name):
                 rng.uniform(-3.0, 3.0, k).tolist(),
                 rng.uniform(-3.0, 3.0, alg.m).tolist(),
             )
-            sparse_rates = alg.scalar_rates(*args, k)
-            dense_rates = dense.scalar_rates(*args, k)
-            for got, want in zip(dense_rates, sparse_rates):
+            constant_rates = alg.scalar_rates(*args, k)
+            map_rates = maps.scalar_rates(*args, k)
+            for got, want in zip(map_rates, constant_rates):
                 assert bits(got).tolist() == bits(want).tolist()
-    assert ("structure", alg.rank) in alg._cache
-    assert ("structure", alg.rank) not in dense._cache
+
+
+@pytest.mark.parametrize("name", ["skater_charged", "ball_magnetic"])
+def test_maps_generate_the_code_of_constants(name):
+    alg = build(name).dirac.alg
+    for k in range(1, alg.rank + 1):
+        source, consts = contraction_source(alg, k)
+        map_source, map_consts = contraction_source(as_maps(alg), k)
+        assert map_source == source
+        assert {n: repr(v) for n, v in map_consts.items()} == {n: repr(v) for n, v in consts.items()}
+
+
+def test_skater_contraction_multiplies_by_no_zero():
+    alg = build("skater_free").dirac.alg
+    for k in range(1, alg.rank + 1):
+        source, consts = contraction_source(alg, k)
+        zeros = {name for name, v in consts.items() if v == 0.0}
+        products = re.findall(r"= (\w+) \* (\w+)$", source, flags=re.MULTILINE)
+        assert products
+        assert not [p for p in products if zeros & set(p)]
 
 
 @pytest.mark.parametrize("kind", ["tangent_frame", "change_frame"])
-def test_frame_algebroids_take_the_dense_loop(kind):
+def test_frame_algebroid_rates_match_the_tensor_contraction(kind):
     if kind == "tangent_frame":
         alg = from_tangent_frame(skater_frame())
     else:
@@ -287,7 +313,6 @@ def test_frame_algebroids_take_the_dense_loop(kind):
         assert np.allclose(etadot, want, rtol=0.0, atol=1e-13)
         loop = alg.scalar_rates(q.tolist(), eta.tolist(), x.tolist(), a.tolist())
         assert [qdot.tolist(), etadot.tolist()] == list(loop)
-    assert not any(key[0] == "structure" for key in alg._cache)
 
 
 @pytest.mark.parametrize("name", ["skater_charged", "ball_magnetic"])
