@@ -37,6 +37,7 @@ from .numcore import (
     grad,
     mat_inverse,
     max_abs,
+    shape_of,
 )
 
 __all__ = [
@@ -116,7 +117,8 @@ class SkewAlgebroid:
         tracing scalars, from which ``float_rates`` and
         ``dirac.reduced_field`` generate code."""
         k = self.rank if k is None else k
-        rho, c = _as_rows(self.anchor(q)), _as_rows(self.structure(q))
+        rho = _checked_rows(self.anchor(q), (self.m, self.rank), "anchor")
+        c = _checked_rows(self.structure(q), (self.rank,) * 3, "structure")
         # "+ 0.0" makes a zero rate +0.0, as a dot product accumulated from
         # +0.0 gives it; it leaves every other value as it is
         qdot = [dot(_pairs(row[:k]), x) + 0.0 for row in rho]
@@ -181,8 +183,14 @@ def _floats(v) -> list:
     return [float(u) for u in v]
 
 
-def _as_rows(matrix):
-    return matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
+def _checked_rows(value, shape, what):
+    """The rows of an anchor or structure value, which must have ``shape``.
+    Called where the contraction is traced and on its fallback, so
+    generated code does not pay for it."""
+    found = shape_of(value)
+    if found != shape:
+        raise DimensionError(f"{what} of shape {found}, expected {shape}")
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def _pairs(values) -> tuple:

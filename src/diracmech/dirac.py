@@ -42,13 +42,13 @@ from .frame import eval_matrix_with_partials
 from .numcore import (
     ScalarField,
     compile_traced,
-    gauss_solve,
     grad,
-    hessian_rows,
+    grad_and_hessian_rows,
     is_traced,
     newton_iterate,
     partials_of,
     seed_duals,
+    solve_in_place,
     value_and_grad,
 )
 
@@ -209,8 +209,12 @@ def _transverse(dirac, h, q, eta_a, guess, solution) -> list:
 
 
 def _newton_transverse(dirac, h, q, eta_a, guess) -> list:
-    """Newton's solution of dH/deta_alpha = 0 from ``guess``, as a list,
-    on the compiled gradient and transverse Hessian block of H."""
+    """Newton's solution of dH/deta_alpha = 0 from ``guess``, as a list.
+    Each iterate runs H's compiled transverse sweep once
+    (``grad_and_hessian_rows``): its first partials are the residual, and
+    the step's elimination consumes its block rows.  The rows at the
+    solution are eliminated once more, to check that the block is
+    nonsingular there."""
     m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
     head = [float(v) for v in q] + [float(v) for v in eta_a]
     alpha_idx = tuple(range(m + k, m + k + nt))
@@ -218,17 +222,15 @@ def _newton_transverse(dirac, h, q, eta_a, guess) -> list:
 
     def residual_map(eta_alpha):
         nonlocal jac
-        p = head + eta_alpha
-        res = value_and_grad(h, p)[1][m + k :]
-        jac = hessian_rows(h, p, alpha_idx)
+        res, jac = grad_and_hessian_rows(h, head + eta_alpha, alpha_idx)
         return res, jac
 
     try:
         sol = newton_iterate(residual_map, [0.0] * nt if guess is None else guess)
         # enforce the nondegeneracy precondition even when the start already
         # solves the condition (a flat transverse block means the condition
-        # does not select a unique momentum); the last Jacobian is at ``sol``
-        gauss_solve(jac, [0.0] * nt)
+        # does not select a unique momentum); the last rows are at ``sol``
+        solve_in_place(jac, [[0.0] * nt])
     except SingularMatrixError as err:
         raise DegenerateHamiltonianError(
             "transverse Hessian block is singular; the dynamics does not project "
@@ -318,11 +320,11 @@ def reduced_field(
 
     One tape holds the declared consistency map (``zero`` as constants,
     ``affine`` traced), the dual sweep of H and the element contraction.
-    A ``newton`` system runs the float Newton loop on the compiled
-    gradient and Hessian block of H, then the program traced from the
-    solved eta_alpha on.  Where the code gives up, and for a system that
-    cannot be traced, the program runs the same field on floats
-    (``numcore.compile_traced``).  It is compiled on the first call for a
+    A ``newton`` system runs the float Newton loop on H's compiled
+    transverse sweep (residual and Hessian block from one program), then
+    the program traced from the solved eta_alpha on.  Where the code gives
+    up, and for a system that cannot be traced, the program runs the same
+    field on floats (``numcore.compile_traced``).  It is compiled on the first call for a
     (dirac, solution) pair and cached on ``h``.
     """
     key = (id(dirac), id(solution))  # the cached closure keeps both alive

@@ -13,10 +13,13 @@ calculus: each float operation on one records one line of straight-line
 code, and the lines are compiled into one Python function.  ``grad``
 compiles a field's dual sweep that way, and ``hessian_block`` its
 nested-dual sweep once per index set, so the generated code applies
-DualScalar's rules operation for operation.  At a traced point the seed
-partials are ``_ZERO``, a zero that drops out of every rule, so
-structurally zero partials cost no code; products with 1.0 are folded,
-and one backward liveness pass drops the lines nothing reads.  A
+DualScalar's rules operation for operation.  The nested sweep's program
+returns the first partials over the index set ahead of the block, so
+``grad_and_hessian_rows`` gives a Newton residual and its Jacobian rows
+from one run.  At a traced point the seed partials are ``_ZERO``, a
+zero that drops out of every rule, so structurally zero partials cost
+no code; products with 1.0 are folded, and one backward liveness pass
+drops the lines nothing reads.  A
 compiled program stands in for the function it was traced from: where a
 domain guard holds, a float operation raises or an output is not finite,
 it runs that function, which gives the same numbers or raises the
@@ -26,6 +29,10 @@ converts its arguments) is its own program.  ``dirac.reduced_field`` and
 
 The linear algebra and every sum in ``dot`` run on Python floats in a
 fixed order, so no result depends on the BLAS kernel numpy loads.
+``solve_in_place`` is the one elimination: ``gauss_solve`` and
+``mat_inverse`` run it on checked copies, and ``newton_iterate`` on the
+Jacobian rows its residual map returns, unchecked and uncopied
+(``newton_solve`` checks and copies its map's arrays first).
 """
 
 import math
@@ -49,12 +56,14 @@ __all__ = [
     "seed_duals",
     "value_and_grad",
     "grad",
-    "hessian_rows",
+    "grad_and_hessian_rows",
     "hessian_block",
     "compile_traced",
     "is_traced",
     "dot",
     "max_abs",
+    "shape_of",
+    "solve_in_place",
     "gauss_solve",
     "mat_inverse",
     "solve_linear",
@@ -740,11 +749,13 @@ def grad(f: ScalarField, p) -> np.ndarray:
 
 
 def _hessian_sweep(f: ScalarField, p, idx) -> tuple:
-    """The second-derivative block of ``f`` over ``idx`` at ``p``, row by
-    row in one tuple, from the nested-dual sweep.  At tracing scalars the
-    inner level is seeded with ``_ZERO`` and the sweep recorded; at floats
-    it returns floats, and raises where one is not finite (the code traced
-    from it gives up there too, by ``_dual_sweep``'s argument)."""
+    """The first partials of ``f`` over ``idx`` at ``p`` and its
+    second-derivative block over ``idx``, row by row, as two tuples, from
+    one nested-dual sweep: the inner value carries the first partials.  At
+    tracing scalars the inner level is seeded with ``_ZERO`` and the sweep
+    recorded.  At floats it returns floats, finite or not; the code traced
+    from it gives up wherever one is not, by ``_dual_sweep``'s argument, so
+    its callers check the outputs they read."""
     s = len(idx)
     traced = is_traced(p)
     inner = _unit_seeds(s, _ZERO if traced else 0.0)
@@ -752,23 +763,20 @@ def _hessian_sweep(f: ScalarField, p, idx) -> tuple:
     args = list(p)
     for col, j in enumerate(idx):
         args[j] = DualScalar(DualScalar(args[j], inner[col]), outer[col])
+    out = f.fn(*args)
+    first = tuple(_scalar(v) for v in partials_of(value_of(out), s))
     # column c holds the partials of the outer partial c
-    cols = [partials_of(c, s) for c in partials_of(f.fn(*args), s)]
+    cols = [partials_of(c, s) for c in partials_of(out, s)]
     block = tuple(_scalar(cols[c][r]) for r in range(s) for c in range(s))
     if traced:
-        return block
-    if not all(math.isfinite(h) for h in block):
-        raise NumericDomainError(f"non-finite second derivative at {tuple(p)!r}")
-    return tuple(float(h) for h in block)
+        return first, block
+    return tuple(float(v) for v in first), tuple(float(h) for h in block)
 
 
-def hessian_rows(f: ScalarField, p, idx) -> list:
-    """Second-derivative block of ``f`` over the variable subset ``idx``,
-    as a list of float rows.
-
-    The first call for an index set compiles the nested-dual sweep of
-    ``f``, and every call with that set runs that program.
-    """
+def _hessian_outputs(f: ScalarField, p, idx) -> tuple:
+    """The float point, and the first partials and block of ``f`` over
+    ``idx`` there, unchecked.  The first call for an index set compiles
+    ``_hessian_sweep``, and every call with that set runs that program."""
     n = f.arity
     if len(p) != n:
         raise DimensionError(f"point of length {len(p)} for field of arity {n}")
@@ -778,18 +786,43 @@ def hessian_rows(f: ScalarField, p, idx) -> list:
         if any(j < 0 or j >= n for j in idx):
             raise DimensionError(f"index subset {list(idx)} outside arity {n}")
         compiled = f._hessians[idx] = compile_traced(lambda *xs: _hessian_sweep(f, xs, idx), n)
-    s = len(idx)
-    out = compiled(*[float(v) for v in p])
-    return [out[r * s : (r + 1) * s] for r in range(s)]
+    args = [float(v) for v in p]
+    return (args, *compiled(*args))
+
+
+def _require_finite(values, what: str, args) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise NumericDomainError(f"non-finite {what} at {tuple(args)!r}")
+
+
+def grad_and_hessian_rows(f: ScalarField, p, idx) -> tuple:
+    """The first partials of ``f`` over ``idx`` at ``p`` (a tuple) and its
+    second-derivative block over ``idx`` as float rows (lists of the
+    caller's own), from one run of ``hessian_block``'s program: the
+    residual and the Jacobian rows of Newton on d f / d x_idx = 0.  A
+    non-finite first partial raises as in ``value_and_grad``, ahead of the
+    block's check."""
+    args, first, block = _hessian_outputs(f, p, idx)
+    if not math.isfinite(sum(first, sum(block))):  # a non-finite entry makes it so
+        _require_finite(first, "derivative", args)
+        _require_finite(block, "second derivative", args)
+    s = len(first)
+    return first, [list(block[r * s : (r + 1) * s]) for r in range(s)]
 
 
 def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
-    """``hessian_rows`` as a read-only (len(idx), len(idx)) array."""
-    idx = tuple(idx)
-    s = len(idx)
-    block = np.array(hessian_rows(f, p, idx), dtype=float).reshape(s, s)
-    block.flags.writeable = False
-    return block
+    """Second-derivative block of ``f`` over the variable subset ``idx``, as
+    a read-only (len(idx), len(idx)) array.
+
+    The first call for an index set compiles the nested-dual sweep of
+    ``f``, and every call with that set runs that program.
+    """
+    args, first, block = _hessian_outputs(f, p, idx)
+    _require_finite(block, "second derivative", args)
+    s = len(first)
+    out = np.array(block, dtype=float).reshape(s, s)
+    out.flags.writeable = False
+    return out
 
 
 def max_abs(values) -> float:
@@ -834,22 +867,65 @@ def _float_square_rows(a) -> list:
     return arr.tolist()
 
 
-def _solve_in_place(a: list, columns: list) -> None:
+def shape_of(value) -> tuple:
+    """The lengths of nested lists, tuples and arrays, level by level:
+    numpy's shape where they agree, and at the first level where they do
+    not (numpy gives such a nesting no shape), the list of them and no
+    level past it."""
+    if isinstance(value, np.ndarray):
+        return value.shape
+    shape, level = [], [value]
+    while level and all(
+        isinstance(v, (list, tuple)) or (isinstance(v, np.ndarray) and v.ndim) for v in level
+    ):
+        lengths = [len(v) for v in level]
+        if len(set(lengths)) > 1:
+            shape.append(lengths)
+            break
+        shape.append(lengths[0])
+        level = [u for v in level for u in v]
+    return tuple(shape)
+
+
+def _float_system(a, b) -> tuple:
+    """Float rows of the square matrix ``a`` and a float list of ``b``,
+    checked to match: copies for ``solve_in_place`` to consume."""
+    rows = _float_square_rows(a)
+    try:
+        x = [float(v) for v in b]
+    except TypeError:  # not a sequence of numbers
+        x = None
+    if x is None or len(x) != len(rows):
+        raise DimensionError(f"right-hand side of length {shape_of(b)} for {len(rows)} equations")
+    return rows, x
+
+
+def solve_in_place(a: list, columns: list) -> None:
     """Solve a x = b in place for each right-hand side b in ``columns``: one
     Gaussian elimination of the float rows ``a`` with partial pivoting (the
     first row of largest magnitude), then back substitution per column,
-    every sum in a fixed order, so no result depends on a BLAS kernel."""
+    every sum left to right, so no result depends on a BLAS kernel.
+
+    ``a`` is consumed.  Nothing is checked: ``a`` is a square list of
+    float lists and every column a float list of its length.
+    """
     n = len(a)
-    biggest = max_abs(v for row in a for v in row)
+    biggest = 0.0
+    for row in a:
+        for v in row:
+            v = abs(v)
+            if v > biggest or v != v:  # a nan stays, and gives a nan threshold
+                biggest = v
     if biggest == 0.0:
         raise SingularMatrixError("zero matrix")
     threshold = SINGULARITY_RELATIVE_THRESHOLD * biggest
     for col in range(n):
-        pivot_row = col
+        pivot_row, size = col, abs(a[col][col])
         for r in range(col + 1, n):
-            if abs(a[r][col]) > abs(a[pivot_row][col]):
-                pivot_row = r
-        if abs(a[pivot_row][col]) < threshold:
+            v = abs(a[r][col])
+            if v > size:
+                pivot_row, size = r, v
+        if size < threshold:
             raise SingularMatrixError(
                 f"pivot {a[pivot_row][col]:.3e} below {threshold:.3e} in column {col}"
             )
@@ -858,39 +934,41 @@ def _solve_in_place(a: list, columns: list) -> None:
             for x in columns:
                 x[col], x[pivot_row] = x[pivot_row], x[col]
         top = a[col]
+        pivot = top[col]
         for r in range(col + 1, n):
             row = a[r]
             if row[col] != 0.0:
-                lam = row[col] / top[col]
-                for j in range(col, n):
+                lam = row[col] / pivot
+                # row[col] is not read again, so it is not updated
+                for j in range(col + 1, n):
                     row[j] -= lam * top[j]
                 for x in columns:
                     x[r] -= lam * x[col]
     for x in columns:
         for r in range(n - 1, -1, -1):
             row = a[r]
-            x[r] = (x[r] - dot(enumerate(row[r + 1 :], r + 1), x)) / row[r]
+            if r + 1 < n:
+                total = row[r + 1] * x[r + 1]
+                for i in range(r + 2, n):
+                    total = total + row[i] * x[i]
+                x[r] = (x[r] - total) / row[r]
+            else:
+                x[r] = x[r] / row[r]
 
 
 def gauss_solve(a, b) -> list:
-    """Solve a x = b as float lists (``_solve_in_place``).  ``a`` is an
-    ndarray or a sequence of rows."""
-    a = _float_square_rows(a)
-    try:
-        x = [float(v) for v in b]
-    except TypeError:  # not a sequence of numbers
-        x = None
-    if x is None or len(x) != len(a):
-        raise DimensionError(f"right-hand side of length {np.shape(b)} for {len(a)} equations")
-    _solve_in_place(a, [x])
+    """Solve a x = b as float lists (``solve_in_place`` on copies).  ``a``
+    is an ndarray or a sequence of rows."""
+    a, x = _float_system(a, b)
+    solve_in_place(a, [x])
     return x
 
 
 def mat_inverse(a) -> np.ndarray:
-    """Inverse by ``_solve_in_place`` on the identity, as a read-only array."""
+    """Inverse by ``solve_in_place`` on the identity, as a read-only array."""
     rows = _float_square_rows(a)
     cols = [[float(i == j) for i in range(len(rows))] for j in range(len(rows))]
-    _solve_in_place(rows, cols)
+    solve_in_place(rows, cols)
     inv = np.array(cols, dtype=float).T.copy()
     inv.flags.writeable = False
     return inv
@@ -908,7 +986,9 @@ def newton_iterate(
     max_iter: int = NEWTON_MAX_ITER,
 ) -> list:
     """Undamped Newton iteration on float lists: ``residual_map(x) -> (F,
-    J)`` with F a sequence and J its Jacobian rows.
+    J)`` with F a sequence of floats and J its Jacobian as float rows
+    (lists) of its own.  Each step's ``solve_in_place`` consumes J as it
+    is, unchecked; the J of the iterate returned is left untouched.
 
     Returns the first iterate with ``max|F| <= tol``.
     """
@@ -925,7 +1005,9 @@ def newton_iterate(
             return x
         if attempt == max_iter:
             break
-        x = [u - v for u, v in zip(x, gauss_solve(jac, res))]
+        step = list(res)
+        solve_in_place(jac, [step])
+        x = [u - v for u, v in zip(x, step)]
     raise NonConvergenceError(
         f"no convergence in {max_iter} iterations (last residual {norm:.3e})",
         residual=norm,
@@ -939,6 +1021,14 @@ def newton_solve(
     max_iter: int = NEWTON_MAX_ITER,
 ) -> np.ndarray:
     """``newton_iterate`` with ndarray iterates: ``residual_map`` receives
-    each iterate as an array, and the solution is returned as one."""
-    x = newton_iterate(lambda x: residual_map(np.array(x, dtype=float)), x0, tol, max_iter)
-    return np.array(x, dtype=float)
+    each iterate as an array and returns F and J as arrays or sequences,
+    which are checked and copied to float lists here (``gauss_solve``'s
+    DimensionError where J is not square or F does not match it); the
+    solution is returned as an array."""
+
+    def float_map(x):
+        res, jac = residual_map(np.array(x, dtype=float))
+        rows, res = _float_system(jac, res)
+        return res, rows
+
+    return np.array(newton_iterate(float_map, x0, tol, max_iter), dtype=float)

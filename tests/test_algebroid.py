@@ -490,3 +490,25 @@ def test_state_shape_validation():
         hamiltonian_vector_field(
             alg, h, PhaseState((0.0, 0.0, 0.0), (1.0, 1.0), full=False)
         )
+
+
+@pytest.mark.parametrize(
+    "anchor, structure, message",
+    [
+        (lambda q: [[1.0], [0.0]], None, "anchor of shape (2, 1), expected (2, 2)"),
+        (lambda q: [[1.0, 0.0, 5.0], [0.0, 1.0, 5.0]], None, "anchor of shape (2, 3), expected (2, 2)"),
+        (lambda q: [[1.0, 0.0], [0.0]], None, "anchor of shape (2, [2, 1]), expected (2, 2)"),
+        (lambda q: np.eye(3)[:, :2], None, "anchor of shape (3, 2), expected (2, 2)"),
+        (np.eye(2), lambda q: np.zeros((2, 2, 3)), "structure of shape (2, 2, 3), expected (2, 2, 2)"),
+        (np.eye(2), lambda q: [np.zeros((2, 2)), np.zeros((2, 1))], "structure of shape (2, 2, [2, 2, 1, 1]), expected (2, 2, 2)"),
+    ],
+)
+def test_map_of_the_wrong_shape_is_rejected(anchor, structure, message):
+    from diracmech.errors import DimensionError
+
+    structure = np.zeros((2, 2, 2)) if structure is None else structure
+    alg = SkewAlgebroid(m=2, rank=2, anchor=anchor, structure=structure)
+    for _ in range(2):  # the trace and the call after it
+        with pytest.raises(DimensionError) as info:
+            alg.rates([0.1, 0.2], [1.0, 2.0], [0.5, 0.5], [0.1, 0.1])
+        assert str(info.value) == message

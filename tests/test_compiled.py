@@ -4,6 +4,7 @@ dual sweep's errors where they give up, and generated source that reads
 only its own names."""
 
 import ast
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -258,7 +259,7 @@ def assert_compiled_hessian_matches_dual(f, idx, points):
         p = [float(v) for v in p]
         out = compiled(*p)
         assert out is not None, f"compiled code gave up at {p}"
-        got = np.array(out, dtype=float).reshape(s, s)
+        got = np.array(out[1], dtype=float).reshape(s, s)  # after the first partials
         want = hessian_block(reference, p, idx)
         assert np.array_equal(got, want)
         differ = bits(got) != bits(want)
@@ -271,6 +272,80 @@ def test_compiled_transverse_hessian_matches_dual_sweep(name):
     spec = quartic_skater() if name == "skater_quartic" else SPECS[name]
     assert transverse(spec)
     assert_compiled_hessian_matches_dual(spec.hamiltonian, transverse(spec), random_points(spec, 200, seed=7))
+
+
+# SHA-256 over the bytes of hessian_block over the transverse momenta at
+# random_points(spec, 200, seed=12), recorded when the program returned the
+# block alone
+TRANSVERSE_BLOCK_DIGESTS = {
+    "ball_free": "e676e9b0f9108270c99197bbe423525ba972912053885b08decd3fb4c44fe612",
+    "ball_harmonic": "e676e9b0f9108270c99197bbe423525ba972912053885b08decd3fb4c44fe612",
+    "ball_magnetic": "e676e9b0f9108270c99197bbe423525ba972912053885b08decd3fb4c44fe612",
+    "skater_charged": "e4d8a08d6fb2ee488fc41301bff7a9074c1920cc87210c50d9d15e77f8b1203f",
+    "skater_free": "e4d8a08d6fb2ee488fc41301bff7a9074c1920cc87210c50d9d15e77f8b1203f",
+    "skater_slope": "e4d8a08d6fb2ee488fc41301bff7a9074c1920cc87210c50d9d15e77f8b1203f",
+    "skater_quartic": "a6142e33713bc58e5da5fe7cd7177853af2cf2da2b5fb12f8534c89ee7c4d090",
+}
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "skater_quartic"])
+def test_transverse_program_returns_the_newton_residual_and_block(name):
+    spec = quartic_skater() if name == "skater_quartic" else SPECS[name]
+    h, idx = spec.hamiltonian, transverse(spec)
+    s = len(idx)
+    hessian_block(h, [0.1] * h.arity, idx)
+    program = h._hessians[idx]
+    assert is_generated(program)
+    digest = hashlib.sha256()
+    for p in random_points(spec, 200, seed=12):
+        p = [float(v) for v in p]
+        residual = list(numcore.value_and_grad(h, p)[1][idx[0] :])
+        rows = hessian_block(h, p, idx).tolist()
+        for first, block in (program(*p), numcore._hessian_sweep(h, p, idx)):
+            assert list(first) == residual
+            assert [list(block[r * s : (r + 1) * s]) for r in range(s)] == rows
+        assert numcore.grad_and_hessian_rows(h, p, idx) == (tuple(residual), rows)
+        digest.update(hessian_block(h, p, idx).tobytes())
+    assert digest.hexdigest() == TRANSVERSE_BLOCK_DIGESTS[name]
+
+
+def test_newton_residual_must_be_finite_where_the_block_is():
+    f, p = GUARDS["non-finite-result"]
+    assert hessian_block(f, p, (0, 1)).tolist() == [[0.0, 1e308], [1e308, 0.0]]
+    with pytest.raises(numcore.NumericDomainError) as info:
+        numcore.grad_and_hessian_rows(f, p, (0, 1))
+    assert str(info.value) == "non-finite derivative at (10.0, 10.0)"
+
+
+def test_non_finite_residual_is_reported_ahead_of_the_block():
+    # both the first partials and the block overflow: the residual's
+    # message comes first, as when the gradient was taken before the block
+    f = ScalarField(["x"], ["y"], lambda x, y: 1e300 * y**4 + x)
+    p = (0.0, 1e10)
+    with pytest.raises(numcore.NumericDomainError) as info:
+        numcore.grad_and_hessian_rows(f, p, (1,))
+    assert str(info.value) == "non-finite derivative at (0.0, 10000000000.0)"
+    with pytest.raises(numcore.NumericDomainError) as info:
+        hessian_block(f, p, (1,))
+    assert str(info.value) == "non-finite second derivative at (0.0, 10000000000.0)"
+
+
+def test_newton_residual_comes_from_the_transverse_sweep():
+    # the exponent of (1 + e3^2) ** (1.5 + x / 4) varies with x alone.  The
+    # full gradient sweeps x too, so power takes exp(b log a); the transverse
+    # sweep holds x fixed and takes b a**(b - 1).  The Newton residual is the
+    # transverse sweep's, the sweep of its Jacobian, one ulp from the
+    # gradient's slice here.
+    spec = SPECS["skater_free"]
+    h = ScalarField(
+        spec.base_names, spec.fiber_names,
+        lambda x, y, phi, e1, e2, e3: 0.5 * (e1 * e1 + e2 * e2) + (1.0 + e3 * e3) ** (1.5 + 0.25 * x),
+    )
+    p = (0.5, 0.0, 0.0, 1.0, 1.0, 0.5)
+    (residual,), rows = numcore.grad_and_hessian_rows(h, p, (5,))
+    assert residual.hex() == "0x1.de4201213c8dcp+0"
+    assert numcore._hessian_sweep(h, p, (5,)) == ((residual,), (rows[0][0],))
+    assert numcore.value_and_grad(h, p)[1][5].hex() == "0x1.de4201213c8ddp+0"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

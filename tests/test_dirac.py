@@ -21,11 +21,12 @@ from diracmech.checks import ISOTROPY_TOL
 from diracmech.errors import (
     DegenerateHamiltonianError,
     DimensionError,
+    NumericDomainError,
     ValidationError,
 )
 from diracmech.frame import decompose
 from diracmech.integrate import simulate
-from diracmech.numcore import ScalarField, grad, seed_duals, partials_of
+from diracmech.numcore import ScalarField, grad, hessian_block, seed_duals, partials_of
 from diracmech.systems import build, catalog_names, oracle_reduced_field, skater_frame
 
 
@@ -283,22 +284,53 @@ def test_solve_consistency_degenerate_hamiltonian():
         solve_consistency(spec.dirac, flat, (0.0, 0.0, 0.0), (1.0, 1.0))
 
 
+def test_newton_reports_a_non_finite_residual_first():
+    # the residual and the transverse block both overflow at the start
+    spec = build("skater_free")
+    steep = ScalarField(
+        spec.base_names, spec.fiber_names,
+        lambda x, y, phi, e1, e2, e3: 0.5 * (e1 * e1 + e2 * e2) + 1e300 * (e3 + x) ** 4,
+    )
+    with pytest.raises(NumericDomainError) as info:
+        solve_consistency(spec.dirac, steep, (1e10, 0.0, 0.0), (1.0, 1.0))
+    assert str(info.value) == "non-finite derivative at (10000000000.0, 0.0, 0.0, 1.0, 1.0, 0.0)"
+
+
 def test_newton_builds_one_hessian_block_per_residual(monkeypatch):
-    from diracmech import dirac
+    # each residual is one run of H's transverse sweep program, which gives
+    # the residual and the Jacobian rows; the full gradient is never taken
+    from diracmech import dirac, numcore
 
     spec = build("ball_magnetic")
-    counts = {"value_and_grad": 0, "hessian_rows": 0}
-    for name in counts:
-        original = getattr(dirac, name)
+    h, start = spec.hamiltonian, spec.m + spec.k
+    idx = tuple(range(start, start + spec.dirac.transverse))
+    hessian_block(h, [0.1] * h.arity, idx)  # compiles the program
+    counts = {"residual": 0, "program": 0, "value_and_grad": 0}
+    program, iterate, full_gradient = h._hessians[idx], dirac.newton_iterate, numcore.value_and_grad
 
-        def counted(*args, name=name, original=original, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
+    def counted_program(*xs):
+        counts["program"] += 1
+        return program(*xs)
 
-        monkeypatch.setattr(dirac, name, counted)
-    sol = solve_consistency(spec.dirac, spec.hamiltonian, (0.2, -0.1), (1.0, 0.3, -0.2))
+    def counted_iterate(residual_map, *args, **kwargs):
+        def counted_map(x):
+            counts["residual"] += 1
+            return residual_map(x)
+
+        return iterate(counted_map, *args, **kwargs)
+
+    def counted_gradient(*args, **kwargs):
+        counts["value_and_grad"] += 1
+        return full_gradient(*args, **kwargs)
+
+    monkeypatch.setitem(h._hessians, idx, counted_program)
+    monkeypatch.setattr(dirac, "newton_iterate", counted_iterate)
+    for module in (dirac, numcore):
+        monkeypatch.setattr(module, "value_and_grad", counted_gradient)
+    sol = solve_consistency(spec.dirac, h, (0.2, -0.1), (1.0, 0.3, -0.2))
     assert np.max(np.abs(sol - [0.0, 0.2])) <= 1e-12
-    assert counts["hessian_rows"] == counts["value_and_grad"] >= 2
+    assert counts["program"] == counts["residual"] >= 2
+    assert counts["value_and_grad"] == 0
 
 
 # -- reduced field -------------------------------------------------------------------

@@ -241,6 +241,11 @@ def test_gauss_solve_messages():
             "right-hand side of length (2, 1) for 2 equations",
         ),
         (
+            lambda: gauss_solve(np.eye(2), [[1.0], [2.0, 3.0]]),
+            DimensionError,
+            "right-hand side of length (2, [1, 2]) for 2 equations",
+        ),
+        (
             lambda: mat_inverse([[1.0, 2.0], [3.0]]),
             DimensionError,
             "square matrix required, got rows of lengths [2, 1]",
@@ -265,6 +270,68 @@ def test_mat_inverse_columns_are_gauss_solves():
     for j in range(4):
         column = gauss_solve(a, [float(i == j) for i in range(4)])
         assert inv[:, j].tolist() == column
+
+
+# gauss_solve(a, b) and mat_inverse(a) row by row as float.hex, recorded
+# before the elimination was streamlined: row swaps in one and in several
+# columns, a pivot far below its row's scale, and near-singular systems.
+SOLVE_TABLE = [
+    (
+        [[2.0]],
+        [3.0],
+        ['0x1.8000000000000p+0'],
+        ['0x1.0000000000000p-1'],
+    ),
+    (
+        [[1e-3, 1.0], [1.0, 1.0]],
+        [1.0, 2.0],
+        ['0x1.00419a0290042p+0', '0x1.ff7ccbfadff7dp-1'],
+        ['-0x1.00419a0290042p+0', '0x1.00419a0290042p+0', '0x1.00419a0290042p+0', '-0x1.06680a4010668p-10'],
+    ),
+    (
+        [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [4.0, -3.0, 8.0]],
+        [1.0, -1.0, 0.5],
+        ['-0x1.8800000000000p+3', '-0x1.a000000000000p+2', '0x1.e000000000000p+1'],
+        ['-0x1.2000000000000p+2', '0x1.c000000000000p+2', '-0x1.8000000000000p+0', '-0x1.0000000000000p+1', '0x1.0000000000000p+2', '-0x1.0000000000000p+0', '0x1.8000000000000p+0', '-0x1.0000000000000p+1', '0x1.0000000000000p-1'],
+    ),
+    (
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]],
+        [0.1, 0.2, 0.3],
+        ['-0x1.1111111111116p-5', '0x1.1111111111116p-4', '-0x1.4000000000004p-55'],
+        ['-0x1.555555555554bp-1', '-0x1.555555555555bp+0', '0x1.0000000000002p+0', '-0x1.555555555556ap-1', '0x1.d55555555555cp+1', '-0x1.0000000000003p+1', '0x1.0000000000005p+0', '-0x1.0000000000003p+1', '0x1.0000000000003p+0'],
+    ),
+    (
+        [[1.0, 1.0], [1.0, 1.0 + 1e-12]],
+        [2.0, 2.0 + 1e-12],
+        ['0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+        ['0x1.d19eb155f28a4p+39', '-0x1.d19eb155f08a4p+39', '-0x1.d19eb155f08a4p+39', '0x1.d19eb155f08a4p+39'],
+    ),
+    (
+        [[3.0, -0.1, -0.2, 0.7], [0.1, 7.0, -0.3, 0.0], [0.3, -0.2, 10.0, 1.0], [-2.0, 4.0, 1.0, 0.5]],
+        [7.85, -19.3, 71.4, 0.25],
+        ['0x1.f96e9759b4bfbp-2', '-0x1.40beb46a0df11p+1', '0x1.81d6bfa73bc89p+2', '0x1.4ed47c1816b14p+3'],
+        ['0x1.26d2d96a78e6cp-3', '0x1.43590c498c895p-3', '0x1.1c5c6fc69c33bp-5', '-0x1.157780ef6214ep-2', '-0x1.704820218bd64p-8', '0x1.2564546437ab5p-3', '0x1.1669f8718d3c5p-8', '-0x1.49de1f3ab598dp-11', '-0x1.548748949b53fp-4', '0x1.fbb57f965c7dcp-5', '0x1.c569f246b2ab4p-4', '-0x1.ae167ef08be11p-4', '0x1.92f92d91b8794p-1', '-0x1.46e64c71ae5d1p-1', '-0x1.dd500138f38d5p-4', '0x1.21952d0dea1cep+0'],
+    ),
+    (
+        [[1e-20, 1.0], [1.0, 1e-20]],
+        [1.0, 1.0],
+        ['0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+        ['-0x1.79ca10c924223p-67', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '-0x1.79ca10c924223p-67'],
+    ),
+]
+
+
+@pytest.mark.parametrize("a, b, x, inv", SOLVE_TABLE)
+def test_solves_repeat_the_recorded_bits(a, b, x, inv):
+    assert [v.hex() for v in gauss_solve(a, b)] == x
+    assert [float(v).hex() for v in mat_inverse(a).ravel()] == inv
+
+
+def test_solve_in_place_consumes_its_rows_and_columns():
+    a, columns = [[0.0, 2.0], [4.0, 0.0]], [[2.0, 8.0], [1.0, 0.0]]
+    numcore.solve_in_place(a, columns)
+    assert columns == [[2.0, 1.0], [0.0, 0.5]]
+    assert a[0] == [4.0, 0.0]  # the pivot row was swapped up
 
 
 # -- newton --------------------------------------------------------------
@@ -370,6 +437,22 @@ def test_newton_rejects_bad_arguments_before_evaluating(kwargs, message):
         newton_solve(f, [1.0], **kwargs)
     assert str(info.value) == message
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "res, jac, message",
+    [
+        ([1.0, 2.0], np.zeros((1, 2)), "square matrix required, got shape (1, 2)"),
+        ([1.0, 2.0], [[1.0, 0.0]], "square matrix required, got rows of lengths [2]"),
+        ([1.0], np.eye(2), "right-hand side of length (1,) for 2 equations"),
+        ([1.0, 2.0, 3.0], np.eye(2), "right-hand side of length (3,) for 2 equations"),
+        ([[1.0], [2.0]], np.eye(2), "right-hand side of length (2, 1) for 2 equations"),
+    ],
+)
+def test_newton_solve_checks_the_shapes_its_map_returns(res, jac, message):
+    with pytest.raises(DimensionError) as info:
+        newton_solve(lambda x: (res, jac), [0.0, 0.0])
+    assert str(info.value) == message
 
 
 def test_newton_singular_jacobian():

@@ -386,10 +386,23 @@ def test_liveness_pass_keeps_guards_and_lines_that_may_raise():
 
 def test_transverse_hessian_code_is_only_the_live_lines():
     h = build("ball_magnetic").hamiltonian
-    source, _ = numcore._source(lambda *xs: numcore._hessian_sweep(h, xs, (5, 6)), h.arity)
+    source, _ = numcore._source(lambda *xs: numcore._hessian_sweep(h, xs, (5, 6))[1], h.arity)
     body = source.splitlines()[1:-1]
     assert len(body) <= 6, source
     hessian_block(h, [0.1] * 7, (5, 6))
+
+
+def test_transverse_newton_program_is_only_the_live_lines():
+    # with the first partials, ball_magnetic's transverse program computes
+    # x5 + x5 and x6 - x0 doubled, each times 0.5 (the block is constant),
+    # and a later line reads every assignment
+    h = build("ball_magnetic").hamiltonian
+    source, _ = numcore._source(lambda *xs: numcore._hessian_sweep(h, xs, (5, 6)), h.arity)
+    body = [line.strip() for line in source.splitlines()]
+    assigned = [(j, line.split(" = ")[0]) for j, line in enumerate(body) if re.match(r"v\d+ = ", line)]
+    assert len(assigned) <= 5, source
+    for j, name in assigned:
+        assert any(re.search(rf"\b{name}\b", line) for line in body[j + 1 :]), (name, source)
 
 
 def test_potential_is_evaluated_only_while_tracing(monkeypatch):
