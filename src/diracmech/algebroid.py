@@ -31,7 +31,6 @@ from .frame import (
 )
 from .numcore import (
     ScalarField,
-    compile_traced,
     dot,
     gauss_solve,
     grad,
@@ -39,6 +38,7 @@ from .numcore import (
     max_abs,
     shape_of,
 )
+from .tracing import compile_traced
 
 __all__ = [
     "SkewAlgebroid",
@@ -131,7 +131,7 @@ class SkewAlgebroid:
 
     def float_rates(self, q, eta, x, a, k=None):
         """``scalar_rates`` at float lists of matching lengths, through its
-        program, compiled once per k (``numcore.compile_traced``)."""
+        program, compiled once per k (``tracing.compile_traced``)."""
         k = self.rank if k is None else k
         m, rank = self.m, self.rank
         program = self._cache.get(("rates", k))

@@ -41,16 +41,15 @@ from .errors import (
 from .frame import eval_matrix_with_partials
 from .numcore import (
     ScalarField,
-    compile_traced,
     grad,
     grad_and_hessian_rows,
-    is_traced,
     newton_iterate,
     partials_of,
     seed_duals,
     solve_in_place,
     value_and_grad,
 )
+from .tracing import compile_traced, is_traced
 
 __all__ = [
     "DiracAlgebroid",
@@ -324,7 +323,7 @@ def reduced_field(
     transverse sweep (residual and Hessian block from one program), then
     the program traced from the solved eta_alpha on.  Where the code gives
     up, and for a system that cannot be traced, the program runs the same
-    field on floats (``numcore.compile_traced``).  It is compiled on the first call for a
+    field on floats (``tracing.compile_traced``).  It is compiled on the first call for a
     (dirac, solution) pair and cached on ``h``.
     """
     key = (id(dirac), id(solution))  # the cached closure keeps both alive

@@ -8,24 +8,14 @@ and nest, so Hessian blocks come from running duals through duals.
 ``DualScalar`` and the elementary functions here hold the only
 derivative rules.
 
-``compile_traced`` runs a function once on tracing scalars that know no
-calculus: each float operation on one records one line of straight-line
-code, and the lines are compiled into one Python function.  ``grad``
-compiles a field's dual sweep that way, and ``hessian_block`` its
-nested-dual sweep once per index set, so the generated code applies
-DualScalar's rules operation for operation.  The nested sweep's program
-returns the first partials over the index set ahead of the block, so
-``grad_and_hessian_rows`` gives a Newton residual and its Jacobian rows
-from one run.  At a traced point the seed partials are ``_ZERO``, a
-zero that drops out of every rule, so structurally zero partials cost
-no code; products with 1.0 are folded, and one backward liveness pass
-drops the lines nothing reads.  A
-compiled program stands in for the function it was traced from: where a
-domain guard holds, a float operation raises or an output is not finite,
-it runs that function, which gives the same numbers or raises the
-engine's error.  A function that cannot be traced (it compares or
-converts its arguments) is its own program.  ``dirac.reduced_field`` and
-``SkewAlgebroid.float_rates`` compile their programs the same way.
+``grad`` compiles a field's dual sweep with ``tracing.compile_traced``,
+and ``hessian_block`` its nested-dual sweep once per index set, so the
+generated code applies DualScalar's rules operation for operation.  The
+nested sweep's program returns the first partials over the index set
+ahead of the block, so ``grad_and_hessian_rows`` gives a Newton residual
+and its Jacobian rows from one run.  At a traced point the seed partials
+are ``tracing.ZERO``, a zero that drops out of every rule, so
+structurally zero partials cost no code.
 
 The linear algebra and every sum in ``dot`` run on Python floats in a
 fixed order, so no result depends on the BLAS kernel numpy loads.
@@ -35,10 +25,10 @@ Jacobian rows its residual map returns, unchecked and uncopied
 (``newton_solve`` checks and copies its map's arrays first).
 """
 
+import functools
 import math
 import numbers
 import operator
-import re
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +39,7 @@ from .errors import (
     NumericDomainError,
     SingularMatrixError,
 )
+from .tracing import ZERO, Tracer, compile_traced, is_traced
 
 __all__ = [
     "DualScalar",
@@ -58,8 +49,6 @@ __all__ = [
     "grad",
     "grad_and_hessian_rows",
     "hessian_block",
-    "compile_traced",
-    "is_traced",
     "dot",
     "max_abs",
     "shape_of",
@@ -93,30 +82,27 @@ def _scalar(x):
     return x
 
 
-_DOMAIN_TESTS = {"==": operator.eq, "<": operator.lt, "<=": operator.le}
-
-
-def _fails(x, test: str) -> bool:
-    """Whether the innermost value of ``x`` satisfies ``test`` against 0.0,
-    the domain test on which a dual rule raises.
+def _fails(x, test) -> bool:
+    """Whether the innermost value of ``x`` satisfies ``test`` (operator.eq,
+    lt or le) against 0.0, the domain test on which a dual rule raises.
 
     A traced value has no number to test: the test becomes a guard of the
     program being recorded, which gives up where it holds, and the trace
     goes on down the branch that does not raise.
     """
     x = _scalar(x)
-    if isinstance(x, _Tracer):
-        x.tape.guard(f"{x.name} {test} 0.0")
+    if isinstance(x, Tracer):
+        x.guard(test)
         return False
-    return _DOMAIN_TESTS[test](x, 0.0)
+    return test(x, 0.0)
 
 
 def _sign(x):
     """1.0 where the innermost value of ``x`` is >= 0.0, else -1.0 (a traced
     sign for a traced value)."""
     x = _scalar(x)
-    if isinstance(x, _Tracer):
-        return x._let(f"1.0 if {x.name} >= 0.0 else -1.0")
+    if isinstance(x, Tracer):
+        return x.sign()
     return 1.0 if x >= 0.0 else -1.0
 
 
@@ -184,19 +170,19 @@ class DualScalar:
     def __truediv__(self, other):
         if isinstance(other, DualScalar):
             ov = other.value
-            if _fails(ov, "=="):
+            if _fails(ov, operator.eq):
                 raise NumericDomainError("division by zero")
             q = self.value / ov
             return DualScalar(
                 q,
                 tuple((a - q * b) / ov for a, b in zip(self.partials, other.partials)),
             )
-        if _fails(other, "=="):
+        if _fails(other, operator.eq):
             raise NumericDomainError("division by zero")
         return DualScalar(self.value / other, tuple(a / other for a in self.partials))
 
     def __rtruediv__(self, other):
-        if _fails(self.value, "=="):
+        if _fails(self.value, operator.eq):
             raise NumericDomainError("division by zero")
         q = other / self.value
         f = q / self.value
@@ -237,8 +223,8 @@ class DualScalar:
 
 def _apply(fn, x):
     """``fn`` from math at a plain number, recorded at a traced one."""
-    if isinstance(x, _Tracer):
-        return x.call(fn.__name__)
+    if isinstance(x, Tracer):
+        return x.call(fn)
     try:
         return fn(x)
     except ValueError as err:  # sin, cos or tan of an infinity
@@ -278,7 +264,7 @@ def exp(x):
 
 
 def log(x):
-    if _fails(x, "<="):
+    if _fails(x, operator.le):
         raise NumericDomainError("log of a non-positive value")
     if isinstance(x, DualScalar):
         return DualScalar(log(x.value), tuple(a / x.value for a in x.partials))
@@ -286,10 +272,10 @@ def log(x):
 
 
 def sqrt(x):
-    if _fails(x, "<"):
+    if _fails(x, operator.lt):
         raise NumericDomainError("sqrt of a negative value")
     if isinstance(x, DualScalar):
-        if _fails(x.value, "=="):
+        if _fails(x.value, operator.eq):
             raise NumericDomainError("sqrt derivative at zero")
         r = sqrt(x.value)
         f = 0.5 / r
@@ -299,7 +285,7 @@ def sqrt(x):
 
 def divide(num, den):
     """num / den; a zero divisor, plain or dual, raises NumericDomainError."""
-    if _fails(den, "=="):
+    if _fails(den, operator.eq):
         raise NumericDomainError("division by zero")
     return num / den
 
@@ -319,10 +305,10 @@ def power(base, exponent):
     e = _scalar(value_of(exponent))
     if float(e).is_integer():
         return _pow_int(base, int(e))
-    if _fails(base, "<"):
+    if _fails(base, operator.lt):
         raise NumericDomainError("negative base with non-integer exponent")
     if isinstance(base, DualScalar):
-        if _fails(base, "=="):
+        if _fails(base, operator.eq):
             raise NumericDomainError("zero base with non-integer exponent")
         v = base.value ** e
         f = e * base.value ** (e - 1.0)
@@ -335,318 +321,36 @@ def _pow_int(base, n):
         if isinstance(base, DualScalar):
             if n == 0:
                 return DualScalar(1.0, tuple(0.0 * a for a in base.partials))
-            if n < 0 and _fails(base.value, "=="):
+            if n < 0 and _fails(base.value, operator.eq):
                 raise NumericDomainError("zero base with negative exponent")
             v = base.value ** n
             f = n * base.value ** (n - 1)
             return DualScalar(v, tuple(f * a for a in base.partials))
-        if n < 0 and _fails(base, "=="):
-            raise NumericDomainError("zero base with negative exponent")
         return _plain_pow(base, n)
     except OverflowError as err:
         raise NumericDomainError(f"power overflow for exponent {n}") from err
 
 
 def _plain_pow(base, e):
-    """base ** e once ``power``'s guards have run: recorded for a traced
-    base, whose ``**`` goes through ``power``."""
-    if isinstance(base, _Tracer):
-        return base._binary("**", e)
+    """base ** e for a plain or traced base once ``power``'s other guards
+    have run: a zero base with a negative exponent raises here."""
+    if e < 0 and _fails(base, operator.eq):
+        raise NumericDomainError("zero base with negative exponent")
+    if isinstance(base, Tracer):
+        return base.raw_pow(e)
     return base ** e
 
 
-_SEED_CACHE: dict = {}
-
-
+@functools.cache
 def _unit_seeds(n, zero=0.0):
     """The n unit partials vectors, ``zero`` off the diagonal."""
-    key = (n, zero is _ZERO)
-    seeds = _SEED_CACHE.get(key)
-    if seeds is None:
-        seeds = tuple(
-            tuple(1.0 if i == j else zero for i in range(n)) for j in range(n)
-        )
-        _SEED_CACHE[key] = seeds
-    return seeds
+    return tuple(tuple(1.0 if i == j else zero for i in range(n)) for j in range(n))
 
 
 def seed_duals(p):
     """Wrap a point as duals, variable j carrying the j-th unit partial."""
     seeds = _unit_seeds(len(p))
     return [DualScalar(float(v), seeds[j]) for j, v in enumerate(p)]
-
-
-# -- tracing and compiling ----------------------------------------------------
-
-
-class _GiveUp(Exception):
-    """A recorded guard holds: the rule it stands for raises here."""
-
-
-# Names the generated code may read besides its own x*, v* and c*.
-_HELPERS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "fabs": math.fabs,
-    "isfinite": math.isfinite,
-    # what float code raises where a rule of this module raises
-    "float_errors": (OverflowError, ValueError, ZeroDivisionError),
-    "give_up": _GiveUp,
-}
-
-
-class _Untraceable(TypeError):
-    """The traced function asked for a value the trace does not have."""
-
-
-class _Tape:
-    """The straight-line program a trace records.
-
-    Every float operation is one assignment to a fresh local ``v*``, the
-    arguments are ``x*``, and constants are read as ``c*`` from the
-    namespace the program runs in, so no source text comes from the traced
-    function.  A guard gives up where the traced function would raise.
-    """
-
-    def __init__(self):
-        self.lines = []
-        self.consts = {}
-        self._const_names = {}
-        self._names = {}  # expression -> the name it was first assigned to
-        self._guards = set()
-
-    def const(self, c) -> str:
-        key = (type(c), repr(c))  # keeps 0.0 and -0.0 apart, and finds nan again
-        name = self._const_names.get(key)
-        if name is None:
-            name = self._const_names[key] = f"c{len(self.consts)}"
-            self.consts[name] = c
-        return name
-
-    def let(self, expr: str) -> str:
-        name = self._names.get(expr)
-        if name is None:  # an expression already assigned has the same value
-            name = self._names[expr] = f"v{len(self.lines)}"
-            self.lines.append(f"{name} = {expr}")
-        return name
-
-    def is_const(self, name: str, text) -> bool:
-        """Whether ``name`` is the float constant written ``text``."""
-        return self._const_names.get((float, text)) == name
-
-    def guard(self, condition: str):
-        if condition not in self._guards:  # a test already passed passes again
-            self._guards.add(condition)
-            self.lines.append(f"if {condition}: raise give_up")
-
-
-# x op c is x, exactly, for these constants c
-_IDENTITIES = {"+": "-0.0", "-": "0.0", "*": "1.0", "/": "1.0"}
-
-
-class _Tracer:
-    """A plain number being traced: the name its value has in the program
-    being recorded.
-
-    Each float operation on it records one assignment, and it knows no
-    derivative rule: DualScalar's rules run on it as they run on a float.
-    Comparing it or converting it to a number raises _Untraceable.
-    """
-
-    __slots__ = ("tape", "name")
-
-    def __init__(self, tape: _Tape, name: str):
-        self.tape = tape
-        self.name = name
-
-    def _let(self, expr: str) -> "_Tracer":
-        return _Tracer(self.tape, self.tape.let(expr))
-
-    def _binary(self, op: str, other, reflected=False):
-        if isinstance(other, _Tracer):
-            if other.tape is not self.tape:
-                raise _Untraceable("scalar from another trace")
-            o = other.name
-        elif isinstance(other, numbers.Real):
-            o = self.tape.const(float(other))
-        else:  # a dual or a structural zero applies its own rule
-            return NotImplemented
-        if not reflected and self.tape.is_const(o, _IDENTITIES.get(op)):
-            return self
-        a, b = (o, self.name) if reflected else (self.name, o)
-        # IEEE + and * commute bit for bit unless both operands are NaN, and
-        # a NaN output gives up through the sum check: one line for both orders
-        if op in ("+", "*") and b < a:
-            a, b = b, a
-        return self._let(f"{a} {op} {b}")
-
-    def call(self, fn: str) -> "_Tracer":
-        """``fn(self)`` for a function ``fn`` in ``_HELPERS``."""
-        return self._let(f"{fn}({self.name})")
-
-    def __add__(self, other):
-        return self._binary("+", other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary("-", other)
-
-    def __rsub__(self, other):
-        return self._binary("-", other, reflected=True)
-
-    def __mul__(self, other):
-        return self._binary("*", other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary("/", other)
-
-    def __rtruediv__(self, other):
-        return self._binary("/", other, reflected=True)
-
-    def __pow__(self, other):
-        return power(self, other)
-
-    def __rpow__(self, other):
-        return power(other, self)
-
-    def __neg__(self):
-        return self._let(f"-{self.name}")
-
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        return self.call("fabs")
-
-    def _untraceable(self, *args):
-        raise _Untraceable("a traced scalar has no value to compare or convert")
-
-    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = __bool__ = __float__ = _untraceable
-
-
-class _Zero:
-    """The seed partial that is structurally zero, at traced points only.
-
-    It drops out of every rule (0 + a is a, 0 * a is 0), so no code is
-    recorded for it.  Float sweeps seed 0.0, which gives the same numbers
-    up to signed zeros and to a non-finite value times 0.0; the sum check
-    of the generated code sends such points to the float sweep.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return other
-
-    __radd__ = __rsub__ = __add__
-
-    def __sub__(self, other):
-        return -other
-
-    def __mul__(self, other):
-        return self
-
-    __rmul__ = __truediv__ = __mul__
-
-    def __neg__(self):
-        return self
-
-    def __ne__(self, other):
-        return other != 0.0
-
-
-_ZERO = _Zero()
-
-
-# Names a tape line assigns, and expressions that may raise.  A line that
-# may raise is kept even when nothing reads its value, so that the code
-# gives up wherever the sweep it repeats raises.
-_ASSIGNED = re.compile(r"\bv\d+\b")
-_MAY_RAISE = re.compile(r"/|\*\*|\b(?:sin|cos|tan|exp|log|sqrt)\(")
-
-
-def _live_lines(lines, result: str) -> list:
-    """``lines`` without the assignments nothing reads: one backward
-    liveness pass.  Guards and lines that may raise always stay."""
-    needed = set(_ASSIGNED.findall(result))
-    kept = []
-    for line in reversed(lines):
-        if line.startswith("if "):
-            expr = line
-        else:
-            name, expr = line.split(" = ", 1)
-            if name not in needed and not _MAY_RAISE.search(expr):
-                continue
-        kept.append(line)
-        needed.update(_ASSIGNED.findall(expr))
-    kept.reverse()
-    return kept
-
-
-def _output(tape: _Tape, out, flat: list) -> str:
-    """The source of ``out``, a number or a sequence of outputs, as a
-    tuple; the name of each number is appended to ``flat``."""
-    if isinstance(out, (tuple, list)):
-        return "(" + "".join(f"{_output(tape, v, flat)}, " for v in out) + ")"
-    if isinstance(out, _Tracer) and out.tape is tape:
-        name = out.name
-    elif out is _ZERO or isinstance(out, numbers.Real):
-        name = tape.const(0.0 if out is _ZERO else float(out))
-    else:
-        raise _Untraceable("an output is not a traced or plain number")
-    flat.append(name)
-    return name
-
-
-def _source(fn: Callable, arity: int):
-    """Trace ``fn`` once: the source of ``compile_traced``'s function and
-    the constants it reads, or None when ``fn`` cannot be traced."""
-    tape = _Tape()
-    flat = []
-    try:
-        result = _output(tape, fn(*[_Tracer(tape, f"x{j}") for j in range(arity)]), flat)
-    except Exception:  # fn itself, on floats, raises what is wrong
-        return None
-    args = ", ".join(f"x{j}" for j in range(arity))
-    source = [
-        f"def traced({args}):",
-        "    try:",
-        *(f"        {line}" for line in _live_lines(tape.lines, result)),
-        f"        if isfinite({' + '.join(flat) or '0.0'}): return {result}",
-        "    except (give_up, *float_errors): pass",
-        f"    return reference({args})",
-    ]
-    return "\n".join(source), tape.consts
-
-
-def compile_traced(fn: Callable, arity: int) -> Callable:
-    """Trace ``fn`` once and compile it to straight-line float code.
-
-    ``fn`` is called with ``arity`` tracing scalars that stand for plain
-    numbers.  It must return a number, or a sequence of such outputs,
-    computed from them with the operations of this module, dual sweeps
-    included.  The result is ``traced(x0, ..., x{arity-1})``, equal to
-    ``fn`` on floats: it returns the same outputs as floats in tuples, and
-    where the code gives up it returns ``fn(x0, ..., x{arity-1})``, which
-    gives the same numbers or raises.  The code gives up where a recorded
-    guard holds (a rule would raise there), a float operation raises, or
-    the sum of the outputs, in order, is not finite.  A ``fn`` that cannot
-    be traced is returned as it is.
-    """
-    traced = _source(fn, arity)
-    if traced is None:
-        return fn
-    source, consts = traced
-    namespace = {**_HELPERS, **consts, "reference": fn}
-    exec(compile(source, "<traced>", "exec"), namespace)
-    return namespace["traced"]
 
 
 class ScalarField:
@@ -692,19 +396,10 @@ class ScalarField:
         return float(value_of(out))
 
 
-def is_traced(values) -> bool:
-    """Whether any of ``values`` is a tracing scalar: the caller runs inside
-    ``compile_traced`` and records what it computes."""
-    for v in values:  # a plain loop: evaluate_reduced asks on every call
-        if isinstance(v, _Tracer):
-            return True
-    return False
-
-
 def _dual_sweep(f: ScalarField, p):
     """The value and partials of ``f`` at ``p`` from one dual sweep.
 
-    At tracing scalars the sweep is seeded with ``_ZERO`` and recorded.  At
+    At tracing scalars the sweep is seeded with ``ZERO`` and recorded.  At
     floats it returns floats, and raises where one is not finite.  The code
     traced from it gives up wherever the float sweep raises: where the
     sweep multiplies a non-finite value by a structural zero the code
@@ -712,7 +407,7 @@ def _dual_sweep(f: ScalarField, p):
     makes a non-finite partial finite again, so the sum check gives up.
     """
     traced = is_traced(p)
-    seeds = _unit_seeds(len(p), _ZERO if traced else 0.0)
+    seeds = _unit_seeds(len(p), ZERO if traced else 0.0)
     out = f.fn(*[DualScalar(v, seed) for v, seed in zip(p, seeds)])
     if traced:
         return value_of(out), partials_of(out, len(p))
@@ -732,11 +427,10 @@ def value_and_grad(f: ScalarField, p):
     n = f.arity
     if len(p) != n:
         raise DimensionError(f"point of length {len(p)} for field of arity {n}")
-    try:
-        args = [float(v) for v in p]
-    except _Untraceable:  # a tracing scalar has no float
-        value, partials = _dual_sweep(f, [v if isinstance(v, _Tracer) else float(v) for v in p])
-        return value, tuple(0.0 if v is _ZERO else v for v in partials)
+    if is_traced(p):  # a tracing scalar has no float
+        value, partials = _dual_sweep(f, [v if isinstance(v, Tracer) else float(v) for v in p])
+        return value, tuple(0.0 if v is ZERO else v for v in partials)
+    args = [float(v) for v in p]
     compiled = f._compiled
     if compiled is None:
         compiled = f._compiled = compile_traced(lambda *xs: _dual_sweep(f, xs), n)
@@ -752,13 +446,13 @@ def _hessian_sweep(f: ScalarField, p, idx) -> tuple:
     """The first partials of ``f`` over ``idx`` at ``p`` and its
     second-derivative block over ``idx``, row by row, as two tuples, from
     one nested-dual sweep: the inner value carries the first partials.  At
-    tracing scalars the inner level is seeded with ``_ZERO`` and the sweep
+    tracing scalars the inner level is seeded with ``ZERO`` and the sweep
     recorded.  At floats it returns floats, finite or not; the code traced
     from it gives up wherever one is not, by ``_dual_sweep``'s argument, so
     its callers check the outputs they read."""
     s = len(idx)
     traced = is_traced(p)
-    inner = _unit_seeds(s, _ZERO if traced else 0.0)
+    inner = _unit_seeds(s, ZERO if traced else 0.0)
     outer = _unit_seeds(s)
     args = list(p)
     for col, j in enumerate(idx):
@@ -783,6 +477,8 @@ def _hessian_outputs(f: ScalarField, p, idx) -> tuple:
     idx = tuple(idx)
     compiled = f._hessians.get(idx)  # only index sets that passed the check
     if compiled is None:
+        if len(set(idx)) < len(idx) or not all(isinstance(j, numbers.Integral) for j in idx):
+            raise DimensionError(f"index subset {list(idx)} must hold distinct integers")
         if any(j < 0 or j >= n for j in idx):
             raise DimensionError(f"index subset {list(idx)} outside arity {n}")
         compiled = f._hessians[idx] = compile_traced(lambda *xs: _hessian_sweep(f, xs, idx), n)
@@ -994,6 +690,11 @@ def newton_iterate(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    # type() first: an ABC check costs about 1 µs, on every solve
+    if type(max_iter) is not int and (
+        isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
+    ):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
     x = [float(v) for v in x0]

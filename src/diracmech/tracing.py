@@ -1,0 +1,320 @@
+"""Functions of plain numbers traced once and compiled to straight-line
+float code: the one module that writes program text.
+
+``compile_traced`` runs a function once on tracing scalars that know no
+calculus: each float operation on one records one line of straight-line
+code, and the lines are compiled into one Python function.  Products
+with 1.0 are folded, and one backward liveness pass drops the lines
+nothing reads.  A compiled program stands in for the function it was
+traced from: where a domain guard holds, a float operation raises or an
+output is not finite, it runs that function, which gives the same
+numbers or raises the engine's error.  A function that cannot be traced
+(it compares or converts its arguments) is its own program.
+``numcore.grad``, ``dirac.reduced_field`` and
+``SkewAlgebroid.float_rates`` compile their programs this way.
+"""
+
+import math
+import numbers
+import operator
+import re
+from typing import Callable
+
+__all__ = ["Tracer", "ZERO", "compile_traced", "is_traced"]
+
+
+class _GiveUp(Exception):
+    """A recorded guard holds: the rule it stands for raises here."""
+
+
+# Names the generated code may read besides its own x*, v* and c*.
+_HELPERS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "fabs": math.fabs,
+    "isfinite": math.isfinite,
+    # what float code raises where a derivative rule raises
+    "float_errors": (OverflowError, ValueError, ZeroDivisionError),
+    "give_up": _GiveUp,
+}
+
+# the domain tests a guard records, as the program writes them
+_COMPARISONS = {operator.eq: "==", operator.lt: "<", operator.le: "<="}
+
+
+class _Untraceable(TypeError):
+    """The traced function asked for a value the trace does not have."""
+
+
+class _Tape:
+    """The straight-line program a trace records.
+
+    Every float operation is one assignment to a fresh local ``v*``, the
+    arguments are ``x*``, and constants are read as ``c*`` from the
+    namespace the program runs in, so no source text comes from the traced
+    function.  A guard gives up where the traced function would raise.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.consts = {}
+        self._const_names = {}
+        self._names = {}  # expression -> the name it was first assigned to
+        self.guards = set()  # the guard lines recorded
+
+    def const(self, c) -> str:
+        key = (type(c), repr(c))  # keeps 0.0 and -0.0 apart, and finds nan again
+        name = self._const_names.get(key)
+        if name is None:
+            name = self._const_names[key] = f"c{len(self.consts)}"
+            self.consts[name] = c
+        return name
+
+    def let(self, expr: str) -> str:
+        name = self._names.get(expr)
+        if name is None:  # an expression already assigned has the same value
+            name = self._names[expr] = f"v{len(self.lines)}"
+            self.lines.append(f"{name} = {expr}")
+        return name
+
+    def is_const(self, name: str, text) -> bool:
+        """Whether ``name`` is the float constant written ``text``."""
+        return self._const_names.get((float, text)) == name
+
+
+# x op c is x, exactly, for these constants c
+_IDENTITIES = {"+": "-0.0", "-": "0.0", "*": "1.0", "/": "1.0"}
+
+
+class Tracer:
+    """A plain number being traced: the name its value has in the program
+    being recorded.
+
+    Each float operation on it records one assignment, and it knows no
+    derivative rule: DualScalar's rules run on it as they run on a float.
+    Comparing it or converting it to a number raises _Untraceable.
+    """
+
+    __slots__ = ("tape", "name")
+
+    def __init__(self, tape: _Tape, name: str):
+        self.tape = tape
+        self.name = name
+
+    def _let(self, expr: str) -> "Tracer":
+        return Tracer(self.tape, self.tape.let(expr))
+
+    def _binary(self, op: str, other, reflected=False):
+        if isinstance(other, Tracer):
+            if other.tape is not self.tape:
+                raise _Untraceable("scalar from another trace")
+            o = other.name
+        elif isinstance(other, numbers.Real):
+            o = self.tape.const(float(other))
+        else:  # a dual or a structural zero applies its own rule
+            return NotImplemented
+        if not reflected and self.tape.is_const(o, _IDENTITIES.get(op)):
+            return self
+        a, b = (o, self.name) if reflected else (self.name, o)
+        # IEEE + and * commute bit for bit unless both operands are NaN, and
+        # a NaN output gives up through the sum check: one line for both orders
+        if op in ("+", "*") and b < a:
+            a, b = b, a
+        return self._let(f"{a} {op} {b}")
+
+    def guard(self, test) -> None:
+        """Give up where ``test(self, 0.0)`` holds (operator.eq, lt or le)."""
+        line = f"if {self.name} {_COMPARISONS[test]} 0.0: raise give_up"
+        if line not in self.tape.guards:  # a test already passed passes again
+            self.tape.guards.add(line)
+            self.tape.lines.append(line)
+
+    def sign(self) -> "Tracer":
+        """1.0 where this value is >= 0.0, else -1.0."""
+        return self._let(f"1.0 if {self.name} >= 0.0 else -1.0")
+
+    def call(self, fn) -> "Tracer":
+        """``fn(self)`` for ``fn`` one of the math functions in ``_HELPERS``."""
+        return self._let(f"{fn.__name__}({self.name})")
+
+    def raw_pow(self, exponent) -> "Tracer":
+        """``self ** exponent`` once ``numcore.power``'s guards have run."""
+        return self._binary("**", exponent)
+
+    def __add__(self, other):
+        return self._binary("+", other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._binary("-", other)
+
+    def __rsub__(self, other):
+        return self._binary("-", other, reflected=True)
+
+    def __mul__(self, other):
+        return self._binary("*", other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self._binary("/", other)
+
+    def __rtruediv__(self, other):
+        return self._binary("/", other, reflected=True)
+
+    def __pow__(self, other):
+        return numcore.power(self, other)
+
+    def __rpow__(self, other):
+        return numcore.power(other, self)
+
+    def __neg__(self):
+        return self._let(f"-{self.name}")
+
+    def __pos__(self):
+        return self
+
+    def __abs__(self):
+        return self.call(math.fabs)
+
+    def _untraceable(self, *args):
+        raise _Untraceable("a traced scalar has no value to compare or convert")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = __bool__ = __float__ = _untraceable
+
+
+class _Zero:
+    """The seed partial that is structurally zero, at traced points only.
+
+    It drops out of every rule (0 + a is a, 0 * a is 0), so no code is
+    recorded for it.  Float sweeps seed 0.0, which gives the same numbers
+    up to signed zeros and to a non-finite value times 0.0; the sum check
+    of the generated code sends such points to the float sweep.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __rsub__ = __add__
+
+    def __sub__(self, other):
+        return -other
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __truediv__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __ne__(self, other):
+        return other != 0.0
+
+
+ZERO = _Zero()
+
+
+def is_traced(values) -> bool:
+    """Whether any of ``values`` is a tracing scalar: the caller runs inside
+    ``compile_traced`` and records what it computes."""
+    for v in values:  # a plain loop: evaluate_reduced asks on every call
+        if isinstance(v, Tracer):
+            return True
+    return False
+
+
+# Names a tape line assigns, and expressions that may raise.  A line that
+# may raise is kept even when nothing reads its value, so that the code
+# gives up wherever the sweep it repeats raises.
+_ASSIGNED = re.compile(r"\bv\d+\b")
+_MAY_RAISE = re.compile(r"/|\*\*|\b(?:sin|cos|tan|exp|log|sqrt)\(")
+
+
+def _live_lines(lines, result: str) -> list:
+    """``lines`` without the assignments nothing reads: one backward
+    liveness pass.  Guards and lines that may raise always stay."""
+    needed = set(_ASSIGNED.findall(result))
+    kept = []
+    for line in reversed(lines):
+        if line.startswith("if "):
+            expr = line
+        else:
+            name, expr = line.split(" = ", 1)
+            if name not in needed and not _MAY_RAISE.search(expr):
+                continue
+        kept.append(line)
+        needed.update(_ASSIGNED.findall(expr))
+    kept.reverse()
+    return kept
+
+
+def _output(tape: _Tape, out, flat: list) -> str:
+    """The source of ``out``, a number or a sequence of outputs, as a
+    tuple; the name of each number is appended to ``flat``."""
+    if isinstance(out, (tuple, list)):
+        return "(" + "".join(f"{_output(tape, v, flat)}, " for v in out) + ")"
+    if isinstance(out, Tracer) and out.tape is tape:
+        name = out.name
+    elif out is ZERO or isinstance(out, numbers.Real):
+        name = tape.const(0.0 if out is ZERO else float(out))
+    else:
+        raise _Untraceable("an output is not a traced or plain number")
+    flat.append(name)
+    return name
+
+
+def _source(fn: Callable, arity: int):
+    """Trace ``fn`` once: the source of ``compile_traced``'s function and
+    the constants it reads, or None when ``fn`` cannot be traced."""
+    tape = _Tape()
+    flat = []
+    try:
+        result = _output(tape, fn(*[Tracer(tape, f"x{j}") for j in range(arity)]), flat)
+    except Exception:  # fn itself, on floats, raises what is wrong
+        return None
+    args = ", ".join(f"x{j}" for j in range(arity))
+    source = [
+        f"def traced({args}):",
+        "    try:",
+        *(f"        {line}" for line in _live_lines(tape.lines, result)),
+        f"        if isfinite({' + '.join(flat) or '0.0'}): return {result}",
+        "    except (give_up, *float_errors): pass",
+        f"    return reference({args})",
+    ]
+    return "\n".join(source), tape.consts
+
+
+def compile_traced(fn: Callable, arity: int) -> Callable:
+    """Trace ``fn`` once and compile it to straight-line float code.
+
+    ``fn`` is called with ``arity`` tracing scalars that stand for plain
+    numbers.  It must return a number, or a sequence of such outputs,
+    computed from them with float operations and the functions of
+    ``numcore``, dual sweeps included.  The result is ``traced(x0, ...,
+    x{arity-1})``, equal to ``fn`` on floats: it returns the same outputs
+    as floats in tuples, and where the code gives up it returns ``fn(x0,
+    ..., x{arity-1})``, which gives the same numbers or raises.  The code
+    gives up where a recorded guard holds (a rule would raise there), a
+    float operation raises, or the sum of the outputs, in order, is not
+    finite.  A ``fn`` that cannot be traced is returned as it is.
+    """
+    traced = _source(fn, arity)
+    if traced is None:
+        return fn
+    source, consts = traced
+    namespace = {**_HELPERS, **consts, "reference": fn}
+    exec(compile(source, "<traced>", "exec"), namespace)
+    return namespace["traced"]
+
+
+# numcore imports this module first thing, and a tracer's ** goes through
+# numcore.power's domain guards: imported last, after every name numcore reads
+from . import numcore  # noqa: E402

@@ -209,6 +209,16 @@ def test_simulate_rejected_before_integration(tmp_path, capsys, argv):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("power", ["0^-1", "0^-0.5", "(-0)^-0.5"])
+def test_zero_base_with_negative_exponent_is_an_error_line(capsys, power):
+    argv = ["simulate", "--system", "skater_free", "--ic", "0,0,0,1,1",
+            "--t-end", "0.003", "--dt", "0.001", "--potential", f"x + {power}"]
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith("zero base with negative exponent")
+
+
 def test_simulate_truncation_writes_partial_and_exits_2(tmp_path, capsys):
     path = tmp_path / "partial.csv"
     code = run_main([

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracmech import numcore
+from diracmech import numcore, tracing
 from diracmech.exprparse import parse_text
 from diracmech.numcore import ScalarField, grad, hessian_block, seed_duals
 from diracmech.systems import build, catalog_names, hamiltonian_with_potential, mechanical_lagrangian
@@ -35,7 +35,7 @@ def bits(values):
 
 
 def is_generated(program):
-    """Whether ``program`` is code ``numcore.compile_traced`` generated."""
+    """Whether ``program`` is code ``tracing.compile_traced`` generated."""
     return program.__code__.co_filename == "<traced>"
 
 
@@ -144,7 +144,7 @@ def test_second_grad_does_not_trace_again():
     first = grad(f, (0.5, 0.25))
     second = grad(f, (0.75, -1.0))
     # the one call is the trace: a dual whose value is a tracing scalar
-    assert len(calls) == 1 and isinstance(calls[0].value, numcore._Tracer)
+    assert len(calls) == 1 and isinstance(calls[0].value, tracing.Tracer)
     assert np.array_equal(first, [math.sin(0.25), 0.5 * math.cos(0.25)])
     assert np.array_equal(second, [math.sin(-1.0), 0.75 * math.cos(-1.0)])
 
@@ -229,11 +229,11 @@ def test_generated_source_reads_only_generated_names():
         spec.fiber_names,
         lambda *a: spec.hamiltonian.fn(*a) + a[0] / math.inf - a[1] * -0.0 + math.nan * 0.0 * a[2],
     )
-    source, consts = numcore._source(lambda *xs: numcore._dual_sweep(f, xs), f.arity)
+    source, consts = tracing._source(lambda *xs: numcore._dual_sweep(f, xs), f.arity)
     generated = re.compile(r"[xvdc]\d+")
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
     assert names
-    assert all(generated.fullmatch(n) or n in numcore._HELPERS or n == "reference" for n in names), names
+    assert all(generated.fullmatch(n) or n in tracing._HELPERS or n == "reference" for n in names), names
     assert {repr(v) for v in consts.values()} >= {"inf", "-0.0", "nan"}
     assert "inf" not in source and "nan" not in source
 
@@ -446,11 +446,11 @@ def test_generated_hessian_source_reads_only_generated_names():
         spec.fiber_names,
         lambda *a: spec.hamiltonian.fn(*a) + a[0] / math.inf - a[1] * -0.0 + math.nan * 0.0 * a[2] * a[5],
     )
-    source, consts = numcore._source(lambda *xs: numcore._hessian_sweep(f, xs, (0, 1, 5)), f.arity)
+    source, consts = tracing._source(lambda *xs: numcore._hessian_sweep(f, xs, (0, 1, 5)), f.arity)
     generated = re.compile(r"[xvdc]\d+")
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
     assert names
-    assert all(generated.fullmatch(n) or n in numcore._HELPERS or n == "reference" for n in names), names
+    assert all(generated.fullmatch(n) or n in tracing._HELPERS or n == "reference" for n in names), names
     assert {repr(v) for v in consts.values()} >= {"inf", "-0.0", "nan"}
     assert "inf" not in source and "nan" not in source
 
@@ -464,11 +464,11 @@ def counted_program(sweep, f, *extra):
     calls = []
 
     def fn(*xs):
-        if not numcore.is_traced(xs):
+        if not tracing.is_traced(xs):
             calls.append(xs)
         return sweep(f, xs, *extra)
 
-    return numcore.compile_traced(fn, f.arity), calls
+    return tracing.compile_traced(fn, f.arity), calls
 
 
 def fallback_calls(program, run):
@@ -573,7 +573,7 @@ def test_catalog_contractions_are_generated_code(name):
 
 def test_commutative_operations_are_recorded_once():
     h = SPECS["skater_charged"].hamiltonian
-    source, _ = numcore._source(lambda *xs: numcore._dual_sweep(h, xs), h.arity)
+    source, _ = tracing._source(lambda *xs: numcore._dual_sweep(h, xs), h.arity)
     pairs = re.findall(r"= (\w+) ([+*]) (\w+)$", source, flags=re.MULTILINE)
     assert pairs
     assert not {(a, op, b) for a, op, b in pairs} & {(b, op, a) for a, op, b in pairs if a != b}

@@ -2,6 +2,11 @@
 module's private (underscore) names."""
 
 import ast
+import importlib
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,7 +88,7 @@ def test_private_name_detector_sees_imports_and_attribute_reads(tmp_path):
 
 
 def test_no_module_uses_private_names_of_another():
-    assert MODULES >= {"numcore", "exprparse", "dirac", "systems", "cli"}
+    assert MODULES >= {"numcore", "tracing", "exprparse", "dirac", "systems", "cli"}
     offenders = [hit for p in sorted(PACKAGE_DIR.glob("*.py")) for hit in _private_reads(p)]
     assert offenders == []
 
@@ -113,9 +118,9 @@ def test_only_numcore_catches_float_errors():
 def test_tracer_carries_no_partials():
     # the tracing scalar records float operations only; the derivative rules
     # are DualScalar's
-    from diracmech import numcore
+    from diracmech import tracing
 
-    assert "partials" not in numcore._Tracer.__slots__
+    assert "partials" not in tracing.Tracer.__slots__
 
 
 def test_no_module_caches_a_false_program():
@@ -132,26 +137,85 @@ def test_no_module_caches_a_false_program():
 
 
 def test_generated_code_has_one_exit_to_its_reference():
-    from diracmech import numcore
+    from diracmech import numcore, tracing
 
     def fn(x, y):
         return numcore.log(x) / y + numcore.sqrt(y) * x**0.5
 
-    source, _ = numcore._source(fn, 2)
+    source, _ = tracing._source(fn, 2)
     assert "raise give_up" in source
     assert "return None" not in source
     assert source.count("reference(") == 1
     assert source.splitlines()[-1] == "    return reference(x0, x1)"
-    program = numcore.compile_traced(fn, 2)
+    program = tracing.compile_traced(fn, 2)
     assert program(4.0, 1.0) == fn(4.0, 1.0)
     with pytest.raises(numcore.NumericDomainError, match="log of a non-positive value"):
         program(-1.0, 1.0)  # a guard gives up, and the reference raises
 
 
 def test_compile_traced_returns_an_untraceable_function_itself():
-    from diracmech import numcore
+    from diracmech import tracing
 
     def fn(x):
         return x if x > 0.0 else -x
 
-    assert numcore.compile_traced(fn, 1) is fn
+    assert tracing.compile_traced(fn, 1) is fn
+
+
+def _strings(path: Path) -> list:
+    """The string constants of a module that are not docstrings."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+    ]
+
+
+def test_only_tracing_writes_program_text():
+    # numcore's rules record guards, signs, calls and raw powers through the
+    # tracer's methods, and pass it no text
+    fragments = ("give_up", "raise", "0.0", "**", " = ", "==", "<", " if ", "traced", "reference")
+    assert [s for s in _strings(PACKAGE_DIR / "numcore.py") if any(f in s for f in fragments)] == []
+    assert "    except (give_up, *float_errors): pass" in _strings(PACKAGE_DIR / "tracing.py")
+
+
+@pytest.mark.parametrize("module", sorted(MODULES - {"__main__"}))
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # numcore imports tracing, and a tracer's ** reaches numcore.power when
+    # called: no import order may meet a half-initialized module
+    src = str(PACKAGE_DIR.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import diracmech.{module}"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_bench_traced_layers_name_functions_of_the_package():
+    # bench/tracing.py wraps these functions by name for its per-layer
+    # metrics, so a function moved out of its module breaks the traced run
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    assert len(layers) >= 4
+    missing = [
+        f"{module}.{name}"
+        for module, names, _ in layers
+        for name in names or ()
+        if not inspect.isfunction(getattr(importlib.import_module(f"diracmech.{module}"), name, None))
+    ]
+    assert missing == []

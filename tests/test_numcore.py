@@ -9,7 +9,7 @@ from diracmech.errors import (
     NumericDomainError,
     SingularMatrixError,
 )
-from diracmech import numcore
+from diracmech import numcore, tracing
 from diracmech.numcore import (
     DualScalar,
     ScalarField,
@@ -131,6 +131,25 @@ def test_hessian_bad_index():
     f = field(2, lambda a, b: a * b)
     with pytest.raises(DimensionError):
         hessian_block(f, (0.0, 0.0), (0, 5))
+
+
+@pytest.mark.parametrize(
+    "idx, message",
+    [
+        ((0, 0), "index subset [0, 0] must hold distinct integers"),
+        ((1, 0, 1), "index subset [1, 0, 1] must hold distinct integers"),
+        ((1.0,), "index subset [1.0] must hold distinct integers"),
+        ((0, 0.5), "index subset [0, 0.5] must hold distinct integers"),
+    ],
+)
+@pytest.mark.parametrize("block", [hessian_block, numcore.grad_and_hessian_rows])
+def test_hessian_rejects_a_repeated_or_non_integer_index(block, idx, message):
+    # x*x*y at (1, 2) has the block [[4, 4], [4, 4]] over (0, 0): a
+    # repeated index must not give a wrong one
+    f = field(2, lambda x, y: x * x * y)
+    with pytest.raises(DimensionError) as info:
+        block(f, [1.0, 2.0], idx)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("fn", ["sin", "cos", "tan"])
@@ -424,6 +443,9 @@ def test_newton_nonconvergence():
         ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
         ({"tol": -1e-12}, "tol must be positive and finite, got -1e-12"),
         ({"max_iter": -1}, "max_iter must be non-negative, got -1"),
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"max_iter": True}, "max_iter must be an integer, got True"),
+        ({"max_iter": 1.0}, "max_iter must be an integer, got 1.0"),
     ],
 )
 def test_newton_rejects_bad_arguments_before_evaluating(kwargs, message):
@@ -474,6 +496,19 @@ def test_dual_power_rules():
         x**0.5
     with pytest.raises(NumericDomainError):
         DualScalar(0.0, (1.0,)) ** -1
+
+
+@pytest.mark.parametrize("base", [0.0, -0.0])
+@pytest.mark.parametrize("exponent", [-0.5, -1.5, -math.inf])
+def test_zero_base_with_negative_non_integer_exponent_is_a_domain_error(base, exponent):
+    with pytest.raises(NumericDomainError, match="^zero base with negative exponent$"):
+        numcore.power(base, exponent)
+    # a traced base records the test as a guard, and its program raises the same
+    program = tracing.compile_traced(lambda x: numcore.power(x, exponent), 1)
+    assert "== 0.0: raise give_up" in tracing._source(program.__globals__["reference"], 1)[0]
+    assert program(4.0) == 4.0**exponent
+    with pytest.raises(NumericDomainError, match="^zero base with negative exponent$"):
+        program(base)
 
 
 def test_dual_variable_exponent():

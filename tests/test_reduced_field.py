@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diracmech import dirac, exprparse, numcore
+from diracmech import dirac, exprparse, numcore, tracing
 from diracmech.algebroid import PhaseState, SkewAlgebroid, change_frame, from_tangent_frame
 from diracmech.dirac import ConsistencySolution, DiracAlgebroid, evaluate_reduced, reduced_field
 from diracmech.errors import (
@@ -250,7 +250,7 @@ def contraction_source(alg, k):
     at k, traced again from the function the program runs in its place."""
     alg.rates([0.1] * alg.m, [0.2] * alg.rank, [0.3] * k, [0.4] * alg.m, k)
     program = alg._cache[("rates", k)]
-    return numcore._source(program.__globals__["reference"], program.__code__.co_argcount)
+    return tracing._source(program.__globals__["reference"], program.__code__.co_argcount)
 
 
 @pytest.mark.parametrize("name", ["skater_charged", "ball_magnetic"])
@@ -381,12 +381,12 @@ def test_liveness_pass_keeps_guards_and_lines_that_may_raise():
         "v4 = x0 + x1",
         "v5 = v4 * v4",
     ]
-    assert numcore._live_lines(lines, "(v5, )") == lines[1:]
+    assert tracing._live_lines(lines, "(v5, )") == lines[1:]
 
 
 def test_transverse_hessian_code_is_only_the_live_lines():
     h = build("ball_magnetic").hamiltonian
-    source, _ = numcore._source(lambda *xs: numcore._hessian_sweep(h, xs, (5, 6))[1], h.arity)
+    source, _ = tracing._source(lambda *xs: numcore._hessian_sweep(h, xs, (5, 6))[1], h.arity)
     body = source.splitlines()[1:-1]
     assert len(body) <= 6, source
     hessian_block(h, [0.1] * 7, (5, 6))
@@ -397,7 +397,7 @@ def test_transverse_newton_program_is_only_the_live_lines():
     # x5 + x5 and x6 - x0 doubled, each times 0.5 (the block is constant),
     # and a later line reads every assignment
     h = build("ball_magnetic").hamiltonian
-    source, _ = numcore._source(lambda *xs: numcore._hessian_sweep(h, xs, (5, 6)), h.arity)
+    source, _ = tracing._source(lambda *xs: numcore._hessian_sweep(h, xs, (5, 6)), h.arity)
     body = [line.strip() for line in source.splitlines()]
     assigned = [(j, line.split(" = ")[0]) for j, line in enumerate(body) if re.match(r"v\d+ = ", line)]
     assert len(assigned) <= 5, source
