@@ -63,6 +63,7 @@ __all__ = [
     "complete_state",
     "evaluate_reduced",
     "reduced_field",
+    "flat_field",
     "reduced_vector_field",
     "oracle_mechanical",
     "oracle_magnetic",
@@ -324,30 +325,46 @@ def reduced_field(
     the program traced from the solved eta_alpha on.  Where the code gives
     up, and for a system that cannot be traced, the program runs the same
     field on floats (``tracing.compile_traced``).  It is compiled on the first call for a
-    (dirac, solution) pair and cached on ``h``.
+    (dirac, solution) pair and cached on ``h``, with ``flat_field``.
     """
-    key = (id(dirac), id(solution))  # the cached closure keeps both alive
-    evaluate = h._programs.get(key)
-    if evaluate is None:
-        evaluate = h._programs[key] = _compile_field(dirac, h, solution)
-    return evaluate
+    return _compiled(dirac, h, solution)[1]
 
 
-def _compile_field(dirac, h, solution) -> Callable:
+def flat_field(dirac, h, solution=NEWTON_CONSISTENCY) -> Callable:
+    """``reduced_field``'s program called flat, as ``field(*y, *guess)``:
+    the n floats of the state, then the nt of Newton's start, which the
+    closed consistency forms read not at all."""
+    return _compiled(dirac, h, solution)[0]
+
+
+def _compiled(dirac, h, solution) -> tuple:
+    key = (id(dirac), id(solution))  # the cached closures keep both alive
+    if key not in h._programs:
+        h._programs[key] = _compile_field(dirac, h, solution)
+    return h._programs[key]
+
+
+def _compile_field(dirac, h, solution) -> tuple:
+    """The compiled field, flat and as ``evaluate``."""
     m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
     n = m + k
+    zeros = (0.0,) * nt  # Newton's start without a guess
     if nt and solution.kind == "newton":
         solved = compile_traced(
             lambda *xs: _field_outputs(dirac, h, xs[:m], xs[m:n], xs[n:]), n + nt
         )
-        return lambda y, guess=None: solved(*y, *_newton_transverse(dirac, h, y[:m], y[m:], guess))
 
-    def field(*xs):
-        q, eta_a = xs[:m], xs[m:]
+        def newton(*xs):
+            return solved(*xs[:n], *_newton_transverse(dirac, h, xs[:m], xs[m:n], xs[n:]))
+
+        return newton, lambda y, guess=None: newton(*y, *(zeros if guess is None else guess))
+
+    def closed(*xs):
+        q, eta_a = xs[:m], xs[m:n]
         return _field_outputs(dirac, h, q, eta_a, _transverse(dirac, h, q, eta_a, None, solution))
 
-    program = compile_traced(field, n)
-    return lambda y, guess=None: program(*y)
+    field = compile_traced(closed, n + nt)
+    return field, lambda y, guess=None: field(*y, *zeros)
 
 
 def reduced_vector_field(

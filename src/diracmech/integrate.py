@@ -1,15 +1,15 @@
 """Fixed-step classical Runge-Kutta integration of the reduced dynamics,
 with transverse momenta and diagnostic observables stored per sample.
 
-``simulate`` steps on the system's compiled reduced field
-(``dirac.reduced_field``), and runs RK4 and the compensated update on
-Python floats; the arrays of the ``Trajectory`` are built once, at the
-end.  Each state the integrator lands on is evaluated once.  That one
-evaluation is the recorded sample (H comes from it too), the first stage
-of the next step, and the Newton warm start for that step's other three
-stages.  One trajectory is strictly sequential, and every sum is in a
-fixed order: identical inputs give bit-identical output, whatever BLAS
-kernel numpy loads.
+``simulate`` calls the system's compiled field flat, as ``field(*y,
+*guess)`` (``dirac.flat_field``), whatever its consistency kind, and takes
+every step with the one program ``tracing.rk4_step_program`` writes per
+state length: three straight-line calls of the field, then the update
+with Neumaier's compensation as a branch-free TwoSum.  ``rk4_step`` runs
+the same program.  Each state reached is evaluated once: that evaluation
+is the recorded sample, k1 of the next step and its Newton warm start.
+Every sum is in a fixed order, so identical inputs give bit-identical
+output, whatever BLAS kernel numpy loads.
 """
 
 import math
@@ -19,10 +19,11 @@ from typing import Callable
 import numpy as np
 
 from .algebroid import PhaseState
-from .dirac import reduced_field
+from .dirac import flat_field, reduced_field
 from .errors import DimensionError, EngineError, TruncatedTrajectoryError
 from .numcore import max_abs
 from .systems import SystemSpec
+from .tracing import rk4_step_program
 
 __all__ = ["Trajectory", "rk4_step", "simulate", "observables"]
 
@@ -49,47 +50,6 @@ class Trajectory:
         return len(self.states)
 
 
-def _rk4_increment(f: Callable, y: list, dt: float, k1=None) -> list:
-    """Four-stage increment (dt/6)(k1 + 2 k2 + 2 k3 + k4) at a flat state
-    of floats.
-
-    ``k1`` is f(y) when the caller has already evaluated it.  Failures are
-    re-raised with the stage index attached.
-    """
-    stage = 0
-    half = 0.5 * dt
-    try:
-        if k1 is None:
-            k1 = f(y)
-        stage = 1
-        k2 = f([u + half * v for u, v in zip(y, k1)])
-        stage = 2
-        k3 = f([u + half * v for u, v in zip(y, k2)])
-        stage = 3
-        k4 = f([u + dt * v for u, v in zip(y, k3)])
-    except EngineError as err:
-        err.stage_index = stage
-        raise
-    sixth = dt / 6.0
-    return [sixth * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)]
-
-
-def _compensated_add(y: list, comp: list, inc: list):
-    """One Neumaier-compensated update of the accumulated state.
-
-    Long fixed-step runs otherwise accumulate a per-step rounding bias
-    linear in the step count, which would drown the O(dt^4) truncation
-    error of interest.
-    """
-    new, new_comp = [], []
-    for u, c, i in zip(y, comp, inc):
-        delta = i + c
-        v = u + delta
-        new.append(v)
-        new_comp.append((u - v) + delta if abs(u) >= abs(delta) else (delta - v) + u)
-    return new, new_comp
-
-
 def rk4_step(f: Callable, s: PhaseState, dt: float) -> PhaseState:
     """Advance a reduced state by one step of the classical scheme.
 
@@ -97,14 +57,19 @@ def rk4_step(f: Callable, s: PhaseState, dt: float) -> PhaseState:
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    m = len(s.q)
+    m, n = len(s.q), len(s.q) + len(s.eta)
 
-    def on_vec(y):
+    def field(*y):
         qdot, etadot = f(PhaseState(q=y[:m], eta=y[m:], full=False))
-        return [*(float(v) for v in qdot), *(float(v) for v in etadot)]
+        return (*(float(v) for v in qdot), *(float(v) for v in etadot))
 
-    y = list(s.q + s.eta)
-    y = [u + v for u, v in zip(y, _rk4_increment(on_vec, y, dt))]
+    y = (*s.q, *s.eta)
+    try:
+        k1 = field(*y)
+    except EngineError as err:
+        err.stage_index = 0
+        raise
+    y, _ = rk4_step_program(n, 0)(field, *y, *(0.0,) * n, *k1, dt)
     return PhaseState(q=y[:m], eta=y[m:], full=False)
 
 
@@ -182,11 +147,8 @@ def simulate(
     n_steps, last = _time_grid(t_end, dt, n_steps)
     m, n = spec.m, spec.m + spec.k
     nt = spec.n_fiber - spec.k
-    evaluate = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
-    guess = None
-
-    def f(y):
-        return evaluate(y, guess)[:n]
+    field = flat_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    advance = rk4_step_program(n, nt)
 
     times = []
     rows = []  # recorded reduced states
@@ -207,19 +169,19 @@ def simulate(
     def time_of(step):
         return t_end if step == n_steps and last != dt else step * dt
 
-    y = [*ic.q, *ic.eta]
-    comp = [0.0] * n
+    y = (*ic.q, *ic.eta)
+    comp = (0.0,) * n
+    # the last evaluation: k1 and the Newton guess of the next step are
+    # here[:n + nt], and Newton starts the first state from zeros
+    here = (0.0,) * (n + nt)
     step = 0
     try:
         for step in range(n_steps + 1):
             if step:
-                guess = here[n : n + nt]
                 h = dt if step < n_steps else last
-                inc = _rk4_increment(f, y, h, k1=here[:n])
-                y, comp = _compensated_add(y, comp, inc)
-            # the sample when recorded, and stage 0 of the next step
-            try:
-                here = evaluate(y, guess)
+                y, comp = advance(field, *y, *comp, *here[: n + nt], h)
+            try:  # the sample when recorded, and stage 0 of the next step
+                here = field(*y, *here[n : n + nt])
             except EngineError as err:
                 err.stage_index = 0
                 raise

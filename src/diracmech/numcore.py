@@ -304,31 +304,33 @@ def power(base, exponent):
     # the exponent's partials, so such fields stay on the dual sweep
     e = _scalar(value_of(exponent))
     if float(e).is_integer():
-        return _pow_int(base, int(e))
-    if _fails(base, operator.lt):
-        raise NumericDomainError("negative base with non-integer exponent")
-    if isinstance(base, DualScalar):
-        if _fails(base, operator.eq):
-            raise NumericDomainError("zero base with non-integer exponent")
-        v = base.value ** e
-        f = e * base.value ** (e - 1.0)
-        return DualScalar(v, tuple(f * a for a in base.partials))
-    return _plain_pow(base, e)
+        e = int(e)
+    try:
+        if isinstance(e, int):
+            return _pow_int(base, e)
+        if _fails(base, operator.lt):
+            raise NumericDomainError("negative base with non-integer exponent")
+        if isinstance(base, DualScalar):
+            if _fails(base, operator.eq):
+                raise NumericDomainError("zero base with non-integer exponent")
+            v = base.value ** e
+            f = e * base.value ** (e - 1.0)
+            return DualScalar(v, tuple(f * a for a in base.partials))
+        return _plain_pow(base, e)
+    except OverflowError as err:
+        raise NumericDomainError(f"power overflow for exponent {e}") from err
 
 
 def _pow_int(base, n):
-    try:
-        if isinstance(base, DualScalar):
-            if n == 0:
-                return DualScalar(1.0, tuple(0.0 * a for a in base.partials))
-            if n < 0 and _fails(base.value, operator.eq):
-                raise NumericDomainError("zero base with negative exponent")
-            v = base.value ** n
-            f = n * base.value ** (n - 1)
-            return DualScalar(v, tuple(f * a for a in base.partials))
-        return _plain_pow(base, n)
-    except OverflowError as err:
-        raise NumericDomainError(f"power overflow for exponent {n}") from err
+    if isinstance(base, DualScalar):
+        if n == 0:
+            return DualScalar(1.0, tuple(0.0 * a for a in base.partials))
+        if n < 0 and _fails(base.value, operator.eq):
+            raise NumericDomainError("zero base with negative exponent")
+        v = base.value ** n
+        f = n * base.value ** (n - 1)
+        return DualScalar(v, tuple(f * a for a in base.partials))
+    return _plain_pow(base, n)
 
 
 def _plain_pow(base, e):

@@ -12,15 +12,21 @@ numbers or raises the engine's error.  A function that cannot be traced
 (it compares or converts its arguments) is its own program.
 ``numcore.grad``, ``dirac.reduced_field`` and
 ``SkewAlgebroid.float_rates`` compile their programs this way.
+
+``rk4_step_program`` writes the integrator's RK4 step once per state
+length: straight-line calls of a compiled field, and no system's code.
 """
 
+import functools
 import math
 import numbers
 import operator
 import re
 from typing import Callable
 
-__all__ = ["Tracer", "ZERO", "compile_traced", "is_traced"]
+from .errors import EngineError
+
+__all__ = ["Tracer", "ZERO", "compile_traced", "is_traced", "rk4_step_program"]
 
 
 class _GiveUp(Exception):
@@ -113,7 +119,8 @@ class Tracer:
             if other.tape is not self.tape:
                 raise _Untraceable("scalar from another trace")
             o = other.name
-        elif isinstance(other, numbers.Real):
+        # type() first: an ABC check costs about 1 µs, on every operand traced
+        elif type(other) is float or isinstance(other, numbers.Real):
             o = self.tape.const(float(other))
         else:  # a dual or a structural zero applies its own rule
             return NotImplemented
@@ -313,6 +320,44 @@ def compile_traced(fn: Callable, arity: int) -> Callable:
     namespace = {**_HELPERS, **consts, "reference": fn}
     exec(compile(source, "<traced>", "exec"), namespace)
     return namespace["traced"]
+
+
+@functools.cache
+def rk4_step_program(n: int, nt: int) -> Callable:
+    """One RK4 step and its compensated update, as straight-line code for
+    states of ``n`` floats: ``step(field, y.., e.., a.., g.., h) -> (y',
+    e')``, with a.. = k1 = ``field(*y, *g)[:n]`` and g.. the ``nt`` numbers
+    the field reads after the state, the same at every stage.  An
+    EngineError in stage s gets ``stage_index = s``.  Knuth's TwoSum adds
+    the increment plus the carried error e to y and gives the new error e'
+    exactly, without a branch: Neumaier's compensation."""
+
+    def each(text: str, sep: str = ", ") -> str:  # ``text`` at every index of the state
+        return sep.join(text.format(i) for i in range(n))
+
+    g = "".join(f", g{j}" for j in range(nt))
+    next_line = "\n    "
+    source = f"""def step(field, {each("y{}")}, {each("e{}")}, {each("a{}")}{g}, h):
+    half = 0.5 * h
+    stage = 1
+    try:
+        b = field({each("y{0} + half * a{0}")}{g})
+        stage = 2
+        c = field({each("y{0} + half * b[{0}]")}{g})
+        stage = 3
+        d = field({each("y{0} + h * c[{0}]")}{g})
+    except EngineError as err:
+        err.stage_index = stage
+        raise
+    sixth = h / 6.0
+    {each("u{0} = sixth * (a{0} + 2.0 * b[{0}] + 2.0 * c[{0}] + d[{0}]) + e{0}", next_line)}
+    {each("v{0} = y{0} + u{0}", next_line)}
+    {each("w{0} = v{0} - y{0}", next_line)}
+    return ({each("v{}, ", "")}), ({each("(y{0} - (v{0} - w{0})) + (u{0} - w{0}), ", "")})
+"""
+    namespace = {"EngineError": EngineError}
+    exec(compile(source, "<rk4_step>", "exec"), namespace)
+    return namespace["step"]
 
 
 # numcore imports this module first thing, and a tracer's ** goes through

@@ -184,6 +184,18 @@ def test_simulate_unwritable_out_is_an_error(tmp_path, capsys, argv, code):
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("exponent", ["1.5", "2"])
+def test_simulate_power_overflow_is_one_error_line(capsys, exponent):
+    argv = ["simulate", "--system", "skater_free", "--ic", "0,0,0,1,1", "--t-end", "0.003",
+            "--dt", "0.001", "--potential", f"x + 1e300^{exponent}"]
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: integration of 'skater_free' failed near t=0: "
+        f"power overflow for exponent {exponent}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "window", [["--t-end", "1e300", "--dt", "1e-300"], ["--t-end", "inf"]], ids=["overflow", "inf"]
 )

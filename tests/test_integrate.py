@@ -13,6 +13,7 @@ from diracmech.exprparse import parse_text
 from diracmech.integrate import MAX_STEPS, observables, rk4_step, simulate
 from diracmech.numcore import ScalarField
 from diracmech.systems import analytic_state, build, hamiltonian_with_potential
+from diracmech.tracing import rk4_step_program
 
 
 def reduced(q, eta):
@@ -388,3 +389,99 @@ def test_single_step_simulate_matches_rk4_step():
     traj = simulate(spec, ic, t_end=1e-3, dt=1e-3, stride=1)
     assert traj.states[-1].q == stepped.q
     assert traj.states[-1].eta == stepped.eta
+
+
+# -- the generated step ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, seed, dt, stage, failed_time, partial_len",
+    [
+        ("0.001*log(x)", 0, 0.02, 1, 0.16, 3),
+        ("log(x)", 8, 0.01, 2, 0.07, 3),
+        ("log(x)", 21, 0.02, 2, 0.12, 2),
+        ("0.001*log(x)", 2, 0.01, 3, 0.09, 3),
+    ],
+)
+def test_simulate_failure_in_a_stage_carries_its_index(text, seed, dt, stage, failed_time, partial_len):
+    # the skater heads into a log wall at x = 0 from a seeded distance; where
+    # the wall sits within the last step decides which stage crosses it
+    spec = hamiltonian_with_potential(build("skater_free"), parse_text(text))
+    x0 = float(np.random.default_rng(seed).uniform(0.05, 0.2))
+    with pytest.raises(TruncatedTrajectoryError) as info:
+        simulate(spec, reduced((x0, 0.0, math.pi), (1.0, 0.001)), t_end=1.0, dt=dt, stride=3)
+    err = info.value
+    assert err.__cause__.stage_index == stage
+    assert err.failed_time == failed_time
+    assert str(err) == (
+        f"integration of 'skater_free' failed near t={failed_time:g}: log of a non-positive value"
+    )
+    assert len(err.partial) == partial_len
+
+
+def neumaier(u, delta):
+    """The compensated update as a branch on the larger magnitude."""
+    v = u + delta
+    return v, (u - v) + delta if abs(u) >= abs(delta) else (delta - v) + u
+
+
+def generated_update(u, delta):
+    """The generated step's update of u by delta: every stage slope is -0.0,
+    so the increment is -0.0 and the carried error is the whole of delta."""
+    step = rk4_step_program(1, 0)
+    (v,), (err,) = step(lambda y: (-0.0,), u, delta, -0.0, 1.0)
+    return v, err
+
+
+TINY = 5e-324
+BIGGEST = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize(
+    "u, delta",
+    [
+        (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1.0, -0.0), (-0.0, -1.0),
+        (TINY, TINY), (TINY, -TINY), (2.2250738585072014e-308, -TINY), (1e-310, 3e-310),
+        (TINY, 1.0), (-1.0, 3 * TINY),
+        (1.0, 2.0**-53), (1.0 + 2.0**-52, 2.0**-53), (2.0**53, 1.0), (2.0**53 + 2.0, -1.0),
+        (1.5, 1.5), (1.5, -1.5), (0.1, -0.1), (-0.1, 0.1 + 2.0**-56),
+        (BIGGEST, 9.9e291), (BIGGEST, -1e300), (-BIGGEST, 0.5), (1e308, 7e307), (1e308, -1e308),
+        (0.1, 0.2), (1e16, 1.0), (1.0, 1e-16), (-3.0, 1e-300),
+        (1e-16, 1.0), (2.0**-53, 1.0), (2.0**-60, -3.0), (0.1, 0.7), (-1e-300, 1e300),
+    ],
+)
+def test_twosum_update_equals_the_neumaier_branch(u, delta):
+    want = [x.hex() for x in neumaier(u, delta)]
+    assert [x.hex() for x in generated_update(u, delta)] == want
+
+
+def test_overflowing_update_leaves_a_non_finite_error_either_way():
+    # where u + delta overflows the branch leaves -inf and TwoSum nan
+    for u, delta in ((BIGGEST, 1e292), (-1e308, -1e308)):
+        got, want = generated_update(u, delta), neumaier(u, delta)
+        assert got[0] == want[0] and math.isinf(got[0])
+        assert not math.isfinite(got[1]) and not math.isfinite(want[1])
+
+
+# SHA-256 (trajectory_digest) of one run per system whose t_end = 0.2505
+# leaves a last step of half a dt, at stride 7, from a seeded initial state;
+# recorded with the stage loop and the branch form of the compensated update
+SHORT_LAST_STEP_DIGESTS = {
+    "ball_free": "4768a9a8fc43f8171ddc56c21c14334f1da9d3249f42fc0e6e739ab210e4955c",
+    "ball_harmonic": "dc48841b00f6ae777a9ae1c534e5a4bc63e179ed7b26d91f407269efdb46affa",
+    "ball_magnetic": "ddc07af8f289ddd97d190a9764e04d38c0ac3dee1ad86150ad449340a43ff445",
+    "skater_charged": "d96f274d40f383b80e63943b689f93026556561243276f4e121d6cd2745792a6",
+    "skater_free": "77894d1b8443fb36b233c6217815b72e4c8eef9d694b9ec0260a4e6efcc14ed1",
+    "skater_slope": "81951759368c7adb7f02ee0984c42b45fef0e6a6dfebc9cff10a8bf1ea859869",
+    "quartic": "eb6f3739f544c3a3f50fe6fffb66e69c69b34dc5e1b37f7fefb0341287ebe352",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_LAST_STEP_DIGESTS))
+def test_short_last_step_trajectories_are_pinned_bit_for_bit(name):
+    spec = quartic_skater() if name == "quartic" else build(name)
+    rng = np.random.default_rng(23)
+    ic = reduced(rng.uniform(-0.5, 0.5, spec.m), rng.uniform(0.5, 1.5, spec.k))
+    traj = simulate(spec, ic, t_end=0.2505, dt=1e-3, stride=7)
+    assert len(traj) == 37 and traj.times[-2:].tolist() == [0.245, 0.2505]
+    assert trajectory_digest(traj) == SHORT_LAST_STEP_DIGESTS[name]

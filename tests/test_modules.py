@@ -188,6 +188,50 @@ def test_only_tracing_writes_program_text():
     assert "    except (give_up, *float_errors): pass" in _strings(PACKAGE_DIR / "tracing.py")
 
 
+_CODE_BUILTINS = {"exec", "compile", "eval"}
+
+
+def _code_builtin_calls(path: Path) -> list:
+    """Calls of the builtins that run program text, by name or through
+    ``builtins``; ``re.compile`` and other methods are not among them."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if isinstance(fn, ast.Name) and fn.id in _CODE_BUILTINS:
+            found.append(f"{path.name}:{node.lineno} {fn.id}")
+        elif (
+            isinstance(fn, ast.Attribute)
+            and isinstance(fn.value, ast.Name)
+            and fn.value.id == "builtins"
+            and fn.attr in _CODE_BUILTINS
+        ):
+            found.append(f"{path.name}:{node.lineno} builtins.{fn.attr}")
+    return found
+
+
+def test_code_builtin_detector_sees_names_and_builtins(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import builtins, re\n"
+        "exec(compile('x = 1', '<p>', 'exec'), {})\n"
+        "builtins.eval('1')\n"
+        "pattern = re.compile('x')\n"
+    )
+    assert sorted(_code_builtin_calls(probe)) == [
+        "probe.py:2 compile", "probe.py:2 exec", "probe.py:3 builtins.eval"
+    ]
+
+
+def test_only_tracing_runs_program_text():
+    # generated code, the integrator's step included, is written and
+    # compiled in one module
+    calls = {p.stem: _code_builtin_calls(p) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {stem: hits for stem, hits in calls.items() if hits and stem != "tracing"} == {}
+    assert calls["tracing"], "tracing compiles no program"
+
+
 @pytest.mark.parametrize("module", sorted(MODULES - {"__main__"}))
 def test_each_module_imports_first_in_a_fresh_interpreter(module):
     # numcore imports tracing, and a tracer's ** reaches numcore.power when

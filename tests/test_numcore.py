@@ -511,6 +511,16 @@ def test_zero_base_with_negative_non_integer_exponent_is_a_domain_error(base, ex
         program(base)
 
 
+@pytest.mark.parametrize("exponent, shown", [(1.5, "1.5"), (2, "2"), (2.0, "2")])
+def test_power_overflow_is_a_domain_error(exponent, shown):
+    # a non-integer exponent overflows into the same error as an integer one
+    message = f"^power overflow for exponent {shown}$"
+    for base in (1e300, DualScalar(1e300, (1.0,))):
+        with pytest.raises(NumericDomainError, match=message) as info:
+            numcore.power(base, exponent)
+        assert isinstance(info.value.__cause__, OverflowError)
+
+
 def test_dual_variable_exponent():
     # d/dx x^x = x^x (log x + 1)
     x = DualScalar(2.0, (1.0,))

@@ -116,6 +116,24 @@ def test_compiled_field_is_cached_per_algebroid_and_consistency():
     }
 
 
+@pytest.mark.parametrize("name", [*catalog_names(), "skater_quartic", "newton_ball_magnetic"])
+def test_flat_field_is_the_cached_program_called_flat(name):
+    spec = spec_named(name)
+    args = (spec.dirac, spec.hamiltonian, spec.consistency)
+    field, evaluate = dirac.flat_field(*args), reduced_field(*args)
+    assert dirac.flat_field(*args) is field and reduced_field(*args) is evaluate
+    n, nt = spec.m + spec.k, spec.n_fiber - spec.k
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        y = rng.uniform(-1.5, 1.5, n).tolist()
+        guess = rng.uniform(-1.0, 1.0, nt).tolist()
+        assert bits(field(*y, *guess)).tolist() == bits(evaluate(y, guess)).tolist()
+        assert bits(field(*y, *[0.0] * nt)).tolist() == bits(evaluate(y)).tolist()
+        if spec.consistency.kind != "newton":  # a closed form reads no guess
+            assert bits(field(*y, *guess)).tolist() == bits(evaluate(y)).tolist()
+            assert bits(evaluate(y, [9.0] * (nt + 1))).tolist() == bits(evaluate(y)).tolist()
+
+
 def test_build_compiles_no_field():
     spec = build("ball_harmonic")
     assert spec.hamiltonian._programs == {}
