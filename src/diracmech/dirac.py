@@ -19,11 +19,12 @@ condition rather than integrated.  The shape of this field is fixed by
 the algebroid and the consistency solution, whatever H is: one
 function of the state (``_transverse``, the one transcription of the
 consistency map, then ``_field_outputs``) that ``reduced_field`` traces
-once per system into straight-line float code and ``evaluate_reduced``
-runs on floats.  Every sum runs in a fixed order, so the output does not
-depend on the BLAS kernel.  Two independent transcriptions of the
-classical constrained dynamics (mechanical metric form and magnetic
-almost-Poisson form) live here as oracles for cross-validation.
+once per system into one float program, called flat as ``field(*y,
+*guess)``, and ``evaluate_reduced`` runs on floats.  Every sum runs in a
+fixed order, so the output does not depend on the BLAS kernel.  Two
+independent transcriptions of the classical constrained dynamics
+(mechanical metric form and magnetic almost-Poisson form) live here as
+oracles for cross-validation.
 """
 
 from dataclasses import dataclass
@@ -46,6 +47,7 @@ from .numcore import (
     newton_iterate,
     partials_of,
     seed_duals,
+    shape_of,
     solve_in_place,
     value_and_grad,
 )
@@ -63,7 +65,6 @@ __all__ = [
     "complete_state",
     "evaluate_reduced",
     "reduced_field",
-    "flat_field",
     "reduced_vector_field",
     "oracle_mechanical",
     "oracle_magnetic",
@@ -96,13 +97,6 @@ class DiracElement:
     vec_base: tuple      # qdot^i
     vec_fiber: tuple     # etadot_B
 
-    def __init__(self, base, cov_base, cov_fiber, vec_base, vec_fiber):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "cov_base", tuple(float(v) for v in cov_base))
-        object.__setattr__(self, "cov_fiber", tuple(float(v) for v in cov_fiber))
-        object.__setattr__(self, "vec_base", tuple(float(v) for v in vec_base))
-        object.__setattr__(self, "vec_fiber", tuple(float(v) for v in vec_fiber))
-
 
 @dataclass(frozen=True)
 class ConsistencySolution:
@@ -125,28 +119,25 @@ NEWTON_CONSISTENCY = ConsistencySolution(kind="newton")
 
 def make_element(dirac: DiracAlgebroid, s: PhaseState, a, xb, etadot_alpha) -> DiracElement:
     """Assemble the element with parameters (a_j, x^b, etadot_alpha)."""
-    alg, k = dirac.alg, dirac.k
+    alg, k, nt = dirac.alg, dirac.k, dirac.transverse
     if not s.full or len(s.q) != alg.m or len(s.eta) != alg.rank:
         raise DimensionError("full phase state of matching shape required")
-    a = np.asarray(a, dtype=float)
-    xb = np.asarray(xb, dtype=float)
-    etadot_alpha = np.asarray(etadot_alpha, dtype=float)
-    if a.shape != (alg.m,):
-        raise DimensionError(f"covector of length {a.shape} on base of dimension {alg.m}")
-    if xb.shape != (k,):
-        raise DimensionError(f"admissible velocity of length {xb.shape}, expected {k}")
-    if etadot_alpha.shape != (dirac.transverse,):
-        raise DimensionError(
-            f"transverse rates of length {etadot_alpha.shape}, expected {dirac.transverse}"
-        )
-    qdot, etadot_adm = alg.rates(s.q, np.asarray(s.eta), xb, a, k)
-    return DiracElement(
-        base=s,
-        cov_base=a,
-        cov_fiber=np.concatenate([xb, np.zeros(dirac.transverse)]),
-        vec_base=qdot,
-        vec_fiber=np.concatenate([etadot_adm, etadot_alpha]),
-    )
+    a = _float_list(a, alg.m, f"covector of length {{}} on base of dimension {alg.m}")
+    xb = _float_list(xb, k, f"admissible velocity of length {{}}, expected {k}")
+    etadot_alpha = _float_list(etadot_alpha, nt, f"transverse rates of length {{}}, expected {nt}")
+    qdot, etadot = alg.float_rates(s.q, s.eta, xb, a, k)
+    return DiracElement(s, tuple(a), (*xb, *(0.0,) * nt), tuple(qdot), (*etadot, *etadot_alpha))
+
+
+def _float_list(value, n: int, message: str) -> list:
+    """``value`` as n floats, or DimensionError(message) with its shape."""
+    shape = shape_of(value)
+    if shape != (n,):
+        raise DimensionError(message.format(shape))
+    try:
+        return [float(v) for v in value]
+    except (TypeError, ValueError) as err:
+        raise DimensionError(f"{message.format(shape)}: {err}") from err
 
 
 def _pairing_terms(e1: DiracElement, e2: DiracElement):
@@ -190,6 +181,7 @@ def solve_consistency(
     Declared closed forms are used directly; otherwise Newton runs from
     ``guess`` with the transverse Hessian block of H as Jacobian.
     """
+    _check_reduced(dirac, q, eta_a)
     return np.array(_transverse(dirac, h, q, eta_a, guess, solution), dtype=float)
 
 
@@ -241,10 +233,7 @@ def _newton_transverse(dirac, h, q, eta_a, guess) -> list:
 
 def _check_reduced(dirac: DiracAlgebroid, q, eta_a):
     if len(q) != dirac.alg.m or len(eta_a) != dirac.k:
-        raise DimensionError(
-            f"reduced state ({len(q)}, {len(eta_a)}) on shape "
-            f"({dirac.alg.m}, {dirac.k})"
-        )
+        raise DimensionError(f"reduced state {len(q), len(eta_a)} on shape {dirac.alg.m, dirac.k}")
 
 
 def complete_state(
@@ -257,10 +246,8 @@ def complete_state(
     """Reduced state -> (full PhaseState, eta_alpha)."""
     if rs.full:
         raise DimensionError("reduced phase state required")
-    _check_reduced(dirac, rs.q, rs.eta)
     eta_alpha = solve_consistency(dirac, h, rs.q, rs.eta, guess=guess, solution=solution)
-    full = PhaseState(q=rs.q, eta=rs.eta + tuple(eta_alpha), full=True)
-    return full, eta_alpha
+    return PhaseState(q=rs.q, eta=rs.eta + tuple(eta_alpha), full=True), eta_alpha
 
 
 def _field_outputs(dirac: DiracAlgebroid, h: ScalarField, q, eta_a, eta_alpha) -> list:
@@ -310,13 +297,12 @@ def reduced_field(
     solution: ConsistencySolution = NEWTON_CONSISTENCY,
 ) -> Callable:
     """The reduced field of (dirac, h, solution) compiled to straight-line
-    float code, as ``evaluate(y, guess=None)``.
-
-    ``y`` is the reduced state (q, eta_a) as one sequence of floats, and
-    the result one flat sequence: qdot, etadot_a, eta_alpha, H, grad_H
-    (n = m + k, nt transverse momenta: the derivative of y is ``[:n]``,
-    eta_alpha ``[n:n + nt]``, H ``[n + nt]``, grad_H ``[n + nt + 1:]``).
-    It equals ``evaluate_reduced``.
+    float code, called flat as ``field(*y, *guess)``: the n = m + k floats
+    of the reduced state (q, eta_a), then the nt of Newton's start, which
+    the closed consistency forms read not at all.  It returns one flat
+    tuple, equal to ``evaluate_reduced``: qdot, etadot_a (together the
+    derivative of y, ``[:n]``), eta_alpha ``[n:n + nt]``, H ``[n + nt]``
+    and grad_H ``[n + nt + 1:]``.
 
     One tape holds the declared consistency map (``zero`` as constants,
     ``affine`` traced), the dual sweep of H and the element contraction.
@@ -324,47 +310,32 @@ def reduced_field(
     transverse sweep (residual and Hessian block from one program), then
     the program traced from the solved eta_alpha on.  Where the code gives
     up, and for a system that cannot be traced, the program runs the same
-    field on floats (``tracing.compile_traced``).  It is compiled on the first call for a
-    (dirac, solution) pair and cached on ``h``, with ``flat_field``.
+    field on floats (``tracing.compile_traced``).  It is compiled on the
+    first call for a (dirac, solution) pair and cached on ``h``.
     """
-    return _compiled(dirac, h, solution)[1]
-
-
-def flat_field(dirac, h, solution=NEWTON_CONSISTENCY) -> Callable:
-    """``reduced_field``'s program called flat, as ``field(*y, *guess)``:
-    the n floats of the state, then the nt of Newton's start, which the
-    closed consistency forms read not at all."""
-    return _compiled(dirac, h, solution)[0]
-
-
-def _compiled(dirac, h, solution) -> tuple:
     key = (id(dirac), id(solution))  # the cached closures keep both alive
-    if key not in h._programs:
-        h._programs[key] = _compile_field(dirac, h, solution)
-    return h._programs[key]
+    field = h._programs.get(key)
+    if field is None:
+        field = h._programs[key] = _compile_field(dirac, h, solution)
+    return field
 
 
-def _compile_field(dirac, h, solution) -> tuple:
-    """The compiled field, flat and as ``evaluate``."""
+def _compile_field(dirac, h, solution) -> Callable:
     m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
     n = m + k
-    zeros = (0.0,) * nt  # Newton's start without a guess
     if nt and solution.kind == "newton":
-        solved = compile_traced(
-            lambda *xs: _field_outputs(dirac, h, xs[:m], xs[m:n], xs[n:]), n + nt
-        )
+        solved = compile_traced(lambda *x: _field_outputs(dirac, h, x[:m], x[m:n], x[n:]), n + nt)
 
         def newton(*xs):
             return solved(*xs[:n], *_newton_transverse(dirac, h, xs[:m], xs[m:n], xs[n:]))
 
-        return newton, lambda y, guess=None: newton(*y, *(zeros if guess is None else guess))
+        return newton
 
     def closed(*xs):
         q, eta_a = xs[:m], xs[m:n]
         return _field_outputs(dirac, h, q, eta_a, _transverse(dirac, h, q, eta_a, None, solution))
 
-    field = compile_traced(closed, n + nt)
-    return field, lambda y, guess=None: field(*y, *zeros)
+    return compile_traced(closed, n + nt)
 
 
 def reduced_vector_field(
@@ -383,8 +354,7 @@ def reduced_vector_field(
     """
     if rs.full:
         raise DimensionError("reduced phase state required")
-    _, _, qdot, etadot = evaluate_reduced(dirac, h, rs.q, rs.eta, guess=guess, solution=solution)
-    return qdot, etadot
+    return evaluate_reduced(dirac, h, rs.q, rs.eta, guess=guess, solution=solution)[2:]
 
 
 def oracle_mechanical(

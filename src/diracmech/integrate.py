@@ -1,25 +1,26 @@
 """Fixed-step classical Runge-Kutta integration of the reduced dynamics,
 with transverse momenta and diagnostic observables stored per sample.
 
-``simulate`` calls the system's compiled field flat, as ``field(*y,
-*guess)`` (``dirac.flat_field``), whatever its consistency kind, and takes
-every step with the one program ``tracing.rk4_step_program`` writes per
-state length: three straight-line calls of the field, then the update
-with Neumaier's compensation as a branch-free TwoSum.  ``rk4_step`` runs
-the same program.  Each state reached is evaluated once: that evaluation
+``simulate`` calls the one compiled field, ``dirac.reduced_field``, flat
+as ``field(*y, *guess)`` whatever its consistency kind, and takes every
+step with the one program ``tracing.rk4_step_program`` writes per state
+length: three straight-line calls of the field, then the update with
+Neumaier's compensation as a branch-free TwoSum.  ``rk4_step`` runs the
+same program.  Each state reached is evaluated once: that evaluation
 is the recorded sample, k1 of the next step and its Newton warm start.
 Every sum is in a fixed order, so identical inputs give bit-identical
 output, whatever BLAS kernel numpy loads.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .algebroid import PhaseState
-from .dirac import flat_field, reduced_field
+from .dirac import reduced_field
 from .errors import DimensionError, EngineError, TruncatedTrajectoryError
 from .numcore import max_abs
 from .systems import SystemSpec
@@ -57,10 +58,12 @@ def rk4_step(f: Callable, s: PhaseState, dt: float) -> PhaseState:
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    m, n = len(s.q), len(s.q) + len(s.eta)
+    m, k = len(s.q), len(s.eta)
 
     def field(*y):
         qdot, etadot = f(PhaseState(q=y[:m], eta=y[m:], full=False))
+        if len(qdot) != m or len(etadot) != k:
+            raise DimensionError(f"rates of lengths {len(qdot), len(etadot)}, expected {m, k}")
         return (*(float(v) for v in qdot), *(float(v) for v in etadot))
 
     y = (*s.q, *s.eta)
@@ -69,7 +72,7 @@ def rk4_step(f: Callable, s: PhaseState, dt: float) -> PhaseState:
     except EngineError as err:
         err.stage_index = 0
         raise
-    y, _ = rk4_step_program(n, 0)(field, *y, *(0.0,) * n, *k1, dt)
+    y, _ = rk4_step_program(m + k, 0)(field, *y, *(0.0,) * (m + k), *k1, dt)
     return PhaseState(q=y[:m], eta=y[m:], full=False)
 
 
@@ -90,12 +93,13 @@ def observables(spec: SystemSpec, rs: PhaseState, guess=None) -> dict:
     if rs.full:
         raise DimensionError("reduced phase state required")
     if len(rs.q) != spec.m or len(rs.eta) != spec.k:
-        raise DimensionError(
-            f"reduced state ({len(rs.q)}, {len(rs.eta)}) on shape ({spec.m}, {spec.k})"
-        )
-    evaluate = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
-    evaluation = evaluate([*rs.q, *rs.eta], guess)
-    return dict(zip(OBSERVABLE_NAMES, _observables_of(spec, rs.q, evaluation)))
+        raise DimensionError(f"reduced state {len(rs.q), len(rs.eta)} on shape {spec.m, spec.k}")
+    nt = spec.n_fiber - spec.k
+    guess = (0.0,) * nt if guess is None else guess
+    if len(guess) != nt:
+        raise DimensionError(f"guess of length {len(guess)}, expected {nt}")
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    return dict(zip(OBSERVABLE_NAMES, _observables_of(spec, rs.q, field(*rs.q, *rs.eta, *guess))))
 
 
 def _time_grid(t_end: float, dt: float, n_steps: int):
@@ -128,6 +132,9 @@ def simulate(
     A failure mid-run raises TruncatedTrajectoryError carrying the partial
     trajectory, at the time of the state or step whose evaluation failed.
     """
+    integral = type(stride) is int or isinstance(stride, numbers.Integral)
+    if not integral or type(stride) is bool:
+        raise ValueError(f"stride must be an integer, got {stride!r}")
     if t_end <= 0.0 or dt <= 0.0 or stride < 1:
         raise ValueError("t_end and dt must be positive, stride at least 1")
     if not all(math.isfinite(v) for v in (t_end, dt, t_end / dt)):
@@ -147,7 +154,7 @@ def simulate(
     n_steps, last = _time_grid(t_end, dt, n_steps)
     m, n = spec.m, spec.m + spec.k
     nt = spec.n_fiber - spec.k
-    field = flat_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
     advance = rk4_step_program(n, nt)
 
     times = []

@@ -10,8 +10,9 @@ traced from: where a domain guard holds, a float operation raises or an
 output is not finite, it runs that function, which gives the same
 numbers or raises the engine's error.  A function that cannot be traced
 (it compares or converts its arguments) is its own program.
-``numcore.grad``, ``dirac.reduced_field`` and
-``SkewAlgebroid.float_rates`` compile their programs this way.
+``numcore.grad``, ``dirac.reduced_field`` (one program, called flat as
+``field(*y, *guess)``) and ``SkewAlgebroid.float_rates`` compile their
+programs this way.
 
 ``rk4_step_program`` writes the integrator's RK4 step once per state
 length: straight-line calls of a compiled field, and no system's code.

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from diracmech.algebroid import PhaseState, restrict_to_constraint
 from diracmech.dirac import (
+    ConsistencySolution,
+    complete_state,
     consistency_residual,
     evaluate_reduced,
     make_element,
@@ -102,6 +106,84 @@ def test_make_element_dimension_errors():
         make_element(spec.dirac, s, np.zeros(2), np.zeros(2), np.zeros(1))
     with pytest.raises(DimensionError):
         make_element(spec.dirac, s, np.zeros(3), np.zeros(3), np.zeros(1))
+
+
+# SHA-256 of every output of make_element and of each pair's pairing, over
+# seeded parameters given as arrays and as lists, recorded before
+# make_element passed float lists straight to the compiled contraction
+ELEMENT_DIGESTS = {
+    "ball_free": "06f1a11b46d6a800570ce7917e1061072515c0da65fd8cb1fe5f3248e85e96bc",
+    "ball_harmonic": "3ce97b79cdc30751da1ed86410fdf04dc1c5ab69299c7b76aa42afdafc519be5",
+    "ball_magnetic": "10916c4c2fbb84afa9c91d915413745703fe3fc2882f09f1caf10bdb8b62341e",
+    "skater_charged": "72634b3c7acafa7709383a01f5982b0b8c053a054f788cc2855916311d4200d1",
+    "skater_free": "5ecb4b221bb72c17856787ebe67cdfaa7885235db93ff1d23e5d62c7fdd8afca",
+    "skater_slope": "60e703ca5598d3a7fd12c37553140c1c872b7cec90c1884dc2a9230cc67bfe5c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_DIGESTS))
+def test_make_element_outputs_are_pinned_bit_for_bit(name):
+    spec = build(name)
+    nt = spec.n_fiber - spec.k
+    rng = np.random.default_rng([37, list(catalog_names()).index(name)])
+    digest = hashlib.sha256()
+    for i in range(40):
+        s = full_state(spec, rng)
+        pair = []
+        for _ in range(2):
+            a, xb, ed = (rng.uniform(-2.0, 2.0, n) for n in (spec.m, spec.k, nt))
+            if i % 2:
+                a, xb, ed = a.tolist(), tuple(xb.tolist()), ed.tolist()
+            e = make_element(spec.dirac, s, a, xb, ed)
+            for part in (e.cov_base, e.cov_fiber, e.vec_base, e.vec_fiber):
+                assert type(part) is tuple and all(type(v) is float for v in part)
+                digest.update(struct.pack(f"<{len(part)}d", *part))
+            pair.append(e)
+        digest.update(struct.pack("<2d", pairing(*pair), pairing_scale(*pair)))
+    assert digest.hexdigest() == ELEMENT_DIGESTS[name]
+
+
+ZEROS = {"a": [0.0] * 3, "xb": [0.0] * 2, "ed": [0.0]}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"a": [0.0] * 2}, "covector of length (2,) on base of dimension 3"),
+        ({"a": np.zeros((3, 1))}, "covector of length (3, 1) on base of dimension 3"),
+        ({"a": 1.0}, "covector of length () on base of dimension 3"),
+        ({"a": [[1.0, 2.0], [3.0]]}, "covector of length (2, [2, 1]) on base of dimension 3"),
+        ({"xb": [0.0] * 3}, "admissible velocity of length (3,), expected 2"),
+        ({"xb": [[0.0, 0.0]]}, "admissible velocity of length (1, 2), expected 2"),
+        ({"xb": np.float64(0.0)}, "admissible velocity of length (), expected 2"),
+        ({"xb": [[0.0], []]}, "admissible velocity of length (2, [1, 0]), expected 2"),
+        ({"ed": []}, "transverse rates of length (0,), expected 1"),
+        ({"ed": [[0.0]]}, "transverse rates of length (1, 1), expected 1"),
+        ({"ed": 0.5}, "transverse rates of length (), expected 1"),
+        ({"ed": ((0.0, 1.0), (2.0,))}, "transverse rates of length (2, [2, 1]), expected 1"),
+        (
+            {"a": [[1.0], 2.0, 3.0]},
+            "covector of length (3,) on base of dimension 3: float() argument must be "
+            "a string or a real number, not 'list'",
+        ),
+        (
+            {"ed": ["x"]},
+            "transverse rates of length (1,), expected 1: could not convert string to float: 'x'",
+        ),
+    ],
+    ids=[
+        *(f"{what}_{name}" for what in ("a", "xb", "ed") for name in ("length", "2d", "scalar", "nested")),
+        "a_mixed",
+        "ed_string",
+    ],
+)
+def test_make_element_parameter_errors(bad, message):
+    spec = build("skater_free")
+    s = PhaseState((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
+    args = {**ZEROS, **bad}
+    with pytest.raises(DimensionError) as info:
+        make_element(spec.dirac, s, args["a"], args["xb"], args["ed"])
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -258,6 +340,20 @@ def test_solve_consistency_closed_forms():
         solution=ball.consistency,
     )
     assert np.allclose(sol, [0.0, 1.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["affine", "newton"])
+def test_solve_consistency_checks_the_reduced_shape(kind):
+    spec = build("skater_charged")
+    solution = spec.consistency if kind == "affine" else ConsistencySolution(kind="newton")
+    message = "reduced state (2, 2) on shape (3, 2)"
+    with pytest.raises(DimensionError) as info:
+        solve_consistency(spec.dirac, spec.hamiltonian, [0.1, 0.2], [1.0, 0.5], solution=solution)
+    assert str(info.value) == message
+    short = PhaseState((0.1, 0.2), (1.0, 0.5), full=False)
+    with pytest.raises(DimensionError) as info:
+        complete_state(spec.dirac, spec.hamiltonian, short, solution=solution)
+    assert str(info.value) == message
 
 
 def test_solve_consistency_newton_agrees_with_closed_form():

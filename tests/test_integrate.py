@@ -8,7 +8,7 @@ import pytest
 from diracmech.algebroid import PhaseState
 from diracmech.checks import ADMISSIBILITY_TOL, CONSISTENCY_TOL, ENERGY_DRIFT_TOL
 from diracmech.dirac import ConsistencySolution, solve_consistency
-from diracmech.errors import NumericDomainError, TruncatedTrajectoryError
+from diracmech.errors import DimensionError, NumericDomainError, TruncatedTrajectoryError
 from diracmech.exprparse import parse_text
 from diracmech.integrate import MAX_STEPS, observables, rk4_step, simulate
 from diracmech.numcore import ScalarField
@@ -59,6 +59,24 @@ def test_rk4_single_step_tracks_closed_form():
 def test_rk4_rejects_bad_step(dt):
     with pytest.raises(ValueError):
         rk4_step(lambda s: (np.zeros(0), np.zeros(1)), PhaseState((), (0.0,), full=False), dt)
+
+
+@pytest.mark.parametrize("stage", [0, 2])
+@pytest.mark.parametrize("lengths", [(1, 1), (2, 0), (3, 1), (2, 2), (0, 0)])
+def test_rk4_step_rejects_rates_of_the_wrong_length(stage, lengths):
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        if len(calls) == stage + 1:
+            return np.zeros(lengths[0]), np.zeros(lengths[1])
+        return np.zeros(2), np.ones(1)
+
+    with pytest.raises(DimensionError) as info:
+        rk4_step(f, PhaseState((0.0, 0.0), (1.0,), full=False), 0.1)
+    assert str(info.value) == f"rates of lengths {lengths}, expected (2, 1)"
+    assert info.value.stage_index == stage
+    assert len(calls) == stage + 1
 
 
 # -- simulate -------------------------------------------------------------------
@@ -303,6 +321,22 @@ def test_recorded_samples_equal_fresh_evaluations(name):
             guess = traj.eta_alpha[i]
 
 
+@pytest.mark.parametrize("stride", [2.5, 2.0, np.float64(2.0), True, "2", None])
+def test_simulate_rejects_a_stride_that_is_not_an_integer(stride):
+    spec = build("skater_free")
+    with pytest.raises(ValueError) as info:
+        simulate(spec, reduced((0, 0, 0), (1, 1)), t_end=0.01, dt=1e-3, stride=stride)
+    assert str(info.value) == f"stride must be an integer, got {stride!r}"
+
+
+def test_simulate_takes_a_numpy_integer_stride():
+    spec, ic = build("skater_free"), reduced((0.1, -0.2, 0.3), (1.0, 0.5))
+    plain = simulate(spec, ic, t_end=0.01, dt=1e-3, stride=2)
+    numpy_int = simulate(spec, ic, t_end=0.01, dt=1e-3, stride=np.int64(2))
+    assert len(plain) == 6
+    assert trajectory_digest(numpy_int) == trajectory_digest(plain)
+
+
 # -- observables ------------------------------------------------------------------
 
 
@@ -485,3 +519,26 @@ def test_short_last_step_trajectories_are_pinned_bit_for_bit(name):
     traj = simulate(spec, ic, t_end=0.2505, dt=1e-3, stride=7)
     assert len(traj) == 37 and traj.times[-2:].tolist() == [0.245, 0.2505]
     assert trajectory_digest(traj) == SHORT_LAST_STEP_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name, guess",
+    [
+        ("skater_charged", [0.1, 0.2]),
+        ("skater_free", []),
+        ("ball_magnetic", [0.1]),
+        ("newton_skater_charged", [0.1, 0.2]),
+        ("newton_ball_harmonic", (0.1, 0.2, 0.3)),
+    ],
+)
+def test_observables_reject_a_guess_of_the_wrong_length(name, guess):
+    if name.startswith("newton_"):
+        spec = newton_spec(build(name[len("newton_"):]))
+    else:
+        spec = build(name)
+    rs = reduced((0.1, -0.2, 0.3)[: spec.m], (1.0, 0.5, -0.2)[: spec.k])
+    nt = spec.n_fiber - spec.k
+    with pytest.raises(DimensionError) as info:
+        observables(spec, rs, guess=guess)
+    assert str(info.value) == f"guess of length {len(guess)}, expected {nt}"
+    assert observables(spec, rs, guess=[0.0] * nt) == observables(spec, rs)

@@ -83,7 +83,7 @@ def count_reference_calls(monkeypatch):
 def test_compiled_field_equals_reference(name, monkeypatch):
     spec = spec_named(name)
     h, sol = spec.hamiltonian, spec.consistency
-    evaluate = reduced_field(spec.dirac, h, sol)
+    field = reduced_field(spec.dirac, h, sol)
     calls = count_reference_calls(monkeypatch)
     n, nt = spec.m + spec.k, spec.n_fiber - spec.k
     rng = np.random.default_rng(21)
@@ -91,7 +91,7 @@ def test_compiled_field_equals_reference(name, monkeypatch):
         q = rng.uniform(-1.5, 1.5, spec.m).tolist()
         eta_a = rng.uniform(-2.0, 2.0, spec.k).tolist()
         guess = rng.uniform(-1.0, 1.0, nt).tolist() if sol.kind == "newton" else None
-        out = evaluate(q + eta_a, guess)
+        out = field(*q, *eta_a, *(guess or [0.0] * nt))
         eta_alpha, g, qdot, etadot = evaluate_reduced(
             spec.dirac, h, q, eta_a, guess=guess, solution=sol
         )
@@ -110,9 +110,9 @@ def test_compiled_field_is_cached_per_algebroid_and_consistency():
     assert reduced_field(spec.dirac, spec.hamiltonian, spec.consistency) is first
     forced = reduced_field(spec.dirac, spec.hamiltonian, NEWTON)
     assert forced is not first
-    assert set(spec.hamiltonian._programs) == {
-        (id(spec.dirac), id(spec.consistency)),
-        (id(spec.dirac), id(NEWTON)),
+    assert spec.hamiltonian._programs == {
+        (id(spec.dirac), id(spec.consistency)): first,
+        (id(spec.dirac), id(NEWTON)): forced,
     }
 
 
@@ -120,18 +120,19 @@ def test_compiled_field_is_cached_per_algebroid_and_consistency():
 def test_flat_field_is_the_cached_program_called_flat(name):
     spec = spec_named(name)
     args = (spec.dirac, spec.hamiltonian, spec.consistency)
-    field, evaluate = dirac.flat_field(*args), reduced_field(*args)
-    assert dirac.flat_field(*args) is field and reduced_field(*args) is evaluate
+    field = reduced_field(*args)
+    assert reduced_field(*args) is field
+    assert spec.hamiltonian._programs == {(id(spec.dirac), id(spec.consistency)): field}
     n, nt = spec.m + spec.k, spec.n_fiber - spec.k
     rng = np.random.default_rng(29)
     for _ in range(20):
         y = rng.uniform(-1.5, 1.5, n).tolist()
         guess = rng.uniform(-1.0, 1.0, nt).tolist()
-        assert bits(field(*y, *guess)).tolist() == bits(evaluate(y, guess)).tolist()
-        assert bits(field(*y, *[0.0] * nt)).tolist() == bits(evaluate(y)).tolist()
+        out = field(*y, *guess)
+        assert type(out) is tuple and len(out) == 2 * (n + nt) + 1
+        assert all(type(v) is float for v in out)
         if spec.consistency.kind != "newton":  # a closed form reads no guess
-            assert bits(field(*y, *guess)).tolist() == bits(evaluate(y)).tolist()
-            assert bits(evaluate(y, [9.0] * (nt + 1))).tolist() == bits(evaluate(y)).tolist()
+            assert bits(out).tolist() == bits(field(*y, *[0.0] * nt)).tolist()
 
 
 def test_build_compiles_no_field():
@@ -148,12 +149,12 @@ def frame_skater():
 
 def test_untraceable_anchor_falls_back_to_the_reference(monkeypatch):
     spec = frame_skater()
-    evaluate = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
     calls = count_reference_calls(monkeypatch)
     rng = np.random.default_rng(5)
     for _ in range(20):
         y = rng.uniform(-1.5, 1.5, 5).tolist()
-        out = evaluate(y)
+        out = field(*y, 0.0)
         eta_alpha, g, qdot, etadot = evaluate_reduced(
             spec.dirac, spec.hamiltonian, y[:3], y[3:], solution=spec.consistency
         )
@@ -178,13 +179,13 @@ def branching_skater():
 
 def test_untraceable_hamiltonian_falls_back_with_the_same_results(monkeypatch):
     spec = branching_skater()
-    evaluate = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
     calls = count_reference_calls(monkeypatch)
     for y in ([0.5, 0.1, 0.2, 1.0, 0.5], [-0.5, 0.1, 0.2, 1.0, 0.5]):
         _, g, qdot, etadot = evaluate_reduced(
             spec.dirac, spec.hamiltonian, y[:3], y[3:], solution=spec.consistency
         )
-        out = evaluate(y)
+        out = field(*y, 0.0)
         assert list(out[:5]) == [*qdot, *etadot]
         assert list(out[7:]) == g.tolist()
     assert len(calls) == 4
@@ -193,10 +194,10 @@ def test_untraceable_hamiltonian_falls_back_with_the_same_results(monkeypatch):
 def test_field_gives_up_where_the_reference_raises():
     # the log wall records a guard; past it the reference raises its error
     spec = hamiltonian_with_potential(build("skater_free"), exprparse.parse_text("0.001*log(x)"))
-    evaluate = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
-    assert len(evaluate([0.5, 0.0, 0.0, 1.0, 0.5])) == 5 + 1 + 1 + 6
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    assert len(field(0.5, 0.0, 0.0, 1.0, 0.5, 0.0)) == 5 + 1 + 1 + 6
     with pytest.raises(NumericDomainError) as compiled:
-        evaluate([-0.5, 0.0, 0.0, 1.0, 0.5])
+        field(-0.5, 0.0, 0.0, 1.0, 0.5, 0.0)
     with pytest.raises(NumericDomainError) as reference:
         evaluate_reduced(
             spec.dirac, spec.hamiltonian, [-0.5, 0.0, 0.0], [1.0, 0.5], solution=spec.consistency
@@ -217,10 +218,10 @@ def test_field_gives_up_on_a_non_finite_gradient():
     base = spec.hamiltonian.fn
     h = ScalarField(spec.base_names, spec.fiber_names, lambda *a: base(*a) + 1e308 * a[0] * a[0])
     spec = replace(spec, hamiltonian=h)
-    evaluate = reduced_field(spec.dirac, h, spec.consistency)
+    field = reduced_field(spec.dirac, h, spec.consistency)
     assert math.isfinite(h.value([1.0, 0.0, 0.0, 1.0, 0.5, 0.0]))
     with pytest.raises(NumericDomainError, match="non-finite derivative"):
-        evaluate([1.0, 0.0, 0.0, 1.0, 0.5])
+        field(1.0, 0.0, 0.0, 1.0, 0.5, 0.0)
 
 
 def test_newton_field_raises_the_reference_errors():
@@ -229,9 +230,9 @@ def test_newton_field_raises_the_reference_errors():
         spec.base_names, spec.fiber_names, lambda x, y, phi, e1, e2, e3: 0.5 * (e1 * e1 + e2 * e2)
     )
     spec = replace(spec, hamiltonian=flat)
-    evaluate = reduced_field(spec.dirac, flat, NEWTON)
+    field = reduced_field(spec.dirac, flat, NEWTON)
     with pytest.raises(DegenerateHamiltonianError) as compiled:
-        evaluate([0.0, 0.0, 0.0, 1.0, 1.0])
+        field(0.0, 0.0, 0.0, 1.0, 1.0, 0.0)
     with pytest.raises(DegenerateHamiltonianError) as reference:
         evaluate_reduced(spec.dirac, flat, [0.0] * 3, [1.0, 1.0], solution=NEWTON)
     assert str(compiled.value) == str(reference.value)
@@ -250,7 +251,7 @@ def test_affine_map_of_the_wrong_shape_is_rejected(affine_map, shape):
         dirac.solve_consistency(spec.dirac, spec.hamiltonian, [0.1, 0.2, 0.3], [1.0, 0.5], solution=bad)
     assert str(info.value) == message
     with pytest.raises(DimensionError) as info:
-        reduced_field(spec.dirac, spec.hamiltonian, bad)([0.1, 0.2, 0.3, 1.0, 0.5])
+        reduced_field(spec.dirac, spec.hamiltonian, bad)(0.1, 0.2, 0.3, 1.0, 0.5, 0.0)
     assert str(info.value) == message
 
 
