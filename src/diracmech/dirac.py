@@ -187,8 +187,8 @@ def solve_consistency(
 
 def _transverse(dirac, h, q, eta_a, guess, solution) -> list:
     """The transverse momenta eta_alpha at (q, eta_a) as a list: the one
-    transcription of the consistency kinds.  The closed forms run on
-    floats and on tracing scalars, Newton on floats."""
+    transcription of the consistency kinds, on floats and on tracing
+    scalars."""
     nt = dirac.transverse
     if nt == 0 or solution.kind == "zero":
         return [0.0] * nt
@@ -206,9 +206,11 @@ def _newton_transverse(dirac, h, q, eta_a, guess) -> list:
     (``grad_and_hessian_rows``): its first partials are the residual, and
     the step's elimination consumes its block rows.  The rows at the
     solution are eliminated once more, to check that the block is
-    nonsingular there."""
+    nonsingular there.  At tracing scalars ``newton_iterate`` records the
+    loop unrolled; a block that is not constant cannot be traced there
+    unless it is 1 x 1."""
     m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
-    head = [float(v) for v in q] + [float(v) for v in eta_a]
+    head = [*q, *eta_a] if is_traced(eta_a) else [float(v) for v in (*q, *eta_a)]
     alpha_idx = tuple(range(m + k, m + k + nt))
     jac = None
 
@@ -304,16 +306,19 @@ def reduced_field(
     derivative of y, ``[:n]``), eta_alpha ``[n:n + nt]``, H ``[n + nt]``
     and grad_H ``[n + nt + 1:]``.
 
-    One tape holds the declared consistency map (``zero`` as constants,
-    ``affine`` traced), the dual sweep of H and the element contraction.
-    A ``newton`` system runs the float Newton loop on H's compiled
-    transverse sweep (residual and Hessian block from one program), then
-    the program traced from the solved eta_alpha on.  Where the code gives
-    up, and for a system that cannot be traced, the program runs the same
-    field on floats (``tracing.compile_traced``).  It is compiled on the
-    first call for a (dirac, solution) pair and cached on ``h``.
+    One tape holds the consistency solve, the dual sweep of H and the
+    element contraction.  ``zero`` is constants and ``affine`` its traced
+    map.  ``newton`` is the Newton loop unrolled (``numcore.newton_iterate``
+    at tracing scalars): a fixed number of copies of H's transverse sweep
+    and one step, each frozen once the residual has converged, so the code
+    returns the loop's first converged iterate.  Where the code gives up,
+    and for a system that cannot be traced, the program runs the same
+    field on floats (``tracing.compile_traced``): for ``newton`` the float
+    loop, then the program traced from the solved eta_alpha on.  It is
+    compiled on the first call for a (dirac, solution) pair and cached on
+    ``h``.
     """
-    key = (id(dirac), id(solution))  # the cached closures keep both alive
+    key = (id(dirac), id(solution))  # the cached program keeps both alive
     field = h._programs.get(key)
     if field is None:
         field = h._programs[key] = _compile_field(dirac, h, solution)
@@ -323,19 +328,20 @@ def reduced_field(
 def _compile_field(dirac, h, solution) -> Callable:
     m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
     n = m + k
-    if nt and solution.kind == "newton":
-        solved = compile_traced(lambda *x: _field_outputs(dirac, h, x[:m], x[m:n], x[n:]), n + nt)
+    newton = nt and solution.kind == "newton"
+    solved = None  # the field at a solved eta_alpha, compiled for the first float Newton loop
 
-        def newton(*xs):
-            return solved(*xs[:n], *_newton_transverse(dirac, h, xs[:m], xs[m:n], xs[n:]))
-
-        return newton
-
-    def closed(*xs):
+    def field(*xs):
+        nonlocal solved
         q, eta_a = xs[:m], xs[m:n]
-        return _field_outputs(dirac, h, q, eta_a, _transverse(dirac, h, q, eta_a, None, solution))
+        eta_alpha = _transverse(dirac, h, q, eta_a, xs[n:], solution)
+        if not newton or is_traced(eta_a):
+            return _field_outputs(dirac, h, q, eta_a, eta_alpha)
+        if solved is None:
+            solved = compile_traced(lambda *x: _field_outputs(dirac, h, x[:m], x[m:n], x[n:]), n + nt)
+        return solved(*xs[:n], *eta_alpha)
 
-    return compile_traced(closed, n + nt)
+    return compile_traced(field, n + nt)
 
 
 def reduced_vector_field(

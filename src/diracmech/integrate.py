@@ -22,7 +22,7 @@ import numpy as np
 from .algebroid import PhaseState
 from .dirac import reduced_field
 from .errors import DimensionError, EngineError, TruncatedTrajectoryError
-from .numcore import max_abs
+from .numcore import max_abs, shape_of
 from .systems import SystemSpec
 from .tracing import rk4_step_program
 
@@ -95,11 +95,23 @@ def observables(spec: SystemSpec, rs: PhaseState, guess=None) -> dict:
     if len(rs.q) != spec.m or len(rs.eta) != spec.k:
         raise DimensionError(f"reduced state {len(rs.q), len(rs.eta)} on shape {spec.m, spec.k}")
     nt = spec.n_fiber - spec.k
-    guess = (0.0,) * nt if guess is None else guess
-    if len(guess) != nt:
-        raise DimensionError(f"guess of length {len(guess)}, expected {nt}")
+    guess = (0.0,) * nt if guess is None else _float_guess(guess, nt)
     field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
     return dict(zip(OBSERVABLE_NAMES, _observables_of(spec, rs.q, field(*rs.q, *rs.eta, *guess))))
+
+
+def _float_guess(guess, nt: int) -> tuple:
+    """``guess`` as nt floats, or DimensionError naming the length expected."""
+    shape = shape_of(guess)
+    if shape and shape[0] != nt:
+        raise DimensionError(f"guess of length {shape[0]}, expected {nt}")
+    message = f"guess {guess!r} is not a sequence of {nt} numbers"
+    if len(shape) != 1:
+        raise DimensionError(message)
+    try:
+        return tuple(float(v) for v in guess)
+    except (TypeError, ValueError) as err:
+        raise DimensionError(f"{message}: {err}") from err
 
 
 def _time_grid(t_end: float, dt: float, n_steps: int):
@@ -135,6 +147,9 @@ def simulate(
     integral = type(stride) is int or isinstance(stride, numbers.Integral)
     if not integral or type(stride) is bool:
         raise ValueError(f"stride must be an integer, got {stride!r}")
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     if t_end <= 0.0 or dt <= 0.0 or stride < 1:
         raise ValueError("t_end and dt must be positive, stride at least 1")
     if not all(math.isfinite(v) for v in (t_end, dt, t_end / dt)):

@@ -22,7 +22,9 @@ fixed order, so no result depends on the BLAS kernel numpy loads.
 ``solve_in_place`` is the one elimination: ``gauss_solve`` and
 ``mat_inverse`` run it on checked copies, and ``newton_iterate`` on the
 Jacobian rows its residual map returns, unchecked and uncopied
-(``newton_solve`` checks and copies its map's arrays first).
+(``newton_solve`` checks and copies its map's arrays first).  At
+tracing scalars ``newton_iterate`` records the loop unrolled, which
+``dirac.reduced_field`` compiles into its program.
 """
 
 import functools
@@ -39,7 +41,15 @@ from .errors import (
     NumericDomainError,
     SingularMatrixError,
 )
-from .tracing import ZERO, Tracer, compile_traced, is_traced
+from .tracing import (
+    ZERO,
+    Tracer,
+    compile_traced,
+    freeze,
+    is_traced,
+    require_converged,
+    require_finite,
+)
 
 __all__ = [
     "DualScalar",
@@ -73,6 +83,10 @@ __all__ = [
 SINGULARITY_RELATIVE_THRESHOLD = 1e-13
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# Newton steps a traced solve records: the most the reduced fields of the
+# catalog's forced-Newton systems and the quartic skater take from a cold
+# start at zero (6) or a random start in [-1, 1] (7)
+NEWTON_UNROLLED = 7
 
 
 def _scalar(x):
@@ -469,21 +483,28 @@ def _hessian_sweep(f: ScalarField, p, idx) -> tuple:
     return tuple(float(v) for v in first), tuple(float(h) for h in block)
 
 
-def _hessian_outputs(f: ScalarField, p, idx) -> tuple:
-    """The float point, and the first partials and block of ``f`` over
-    ``idx`` there, unchecked.  The first call for an index set compiles
-    ``_hessian_sweep``, and every call with that set runs that program."""
+def _hessian_indices(f: ScalarField, p, idx) -> tuple:
+    """``idx`` as a tuple, checked against ``f`` and the point ``p``."""
     n = f.arity
     if len(p) != n:
         raise DimensionError(f"point of length {len(p)} for field of arity {n}")
     idx = tuple(idx)
-    compiled = f._hessians.get(idx)  # only index sets that passed the check
-    if compiled is None:
+    if idx not in f._hessians:  # only index sets that passed the check
         if len(set(idx)) < len(idx) or not all(isinstance(j, numbers.Integral) for j in idx):
             raise DimensionError(f"index subset {list(idx)} must hold distinct integers")
         if any(j < 0 or j >= n for j in idx):
             raise DimensionError(f"index subset {list(idx)} outside arity {n}")
-        compiled = f._hessians[idx] = compile_traced(lambda *xs: _hessian_sweep(f, xs, idx), n)
+    return idx
+
+
+def _hessian_outputs(f: ScalarField, p, idx) -> tuple:
+    """The float point, and the first partials and block of ``f`` over
+    ``idx`` there, unchecked.  The first call for an index set compiles
+    ``_hessian_sweep``, and every call with that set runs that program."""
+    idx = _hessian_indices(f, p, idx)
+    compiled = f._hessians.get(idx)
+    if compiled is None:
+        compiled = f._hessians[idx] = compile_traced(lambda *xs: _hessian_sweep(f, xs, idx), f.arity)
     args = [float(v) for v in p]
     return (args, *compiled(*args))
 
@@ -499,11 +520,20 @@ def grad_and_hessian_rows(f: ScalarField, p, idx) -> tuple:
     caller's own), from one run of ``hessian_block``'s program: the
     residual and the Jacobian rows of Newton on d f / d x_idx = 0.  A
     non-finite first partial raises as in ``value_and_grad``, ahead of the
-    block's check."""
-    args, first, block = _hessian_outputs(f, p, idx)
-    if not math.isfinite(sum(first, sum(block))):  # a non-finite entry makes it so
-        _require_finite(first, "derivative", args)
-        _require_finite(block, "second derivative", args)
+    block's check.  At tracing scalars the sweep is recorded, and the
+    program gives up where that program's outputs are not finite; an
+    entry the sweep leaves constant is a float."""
+    if is_traced(p):
+        first, block = _hessian_sweep(
+            f, [v if isinstance(v, Tracer) else float(v) for v in p], _hessian_indices(f, p, idx)
+        )
+        first, block = (tuple(0.0 if v is ZERO else v for v in out) for out in (first, block))
+        require_finite([*first, *block])
+    else:
+        args, first, block = _hessian_outputs(f, p, idx)
+        if not math.isfinite(sum(first, sum(block))):  # a non-finite entry makes it so
+            _require_finite(first, "derivative", args)
+            _require_finite(block, "second derivative", args)
     s = len(first)
     return first, [list(block[r * s : (r + 1) * s]) for r in range(s)]
 
@@ -605,9 +635,17 @@ def solve_in_place(a: list, columns: list) -> None:
     every sum left to right, so no result depends on a BLAS kernel.
 
     ``a`` is consumed.  Nothing is checked: ``a`` is a square list of
-    float lists and every column a float list of its length.
+    float lists and every column a float list of its length.  The columns
+    may hold tracing scalars, and so may ``a`` when it is 1 x 1: its
+    zero test is then a guard, and the solve the division it comes to.
+    A larger traced ``a`` cannot be traced: the pivot search compares.
     """
     n = len(a)
+    if n == 1 and isinstance(a[0][0], Tracer):
+        a[0][0].guard(operator.eq)
+        for x in columns:
+            x[0] = x[0] / a[0][0]
+        return
     biggest = 0.0
     for row in a:
         for v in row:
@@ -688,7 +726,8 @@ def newton_iterate(
     (lists) of its own.  Each step's ``solve_in_place`` consumes J as it
     is, unchecked; the J of the iterate returned is left untouched.
 
-    Returns the first iterate with ``max|F| <= tol``.
+    Returns the first iterate with ``max|F| <= tol``.  At a traced start
+    it records the loop unrolled instead (``_newton_unrolled``).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -699,6 +738,8 @@ def newton_iterate(
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
+    if is_traced(x0):
+        return _newton_unrolled(residual_map, list(x0), tol, min(max_iter, NEWTON_UNROLLED))
     x = [float(v) for v in x0]
     norm = math.inf
     for attempt in range(max_iter + 1):
@@ -715,6 +756,23 @@ def newton_iterate(
         f"no convergence in {max_iter} iterations (last residual {norm:.3e})",
         residual=norm,
     )
+
+
+def _newton_unrolled(residual_map: Callable, x: list, tol: float, steps: int) -> list:
+    """``newton_iterate`` on tracing scalars with a fixed trip count:
+    ``steps`` copies of its residual evaluation and step, each frozen once
+    the residual has converged (``tracing.freeze``), so the program stays
+    at the loop's first converged iterate.  One more evaluation there must
+    have converged, or the program gives up: the loop needs more steps from
+    this start, or does not converge.  The J of that evaluation is left
+    untouched."""
+    for _ in range(steps):
+        res, jac = residual_map(x)
+        step = list(res)
+        solve_in_place(jac, [step])
+        x = freeze(res, tol, x, [u - v for u, v in zip(x, step)])
+    require_converged(residual_map(x)[0], tol)
+    return x
 
 
 def newton_solve(

@@ -14,6 +14,14 @@ numbers or raises the engine's error.  A function that cannot be traced
 ``field(*y, *guess)``) and ``SkewAlgebroid.float_rates`` compile their
 programs this way.
 
+An iteration is recorded unrolled to a fixed trip count: ``freeze``
+selects the old iterate once the residual has converged, and
+``require_converged`` gives up unless the last one has.  These are the
+only tests the code makes besides guards, and they read values the
+engine computes, never a tracing scalar's comparison, so
+``reduced_field`` holds the consistency solve's Newton steps in its
+program.
+
 ``rk4_step_program`` writes the integrator's RK4 step once per state
 length: straight-line calls of a compiled field, and no system's code.
 """
@@ -27,7 +35,16 @@ from typing import Callable
 
 from .errors import EngineError
 
-__all__ = ["Tracer", "ZERO", "compile_traced", "is_traced", "rk4_step_program"]
+__all__ = [
+    "Tracer",
+    "ZERO",
+    "compile_traced",
+    "freeze",
+    "is_traced",
+    "require_converged",
+    "require_finite",
+    "rk4_step_program",
+]
 
 
 class _GiveUp(Exception):
@@ -239,6 +256,61 @@ def is_traced(values) -> bool:
     return False
 
 
+def _tape_of(values) -> _Tape:
+    """The tape the tracing scalars among ``values`` record on."""
+    tapes = {v.tape for v in values if isinstance(v, Tracer)}
+    if len(tapes) != 1:
+        raise _Untraceable("no single trace records these values")
+    return tapes.pop()
+
+
+def _name(tape: _Tape, v) -> str:
+    """The name of a traced or plain number in the program on ``tape``."""
+    if isinstance(v, Tracer) and v.tape is tape:
+        return v.name
+    if v is ZERO or type(v) is float or isinstance(v, numbers.Real):
+        return tape.const(0.0 if v is ZERO else float(v))
+    raise _Untraceable("not a traced or plain number")
+
+
+# An unrolled iteration's tests.  They read only values the engine
+# computes (residuals and their sums), never through a Tracer's operators,
+# so a traced function that compares its own arguments stays untraceable.
+
+
+def _converged(tape: _Tape, residual, tol: float) -> str:
+    """The test max|residual| <= tol as program text: False where an
+    entry is nan, as ``numcore.max_abs`` gives nan there."""
+    tol = tape.const(float(tol))
+    return " and ".join(f"fabs({_name(tape, r)}) <= {tol}" for r in residual) or "True"
+
+
+def freeze(residual, tol: float, old, new) -> list:
+    """Each value of ``old`` where every |residual| <= tol, else the value
+    of ``new`` at its index: one step of an iteration unrolled to a fixed
+    trip count, which stays at the first iterate that converged."""
+    tape = _tape_of([*residual, *old, *new])
+    test = _converged(tape, residual, tol)
+    return [
+        Tracer(tape, tape.let(f"({_name(tape, a)} if {test} else {_name(tape, b)})"))
+        for a, b in zip(old, new)
+    ]
+
+
+def require_converged(residual, tol: float) -> None:
+    """Give up unless every |residual| <= tol."""
+    tape = _tape_of(residual)
+    tape.lines.append(f"if not ({_converged(tape, residual, tol)}): raise give_up")
+
+
+def require_finite(values) -> None:
+    """Give up unless the sum of ``values``, in order, is finite: the check
+    a program makes of its outputs, made of values it does not return."""
+    tape = _tape_of(values)
+    total = " + ".join(_name(tape, v) for v in values) or "0.0"
+    tape.lines.append(f"if not isfinite({total}): raise give_up")
+
+
 # Names a tape line assigns, and expressions that may raise.  A line that
 # may raise is kept even when nothing reads its value, so that the code
 # gives up wherever the sweep it repeats raises.
@@ -269,12 +341,7 @@ def _output(tape: _Tape, out, flat: list) -> str:
     tuple; the name of each number is appended to ``flat``."""
     if isinstance(out, (tuple, list)):
         return "(" + "".join(f"{_output(tape, v, flat)}, " for v in out) + ")"
-    if isinstance(out, Tracer) and out.tape is tape:
-        name = out.name
-    elif out is ZERO or isinstance(out, numbers.Real):
-        name = tape.const(0.0 if out is ZERO else float(out))
-    else:
-        raise _Untraceable("an output is not a traced or plain number")
+    name = _name(tape, out)
     flat.append(name)
     return name
 

@@ -7,7 +7,7 @@ import pytest
 
 from diracmech.algebroid import PhaseState
 from diracmech.checks import ADMISSIBILITY_TOL, CONSISTENCY_TOL, ENERGY_DRIFT_TOL
-from diracmech.dirac import ConsistencySolution, solve_consistency
+from diracmech.dirac import ConsistencySolution, reduced_field, solve_consistency
 from diracmech.errors import DimensionError, NumericDomainError, TruncatedTrajectoryError
 from diracmech.exprparse import parse_text
 from diracmech.integrate import MAX_STEPS, observables, rk4_step, simulate
@@ -199,6 +199,15 @@ def test_simulate_rejects_non_finite_initial_condition(bad):
         simulate(build("ball_free"), reduced((0.0, 0.0), (1.0, 0.0, bad)), t_end=0.01)
 
 
+@pytest.mark.parametrize("argument", ["t_end", "dt"])
+@pytest.mark.parametrize("bad", ["1", None, True, [1.0]])
+def test_simulate_rejects_a_time_that_is_not_a_number(argument, bad):
+    times = {"t_end": 1.0, "dt": 1e-3, argument: bad}
+    with pytest.raises(ValueError) as info:
+        simulate(build("skater_free"), reduced((0, 0, 0), (1, 1)), **times)
+    assert str(info.value) == f"{argument} must be a real number, got {bad!r}"
+
+
 def test_simulate_rejects_runs_above_max_steps():
     assert MAX_STEPS == 10**8
     with pytest.raises(ValueError) as info:
@@ -295,6 +304,23 @@ def test_newton_trajectories_are_pinned_bit_for_bit(name):
     traj = simulate(spec, ic, t_end=t_end, dt=1e-3, stride=stride)
     assert len(traj) == 101
     assert trajectory_digest(traj) == NEWTON_DIGESTS[name]
+
+
+def test_newton_with_a_traced_two_by_two_block_is_pinned_bit_for_bit():
+    # quartic terms in both transverse momenta make the block traced and 2 x 2:
+    # the field runs the float Newton loop, and keeps its bits
+    spec = build("ball_magnetic")
+    base = spec.hamiltonian.fn
+
+    def fn(x, y, e1, e2, e3, e4, e5):
+        return base(x, y, e1, e2, e3, e4, e5) + 0.25 * (e4**4 + e5**4)
+
+    spec = replace(newton_spec(spec), hamiltonian=ScalarField(spec.base_names, spec.fiber_names, fn))
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    assert field.__code__.co_filename != "<traced>"
+    traj = simulate(spec, reduced((0.2, -0.1), (1.0, 0.3, -0.2)), t_end=0.5, dt=1e-3, stride=5)
+    assert len(traj) == 101
+    assert trajectory_digest(traj) == "f148dc768dabb6349190ad66f6bb3f22dff7a021f659a00cbf499f8f1965a8c1"
 
 
 @pytest.mark.parametrize(
@@ -542,3 +568,25 @@ def test_observables_reject_a_guess_of_the_wrong_length(name, guess):
         observables(spec, rs, guess=guess)
     assert str(info.value) == f"guess of length {len(guess)}, expected {nt}"
     assert observables(spec, rs, guess=[0.0] * nt) == observables(spec, rs)
+
+
+@pytest.mark.parametrize(
+    "guess, reason",
+    [
+        (0.5, ""),
+        ("a", ""),
+        ([[0.1]], ""),
+        (["x"], ": could not convert string to float: 'x'"),
+        ([None], ": float() argument must be a string or a real number, not 'NoneType'"),
+    ],
+)
+@pytest.mark.parametrize("name", ["skater_charged", "newton_skater_charged"])
+def test_observables_reject_a_guess_that_is_not_numbers(name, guess, reason):
+    spec = build("skater_charged")
+    if name.startswith("newton_"):
+        spec = newton_spec(spec)
+    rs = reduced((0.1, -0.2, 0.3), (1.0, 0.5))
+    with pytest.raises(DimensionError) as info:
+        observables(spec, rs, guess=guess)
+    assert str(info.value) == f"guess {guess!r} is not a sequence of 1 numbers{reason}"
+    assert observables(spec, rs, guess=np.array([0.0])) == observables(spec, rs)

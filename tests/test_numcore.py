@@ -535,3 +535,112 @@ def test_dual_division_by_zero():
         x / DualScalar(0.0, (0.0,))
     with pytest.raises(NumericDomainError):
         1.0 / DualScalar(0.0, (1.0,))
+
+
+# -- newton at tracing scalars -------------------------------------------
+
+
+def square_root(a, x0, max_iter=numcore.NEWTON_MAX_ITER):
+    """Newton on x^2 = a from x0: a traced 1 x 1 Jacobian."""
+    return newton_iterate(lambda x: ([x[0] * x[0] - a], [[2.0 * x[0]]]), [x0], max_iter=max_iter)
+
+
+def loop_steps(a, x0):
+    """The steps the float loop of ``square_root`` takes."""
+    calls = []
+    newton_iterate(lambda x: calls.append(x) or ([x[0] * x[0] - a], [[2.0 * x[0]]]), [x0])
+    return len(calls) - 1
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+def gave_up(program, *args):
+    """Whether ``program`` ran the function it was traced from at ``args``."""
+    from test_compiled import fallback_calls
+
+    return bool(fallback_calls(program, lambda: program(*args)))
+
+
+def test_traced_newton_is_the_loop_unrolled_and_frozen():
+    program = tracing.compile_traced(square_root, 2)
+    source, _ = tracing._source(square_root, 2)
+    assert program.__code__.co_filename == "<traced>"
+    assert source.count(" if fabs(") == numcore.NEWTON_UNROLLED
+    assert source.count("if not (fabs(") == 1
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        a, x0 = rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0)
+        assert hexes(program(a, x0)) == hexes(square_root(a, x0))
+        assert gave_up(program, a, x0) == (loop_steps(a, x0) > numcore.NEWTON_UNROLLED)
+
+
+def test_traced_newton_gives_up_where_the_loop_needs_more_steps_or_fails():
+    program = tracing.compile_traced(square_root, 2)
+    assert loop_steps(2.0, 1e6) > numcore.NEWTON_UNROLLED
+    assert hexes(program(2.0, 1e6)) == hexes(square_root(2.0, 1e6))
+    assert gave_up(program, 2.0, 1e6)
+    with pytest.raises(SingularMatrixError) as traced:  # the zero pivot is a guard
+        program(2.0, 0.0)
+    with pytest.raises(SingularMatrixError) as loop:
+        square_root(2.0, 0.0)
+    assert str(traced.value) == str(loop.value) == "zero matrix"
+
+    def two_cycle(c, x0):  # 0 -> 1 -> 0 for c = 2: the cubic of test_newton_nonconvergence
+        def residual(x):
+            return [x[0] * x[0] * x[0] - 2.0 * x[0] + c], [[3.0 * x[0] * x[0] - 2.0]]
+
+        return newton_iterate(residual, [x0])
+
+    program = tracing.compile_traced(two_cycle, 2)
+    assert program.__code__.co_filename == "<traced>"
+    with pytest.raises(NonConvergenceError) as traced:
+        program(2.0, 0.0)
+    with pytest.raises(NonConvergenceError) as loop:
+        two_cycle(2.0, 0.0)
+    assert str(traced.value) == str(loop.value)
+
+
+def test_traced_newton_takes_no_more_steps_than_max_iter():
+    program = tracing.compile_traced(lambda a, x0: square_root(a, x0, max_iter=2), 2)
+    assert loop_steps(4.0, 3.0) > 2 >= loop_steps(4.0, 2.0)
+    with pytest.raises(NonConvergenceError):
+        program(4.0, 3.0)
+    assert list(program(4.0, 2.0)) == [2.0]
+
+
+def test_traced_newton_solves_a_constant_jacobian_while_tracing():
+    def affine(b0, b1, x0, x1):
+        jac = [[3.0, 1.0], [1.0, 2.0]]
+        return newton_iterate(
+            lambda x: (dot_rows(jac, x, (b0, b1)), [list(row) for row in jac]), [x0, x1]
+        )
+
+    program = tracing.compile_traced(affine, 4)
+    assert program.__code__.co_filename == "<traced>"
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        args = rng.uniform(-2.0, 2.0, 4).tolist()
+        assert hexes(program(*args)) == hexes(affine(*args))
+        assert not gave_up(program, *args)
+
+
+def dot_rows(rows, x, b):
+    return [row[0] * x[0] + row[1] * x[1] - bi for row, bi in zip(rows, b)]
+
+
+def test_a_traced_jacobian_larger_than_one_cannot_be_traced():
+    def coupled(a, x0, x1):
+        return newton_iterate(
+            lambda x: ([x[0] * x[1] - a, x[0] - x[1]], [[x[1], x[0]], [1.0, -1.0]]), [x0, x1]
+        )
+
+    assert tracing.compile_traced(coupled, 3) is coupled
+
+
+def test_unrolled_newton_leaves_a_comparing_function_untraceable():
+    def compares(a, x0):
+        return square_root(a, x0) if a > 0.0 else [0.0]
+
+    assert tracing.compile_traced(compares, 2) is compares

@@ -446,3 +446,168 @@ def test_potential_is_evaluated_only_while_tracing(monkeypatch):
     assert len(traj) == 49
     # one trace of the field; recording H at every sample runs no expression
     assert 0 < len(calls) <= 4
+
+
+# -- Newton unrolled into the field -----------------------------------------------
+
+NEWTON_SYSTEMS = ["skater_quartic", "newton_skater_charged", "newton_ball_magnetic", "newton_ball_harmonic"]
+Y = (0.1, -0.2, 0.3, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("name", NEWTON_SYSTEMS)
+def test_unrolled_newton_field_equals_the_loop_bit_for_bit(name):
+    from test_compiled import fallback_calls, is_generated
+
+    spec = spec_named(name)
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    assert is_generated(field)
+    # where the code gives up: the float loop, then the program traced
+    # from the solved eta_alpha on
+    loop = field.__globals__["reference"]
+    n, nt = spec.m + spec.k, spec.n_fiber - spec.k
+    rng = np.random.default_rng(31)
+    points = []
+    for _ in range(200):
+        y = rng.uniform(-1.5, 1.5, spec.m).tolist() + rng.uniform(-2.0, 2.0, spec.k).tolist()
+        points.append(y + [0.0] * nt)  # cold
+        # warm, as simulate starts: from the solution at a nearby state
+        near = [v + rng.uniform(-1e-3, 1e-3) for v in y]
+        points.append(near + list(loop(*y, *[0.0] * nt)[n : n + nt]))
+    outs = []
+    assert fallback_calls(field, lambda: outs.extend(field(*p) for p in points)) == []
+    for p, out in zip(points, outs):
+        assert bits(out).tolist() == bits(loop(*p)).tolist()
+
+
+def newton_workload():
+    """bench/workloads.py, whose ``newton`` inputs the benchmark times."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_newton_workload_never_falls_back_to_the_loop(seed):
+    from test_compiled import fallback_calls
+
+    wl = newton_workload()
+    op_inputs = wl.inputs("newton", seed)
+    specs = wl.setup("newton", op_inputs)["specs"]
+    for system, q, eta in op_inputs:
+        spec = specs[system]
+        if spec.consistency.kind != "newton":
+            spec = replace(spec, consistency=NEWTON)
+        field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+        ic = PhaseState(q=q, eta=eta, full=False)
+
+        def run():
+            simulate(spec, ic, t_end=wl.NEWTON_STEPS * wl.DT, dt=wl.DT, stride=wl.NEWTON_STRIDE)
+
+        assert fallback_calls(field, run) == [], system
+
+
+# the quartic skater's field at Y from eta_alpha = 50, as the float loop gives it
+FAR_START = [
+    "0x1.daad6c6339343p-1", "0x1.25ab7cef529b5p-2", "0x1.f637a488e6b53p-2", "0x1.7525f8467f0c8p-2",
+    "-0x1.3ad5c5b503780p-11", "0x1.83d430264c636p-4", "0x1.2eae5d4d555c5p-1", "-0x1.54d16fe017c75p-2",
+    "0x0.0p+0", "-0x1.75e8783860b17p-4", "0x1.f0de8ebb6a9e4p-1", "0x1.f637a488e6b53p-2",
+    "-0x1.f000000000000p-59",
+]
+
+
+def test_a_start_needing_more_steps_than_unrolled_falls_back_to_the_loop():
+    from test_compiled import fallback_calls
+
+    spec = quartic_skater()
+    h = spec.hamiltonian
+    iterates = []
+
+    def residual(x):
+        iterates.append(x)
+        return numcore.grad_and_hessian_rows(h, [*Y, *x], (5,))
+
+    numcore.newton_iterate(residual, [50.0])
+    assert len(iterates) - 1 > numcore.NEWTON_UNROLLED
+    field = reduced_field(spec.dirac, h, NEWTON)
+    out = []
+    assert len(fallback_calls(field, lambda: out.append(field(*Y, 50.0)))) == 1
+    assert [v.hex() for v in out[0]] == FAR_START
+
+
+def test_a_start_the_loop_cannot_solve_raises_the_loops_error():
+    # dH/deta3 = eta3^3 - 2 eta3 + 2 cycles 0 -> 1 -> 0 under Newton
+    spec = build("skater_free")
+
+    def fn(x, y, phi, e1, e2, e3):
+        return 0.5 * (e1 * e1 + e2 * e2) + 0.25 * e3**4 - e3 * e3 + 2.0 * e3
+
+    h = ScalarField(spec.base_names, spec.fiber_names, fn)
+    field = reduced_field(spec.dirac, h, NEWTON)
+    assert field.__code__.co_filename == "<traced>"
+    with pytest.raises(Exception) as compiled:
+        field(*Y, 0.0)
+    with pytest.raises(Exception) as reference:
+        evaluate_reduced(spec.dirac, h, Y[:3], Y[3:], guess=[0.0], solution=NEWTON)
+    assert type(compiled.value).__name__ == "NonConvergenceError"
+    assert type(compiled.value) is type(reference.value)
+    assert str(compiled.value) == str(reference.value)
+
+
+def test_a_transverse_block_flat_at_the_solution_raises_the_degenerate_error():
+    # dH/deta3 = eta3^3: eta3 = 0 solves it, where the traced 1 x 1 block is 0
+    spec = build("skater_free")
+
+    def fn(x, y, phi, e1, e2, e3):
+        return 0.5 * (e1 * e1 + e2 * e2) + 0.25 * e3**4
+
+    h = ScalarField(spec.base_names, spec.fiber_names, fn)
+    field = reduced_field(spec.dirac, h, NEWTON)
+    assert field.__code__.co_filename == "<traced>"
+    with pytest.raises(DegenerateHamiltonianError) as compiled:
+        field(*Y, 0.0)
+    with pytest.raises(DegenerateHamiltonianError) as reference:
+        evaluate_reduced(spec.dirac, h, Y[:3], Y[3:], guess=[0.0], solution=NEWTON)
+    assert str(compiled.value) == str(reference.value)
+    assert type(compiled.value.__cause__) is type(reference.value.__cause__)
+
+
+def test_a_comparing_hamiltonian_stays_untraceable_under_newton(monkeypatch):
+    spec = replace(branching_skater(), consistency=NEWTON)
+    field = reduced_field(spec.dirac, spec.hamiltonian, NEWTON)
+    assert field.__code__.co_filename != "<traced>"
+    for y in ([0.5, 0.1, 0.2, 1.0, 0.5], [-0.5, 0.1, 0.2, 1.0, 0.5]):
+        eta_alpha, g, qdot, etadot = evaluate_reduced(
+            spec.dirac, spec.hamiltonian, y[:3], y[3:], guess=[0.3], solution=NEWTON
+        )
+        out = field(*y, 0.3)
+        assert list(out[:5]) == [*qdot, *etadot] and list(out[5:6]) == eta_alpha.tolist()
+
+
+# -- the program cache ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["zero", "affine", "newton"])
+def test_a_cached_program_keeps_its_consistency_solution_alive(kind):
+    import gc
+    import weakref
+
+    spec = build("skater_charged")
+    solution = ConsistencySolution(kind=kind, affine_map=spec.consistency.affine_map)
+    alive = weakref.ref(solution)
+    reduced_field(spec.dirac, spec.hamiltonian, solution)
+    del solution
+    gc.collect()
+    assert alive() is not None  # so no later solution can take its id, and its program
+
+
+def test_a_new_solution_never_runs_the_program_of_a_dead_one():
+    spec = build("skater_charged")
+    for _ in range(20):
+        reduced_field(spec.dirac, spec.hamiltonian, ConsistencySolution(kind="newton"))(*Y, 0.0)
+        zero = reduced_field(spec.dirac, spec.hamiltonian, ConsistencySolution(kind="zero"))
+        assert zero(*Y, 0.0)[5] == 0.0
