@@ -149,7 +149,7 @@ class SkewAlgebroid:
     def rates(self, q, eta, x, a, k=None):
         """``float_rates`` at any point of numbers, as two arrays."""
         k = self.rank if k is None else k
-        parts = [_floats(v) for v in (q, eta, x, a)]
+        parts = [_coordinates(v) for v in (q, eta, x, a)]
         if [len(v) for v in parts] != [self.m, self.rank, k, self.m]:
             raise DimensionError(
                 f"element of lengths {tuple(len(v) for v in parts)} on shape "
@@ -177,12 +177,6 @@ class SkewAlgebroid:
         return max_abs(v - dot(enumerate(row[:k]), z) for v, row in zip(qdot, anchor.tolist()))
 
 
-def _floats(v) -> list:
-    if isinstance(v, np.ndarray):
-        return np.asarray(v, dtype=float).tolist()
-    return [float(u) for u in v]
-
-
 def _checked_rows(value, shape, what):
     """The rows of an anchor or structure value, which must have ``shape``.
     Called where the contraction is traced and on its fallback, so
@@ -208,8 +202,8 @@ class PhaseState:
     full: bool = True
 
     def __init__(self, q, eta, full=True):
-        object.__setattr__(self, "q", tuple(float(v) for v in q))
-        object.__setattr__(self, "eta", tuple(float(v) for v in eta))
+        object.__setattr__(self, "q", _coordinates(q))
+        object.__setattr__(self, "eta", _coordinates(eta))
         object.__setattr__(self, "full", bool(full))
 
 
@@ -221,8 +215,15 @@ class VelocityState:
     x: tuple
 
     def __init__(self, q, x):
-        object.__setattr__(self, "q", tuple(float(v) for v in q))
-        object.__setattr__(self, "x", tuple(float(v) for v in x))
+        object.__setattr__(self, "q", _coordinates(q))
+        object.__setattr__(self, "x", _coordinates(x))
+
+
+def _coordinates(value) -> tuple:
+    """``value`` as a tuple of floats; a string is not a sequence of numbers."""
+    if isinstance(value, (str, bytes)):
+        raise DimensionError(f"coordinates must be a sequence of numbers, not {value!r}")
+    return tuple(map(float, value))
 
 
 def _check_full_state(alg: SkewAlgebroid, s: PhaseState):

@@ -11,6 +11,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -137,30 +138,28 @@ def check_oracle(spec, seed: int) -> CheckResult:
 
 
 def check_isotropy(spec, seed: int) -> CheckResult:
-    """The pairing vanishes on pairs of structure elements."""
+    """The pairing vanishes on pairs of structure elements: 1000 random pairs
+    from ``make_element``, each pairing against its ``pairing_scale``."""
     name = f"isotropy_{spec.name}"
-    rng = _rng(seed, name)
-    dirac = spec.dirac
-    nt = dirac.transverse
+    widths = (spec.m, spec.n_fiber) + (spec.m, spec.k, spec.dirac.transverse) * 2
+    cuts = list(accumulate(widths, initial=0))  # q, eta, then (a, xb, etadot_alpha) twice
     worst = 0.0
-    for _ in range(1000):
-        q = rng.uniform(-1.5, 1.5, spec.m)
-        eta = rng.uniform(-2.0, 2.0, spec.n_fiber)
+    for row in _isotropy_rows(spec.m, cuts[-1], _rng(seed, name)):
+        q, eta, *params = [row[i:j] for i, j in zip(cuts, cuts[1:])]
         s = PhaseState(q=q, eta=eta, full=True)
-        elements = [
-            make_element(
-                dirac,
-                s,
-                rng.uniform(-2.0, 2.0, spec.m),
-                rng.uniform(-2.0, 2.0, spec.k),
-                rng.uniform(-2.0, 2.0, nt),
-            )
-            for _ in range(2)
-        ]
-        value = abs(pairing(elements[0], elements[1]))
-        scale = max(pairing_scale(elements[0], elements[1]), 1e-30)
-        worst = max(worst, value / scale)
+        e1, e2 = make_element(spec.dirac, s, *params[:3]), make_element(spec.dirac, s, *params[3:])
+        worst = max(worst, abs(pairing(e1, e2)) / max(pairing_scale(e1, e2), 1e-30))
     return CheckResult(name, worst <= ISOTROPY_TOL, f"max_ratio={worst:.3e} tol={ISOTROPY_TOL:g}")
+
+
+def _isotropy_rows(m: int, width: int, rng):
+    """1000 rows of ``width`` floats, m in [-1.5, 1.5), the rest in [-2, 2).
+    Each block's one ``rng.random`` is mapped as ``lo + span * u``, as
+    ``Generator.uniform`` does: the rows are per-call uniforms in order."""
+    lo = np.array([-1.5] * m + [-2.0] * (width - m))
+    span = np.array([3.0] * m + [4.0] * (width - m))
+    for _ in range(20):  # blocks of 50 rows, small so that the draws hold little memory
+        yield from (lo + span * rng.random((50, width))).tolist()
 
 
 def check_energy_and_consistency(spec, seed: int):

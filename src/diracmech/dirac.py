@@ -122,42 +122,53 @@ def make_element(dirac: DiracAlgebroid, s: PhaseState, a, xb, etadot_alpha) -> D
     alg, k, nt = dirac.alg, dirac.k, dirac.transverse
     if not s.full or len(s.q) != alg.m or len(s.eta) != alg.rank:
         raise DimensionError("full phase state of matching shape required")
-    a = _float_list(a, alg.m, f"covector of length {{}} on base of dimension {alg.m}")
-    xb = _float_list(xb, k, f"admissible velocity of length {{}}, expected {k}")
-    etadot_alpha = _float_list(etadot_alpha, nt, f"transverse rates of length {{}}, expected {nt}")
+    a = _float_list(a, alg.m, "covector of length {} on base of dimension {n}")
+    xb = _float_list(xb, k, "admissible velocity of length {}, expected {n}")
+    etadot_alpha = _float_list(etadot_alpha, nt, "transverse rates of length {}, expected {n}")
     qdot, etadot = alg.float_rates(s.q, s.eta, xb, a, k)
     return DiracElement(s, tuple(a), (*xb, *(0.0,) * nt), tuple(qdot), (*etadot, *etadot_alpha))
 
 
-def _float_list(value, n: int, message: str) -> list:
-    """``value`` as n floats, or DimensionError(message) with its shape."""
+def _float_list(value, n: int, message: str):
+    """``value`` as n floats (a list or tuple of exact floats as it is), or
+    DimensionError(message formatted with its shape and n)."""
+    if type(value) in (list, tuple) and len(value) == n and {*map(type, value)} <= {float}:
+        return value
     shape = shape_of(value)
+    message = message.format(shape, n=n)
     if shape != (n,):
-        raise DimensionError(message.format(shape))
+        raise DimensionError(message)
     try:
         return [float(v) for v in value]
     except (TypeError, ValueError) as err:
-        raise DimensionError(f"{message.format(shape)}: {err}") from err
+        raise DimensionError(f"{message}: {err}") from err
 
 
-def _pairing_terms(e1: DiracElement, e2: DiracElement):
-    for cov, vec in ((e1, e2), (e2, e1)):
-        for a, qd in zip(cov.cov_base, vec.vec_base):
-            yield a * qd
-        for y, ed in zip(cov.cov_fiber, vec.vec_fiber):
-            yield y * ed
+def _paired(e1: DiracElement, e2: DiracElement):
+    """The pairing's covector and vector components, in its one order:
+    cov1 . vec2 over the base, then the fiber, then cov2 . vec1."""
+    return (e1.cov_base + e1.cov_fiber + e2.cov_base + e2.cov_fiber,
+            e2.vec_base + e2.vec_fiber + e1.vec_base + e1.vec_fiber)
 
 
 def pairing(e1: DiracElement, e2: DiracElement) -> float:
-    """Symmetric pairing <cov1, vec2> + <cov2, vec1>; zero on the structure."""
+    """Symmetric pairing <cov1, vec2> + <cov2, vec1>; zero on the structure.
+    Its products are added left to right from 0.0 in ``_paired``'s order,
+    not by ``sum()``, which is compensated from Python 3.12."""
     if e1.base != e2.base:
         raise ValidationError("pairing requires elements over the same base point")
-    return float(sum(_pairing_terms(e1, e2)))
+    total = 0.0
+    for a, v in zip(*_paired(e1, e2)):
+        total += a * v
+    return float(total)
 
 
 def pairing_scale(e1: DiracElement, e2: DiracElement) -> float:
-    """Sum of absolute pairing terms, the natural cancellation scale."""
-    return float(sum(abs(t) for t in _pairing_terms(e1, e2)))
+    """Sum of absolute pairing terms, added as ``pairing`` adds them."""
+    total = 0.0
+    for a, v in zip(*_paired(e1, e2)):
+        total += abs(a * v)
+    return float(total)
 
 
 def consistency_residual(dirac: DiracAlgebroid, h: ScalarField, s: PhaseState) -> np.ndarray:
@@ -316,9 +327,11 @@ def reduced_field(
     field on floats (``tracing.compile_traced``): for ``newton`` the float
     loop, then the program traced from the solved eta_alpha on.  It is
     compiled on the first call for a (dirac, solution) pair and cached on
-    ``h``.
+    ``h`` by the solution's kind and map: equal solutions share one
+    program, and the map is never hashed.
     """
-    key = (id(dirac), id(solution))  # the cached program keeps both alive
+    # the cached program holds dirac and solution, so their ids stay theirs
+    key = (id(dirac), solution.kind, id(solution.affine_map))
     field = h._programs.get(key)
     if field is None:
         field = h._programs[key] = _compile_field(dirac, h, solution)

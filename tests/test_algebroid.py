@@ -493,6 +493,34 @@ def test_state_shape_validation():
 
 
 @pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PhaseState(q="12", eta="3"),
+        lambda: PhaseState(q=(1.0, 2.0), eta=b"3"),
+        lambda: PhaseState(q="", eta=(), full=False),
+        lambda: VelocityState(q=(0.0,), x="1"),
+        lambda: VelocityState(q=b"0", x=(1.0,)),
+    ],
+)
+def test_states_reject_strings_as_coordinates(make):
+    from diracmech.errors import DimensionError
+
+    with pytest.raises(DimensionError, match="sequence of numbers"):
+        make()
+
+
+def test_states_convert_any_numbers_to_float_tuples():
+    s = PhaseState(q=np.array([1, 2]), eta=[np.float64(0.5), "3", True], full=0)
+    assert (s.q, s.eta, s.full) == ((1.0, 2.0), (0.5, 3.0, 1.0), False)
+    assert all(type(v) is float for v in s.q + s.eta)
+    assert VelocityState(q=iter([1]), x=(2,)).x == (2.0,)
+    with pytest.raises(ValueError):
+        PhaseState(q=["x"], eta=())
+    with pytest.raises(TypeError):
+        PhaseState(q=1.0, eta=())
+
+
+@pytest.mark.parametrize(
     "anchor, structure, message",
     [
         (lambda q: [[1.0], [0.0]], None, "anchor of shape (2, 1), expected (2, 2)"),

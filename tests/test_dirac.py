@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from diracmech.algebroid import PhaseState, restrict_to_constraint
 from diracmech.dirac import (
     ConsistencySolution,
+    DiracElement,
+    _float_list,
     complete_state,
     consistency_residual,
     evaluate_reduced,
@@ -283,6 +285,57 @@ def element_pairs(draw):
 def test_pairing_isotropy_on_random_elements_of_every_system(pair):
     e1, e2 = pair
     assert abs(pairing(e1, e2)) <= ISOTROPY_TOL * pairing_scale(e1, e2)
+
+
+def test_pairing_adds_its_products_left_to_right():
+    """The products 1e16, 1.0, -1e16 add to 0.0 left to right from 0.0;
+    a compensated sum (``sum()`` from Python 3.12) would give 1.0."""
+    s = PhaseState((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    zeros = (0.0,) * 3
+    e1 = DiracElement(s, (1e16, 1.0, -1e16), zeros, zeros, zeros)
+    e2 = DiracElement(s, zeros, zeros, (1.0, 1.0, 1.0), zeros)
+    assert bits(pairing(e1, e2)) == bits(0.0)
+    assert bits(pairing(e2, e1)) == bits(0.0)
+    assert pairing_scale(e1, e2) == 2e16
+    # cov1 . vec2 over the base (1e16), the fiber (1.0), then cov2 . vec1
+    # (1.0): 1e16 left to right, where the exact sum is 1e16 + 2
+    one = (1.0, 0.0, 0.0)
+    e3 = DiracElement(s, (1e16, 0.0, 0.0), one, one, zeros)
+    e4 = DiracElement(s, one, zeros, one, one)
+    assert pairing(e3, e4) == pairing_scale(e3, e4) == 1e16
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+SPECIAL = [1.5, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -1.7976931348623157e308]
+
+
+class ListKind(list):
+    pass
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, len(SPECIAL)])
+def test_float_list_exact_types_equal_the_checked_path(n):
+    """Lists and tuples of floats are taken as they are, while a list
+    subclass and a float64 vector take the checked path; all give the
+    same floats."""
+    values = SPECIAL[:n]
+    want = _float_list(ListKind(values), n, "{}")
+    assert type(want) is list and all(type(v) is float for v in want)
+    for value in (values, tuple(values), np.array(values, dtype=np.float64)):
+        out = _float_list(value, n, "{}")
+        assert [bits(v) for v in out] == [bits(v) for v in want] == [bits(v) for v in values]
+
+
+def test_float_list_takes_the_checked_path_for_other_numbers():
+    assert _float_list([1, np.float64(2.0), True], 3, "{}") == [1.0, 2.0, 1.0]
+    assert _float_list(np.arange(3), 3, "{}") == [0.0, 1.0, 2.0]
+    with pytest.raises(DimensionError, match=r"^\(3,\) for 2$"):
+        _float_list(np.zeros(3), 2, "{} for {n}")
+    with pytest.raises(DimensionError, match=r"^\(2,\) for 3$"):
+        _float_list((1.0, 2.0), 3, "{} for {n}")
 
 
 def test_pairing_base_mismatch():

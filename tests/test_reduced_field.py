@@ -111,9 +111,54 @@ def test_compiled_field_is_cached_per_algebroid_and_consistency():
     forced = reduced_field(spec.dirac, spec.hamiltonian, NEWTON)
     assert forced is not first
     assert spec.hamiltonian._programs == {
-        (id(spec.dirac), id(spec.consistency)): first,
-        (id(spec.dirac), id(NEWTON)): forced,
+        program_key(spec.dirac, spec.consistency): first,
+        program_key(spec.dirac, NEWTON): forced,
     }
+
+
+def program_key(dirac, solution):
+    return (id(dirac), solution.kind, id(solution.affine_map))
+
+
+def test_compiled_field_is_cached_by_the_consistency_value():
+    """Equal consistency solutions share one program; a different affine
+    map gets its own."""
+    spec = build("skater_charged")
+    h = spec.hamiltonian
+    fields = [reduced_field(spec.dirac, h, ConsistencySolution(kind="newton")) for _ in range(3)]
+    assert fields[1] is fields[0] and fields[2] is fields[0]
+    declared = reduced_field(spec.dirac, h, spec.consistency)
+    assert reduced_field(spec.dirac, h, replace(spec.consistency)) is declared
+    shifted = ConsistencySolution(kind="affine", affine_map=lambda q: [0.0])
+    assert reduced_field(spec.dirac, h, shifted) is not declared
+    assert len(h._programs) == 3
+
+
+class UnhashableMap:
+    """A callable affine map that defines equality and so has no hash."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, q):
+        return self.fn(q)
+
+    def __eq__(self, other):
+        return isinstance(other, UnhashableMap) and other.fn is self.fn
+
+
+def test_compiled_field_takes_an_affine_map_that_cannot_be_hashed():
+    spec = build("skater_charged")
+    h = spec.hamiltonian
+    wrapped = replace(spec.consistency, affine_map=UnhashableMap(spec.consistency.affine_map))
+    with pytest.raises(TypeError):
+        hash(wrapped)
+    field = reduced_field(spec.dirac, h, wrapped)
+    assert reduced_field(spec.dirac, h, wrapped) is field
+    assert h._programs == {program_key(spec.dirac, wrapped): field}
+    declared = reduced_field(spec.dirac, h, spec.consistency)
+    y = [0.3, -0.2, 0.7, 1.1, -0.4]
+    assert bits(field(*y, 0.0)).tolist() == bits(declared(*y, 0.0)).tolist()
 
 
 @pytest.mark.parametrize("name", [*catalog_names(), "skater_quartic", "newton_ball_magnetic"])
@@ -122,7 +167,7 @@ def test_flat_field_is_the_cached_program_called_flat(name):
     args = (spec.dirac, spec.hamiltonian, spec.consistency)
     field = reduced_field(*args)
     assert reduced_field(*args) is field
-    assert spec.hamiltonian._programs == {(id(spec.dirac), id(spec.consistency)): field}
+    assert spec.hamiltonian._programs == {program_key(spec.dirac, spec.consistency): field}
     n, nt = spec.m + spec.k, spec.n_fiber - spec.k
     rng = np.random.default_rng(29)
     for _ in range(20):
