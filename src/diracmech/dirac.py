@@ -320,9 +320,9 @@ def reduced_field(
     One tape holds the consistency solve, the dual sweep of H and the
     element contraction.  ``zero`` is constants and ``affine`` its traced
     map.  ``newton`` is the Newton loop unrolled (``numcore.newton_iterate``
-    at tracing scalars): a fixed number of copies of H's transverse sweep
-    and one step, each frozen once the residual has converged, so the code
-    returns the loop's first converged iterate.  Where the code gives up,
+    at tracing scalars): a fixed number of copies of H's transverse sweep,
+    its test and one step, which the code leaves at the first iterate that
+    converged, as the loop returns it.  Where the code gives up,
     and for a system that cannot be traced, the program runs the same
     field on floats (``tracing.compile_traced``): for ``newton`` the float
     loop, then the program traced from the solved eta_alpha on.  It is

@@ -23,8 +23,9 @@ fixed order, so no result depends on the BLAS kernel numpy loads.
 ``mat_inverse`` run it on checked copies, and ``newton_iterate`` on the
 Jacobian rows its residual map returns, unchecked and uncopied
 (``newton_solve`` checks and copies its map's arrays first).  At
-tracing scalars ``newton_iterate`` records the loop unrolled, which
-``dirac.reduced_field`` compiles into its program.
+tracing scalars ``newton_iterate`` records the loop unrolled, leaving it
+at the first converged iterate, which ``dirac.reduced_field`` compiles
+into its program.
 """
 
 import functools
@@ -41,15 +42,7 @@ from .errors import (
     NumericDomainError,
     SingularMatrixError,
 )
-from .tracing import (
-    ZERO,
-    Tracer,
-    compile_traced,
-    freeze,
-    is_traced,
-    require_converged,
-    require_finite,
-)
+from .tracing import ZERO, ConvergedExit, Tracer, compile_traced, is_traced, require_finite
 
 __all__ = [
     "DualScalar",
@@ -760,19 +753,23 @@ def newton_iterate(
 
 def _newton_unrolled(residual_map: Callable, x: list, tol: float, steps: int) -> list:
     """``newton_iterate`` on tracing scalars with a fixed trip count:
-    ``steps`` copies of its residual evaluation and step, each frozen once
-    the residual has converged (``tracing.freeze``), so the program stays
-    at the loop's first converged iterate.  One more evaluation there must
-    have converged, or the program gives up: the loop needs more steps from
-    this start, or does not converge.  The J of that evaluation is left
-    untouched."""
+    ``steps`` copies of its residual evaluation, test and step, left at the
+    first iterate that converged (``tracing.ConvergedExit``), so a call
+    runs one evaluation more than the loop steps.  After the last copy, one
+    more evaluation must have converged, or the program gives up: the loop
+    needs more steps from this start, or does not converge.  The J of that
+    evaluation is left holding its values at the iterate returned."""
+    exit = ConvergedExit(tol)
     for _ in range(steps):
         res, jac = residual_map(x)
+        exit.test(res, [*x, *(v for row in jac for v in row)])
         step = list(res)
         solve_in_place(jac, [step])
-        x = freeze(res, tol, x, [u - v for u, v in zip(x, step)])
-    require_converged(residual_map(x)[0], tol)
-    return x
+        x = [u - v for u, v in zip(x, step)]
+    res, jac = residual_map(x)
+    out = exit.test(res, [*x, *(v for row in jac for v in row)], last=True)
+    jac[:] = [out[r * len(x) : (r + 1) * len(x)] for r in range(1, len(x) + 1)]
+    return out[: len(x)]
 
 
 def newton_solve(

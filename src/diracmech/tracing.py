@@ -14,13 +14,12 @@ numbers or raises the engine's error.  A function that cannot be traced
 ``field(*y, *guess)``) and ``SkewAlgebroid.float_rates`` compile their
 programs this way.
 
-An iteration is recorded unrolled to a fixed trip count: ``freeze``
-selects the old iterate once the residual has converged, and
-``require_converged`` gives up unless the last one has.  These are the
-only tests the code makes besides guards, and they read values the
-engine computes, never a tracing scalar's comparison, so
-``reduced_field`` holds the consistency solve's Newton steps in its
-program.
+An iteration is recorded unrolled to a fixed trip count, and
+``ConvergedExit`` leaves the copies at the first whose residual has
+converged, or gives up unless the last one has.  Its tests are the only
+ones the code makes besides guards, and they read values the engine
+computes, never a tracing scalar's comparison, so ``reduced_field``
+holds the consistency solve's Newton steps in its program.
 
 ``rk4_step_program`` writes the integrator's RK4 step once per state
 length: straight-line calls of a compiled field, and no system's code.
@@ -36,12 +35,11 @@ from typing import Callable
 from .errors import EngineError
 
 __all__ = [
+    "ConvergedExit",
     "Tracer",
     "ZERO",
     "compile_traced",
-    "freeze",
     "is_traced",
-    "require_converged",
     "require_finite",
     "rk4_step_program",
 ]
@@ -64,6 +62,7 @@ _HELPERS = {
     # what float code raises where a derivative rule raises
     "float_errors": (OverflowError, ValueError, ZeroDivisionError),
     "give_up": _GiveUp,
+    "ONCE": (None,),  # the one pass of an unrolled iteration's block
 }
 
 # the domain tests a guard records, as the program writes them
@@ -75,7 +74,7 @@ class _Untraceable(TypeError):
 
 
 class _Tape:
-    """The straight-line program a trace records.
+    """The program a trace records: straight-line but for ConvergedExit's block.
 
     Every float operation is one assignment to a fresh local ``v*``, the
     arguments are ``x*``, and constants are read as ``c*`` from the
@@ -285,51 +284,75 @@ def _converged(tape: _Tape, residual, tol: float) -> str:
     return " and ".join(f"fabs({_name(tape, r)}) <= {tol}" for r in residual) or "True"
 
 
-def freeze(residual, tol: float, old, new) -> list:
-    """Each value of ``old`` where every |residual| <= tol, else the value
-    of ``new`` at its index: one step of an iteration unrolled to a fixed
-    trip count, which stays at the first iterate that converged."""
-    tape = _tape_of([*residual, *old, *new])
-    test = _converged(tape, residual, tol)
-    return [
-        Tracer(tape, tape.let(f"({_name(tape, a)} if {test} else {_name(tape, b)})"))
-        for a, b in zip(old, new)
-    ]
+class ConvergedExit:
+    """The exits of an iteration recorded unrolled to a fixed trip count.
 
+    Each ``test(residual, values)`` records one copy's convergence test,
+    once: where every |residual| <= tol, the code writes ``values`` to fixed
+    exit names and leaves the copies, which from the first test on run in
+    one single-pass block (``for _ in ONCE:``), so their nesting does not
+    grow with their number.  The ``last`` test gives up unless the residual
+    has converged, and returns the values at the exit: the exit names as
+    tracing scalars, and the plain numbers, which every exit must share.  A
+    line in the block may not have run when the code leaves it, so no line
+    after the block shares one or skips a guard recorded in it.
+    """
 
-def require_converged(residual, tol: float) -> None:
-    """Give up unless every |residual| <= tol."""
-    tape = _tape_of(residual)
-    tape.lines.append(f"if not ({_converged(tape, residual, tol)}): raise give_up")
+    def __init__(self, tol: float):
+        self.tol, self.tape, self.exits = tol, None, None
+
+    def test(self, residual, values, last: bool = False):
+        if self.tape is None:  # the block opens at the first test
+            tape = self.tape = _tape_of([*residual, *values])
+            self.start, self.shared = len(tape.lines), (dict(tape._names), set(tape.guards))
+            tape.lines.append("for _ in ONCE:")
+        tape, start = self.tape, self.start
+        exits = [
+            f"v{start}_{j}" if isinstance(v, Tracer) else _name(tape, v)
+            for j, v in enumerate(values)
+        ]
+        if exits != (self.exits or exits):
+            raise _Untraceable("the plain numbers of two exits differ")
+        self.exits = exits
+        writes = [f"{e} = {_name(tape, v)}" for e, v in zip(exits, values) if isinstance(v, Tracer)]
+        test = _converged(tape, residual, self.tol)
+        if last:
+            tape.lines += [f"if not ({test}): raise give_up", *writes]
+            tape.lines[start + 1 :] = ["    " + line for line in tape.lines[start + 1 :]]
+            tape._names, tape.guards = self.shared  # what the lines before the block recorded
+            return [Tracer(tape, e) if isinstance(v, Tracer) else v for e, v in zip(exits, values)]
+        tape.lines.append(f"if {test}: {''.join(w + '; ' for w in writes)}break")
 
 
 def require_finite(values) -> None:
-    """Give up unless the sum of ``values``, in order, is finite: the check
-    a program makes of its outputs, made of values it does not return."""
+    """Give up unless the sum of ``values`` in order is finite, plain finite
+    ones left out: the program's output check, on values it does not return."""
     tape = _tape_of(values)
-    total = " + ".join(_name(tape, v) for v in values) or "0.0"
+    traced = [v for v in values if isinstance(v, Tracer) or not math.isfinite(v)]
+    total = " + ".join(_name(tape, v) for v in traced) or "0.0"
     tape.lines.append(f"if not isfinite({total}): raise give_up")
 
 
 # Names a tape line assigns, and expressions that may raise.  A line that
 # may raise is kept even when nothing reads its value, so that the code
 # gives up wherever the sweep it repeats raises.
-_ASSIGNED = re.compile(r"\bv\d+\b")
+_ASSIGNED = re.compile(r"\bv[\d_]+\b")
 _MAY_RAISE = re.compile(r"/|\*\*|\b(?:sin|cos|tan|exp|log|sqrt)\(")
 
 
 def _live_lines(lines, result: str) -> list:
     """``lines`` without the assignments nothing reads: one backward
-    liveness pass.  Guards and lines that may raise always stay."""
+    liveness pass, which holds on every path, as the code jumps only
+    forward.  Every other line (a test, a guard) and every line that may
+    raise stays."""
     needed = set(_ASSIGNED.findall(result))
     kept = []
     for line in reversed(lines):
-        if line.startswith("if "):
+        name, _, expr = line.lstrip().partition(" = ")
+        if not name.isidentifier():  # a test, or a guard
             expr = line
-        else:
-            name, expr = line.split(" = ", 1)
-            if name not in needed and not _MAY_RAISE.search(expr):
-                continue
+        elif name not in needed and not _MAY_RAISE.search(expr):
+            continue
         kept.append(line)
         needed.update(_ASSIGNED.findall(expr))
     kept.reverse()

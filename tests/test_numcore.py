@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -567,8 +569,10 @@ def test_traced_newton_is_the_loop_unrolled_and_frozen():
     program = tracing.compile_traced(square_root, 2)
     source, _ = tracing._source(square_root, 2)
     assert program.__code__.co_filename == "<traced>"
-    assert source.count(" if fabs(") == numcore.NEWTON_UNROLLED
-    assert source.count("if not (fabs(") == 1
+    tests = [line.strip() for line in source.splitlines() if "fabs(" in line]
+    assert len(tests) == numcore.NEWTON_UNROLLED + 1  # one per sweep, each written once
+    assert all(t.startswith("if fabs(") and t.endswith("; break") for t in tests[:-1])
+    assert tests[-1].startswith("if not (fabs(") and tests[-1].endswith("): raise give_up")
     rng = np.random.default_rng(3)
     for _ in range(200):
         a, x0 = rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0)
@@ -644,3 +648,156 @@ def test_unrolled_newton_leaves_a_comparing_function_untraceable():
         return square_root(a, x0) if a > 0.0 else [0.0]
 
     assert tracing.compile_traced(compares, 2) is compares
+
+
+# -- the exits of the unrolled Newton ---------------------------------------
+
+
+def executed(program, arity, args, marker):
+    """How often ``program``'s generated code ran a line holding ``marker``
+    in one call at ``args``, counted from line events on its own frame."""
+    source, _ = tracing._source(program.__globals__["reference"], arity)
+    lines = source.splitlines()
+    count = [0]
+
+    def local(frame, event, arg):
+        if event == "line" and marker in lines[frame.f_lineno - 1]:
+            count[0] += 1
+        return local
+
+    def scope(frame, event, arg):
+        return local if frame.f_code is program.__code__ else None
+
+    old = sys.gettrace()
+    sys.settrace(scope)
+    try:
+        program(*args)
+    finally:
+        sys.settrace(old)
+    return count[0]
+
+
+def sweeps(program, arity, args):
+    """Residual sweeps one call ran: each is followed by one convergence test."""
+    return executed(program, arity, args, "fabs(")
+
+
+def starts_by_steps(a):
+    """For each number of steps the float loop of ``square_root`` takes
+    from a start in [sqrt(a), 1e6], the first such start."""
+    root, starts = math.sqrt(a), {}
+    near = [root + 2.0**-e for e in range(40, 0, -1)]
+    for x0 in [root, *near, *np.geomspace(2.0, 1e6, 200).tolist()]:
+        starts.setdefault(loop_steps(a, x0), x0)
+    return starts
+
+
+@pytest.mark.parametrize("max_iter", [numcore.NEWTON_MAX_ITER, 3])
+def test_every_exit_of_the_unrolled_newton_is_the_loop(max_iter):
+    k = numcore.NEWTON_UNROLLED
+    program = tracing.compile_traced(lambda a, x0: square_root(a, x0, max_iter=max_iter), 2)
+    starts = starts_by_steps(2.0)
+    assert set(range(k + 3)) <= set(starts)  # every exit, and beyond K
+    for steps, x0 in sorted(starts.items()):
+        if steps > max_iter:  # the loop gives up: so does the program, with its error
+            with pytest.raises(NonConvergenceError) as traced:
+                program(2.0, x0)
+            with pytest.raises(NonConvergenceError) as loop:
+                square_root(2.0, x0, max_iter=max_iter)
+            assert str(traced.value) == str(loop.value)
+            continue
+        assert hexes(program(2.0, x0)) == hexes(square_root(2.0, x0, max_iter=max_iter))
+        assert gave_up(program, 2.0, x0) == (steps > k)
+        if steps <= k:
+            assert sweeps(program, 2, (2.0, x0)) == steps + 1
+
+
+def test_a_constant_jacobian_leaves_at_the_start_or_after_one_step():
+    jac = [[3.0, 1.0], [1.0, 2.0]]
+
+    def affine(b0, b1, x0, x1, calls=None):
+        def residual(x):
+            if calls is not None:
+                calls.append(x)
+            return dot_rows(jac, x, (b0, b1)), [list(row) for row in jac]
+
+        return newton_iterate(residual, [x0, x1])
+
+    program = tracing.compile_traced(affine, 4)
+    for args in ([5.0, 5.0, 1.0, 2.0], [1.0, -2.0, 0.25, 0.5]):
+        calls = []
+        assert hexes(program(*args)) == hexes(affine(*args, calls))
+        assert not gave_up(program, *args)
+        assert sweeps(program, 4, args) == len(calls) == (1 if args[0] == 5.0 else 2)
+
+
+def test_a_tail_reading_a_skipped_copy_fails_loudly():
+    def leaky(a, x0):  # reads the last sweep's residual, which an early exit skips
+        seen = []
+
+        def residual(x):
+            seen.append(x[0] * x[0] - a)
+            return [seen[-1]], [[2.0 * x[0]]]
+
+        return newton_iterate(residual, [x0])[0] + seen[-1]
+
+    k = numcore.NEWTON_UNROLLED
+    program = tracing.compile_traced(leaky, 2)
+    starts = starts_by_steps(2.0)
+    assert hexes([program(2.0, starts[k])]) == hexes([leaky(2.0, starts[k])])
+    with pytest.raises(UnboundLocalError) as info:
+        program(2.0, starts[k - 1])
+    assert not isinstance(info.value, program.__globals__["float_errors"])
+
+
+def test_no_line_or_guard_of_the_exit_block_is_shared_after_it():
+    def solve(a, b, x0):  # the tail divides as the step inside the block does
+        root = newton_iterate(lambda x: ([b * x[0] - a], [[b]]), [x0])[0]
+        return root, numcore.divide(b * x0 - a, b)
+
+    source, _ = tracing._source(solve, 3)
+    assert source.count("if x1 == 0.0: raise give_up") == 2
+    first_step = re.search(r"= (v\d+ / x1)$", source, re.M).group(1)  # copy 0's, in the block
+    assert len(re.findall(rf"= {first_step}$", source, re.M)) == 2
+    program = tracing.compile_traced(solve, 3)
+    assert hexes(program(6.0, 3.0, 2.0)) == hexes(solve(6.0, 3.0, 2.0))  # leaves at the start
+    assert sweeps(program, 3, (6.0, 3.0, 2.0)) == 1
+    with pytest.raises(NumericDomainError, match="^division by zero$"):
+        program(0.0, 0.0, 5.0)
+
+
+def test_exits_with_different_plain_numbers_cannot_be_traced():
+    def changing(a, x0):  # a plain Jacobian at the start, a traced one after
+        calls = []
+
+        def residual(x):
+            calls.append(x)
+            return [x[0] * x[0] - a], [[2.0 * x[0] if len(calls) > 1 else 2.0]]
+
+        return newton_iterate(residual, [x0])
+
+    assert tracing.compile_traced(changing, 2) is changing
+
+
+def test_a_finiteness_guard_adds_no_plain_finite_number():
+    def f(x):
+        tracing.require_finite([x, 2.0, math.inf, x * 3.0, -0.0])
+        return x
+
+    source, consts = tracing._source(f, 1)
+    guard = re.search(r"if not isfinite\((.*)\): raise give_up", source).group(1).split(" + ")
+    assert [consts.get(name, name) for name in guard] == ["x0", math.inf, "v0"]
+
+
+def test_the_liveness_pass_keeps_every_exit():
+    lines = [
+        "v0 = x0 * x1",
+        "for _ in ONCE:",
+        "    if fabs(v0) <= c0: v2_0 = x0; break",
+        "    v3 = x0 - v0",  # dead on every path: dropped
+        "    v4 = x0 + v0",
+        "    if not (fabs(v4) <= c0): raise give_up",
+        "    v2_0 = v4",
+        "v8 = v2_0 * c1",
+    ]
+    assert tracing._live_lines(lines, "(v8, )") == lines[:3] + lines[4:]

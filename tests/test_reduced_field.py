@@ -524,6 +524,33 @@ def test_unrolled_newton_field_equals_the_loop_bit_for_bit(name):
         assert bits(out).tolist() == bits(loop(*p)).tolist()
 
 
+def test_a_warm_newton_field_runs_one_sweep_more_than_the_loop_steps():
+    from test_compiled import fallback_calls
+    from test_numcore import executed
+
+    spec = quartic_skater()
+    h = spec.hamiltonian
+    field = reduced_field(spec.dirac, h, spec.consistency)
+    rng = np.random.default_rng(37)
+    counts = []
+    for _ in range(50):
+        y = rng.uniform(-1.5, 1.5, 3).tolist() + rng.uniform(-2.0, 2.0, 2).tolist()
+        near = [v + rng.uniform(-1e-3, 1e-3) for v in y]
+        guess = list(field(*near, 0.0)[5:6])  # warm, as simulate starts
+        calls = []
+
+        def residual(x):
+            calls.append(x)
+            return numcore.grad_and_hessian_rows(h, [*y, *x], (5,))
+
+        numcore.newton_iterate(residual, guess)
+        assert fallback_calls(field, lambda: field(*y, *guess)) == []
+        # each sweep ends in its finiteness guard
+        assert executed(field, 6, (*y, *guess), "if not isfinite(") == len(calls)
+        counts.append(len(calls))
+    assert max(counts) < numcore.NEWTON_UNROLLED + 1
+
+
 def newton_workload():
     """bench/workloads.py, whose ``newton`` inputs the benchmark times."""
     import importlib.util
