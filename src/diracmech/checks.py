@@ -37,6 +37,7 @@ from .systems import (
     mechanical_lagrangian,
     oracle_reduced_field,
     skater_frame,
+    skater_structure_constants,
     so3_constants,
 )
 
@@ -59,7 +60,6 @@ LEGENDRE_TOL = 1e-12
 ORDER_RATIO_RANGE = (14.0, 18.0)
 
 MECHANICAL_SYSTEMS = ("skater_free", "skater_slope", "ball_free")
-MAGNETIC_SYSTEMS = ("skater_charged", "ball_magnetic", "ball_harmonic")
 
 _ORACLE_CHECK_NAMES = {
     "skater_free": "oracle_mechanical_skater_free",
@@ -92,6 +92,11 @@ def _random_reduced(spec, rng, eta_bound=2.0) -> PhaseState:
     q = rng.uniform(-1.5, 1.5, spec.m)
     eta = rng.uniform(-eta_bound, eta_bound, spec.k)
     return PhaseState(q=q, eta=eta, full=False)
+
+
+def _relative_error(pairs) -> float:
+    """The largest |got - want| / (1 + |want|) over (got, want) array pairs."""
+    return max(float(np.max(np.abs(got - want) / (1.0 + np.abs(want)))) for got, want in pairs)
 
 
 # -- per-system checks ------------------------------------------------------
@@ -131,9 +136,7 @@ def check_oracle(spec, seed: int) -> CheckResult:
             spec.dirac, spec.hamiltonian, rs, solution=spec.consistency
         )
         qdot_o, etadot_o = oracle_reduced_field(spec, rs)
-        for got, want in ((qdot, qdot_o), (etadot, etadot_o)):
-            err = np.max(np.abs(got - want) / (1.0 + np.abs(want)))
-            worst = max(worst, float(err))
+        worst = max(worst, _relative_error(((qdot, qdot_o), (etadot, etadot_o))))
     return CheckResult(name, worst <= ORACLE_TOL, f"max_err={worst:.3e} tol={ORACLE_TOL:g}")
 
 
@@ -262,13 +265,10 @@ def check_convergence_order(seed: int) -> CheckResult:
 
 
 def check_structure_skater(seed: int) -> CheckResult:
+    """The frame formula against the constants the skater systems run on."""
     rng = _rng(seed, "structure_skater")
     fr = skater_frame()
-    expected = np.zeros((3, 3, 3))
-    expected[2, 0, 1] = 1.0
-    expected[2, 1, 0] = -1.0
-    expected[0, 1, 2] = 1.0
-    expected[0, 2, 1] = -1.0
+    expected = skater_structure_constants()
     worst = 0.0
     for _ in range(20):
         phi = rng.uniform(-math.pi, math.pi)
@@ -282,6 +282,7 @@ def check_structure_skater(seed: int) -> CheckResult:
 
 
 def check_structure_ball(seed: int) -> CheckResult:
+    """The frame-change rule against the constants the ball systems run on."""
     worst = 0.0
     for k2, radius in ((1.0, 1.0), (0.4, 2.0)):
         base = product_with_lie_algebra(identity_frame(2), 3, so3_constants())
@@ -381,39 +382,11 @@ def check_legendre_hamilton(spec, seed: int) -> CheckResult:
         eta, qdot_l, etadot_l = lagrangian_dynamics(alg, lagr, vs)
         ps = legendre_map(lagr, vs)
         qdot_h, etadot_h = hamiltonian_vector_field(alg, spec.hamiltonian, ps)
-        for got, want in ((qdot_h, qdot_l), (etadot_h, etadot_l)):
-            err = np.max(np.abs(got - want) / (1.0 + np.abs(want)))
-            worst = max(worst, float(err))
+        worst = max(worst, _relative_error(((qdot_h, qdot_l), (etadot_h, etadot_l))))
     return CheckResult(name, worst <= LEGENDRE_TOL, f"max_err={worst:.3e} tol={LEGENDRE_TOL:g}")
 
 
 # -- registry ----------------------------------------------------------------
-
-
-def _system_checks(name: str):
-    def ad(seed, name=name):
-        return check_ad_gradient(build(name), seed)
-
-    def orc(seed, name=name):
-        return check_oracle(build(name), seed)
-
-    def iso(seed, name=name):
-        return check_isotropy(build(name), seed)
-
-    def energy(seed, name=name):
-        return check_energy_and_consistency(build(name), seed)
-
-    checks = [
-        (f"ad_gradient_{name}", ad),
-        (_ORACLE_CHECK_NAMES[name], orc),
-        (f"isotropy_{name}", iso),
-        (f"energy_{name}", energy),
-    ]
-    if name in MECHANICAL_SYSTEMS:
-        checks.append(
-            (f"legendre_hamilton_{name}", lambda seed, name=name: check_legendre_hamilton(build(name), seed))
-        )
-    return checks
 
 
 def available_checks(scope: str = "all"):
@@ -425,7 +398,16 @@ def available_checks(scope: str = "all"):
             raise CatalogError(f"unknown system {scope!r}; available: {', '.join(names)}")
         names = (scope,)
     for name in names:
-        registry.extend(_system_checks(name))
+        checks = [
+            (f"ad_gradient_{name}", check_ad_gradient),
+            (_ORACLE_CHECK_NAMES[name], check_oracle),
+            (f"isotropy_{name}", check_isotropy),
+            (f"energy_{name}", check_energy_and_consistency),
+        ]
+        if name in MECHANICAL_SYSTEMS:
+            checks.append((f"legendre_hamilton_{name}", check_legendre_hamilton))
+        for label, check in checks:  # each builds its system when run
+            registry.append((label, lambda seed, name=name, check=check: check(build(name), seed)))
     if scope == "all":
         registry.extend(
             [

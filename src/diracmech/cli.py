@@ -15,6 +15,7 @@ baselines.  An optional config file (INI style, sections [run] and
 
 import argparse
 import configparser
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -281,37 +282,45 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    if args.command == "list":
+        return cmd_list()
+    if args.command == "simulate":
+        merged = _load_config(args.config) if args.config else {}
+        if args.system:
+            merged["system"] = args.system
+        if "system" not in merged:
+            raise UsageError("a system name is required (--system or config)")
+        params = dict(merged.get("params") or {})
+        for item in args.param:
+            name, value = _parse_param(item)
+            params[name] = value
+        merged["params"] = params
+        if args.ic is not None:
+            merged["ic"] = _parse_floats(args.ic)
+        for key in ("t_end", "dt", "stride", "potential", "out"):
+            value = getattr(args, key)
+            if value is not None:
+                merged[key] = value
+        return cmd_simulate(RunConfig(**merged))
+    if args.command == "check":
+        return cmd_check(scope=args.system, seed=args.seed)
+    if args.command == "inspect":
+        return cmd_inspect(args.system, _parse_floats(args.q), _parse_floats(args.eta))
+    raise UsageError(f"unknown command {args.command!r}")
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "list":
-            return cmd_list()
-        if args.command == "simulate":
-            merged = _load_config(args.config) if args.config else {}
-            if args.system:
-                merged["system"] = args.system
-            if "system" not in merged:
-                raise UsageError("a system name is required (--system or config)")
-            params = dict(merged.get("params") or {})
-            for item in args.param:
-                name, value = _parse_param(item)
-                params[name] = value
-            merged["params"] = params
-            if args.ic is not None:
-                merged["ic"] = _parse_floats(args.ic)
-            for key in ("t_end", "dt", "stride", "potential", "out"):
-                value = getattr(args, key)
-                if value is not None:
-                    merged[key] = value
-            return cmd_simulate(RunConfig(**merged))
-        if args.command == "check":
-            return cmd_check(scope=args.system, seed=args.seed)
-        if args.command == "inspect":
-            return cmd_inspect(args.system, _parse_floats(args.q), _parse_floats(args.eta))
-        raise UsageError(f"unknown command {args.command!r}")
+        code = _run(_build_parser().parse_args(argv))
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except BrokenPipeError:
+        # stdout's reader closed the pipe (``| head``): drop the rest, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

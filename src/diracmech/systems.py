@@ -50,6 +50,7 @@ __all__ = [
     "ball_transition_matrix",
     "so3_constants",
     "ball_structure_constants",
+    "skater_structure_constants",
     "mechanical_lagrangian",
     "restricted_algebroid",
     "oracle_reduced_field",
@@ -108,12 +109,26 @@ class SystemSpec:
         return self.base_names + self.admissible_names
 
 
-def _constant_rows(rows) -> Callable:
-    return lambda q: rows
-
-
 def _zero_potential(base_names) -> ScalarField:
     return ScalarField(base_names, (), lambda *args: 0.0)
+
+
+def _skew_constants(rank: int, entries: Mapping) -> np.ndarray:
+    """Structure constants with c^a_{bd} = v = -c^a_{db} for each
+    (a, b, d): v of ``entries`` (1-based indices), and zero elsewhere."""
+    c = np.zeros((rank, rank, rank))
+    for (a, b, d), v in entries.items():
+        c[a - 1, b - 1, d - 1] = v
+        c[a - 1, d - 1, b - 1] = -v
+    return c
+
+
+def _diagonal_metric(mass, diagonal, k, potential) -> MetricBlocks:
+    """Metric data of the constant metric diag(``diagonal``) on the fiber,
+    whose first k sections span the constraint."""
+    sub = diagonal[:k]
+    g_sub, g_inv, g_full = (np.diag(d).tolist() for d in (sub, [1.0 / v for v in sub], diagonal))
+    return MetricBlocks(mass, lambda q: g_sub, lambda q: g_inv, lambda q: g_full, potential)
 
 
 # -- skater geometry -------------------------------------------------------
@@ -131,47 +146,25 @@ def skater_frame() -> FrameField:
     return FrameField(n=3, k=2, rho=rho)
 
 
-# Constant structure functions of the skater frame; the generic
-# tangent-frame formula reproduces these at every phi (see tests).
-_SKATER_STRUCTURE = np.zeros((3, 3, 3))
-_SKATER_STRUCTURE[2, 0, 1] = 1.0
-_SKATER_STRUCTURE[2, 1, 0] = -1.0
-_SKATER_STRUCTURE[0, 1, 2] = 1.0
-_SKATER_STRUCTURE[0, 2, 1] = -1.0
-
-
-def _skater_algebroid() -> SkewAlgebroid:
-    # the anchor is the frame itself, built from numcore.cos and sin so
-    # that it traces
-    return SkewAlgebroid(m=3, rank=3, anchor=skater_frame().rho, structure=_SKATER_STRUCTURE)
-
-
-def _skater_metric(m: float, k2: float, potential, a_par=None, a_perp=None) -> MetricBlocks:
-    g_sub = [[1.0, 0.0], [0.0, k2]]
-    g_inv = [[1.0, 0.0], [0.0, 1.0 / k2]]
-    g_full = [[1.0, 0.0, 0.0], [0.0, k2, 0.0], [0.0, 0.0, 1.0]]
-    return MetricBlocks(
-        mass=m,
-        g_sub=_constant_rows(g_sub),
-        g_inv_sub=_constant_rows(g_inv),
-        g_full=_constant_rows(g_full),
-        potential=potential,
-        a_par=a_par,
-        a_perp=a_perp,
-    )
+def skater_structure_constants() -> np.ndarray:
+    """Structure functions of ``skater_frame()``, the same at every q; the
+    ``structure_skater`` check compares them with the frame formula."""
+    return _skew_constants(3, {(3, 1, 2): 1.0, (1, 2, 3): 1.0})
 
 
 _SKATER_BASE = ("x", "y", "phi")
 _SKATER_FIBER = ("eta1", "eta2", "eta3")
 
 
-def _skater_free_hamiltonian(m, k2) -> ScalarField:
+def _skater_kinetic(m, k2) -> Callable:
+    """T(q, p) = (p1^2 + p2^2 / k2 + p3^2) / 2m, the same at every q: the
+    free skater's H, and the charged one's at the shifted momenta."""
     half_over_m = 0.5 / m
 
-    def fn(x, y, phi, e1, e2, e3):
-        return half_over_m * (e1 * e1 + (e2 * e2) / k2 + e3 * e3)
+    def kinetic(x, y, phi, p1, p2, p3):
+        return half_over_m * (p1 * p1 + (p2 * p2) / k2 + p3 * p3)
 
-    return ScalarField(_SKATER_BASE, _SKATER_FIBER, fn)
+    return kinetic
 
 
 def _skater_analytic_free(m, k2):
@@ -220,16 +213,19 @@ def _skater_analytic_slope(m, k2, lam):
 
 def _build_skater_free(p) -> SystemSpec:
     m, k2 = p["m"], p["k2"]
+    # the anchor is the frame itself, built from numcore.cos and sin so
+    # that it traces
+    alg = SkewAlgebroid(m=3, rank=3, anchor=skater_frame().rho, structure=skater_structure_constants())
     return SystemSpec(
         name="skater_free",
-        dirac=DiracAlgebroid(_skater_algebroid(), k=2),
+        dirac=DiracAlgebroid(alg, k=2),
         base_names=_SKATER_BASE,
         fiber_names=_SKATER_FIBER,
         params=p,
-        hamiltonian=_skater_free_hamiltonian(m, k2),
+        hamiltonian=ScalarField(_SKATER_BASE, _SKATER_FIBER, _skater_kinetic(m, k2)),
         consistency=ConsistencySolution(kind="zero"),
         analytic=_skater_analytic_free(m, k2),
-        metric=_skater_metric(m, k2, _zero_potential(_SKATER_BASE)),
+        metric=_diagonal_metric(m, (1.0, k2, 1.0), 2, _zero_potential(_SKATER_BASE)),
     )
 
 
@@ -243,15 +239,12 @@ def _build_skater_slope(p) -> SystemSpec:
 
 def _build_skater_charged(p) -> SystemSpec:
     m, k2, b, ec, d = p["m"], p["k2"], p["B"], p["e_c"], p["d"]
-    half_over_m = 0.5 / m
+    kinetic = _skater_kinetic(m, k2)
 
     def fn(x, y, phi, e1, e2, e3):
         cp = numcore.cos(phi)
         sp = numcore.sin(phi)
-        p1 = e1 - ec * b * x * sp
-        p2 = e2 - ec * b * d * x * cp
-        p3 = e3 - ec * b * x * cp
-        return half_over_m * (p1 * p1 + (p2 * p2) / k2 + p3 * p3)
+        return kinetic(x, y, phi, e1 - ec * b * x * sp, e2 - ec * b * d * x * cp, e3 - ec * b * x * cp)
 
     def a_par(q):
         x, phi = q[0], q[2]
@@ -260,40 +253,17 @@ def _build_skater_charged(p) -> SystemSpec:
     def a_perp(q):
         return [ec * b * q[0] * numcore.cos(q[2])]
 
-    return SystemSpec(
-        name="skater_charged",
-        dirac=DiracAlgebroid(_skater_algebroid(), k=2),
-        base_names=_SKATER_BASE,
-        fiber_names=_SKATER_FIBER,
-        params=p,
-        hamiltonian=ScalarField(_SKATER_BASE, _SKATER_FIBER, fn),
-        consistency=ConsistencySolution(kind="affine", affine_map=a_perp),
-        metric=_skater_metric(
-            m, k2, _zero_potential(_SKATER_BASE), a_par=a_par, a_perp=a_perp
-        ),
-    )
+    return _with_momentum_shift(_build_skater_free(p), "skater_charged", fn, a_par, a_perp)
 
 
 # -- rolling ball geometry --------------------------------------------------
 
 
 def so3_constants() -> np.ndarray:
-    """Rotation-algebra constants in the bracket convention used here."""
-    c = np.zeros((3, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            for d in range(3):
-                # coefficient of generator a in [l_d, l_b]
-                c[a, b, d] = _levi_civita(d, b, a)
-    return c
-
-
-def _levi_civita(i, j, k):
-    if (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        return 1.0
-    if (i, j, k) in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
-        return -1.0
-    return 0.0
+    """Rotation-algebra constants in the bracket convention used here:
+    c^a_{bd} is the coefficient of generator a in [l_d, l_b], so that
+    [l_1, l_2] = l_3 and cyclically."""
+    return _skew_constants(3, {(3, 2, 1): 1.0, (1, 3, 2): 1.0, (2, 1, 3): 1.0})
 
 
 def ball_transition_matrix(k2: float, radius: float) -> np.ndarray:
@@ -317,75 +287,42 @@ def ball_structure_constants(k2: float, radius: float) -> np.ndarray:
 
     Obtained by expanding the rotation-algebra brackets of the sections
     through l_x = (k2 f2 + R f5)/(k2 + R^2), l_y = (k2 f1 - R f4)/(k2 + R^2);
-    agreement with the generic frame-change rule is enforced in tests.
+    the ``structure_ball`` check compares them with the frame-change rule.
     """
     r = radius
     s = k2 + r * r
-    c = np.zeros((5, 5, 5))
-
-    def put(a, b, d, v):
-        c[a - 1, b - 1, d - 1] = v
-        c[a - 1, d - 1, b - 1] = -v
-
-    put(3, 1, 2, 1.0)
-    put(2, 1, 3, -k2 / s)
-    put(5, 1, 3, -r / s)
-    put(1, 2, 3, k2 / s)
-    put(4, 2, 3, -r / s)
-    put(3, 1, 5, r)
-    put(3, 2, 4, r)
-    put(2, 3, 4, -r * k2 / s)
-    put(5, 3, 4, -r * r / s)
-    put(1, 3, 5, -r * k2 / s)
-    put(4, 3, 5, r * r / s)
-    put(3, 4, 5, -r * r)
-    return c
+    return _skew_constants(5, {
+        (3, 1, 2): 1.0,
+        (2, 1, 3): -k2 / s,
+        (5, 1, 3): -r / s,
+        (1, 2, 3): k2 / s,
+        (4, 2, 3): -r / s,
+        (3, 1, 5): r,
+        (3, 2, 4): r,
+        (2, 3, 4): -r * k2 / s,
+        (5, 3, 4): -r * r / s,
+        (1, 3, 5): -r * k2 / s,
+        (4, 3, 5): r * r / s,
+        (3, 4, 5): -r * r,
+    })
 
 
 _BALL_BASE = ("x", "y")
 _BALL_FIBER = ("eta1", "eta2", "eta3", "eta4", "eta5")
 
 
-def _ball_algebroid(k2: float, radius: float) -> SkewAlgebroid:
-    r = radius
-    return SkewAlgebroid(
-        m=2,
-        rank=5,
-        anchor=[[r, 0.0, 0.0, k2, 0.0], [0.0, -r, 0.0, 0.0, k2]],
-        structure=ball_structure_constants(k2, radius),
-    )
-
-
-def _ball_metric(m, k2, radius, potential, a_par=None, a_perp=None) -> MetricBlocks:
-    s = k2 + radius * radius
-    g_sub = [[s, 0.0, 0.0], [0.0, s, 0.0], [0.0, 0.0, k2]]
-    g_inv = [[1.0 / s, 0.0, 0.0], [0.0, 1.0 / s, 0.0], [0.0, 0.0, 1.0 / k2]]
-    g_full = np.diag([s, s, k2, k2 * s, k2 * s]).tolist()
-    return MetricBlocks(
-        mass=m,
-        g_sub=_constant_rows(g_sub),
-        g_inv_sub=_constant_rows(g_inv),
-        g_full=_constant_rows(g_full),
-        potential=potential,
-        a_par=a_par,
-        a_perp=a_perp,
-    )
-
-
-def _ball_free_hamiltonian(m, k2, radius) -> ScalarField:
+def _ball_kinetic(m, k2, radius) -> Callable:
+    """T(q, p), rolling, spin and transverse terms, the same at every q:
+    the free ball's H, and the magnetic one's at the shifted momenta."""
     s = k2 + radius * radius
     c_plane = 0.5 / (m * s)
     c_spin = 0.5 / (m * k2)
     c_perp = 0.5 / (m * k2 * s)
 
-    def fn(x, y, e1, e2, e3, e4, e5):
-        return (
-            c_plane * (e1 * e1 + e2 * e2)
-            + c_spin * (e3 * e3)
-            + c_perp * (e4 * e4 + e5 * e5)
-        )
+    def kinetic(x, y, p1, p2, p3, p4, p5):
+        return c_plane * (p1 * p1 + p2 * p2) + c_spin * (p3 * p3) + c_perp * (p4 * p4 + p5 * p5)
 
-    return ScalarField(_BALL_BASE, _BALL_FIBER, fn)
+    return kinetic
 
 
 def _ball_analytic_free(m, k2, radius):
@@ -402,34 +339,29 @@ def _ball_analytic_free(m, k2, radius):
 
 def _build_ball_free(p) -> SystemSpec:
     m, k2, r = p["m"], p["k2"], p["R"]
+    s = k2 + r * r
+    # a section's anchor is its (d_x, d_y) part in the product basis
+    anchor = ball_transition_matrix(k2, r)[:2].tolist()
+    alg = SkewAlgebroid(m=2, rank=5, anchor=anchor, structure=ball_structure_constants(k2, r))
     return SystemSpec(
         name="ball_free",
-        dirac=DiracAlgebroid(_ball_algebroid(k2, r), k=3),
+        dirac=DiracAlgebroid(alg, k=3),
         base_names=_BALL_BASE,
         fiber_names=_BALL_FIBER,
         params=p,
-        hamiltonian=_ball_free_hamiltonian(m, k2, r),
+        hamiltonian=ScalarField(_BALL_BASE, _BALL_FIBER, _ball_kinetic(m, k2, r)),
         consistency=ConsistencySolution(kind="zero"),
         analytic=_ball_analytic_free(m, k2, r),
-        metric=_ball_metric(m, k2, r, _zero_potential(_BALL_BASE)),
+        metric=_diagonal_metric(m, (s, s, k2, k2 * s, k2 * s), 3, _zero_potential(_BALL_BASE)),
     )
 
 
-def _ball_magnetic_pieces(p):
-    m, k2, r, b, ec = p["m"], p["k2"], p["R"], p["B"], p["e_c"]
-    s = k2 + r * r
-    c_plane = 0.5 / (m * s)
-    c_spin = 0.5 / (m * k2)
-    c_perp = 0.5 / (m * k2 * s)
+def _build_ball_magnetic(p) -> SystemSpec:
+    k2, r, b, ec = p["k2"], p["R"], p["B"], p["e_c"]
+    kinetic = _ball_kinetic(p["m"], k2, r)
 
     def fn(x, y, e1, e2, e3, e4, e5):
-        p2 = e2 + ec * b * x * r
-        p5 = e5 - ec * b * x * k2
-        return (
-            c_plane * (e1 * e1 + p2 * p2)
-            + c_spin * (e3 * e3)
-            + c_perp * (e4 * e4 + p5 * p5)
-        )
+        return kinetic(x, y, e1, e2 + ec * b * x * r, e3, e4, e5 - ec * b * x * k2)
 
     def a_par(q):
         return [0.0, -ec * b * q[0] * r, 0.0]
@@ -437,24 +369,7 @@ def _ball_magnetic_pieces(p):
     def a_perp(q):
         return [0.0, ec * b * q[0] * k2]
 
-    return fn, a_par, a_perp
-
-
-def _build_ball_magnetic(p) -> SystemSpec:
-    m, k2, r = p["m"], p["k2"], p["R"]
-    fn, a_par, a_perp = _ball_magnetic_pieces(p)
-    return SystemSpec(
-        name="ball_magnetic",
-        dirac=DiracAlgebroid(_ball_algebroid(k2, r), k=3),
-        base_names=_BALL_BASE,
-        fiber_names=_BALL_FIBER,
-        params=p,
-        hamiltonian=ScalarField(_BALL_BASE, _BALL_FIBER, fn),
-        consistency=ConsistencySolution(kind="affine", affine_map=a_perp),
-        metric=_ball_metric(
-            m, k2, r, _zero_potential(_BALL_BASE), a_par=a_par, a_perp=a_perp
-        ),
-    )
+    return _with_momentum_shift(_build_ball_free(p), "ball_magnetic", fn, a_par, a_perp)
 
 
 def _build_ball_harmonic(p) -> SystemSpec:
@@ -467,6 +382,20 @@ def _build_ball_harmonic(p) -> SystemSpec:
 
     potential = ScalarField(_BALL_BASE, (), pot_fn)
     return _with_extra_potential(magnetic, potential)
+
+
+def _with_momentum_shift(spec: SystemSpec, name: str, fn, a_par, a_perp) -> SystemSpec:
+    """``spec`` under ``name`` with Hamiltonian ``fn``, its kinetic energy
+    in the momenta shifted by A = (a_par, a_perp): the transverse shift
+    a_perp solves the consistency condition, and no closed form is kept."""
+    return replace(
+        spec,
+        name=name,
+        hamiltonian=ScalarField(spec.base_names, spec.fiber_names, fn),
+        consistency=ConsistencySolution(kind="affine", affine_map=a_perp),
+        analytic=None,
+        metric=replace(spec.metric, a_par=a_par, a_perp=a_perp),
+    )
 
 
 def _with_extra_potential(spec: SystemSpec, extra: ScalarField) -> SystemSpec:
@@ -519,16 +448,19 @@ def catalog_names() -> tuple:
 def build(name: str, overrides: Mapping | None = None) -> SystemSpec:
     """Assemble a catalog system, applying parameter overrides, then
     spot-check the declared consistency solution on random states.  An
-    override must be finite, and ``m`` and ``k2`` positive."""
+    override must be a finite number, and ``m`` and ``k2`` positive."""
     if name not in _BUILDERS:
         raise CatalogError(f"unknown system {name!r}; available: {', '.join(catalog_names())}")
     params = dict(CATALOG_DEFAULTS[name])
     for key, value in (overrides or {}).items():
         if key not in params:
             raise CatalogError(f"system {name!r} has no parameter {key!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            pass  # not a number: rejected below, with its repr
         positive = key in ("m", "k2")  # the Hamiltonians and metrics divide by these
-        if not math.isfinite(value) or (positive and value <= 0.0):
+        if not isinstance(value, float) or not math.isfinite(value) or (positive and value <= 0.0):
             need = "positive and finite" if positive else "finite"
             raise DegenerateParameterError(
                 f"parameter {key!r} of system {name!r} must be {need}, got {value!r}"

@@ -18,7 +18,7 @@ from diracmech.algebroid import (
     product_with_lie_algebra,
     restrict_to_constraint,
 )
-from diracmech.errors import ValidationError
+from diracmech.errors import DimensionError, ValidationError
 from diracmech.frame import FrameField, identity_frame, structure_functions_tangent
 from diracmech.integrate import simulate
 from diracmech.numcore import ScalarField, grad
@@ -540,3 +540,26 @@ def test_map_of_the_wrong_shape_is_rejected(anchor, structure, message):
         with pytest.raises(DimensionError) as info:
             alg.rates([0.1, 0.2], [1.0, 2.0], [0.5, 0.5], [0.1, 0.1])
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: SkewAlgebroid(m=2, rank=2, anchor=[[1.0]], structure=np.zeros((2, 2, 2))),
+            "constant anchor of shape (1, 1), expected (2, 2)",
+        ),
+        (
+            lambda: product_with_lie_algebra(identity_frame(2), 3, np.zeros((2, 2, 2))),
+            "lie constants of shape (2, 2, 2), expected (3, 3, 3)",
+        ),
+        (
+            lambda: restrict_to_constraint(build("skater_free").dirac.alg, 0),
+            "constraint rank 0 outside 1..3",
+        ),
+    ],
+)
+def test_shape_errors_name_the_shapes(call, message):
+    with pytest.raises(DimensionError) as info:
+        call()
+    assert str(info.value) == message

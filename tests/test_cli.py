@@ -12,7 +12,7 @@ import pytest
 import diracmech
 from diracmech import checks, dirac
 from diracmech.checks import CheckResult
-from diracmech.cli import cmd_check, cmd_inspect, main
+from diracmech.cli import RunConfig, cmd_check, cmd_inspect, cmd_simulate, main
 from diracmech.systems import build
 
 
@@ -341,6 +341,48 @@ def test_simulate_rejects_degenerate_parameters(params, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["abc", None])
+def test_cmd_simulate_reports_a_non_numeric_parameter(value, capsys):
+    assert cmd_simulate(RunConfig(system="skater_free", params={"m": value})) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: parameter 'm' of system 'skater_free' must be positive and finite, got {value!r}\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, out, err",
+    [
+        (
+            ["simulate", "--system", "skater_free", "--ic", ""],
+            "",
+            "error: --ic needs 5 values for skater_free (x, y, phi, eta1, eta2), got 0\n",
+        ),
+        (
+            ["simulate", "--system", "skater_free", "--ic", "1,a"],
+            "",
+            "error: expected comma-separated numbers, got '1,a'\n",
+        ),
+        (
+            ["simulate", "--system", "skater_free", "--param", "m"],
+            "",
+            "error: --param expects name=value, got 'm'\n",
+        ),
+        (
+            ["check", "--system", "nosuch"],
+            "error: unknown system 'nosuch'; available: "
+            "ball_free, ball_harmonic, ball_magnetic, skater_charged, skater_free, skater_slope\n",
+            "",
+        ),
+    ],
+)
+def test_main_reports_bad_input_in_one_line(argv, out, err, capsys):
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
 def test_inspect_errors(capsys):
     assert cmd_inspect("nosuch", [0.0], [0.0]) == 1
     assert cmd_inspect("skater_free", [0.0, 0.0], [1.0, 1.0]) == 1
@@ -488,12 +530,53 @@ def test_every_check_line_carries_its_runtime(capsys):
     assert all(re.search(r" runtime=\d+\.\d\ds$", line) for line in lines), lines
 
 
-def test_python_dash_m_runs_the_cli(capsys):
+def _cli_env(**extra):
+    """The environment of a ``python -m diracmech`` child that imports this
+    checkout."""
     src = str(Path(diracmech.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_python_dash_m_runs_the_cli(capsys):
     done = subprocess.run(
-        [sys.executable, "-m", "diracmech", "list"], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-m", "diracmech", "list"], env=_cli_env(), capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert run_main(["list"]) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_simulate_into_a_pipe_closed_after_one_line_exits_quietly(unbuffered):
+    # about 500 kB of CSV, far more than a pipe holds, so writes fail once
+    # the reader has gone, whether stdout is buffered or not
+    argv = ["simulate", "--system", "skater_free", "--ic", "0,0,0,1,1", "--t-end", "5", "--stride", "1"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "diracmech", *argv],
+        env=_cli_env(PYTHONUNBUFFERED=unbuffered),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        assert child.stdout.readline().startswith(b"t,x,y,phi,")
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (1, b"")
+
+
+def test_list_into_a_closed_pipe_exits_quietly():
+    # buffered output that fits the buffer first meets the closed pipe when
+    # it is flushed, which main does before returning
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "diracmech", "list"],
+            env=_cli_env(PYTHONUNBUFFERED=""),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from diracmech.algebroid import PhaseState, restrict_to_constraint
 from diracmech.dirac import (
     ConsistencySolution,
+    DiracAlgebroid,
     DiracElement,
     _float_list,
     complete_state,
@@ -675,3 +676,63 @@ def test_oracle_equivalence_nondefault_parameters(name):
         qdot_o, etadot_o = oracle_reduced_field(spec, rs)
         assert np.max(np.abs(qdot - qdot_o) / (1 + np.abs(qdot_o))) <= 1e-12
         assert np.max(np.abs(etadot - etadot_o) / (1 + np.abs(etadot_o))) <= 1e-12
+
+
+# -- public entry points on bad input -------------------------------------------
+
+FULL = PhaseState(q=(0.1, 0.2, 0.3), eta=(1.0, 0.5, 0.0), full=True)
+REDUCED = PhaseState(q=(0.1, 0.2, 0.3), eta=(1.0, 0.5), full=False)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda s: DiracAlgebroid(s.dirac.alg, k=4), ValidationError, "constraint rank 4 outside 1..3"),
+        (lambda s: ConsistencySolution(kind="bogus"), ValidationError, "unknown consistency kind 'bogus'"),
+        (lambda s: ConsistencySolution(kind="affine"), ValidationError, "affine consistency needs a map"),
+        (
+            lambda s: make_element(s.dirac, REDUCED, [0.0] * 3, [0.0] * 2, [0.0]),
+            DimensionError,
+            "full phase state of matching shape required",
+        ),
+        (
+            lambda s: consistency_residual(s.dirac, s.hamiltonian, REDUCED),
+            DimensionError,
+            "full phase state required",
+        ),
+        (
+            lambda s: complete_state(s.dirac, s.hamiltonian, FULL),
+            DimensionError,
+            "reduced phase state required",
+        ),
+        (
+            lambda s: reduced_vector_field(s.dirac, s.hamiltonian, FULL),
+            DimensionError,
+            "reduced phase state required",
+        ),
+        (
+            lambda s: oracle_mechanical(
+                1.0, s.metric.g_inv_sub, s.metric.potential, restrict_to_constraint(s.dirac.alg, 2), FULL
+            ),
+            DimensionError,
+            "reduced phase state required",
+        ),
+        (
+            lambda s: oracle_magnetic(1.0, s.metric.g_inv_sub, None, None, s.metric.potential, None, None, FULL),
+            DimensionError,
+            "reduced phase state required",
+        ),
+    ],
+)
+def test_public_entry_points_reject_bad_input(call, error, message):
+    with pytest.raises(error) as info:
+        call(build("skater_free"))
+    assert str(info.value) == message
+
+
+def test_complete_state_appends_the_solved_transverse_momenta():
+    spec = build("skater_charged")
+    full, eta_alpha = complete_state(spec.dirac, spec.hamiltonian, REDUCED, solution=spec.consistency)
+    want = solve_consistency(spec.dirac, spec.hamiltonian, REDUCED.q, REDUCED.eta, solution=spec.consistency)
+    assert list(eta_alpha) == list(want) != [0.0]
+    assert full == PhaseState(q=REDUCED.q, eta=REDUCED.eta + tuple(want), full=True)

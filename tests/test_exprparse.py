@@ -274,3 +274,19 @@ def test_power_derivative_matches_finite_differences():
         out = eval_expr(tree, duals(x=x))
         fd = (eval_expr(tree, {"x": x + h}) - eval_expr(tree, {"x": x - h})) / (2 * h)
         assert abs(out.partials[0] - fd) <= 1e-6 * (1 + abs(fd))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_text("(x y"), "expected right-paren, found 'y' (offset 3)"),
+        (lambda: parse_text("sin(x, y)"), "sin takes one argument, got 2 (offset 0)"),
+        (lambda: parse([]), "empty expression (offset 0)"),
+        # without a length, the input ends where its last token does
+        (lambda: parse(tokenize("x +")), "unexpected end of input (offset 3)"),
+    ],
+)
+def test_parse_errors_name_the_offset(call, message):
+    with pytest.raises(ExprError) as info:
+        call()
+    assert str(info.value) == message

@@ -8,6 +8,7 @@ from diracmech.errors import DimensionError, SingularMatrixError, ValidationErro
 from diracmech.frame import (
     FrameField,
     decompose,
+    eval_matrix_with_partials,
     frame_inverse,
     frame_matrix,
     identity_frame,
@@ -171,3 +172,23 @@ def test_decompose_roundtrip():
 def test_decompose_dimension_error():
     with pytest.raises(DimensionError):
         decompose(skater_frame(), (0.0, 0.0, 0.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: frame_matrix(skater_frame(), (0.0, 0.0)), "point of length 2 on a chart of dimension 3"),
+        (
+            lambda: frame_matrix(FrameField(n=1, k=1, rho=lambda q: []), (0.0,)),
+            "frame map needs a 2-d layout, got shape (0,)",
+        ),
+        (
+            lambda: eval_matrix_with_partials(lambda q: [[1.0, 0.0]], [0.0], (2, 2)),
+            "matrix map returned 1x2, expected (2, 2)",
+        ),
+    ],
+)
+def test_shape_errors_name_the_shapes(call, message):
+    with pytest.raises(DimensionError) as info:
+        call()
+    assert str(info.value) == message

@@ -590,3 +590,16 @@ def test_observables_reject_a_guess_that_is_not_numbers(name, guess, reason):
         observables(spec, rs, guess=guess)
     assert str(info.value) == f"guess {guess!r} is not a sequence of 1 numbers{reason}"
     assert observables(spec, rs, guess=np.array([0.0])) == observables(spec, rs)
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        (PhaseState(q=(0.1, 0.2, 0.3), eta=(1.0, 0.5, 0.0), full=True), "reduced phase state required"),
+        (reduced((0.0, 0.0), (1.0, 1.0)), "reduced state (2, 2) on shape (3, 2)"),
+    ],
+)
+def test_observables_rejects_states_of_another_shape(state, message):
+    with pytest.raises(DimensionError) as info:
+        observables(build("skater_free"), state)
+    assert str(info.value) == message

@@ -263,3 +263,45 @@ def test_bench_traced_layers_name_functions_of_the_package():
         if not inspect.isfunction(getattr(importlib.import_module(f"diracmech.{module}"), name, None))
     ]
     assert missing == []
+
+
+# The names under which the bench scripts hold the engine's modules, as
+# variables or as keys of ``workloads.setup``'s context (``dm`` is the package).
+BENCH_ALIASES = {
+    "dm": "diracmech",
+    "checks": "diracmech.checks",
+    "cli": "diracmech.cli",
+    "exprparse": "diracmech.exprparse",
+}
+
+
+def _bench_alias(node):
+    """``dm`` for the expression ``dm`` or ``ctx["dm"]``, else None."""
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+        key = node.slice.value
+    else:
+        key = getattr(node, "id", None)
+    return key if key in BENCH_ALIASES else None
+
+
+def test_bench_reads_only_names_the_package_defines():
+    # a name the bench reads but the package lost fails only in a bench run
+    read = set()
+    for path in sorted((Path(__file__).parents[1] / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and _bench_alias(node.value):
+                read.add((_bench_alias(node.value), node.attr))
+    assert {
+        ("dm", "reduced_vector_field"),
+        ("dm", "rk4_step"),
+        ("checks", "ENERGY_DRIFT_TOL"),
+        ("checks", "available_checks"),
+        ("cli", "RunConfig"),
+        ("exprparse", "parse_text"),
+    } <= read
+    missing = sorted(
+        f"{alias}.{name}"
+        for alias, name in read
+        if not hasattr(importlib.import_module(BENCH_ALIASES[alias]), name)
+    )
+    assert missing == []

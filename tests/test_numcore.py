@@ -801,3 +801,17 @@ def test_the_liveness_pass_keeps_every_exit():
         "v8 = v2_0 * c1",
     ]
     assert tracing._live_lines(lines, "(v8, )") == lines[:3] + lines[4:]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda f: DualScalar(1.0, (1.0,)) / 0.0, NumericDomainError, "division by zero"),
+        (lambda f: f(1.0, 2.0), DimensionError, "field of arity 3 called with 2 arguments"),
+        (lambda f: hessian_block(f, [0.0] * 2, [1]), DimensionError, "point of length 2 for field of arity 3"),
+    ],
+)
+def test_public_operations_raise_typed_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call(field(3, lambda a, b, c: a * b * c))
+    assert str(info.value) == message

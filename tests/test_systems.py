@@ -5,7 +5,7 @@ import pytest
 
 from dataclasses import replace
 
-from diracmech.algebroid import PhaseState
+from diracmech.algebroid import PhaseState, change_frame, product_with_lie_algebra
 from diracmech.dirac import ConsistencySolution, reduced_vector_field
 from diracmech.errors import (
     CatalogError,
@@ -14,11 +14,17 @@ from diracmech.errors import (
     ValidationError,
 )
 from diracmech.exprparse import parse_text
+from diracmech.frame import identity_frame, structure_functions_tangent
 from diracmech.systems import (
     analytic_state,
+    ball_transition_matrix,
     build,
     catalog_names,
     hamiltonian_with_potential,
+    mechanical_lagrangian,
+    oracle_reduced_field,
+    skater_frame,
+    so3_constants,
     _spot_check_consistency,
 )
 
@@ -81,11 +87,35 @@ def test_build_unknown_name_and_param():
         ("skater_slope", {"m": -1.0}, "m"),
         ("skater_charged", {"B": math.nan}, "B"),
         ("ball_harmonic", {"omega": -math.inf}, "omega"),
+        ("skater_free", {"m": "abc"}, "m"),
+        ("skater_free", {"m": None}, "m"),
     ],
 )
 def test_build_rejects_degenerate_overrides(name, overrides, param):
     with pytest.raises(DegenerateParameterError, match=f"parameter '{param}' of system '{name}'"):
         build(name, overrides)
+
+
+@pytest.mark.parametrize("name", ["skater_free", "skater_slope", "skater_charged"])
+def test_engine_skater_structure_is_the_frame_formula(name):
+    # the constants the engine runs on, against the tangent-frame formula
+    alg = build(name).dirac.alg
+    for phi in (0.0, 0.4, -2.2, math.pi / 2, 3.0):
+        q = (0.5, -0.1, phi)
+        assert np.max(np.abs(alg.structure(q) - structure_functions_tangent(skater_frame(), q))) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["ball_free", "ball_magnetic", "ball_harmonic"])
+def test_engine_ball_structure_is_the_frame_change(name):
+    # anchor and constants the engine runs on, against the product of T R^2
+    # with so(3) rotated into the rolling-adapted frame, off the defaults
+    k2, radius = 0.4, 2.0
+    alg = build(name, {"k2": k2, "R": radius}).dirac.alg
+    rows = ball_transition_matrix(k2, radius).tolist()
+    want = change_frame(product_with_lie_algebra(identity_frame(2), 3, so3_constants()), lambda q: rows)
+    q = [0.3, -0.7]
+    assert np.max(np.abs(alg.anchor_array(q) - want.anchor_array(q))) <= 1e-15
+    assert np.max(np.abs(alg.structure(q) - want.structure(q))) <= 1e-13
 
 
 def test_build_accepts_finite_overrides_of_any_sign():
@@ -293,3 +323,36 @@ def test_free_ball_matches_display():
         assert abs(qdot[0] - r * rs.eta[0] / (m * s)) <= 1e-14
         assert abs(qdot[1] + r * rs.eta[1] / (m * s)) <= 1e-14
         assert np.max(np.abs(etadot)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: analytic_state(build("skater_slope"), reduced((0.0, 0.0, 0.0), (1.0, 0.0)), 1.0),
+            DegenerateParameterError,
+            "closed form needs nonzero initial rotation (eta2 != 0)",
+        ),
+        (
+            lambda: analytic_state(build("skater_free"), reduced((0.0, 0.0), (1.0, 1.0)), 1.0),
+            ValidationError,
+            "initial condition must be a reduced state of matching shape",
+        ),
+        (
+            lambda: mechanical_lagrangian(build("skater_charged")),
+            UnsupportedError,
+            "system 'skater_charged' is not mechanical",
+        ),
+        (
+            lambda: oracle_reduced_field(
+                replace(build("skater_free"), metric=None), reduced((0.0, 0.0, 0.0), (1.0, 1.0))
+            ),
+            UnsupportedError,
+            "system 'skater_free' carries no metric data",
+        ),
+    ],
+)
+def test_public_functions_raise_typed_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
