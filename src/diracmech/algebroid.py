@@ -221,9 +221,12 @@ class VelocityState:
 
 def _coordinates(value) -> tuple:
     """``value`` as a tuple of floats; a string is not a sequence of numbers."""
-    if isinstance(value, (str, bytes)):
-        raise DimensionError(f"coordinates must be a sequence of numbers, not {value!r}")
-    return tuple(map(float, value))
+    try:
+        if not isinstance(value, (str, bytes)):
+            return tuple(map(float, value))
+    except (TypeError, ValueError):
+        pass
+    raise DimensionError(f"coordinates must be a sequence of numbers, not {value!r}")
 
 
 def _check_full_state(alg: SkewAlgebroid, s: PhaseState):

@@ -140,12 +140,13 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
     return 0 if emit(traj) else 1
 
 
-def cmd_check(scope: str = "all", seed: int = 0, out=None) -> int:
+def cmd_check(scope: str = "all", seed: int = 0, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
+    err = err if err is not None else sys.stderr
     try:
         results = run_checks(scope=scope, seed=seed)
     except EngineError as exc:
-        out.write(f"error: {exc}\n")
+        err.write(f"error: {exc}\n")
         return 1
     for result in results:
         out.write(result.line() + "\n")

@@ -218,8 +218,8 @@ def _newton_transverse(dirac, h, q, eta_a, guess) -> list:
     the step's elimination consumes its block rows.  The rows at the
     solution are eliminated once more, to check that the block is
     nonsingular there.  At tracing scalars ``newton_iterate`` records the
-    loop unrolled; a block that is not constant cannot be traced there
-    unless it is 1 x 1."""
+    loop once; a block that is not constant cannot be traced there unless
+    it is 1 x 1."""
     m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
     head = [*q, *eta_a] if is_traced(eta_a) else [float(v) for v in (*q, *eta_a)]
     alpha_idx = tuple(range(m + k, m + k + nt))
@@ -319,10 +319,11 @@ def reduced_field(
 
     One tape holds the consistency solve, the dual sweep of H and the
     element contraction.  ``zero`` is constants and ``affine`` its traced
-    map.  ``newton`` is the Newton loop unrolled (``numcore.newton_iterate``
-    at tracing scalars): a fixed number of copies of H's transverse sweep,
+    map.  ``newton`` is the Newton loop recorded once
+    (``numcore.newton_iterate`` at tracing scalars): H's transverse sweep,
     its test and one step, which the code leaves at the first iterate that
-    converged, as the loop returns it.  Where the code gives up,
+    converged, as the loop returns it, and whose sweep at that iterate the
+    rest of the field reads.  Where the code gives up,
     and for a system that cannot be traced, the program runs the same
     field on floats (``tracing.compile_traced``): for ``newton`` the float
     loop, then the program traced from the solved eta_alpha on.  It is

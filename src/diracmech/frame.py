@@ -56,7 +56,11 @@ def frame_matrix(fr: FrameField, q) -> np.ndarray:
     """Evaluate rho(q) as a read-only array; columns are the frame sections."""
     _check_point(fr, q)
     rows = fr.rho([float(v) for v in q])
-    rho = np.array([[value_of(e) for e in row] for row in rows], dtype=float)
+    try:
+        entries = [[value_of(e) for e in row] for row in rows]
+    except TypeError as exc:  # a row that does not iterate
+        raise DimensionError("frame map needs a 2-d layout, got a non-sequence row") from exc
+    rho = np.array(entries, dtype=float)
     if rho.ndim != 2:
         raise DimensionError(f"frame map needs a 2-d layout, got shape {rho.shape}")
     rho.flags.writeable = False

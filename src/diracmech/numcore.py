@@ -23,9 +23,8 @@ fixed order, so no result depends on the BLAS kernel numpy loads.
 ``mat_inverse`` run it on checked copies, and ``newton_iterate`` on the
 Jacobian rows its residual map returns, unchecked and uncopied
 (``newton_solve`` checks and copies its map's arrays first).  At
-tracing scalars ``newton_iterate`` records the loop unrolled, leaving it
-at the first converged iterate, which ``dirac.reduced_field`` compiles
-into its program.
+tracing scalars ``newton_iterate`` records its loop once, which
+``dirac.reduced_field`` compiles into its program.
 """
 
 import functools
@@ -42,7 +41,7 @@ from .errors import (
     NumericDomainError,
     SingularMatrixError,
 )
-from .tracing import ZERO, ConvergedExit, Tracer, compile_traced, is_traced, require_finite
+from .tracing import ZERO, Loop, Tracer, compile_traced, is_traced, require_finite
 
 __all__ = [
     "DualScalar",
@@ -76,9 +75,9 @@ __all__ = [
 SINGULARITY_RELATIVE_THRESHOLD = 1e-13
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-# Newton steps a traced solve records: the most the reduced fields of the
-# catalog's forced-Newton systems and the quartic skater take from a cold
-# start at zero (6) or a random start in [-1, 1] (7)
+# Newton steps a traced solve's loop takes at most: the most the reduced
+# fields of the catalog's forced-Newton systems and the quartic skater take
+# from a cold start at zero (6) or a random start in [-1, 1] (7)
 NEWTON_UNROLLED = 7
 
 
@@ -720,7 +719,7 @@ def newton_iterate(
     is, unchecked; the J of the iterate returned is left untouched.
 
     Returns the first iterate with ``max|F| <= tol``.  At a traced start
-    it records the loop unrolled instead (``_newton_unrolled``).
+    it records the loop once instead (``_newton_traced``).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -732,7 +731,7 @@ def newton_iterate(
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
     if is_traced(x0):
-        return _newton_unrolled(residual_map, list(x0), tol, min(max_iter, NEWTON_UNROLLED))
+        return _newton_traced(residual_map, list(x0), tol, min(max_iter, NEWTON_UNROLLED))
     x = [float(v) for v in x0]
     norm = math.inf
     for attempt in range(max_iter + 1):
@@ -751,25 +750,17 @@ def newton_iterate(
     )
 
 
-def _newton_unrolled(residual_map: Callable, x: list, tol: float, steps: int) -> list:
-    """``newton_iterate`` on tracing scalars with a fixed trip count:
-    ``steps`` copies of its residual evaluation, test and step, left at the
-    first iterate that converged (``tracing.ConvergedExit``), so a call
-    runs one evaluation more than the loop steps.  After the last copy, one
-    more evaluation must have converged, or the program gives up: the loop
-    needs more steps from this start, or does not converge.  The J of that
-    evaluation is left holding its values at the iterate returned."""
-    exit = ConvergedExit(tol)
-    for _ in range(steps):
-        res, jac = residual_map(x)
-        exit.test(res, [*x, *(v for row in jac for v in row)])
-        step = list(res)
-        solve_in_place(jac, [step])
-        x = [u - v for u, v in zip(x, step)]
-    res, jac = residual_map(x)
-    out = exit.test(res, [*x, *(v for row in jac for v in row)], last=True)
-    jac[:] = [out[r * len(x) : (r + 1) * len(x)] for r in range(1, len(x) + 1)]
-    return out[: len(x)]
+def _newton_traced(residual_map: Callable, x: list, tol: float, steps: int) -> list:
+    """``newton_iterate`` on tracing scalars, recorded once as a
+    ``tracing.Loop`` of ``steps + 1`` passes, left at the first converged
+    iterate; the code gives up where none converges.  Each step eliminates
+    a copy of J, so the J of the exit pass keeps its values at the iterate
+    returned."""
+    loop = Loop(x, steps + 1)
+    res, jac = loop.until_converged(residual_map, tol)
+    step = list(res)
+    solve_in_place([list(row) for row in jac], [step])
+    return loop.close([u - v for u, v in zip(loop.x, step)])
 
 
 def newton_solve(

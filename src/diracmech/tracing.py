@@ -14,12 +14,9 @@ numbers or raises the engine's error.  A function that cannot be traced
 ``field(*y, *guess)``) and ``SkewAlgebroid.float_rates`` compile their
 programs this way.
 
-An iteration is recorded unrolled to a fixed trip count, and
-``ConvergedExit`` leaves the copies at the first whose residual has
-converged, or gives up unless the last one has.  Its tests are the only
-ones the code makes besides guards, and they read values the engine
-computes, never a tracing scalar's comparison, so ``reduced_field``
-holds the consistency solve's Newton steps in its program.
+An iteration is recorded once, as a ``Loop`` the code leaves at the
+first converged iterate, so ``reduced_field`` holds the consistency
+solve's Newton steps in its program.
 
 ``rk4_step_program`` writes the integrator's RK4 step once per state
 length: straight-line calls of a compiled field, and no system's code.
@@ -29,13 +26,12 @@ import functools
 import math
 import numbers
 import operator
-import re
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import EngineError
 
 __all__ = [
-    "ConvergedExit",
+    "Loop",
     "Tracer",
     "ZERO",
     "compile_traced",
@@ -62,7 +58,6 @@ _HELPERS = {
     # what float code raises where a derivative rule raises
     "float_errors": (OverflowError, ValueError, ZeroDivisionError),
     "give_up": _GiveUp,
-    "ONCE": (None,),  # the one pass of an unrolled iteration's block
 }
 
 # the domain tests a guard records, as the program writes them
@@ -73,8 +68,18 @@ class _Untraceable(TypeError):
     """The traced function asked for a value the trace does not have."""
 
 
+class _Line(NamedTuple):
+    """One line of a traced program; ``name`` is None but for a fresh assignment."""
+
+    text: str
+    name: str | None
+    reads: tuple
+    may_raise: bool
+    depth: int
+
+
 class _Tape:
-    """The program a trace records: straight-line but for ConvergedExit's block.
+    """The program a trace records: straight-line but for its Loops.
 
     Every float operation is one assignment to a fresh local ``v*``, the
     arguments are ``x*``, and constants are read as ``c*`` from the
@@ -88,6 +93,7 @@ class _Tape:
         self._const_names = {}
         self._names = {}  # expression -> the name it was first assigned to
         self.guards = set()  # the guard lines recorded
+        self.defined = set()  # the names the Loop being recorded defines
 
     def const(self, c) -> str:
         key = (type(c), repr(c))  # keeps 0.0 and -0.0 apart, and finds nan again
@@ -97,12 +103,24 @@ class _Tape:
             self.consts[name] = c
         return name
 
-    def let(self, expr: str) -> str:
+    def let(self, expr: str, reads: tuple, may_raise: bool = False) -> str:
         name = self._names.get(expr)
         if name is None:  # an expression already assigned has the same value
             name = self._names[expr] = f"v{len(self.lines)}"
-            self.lines.append(f"{name} = {expr}")
+            self.add(f"{name} = {expr}", reads, may_raise, name)
         return name
+
+    def guard(self, text: str, reads: tuple) -> None:
+        if text not in self.guards:  # a test already passed passes again
+            self.guards.add(text)
+            self.add(text, reads)
+
+    def add(self, text: str, reads: tuple, may_raise: bool = True, name=None) -> None:
+        """Record one line: in a Loop unless it reads nothing the loop defines."""
+        depth = 0 if self.defined.isdisjoint(reads) else 1
+        if depth and name:
+            self.defined.add(name)
+        self.lines.append(_Line(text, name, reads, may_raise, depth))
 
     def is_const(self, name: str, text) -> bool:
         """Whether ``name`` is the float constant written ``text``."""
@@ -128,8 +146,8 @@ class Tracer:
         self.tape = tape
         self.name = name
 
-    def _let(self, expr: str) -> "Tracer":
-        return Tracer(self.tape, self.tape.let(expr))
+    def _let(self, expr: str, reads: tuple, may_raise: bool = False) -> "Tracer":
+        return Tracer(self.tape, self.tape.let(expr, reads, may_raise))
 
     def _binary(self, op: str, other, reflected=False):
         if isinstance(other, Tracer):
@@ -148,22 +166,19 @@ class Tracer:
         # a NaN output gives up through the sum check: one line for both orders
         if op in ("+", "*") and b < a:
             a, b = b, a
-        return self._let(f"{a} {op} {b}")
+        return self._let(f"{a} {op} {b}", (a, b), op in ("/", "**"))
 
     def guard(self, test) -> None:
         """Give up where ``test(self, 0.0)`` holds (operator.eq, lt or le)."""
-        line = f"if {self.name} {_COMPARISONS[test]} 0.0: raise give_up"
-        if line not in self.tape.guards:  # a test already passed passes again
-            self.tape.guards.add(line)
-            self.tape.lines.append(line)
+        self.tape.guard(f"if {self.name} {_COMPARISONS[test]} 0.0: raise give_up", (self.name,))
 
     def sign(self) -> "Tracer":
         """1.0 where this value is >= 0.0, else -1.0."""
-        return self._let(f"1.0 if {self.name} >= 0.0 else -1.0")
+        return self._let(f"1.0 if {self.name} >= 0.0 else -1.0", (self.name,))
 
     def call(self, fn) -> "Tracer":
         """``fn(self)`` for ``fn`` one of the math functions in ``_HELPERS``."""
-        return self._let(f"{fn.__name__}({self.name})")
+        return self._let(f"{fn.__name__}({self.name})", (self.name,), fn is not math.fabs)
 
     def raw_pow(self, exponent) -> "Tracer":
         """``self ** exponent`` once ``numcore.power``'s guards have run."""
@@ -198,7 +213,7 @@ class Tracer:
         return numcore.power(other, self)
 
     def __neg__(self):
-        return self._let(f"-{self.name}")
+        return self._let(f"-{self.name}", (self.name,))
 
     def __pos__(self):
         return self
@@ -272,89 +287,78 @@ def _name(tape: _Tape, v) -> str:
     raise _Untraceable("not a traced or plain number")
 
 
-# An unrolled iteration's tests.  They read only values the engine
-# computes (residuals and their sums), never through a Tracer's operators,
-# so a traced function that compares its own arguments stays untraceable.
+class Loop:
+    """An iteration recorded once, as a loop of ``passes`` passes.
 
-
-def _converged(tape: _Tape, residual, tol: float) -> str:
-    """The test max|residual| <= tol as program text: False where an
-    entry is nan, as ``numcore.max_abs`` gives nan there."""
-    tol = tape.const(float(tol))
-    return " and ".join(f"fabs({_name(tape, r)}) <= {tol}" for r in residual) or "True"
-
-
-class ConvergedExit:
-    """The exits of an iteration recorded unrolled to a fixed trip count.
-
-    Each ``test(residual, values)`` records one copy's convergence test,
-    once: where every |residual| <= tol, the code writes ``values`` to fixed
-    exit names and leaves the copies, which from the first test on run in
-    one single-pass block (``for _ in ONCE:``), so their nesting does not
-    grow with their number.  The ``last`` test gives up unless the residual
-    has converged, and returns the values at the exit: the exit names as
-    tracing scalars, and the plain numbers, which every exit must share.  A
-    line in the block may not have run when the code leaves it, so no line
-    after the block shares one or skips a guard recorded in it.
+    The iterate ``x`` is carried in names set before the loop, read as
+    ``self.x``.  ``until_converged`` records a pass's residual and its
+    test, which leaves the loop where max|residual| <= tol (never at a
+    nan); the test reads values the engine computes, never a Tracer's
+    comparison.  ``close`` records the carried writes and ``else: raise
+    give_up``.  A line that reads nothing the loop defines is written
+    before it.  After the loop the names hold the exit pass's values, so
+    later lines share the lines and guards recorded before the test, and
+    none recorded after it.
     """
 
-    def __init__(self, tol: float):
-        self.tol, self.tape, self.exits = tol, None, None
+    def __init__(self, x, passes: int):
+        tape = self.tape = _tape_of(x)
+        if tape.defined:
+            raise _Untraceable("a loop inside a loop")
+        self.header = _Line(f"for _ in {tape.const((None,) * passes)}:", None, (), True, 0)
+        self.x = [Tracer(tape, f"v{len(tape.lines)}_{j}") for j in range(len(x))]
+        self._carry(x, 0)
+        self.start, tape.defined = len(tape.lines), {v.name for v in self.x}
 
-    def test(self, residual, values, last: bool = False):
-        if self.tape is None:  # the block opens at the first test
-            tape = self.tape = _tape_of([*residual, *values])
-            self.start, self.shared = len(tape.lines), (dict(tape._names), set(tape.guards))
-            tape.lines.append("for _ in ONCE:")
-        tape, start = self.tape, self.start
-        exits = [
-            f"v{start}_{j}" if isinstance(v, Tracer) else _name(tape, v)
-            for j, v in enumerate(values)
-        ]
-        if exits != (self.exits or exits):
-            raise _Untraceable("the plain numbers of two exits differ")
-        self.exits = exits
-        writes = [f"{e} = {_name(tape, v)}" for e, v in zip(exits, values) if isinstance(v, Tracer)]
-        test = _converged(tape, residual, self.tol)
-        if last:
-            tape.lines += [f"if not ({test}): raise give_up", *writes]
-            tape.lines[start + 1 :] = ["    " + line for line in tape.lines[start + 1 :]]
-            tape._names, tape.guards = self.shared  # what the lines before the block recorded
-            return [Tracer(tape, e) if isinstance(v, Tracer) else v for e, v in zip(exits, values)]
-        tape.lines.append(f"if {test}: {''.join(w + '; ' for w in writes)}break")
+    def _carry(self, x, depth: int) -> None:
+        for c, v in zip(self.x, x):
+            name = _name(self.tape, v)
+            self.tape.lines.append(_Line(f"{c.name} = {name}", None, (name,), True, depth))
+
+    def until_converged(self, residual_map: Callable, tol: float):
+        """``residual_map(self.x) -> (F, J)``, and the test on F.  The map is
+        called twice, and one whose recorded outputs differ is untraceable:
+        every pass runs what the first call recorded."""
+        tape, (res, jac) = self.tape, residual_map(self.x)
+        again, names = residual_map(self.x), [[_name(tape, v) for v in row] for row in (res, *jac)]
+        if names != [[_name(tape, v) for v in row] for row in (again[0], *again[1])]:
+            raise _Untraceable("the residual map recorded different outputs at one iterate")
+        tol = tape.const(float(tol))
+        test = " and ".join(f"fabs({r}) <= {tol}" for r in names[0]) or "True"
+        tape.lines.append(_Line(f"if {test}: break", None, tuple(names[0]), True, 1))
+        self.shared = dict(tape._names), set(tape.guards)
+        return res, jac
+
+    def close(self, x) -> list:
+        """Carry ``x`` to the next pass and end the loop: the iterate at the exit."""
+        self._carry(x, 1)
+        tape, span = self.tape, self.tape.lines[self.start :]
+        hoisted, body = [ln for ln in span if not ln.depth], [ln for ln in span if ln.depth]
+        tail = _Line("else: raise give_up", None, (), True, 0)
+        tape.lines[self.start :] = [*hoisted, self.header, *body, tail]
+        tape._names, tape.guards = self.shared
+        tape.defined = set()
+        return self.x
 
 
 def require_finite(values) -> None:
     """Give up unless the sum of ``values`` in order is finite, plain finite
     ones left out: the program's output check, on values it does not return."""
     tape = _tape_of(values)
-    traced = [v for v in values if isinstance(v, Tracer) or not math.isfinite(v)]
-    total = " + ".join(_name(tape, v) for v in traced) or "0.0"
-    tape.lines.append(f"if not isfinite({total}): raise give_up")
+    traced = tuple(_name(tape, v) for v in values if isinstance(v, Tracer) or not math.isfinite(v))
+    tape.guard(f"if not isfinite({' + '.join(traced) or '0.0'}): raise give_up", traced)
 
 
-# Names a tape line assigns, and expressions that may raise.  A line that
-# may raise is kept even when nothing reads its value, so that the code
-# gives up wherever the sweep it repeats raises.
-_ASSIGNED = re.compile(r"\bv[\d_]+\b")
-_MAY_RAISE = re.compile(r"/|\*\*|\b(?:sin|cos|tan|exp|log|sqrt)\(")
-
-
-def _live_lines(lines, result: str) -> list:
-    """``lines`` without the assignments nothing reads: one backward
-    liveness pass, which holds on every path, as the code jumps only
-    forward.  Every other line (a test, a guard) and every line that may
-    raise stays."""
-    needed = set(_ASSIGNED.findall(result))
-    kept = []
+def _live_lines(lines, needed) -> list:
+    """The text of ``lines``, indented, without each fresh assignment that
+    cannot raise and that no output (``needed``) or kept line reads.  One
+    backward pass holds on every path: only a Loop's carried writes, which
+    all stay, feed an earlier line."""
+    needed, kept = set(needed), []
     for line in reversed(lines):
-        name, _, expr = line.lstrip().partition(" = ")
-        if not name.isidentifier():  # a test, or a guard
-            expr = line
-        elif name not in needed and not _MAY_RAISE.search(expr):
-            continue
-        kept.append(line)
-        needed.update(_ASSIGNED.findall(expr))
+        if line.name is None or line.may_raise or line.name in needed:
+            kept.append("    " * line.depth + line.text)
+            needed.update(line.reads)
     kept.reverse()
     return kept
 
@@ -382,7 +386,7 @@ def _source(fn: Callable, arity: int):
     source = [
         f"def traced({args}):",
         "    try:",
-        *(f"        {line}" for line in _live_lines(tape.lines, result)),
+        *(f"        {line}" for line in _live_lines(tape.lines, flat)),
         f"        if isfinite({' + '.join(flat) or '0.0'}): return {result}",
         "    except (give_up, *float_errors): pass",
         f"    return reference({args})",

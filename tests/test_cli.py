@@ -371,9 +371,9 @@ def test_cmd_simulate_reports_a_non_numeric_parameter(value, capsys):
         ),
         (
             ["check", "--system", "nosuch"],
+            "",
             "error: unknown system 'nosuch'; available: "
             "ball_free, ball_harmonic, ball_magnetic, skater_charged, skater_free, skater_slope\n",
-            "",
         ),
     ],
 )

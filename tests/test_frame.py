@@ -183,6 +183,10 @@ def test_decompose_dimension_error():
             "frame map needs a 2-d layout, got shape (0,)",
         ),
         (
+            lambda: frame_matrix(FrameField(n=1, k=1, rho=lambda q: [1.0]), (0.0,)),
+            "frame map needs a 2-d layout, got a non-sequence row",
+        ),
+        (
             lambda: eval_matrix_with_partials(lambda q: [[1.0, 0.0]], [0.0], (2, 2)),
             "matrix map returned 1x2, expected (2, 2)",
         ),

@@ -305,3 +305,11 @@ def test_bench_reads_only_names_the_package_defines():
         if not hasattr(importlib.import_module(BENCH_ALIASES[alias]), name)
     )
     assert missing == []
+
+
+def test_the_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 1

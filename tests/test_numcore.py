@@ -565,14 +565,15 @@ def gave_up(program, *args):
     return bool(fallback_calls(program, lambda: program(*args)))
 
 
-def test_traced_newton_is_the_loop_unrolled_and_frozen():
+def test_traced_newton_is_the_loop_recorded_once():
     program = tracing.compile_traced(square_root, 2)
-    source, _ = tracing._source(square_root, 2)
+    source, consts = tracing._source(square_root, 2)
     assert program.__code__.co_filename == "<traced>"
     tests = [line.strip() for line in source.splitlines() if "fabs(" in line]
-    assert len(tests) == numcore.NEWTON_UNROLLED + 1  # one per sweep, each written once
-    assert all(t.startswith("if fabs(") and t.endswith("; break") for t in tests[:-1])
-    assert tests[-1].startswith("if not (fabs(") and tests[-1].endswith("): raise give_up")
+    assert len(tests) == 1 and tests[0].startswith("if fabs(") and tests[0].endswith(": break")
+    passes = re.findall(r"^ +for _ in (c\d+):$", source, re.M)
+    assert len(passes) == 1 and consts[passes[0]] == (None,) * (numcore.NEWTON_UNROLLED + 1)
+    assert "range(" not in source and source.count("else: raise give_up") == 1
     rng = np.random.default_rng(3)
     for _ in range(200):
         a, x0 = rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0)
@@ -628,6 +629,23 @@ def test_traced_newton_solves_a_constant_jacobian_while_tracing():
         args = rng.uniform(-2.0, 2.0, 4).tolist()
         assert hexes(program(*args)) == hexes(affine(*args))
         assert not gave_up(program, *args)
+
+
+def test_traced_newton_leaves_every_jacobian_its_map_returned_as_it_was():
+    rows = [[1.0, 1.0], [1.0, 2.0]]  # eliminated in place, this would read singular
+    returned = []
+
+    def affine(b0, b1, x0, x1):
+        def residual(x):
+            returned.append([list(row) for row in rows])
+            return dot_rows(rows, x, (b0, b1)), returned[-1]
+
+        return newton_iterate(residual, [x0, x1])
+
+    program = tracing.compile_traced(affine, 4)
+    assert program.__code__.co_filename == "<traced>"
+    assert returned and all(jac == rows for jac in returned)
+    assert hexes(program(1.0, 2.0, 0.5, 0.5)) == hexes(affine(1.0, 2.0, 0.5, 0.5))
 
 
 def dot_rows(rows, x, b):
@@ -731,8 +749,8 @@ def test_a_constant_jacobian_leaves_at_the_start_or_after_one_step():
         assert sweeps(program, 4, args) == len(calls) == (1 if args[0] == 5.0 else 2)
 
 
-def test_a_tail_reading_a_skipped_copy_fails_loudly():
-    def leaky(a, x0):  # reads the last sweep's residual, which an early exit skips
+def test_a_tail_reading_the_last_residual_reads_the_exit_pass():
+    def leaky(a, x0):  # reads the last sweep's residual: in the program, the exit pass's
         seen = []
 
         def residual(x):
@@ -741,29 +759,30 @@ def test_a_tail_reading_a_skipped_copy_fails_loudly():
 
         return newton_iterate(residual, [x0])[0] + seen[-1]
 
-    k = numcore.NEWTON_UNROLLED
     program = tracing.compile_traced(leaky, 2)
-    starts = starts_by_steps(2.0)
-    assert hexes([program(2.0, starts[k])]) == hexes([leaky(2.0, starts[k])])
-    with pytest.raises(UnboundLocalError) as info:
-        program(2.0, starts[k - 1])
-    assert not isinstance(info.value, program.__globals__["float_errors"])
+    assert program.__code__.co_filename == "<traced>"
+    for steps, x0 in sorted(starts_by_steps(2.0).items()):
+        assert hexes([program(2.0, x0)]) == hexes([leaky(2.0, x0)])
+        assert gave_up(program, 2.0, x0) == (steps > numcore.NEWTON_UNROLLED)
 
 
 def test_no_line_or_guard_of_the_exit_block_is_shared_after_it():
-    def solve(a, b, x0):  # the tail divides as the step inside the block does
-        root = newton_iterate(lambda x: ([b * x[0] - a], [[b]]), [x0])[0]
-        return root, numcore.divide(b * x0 - a, b)
+    def solve(a, x0):  # the tail steps again from the exit iterate, as the loop does after its test
+        root = square_root(a, x0)[0]
+        return root, numcore.divide(root * root - a, 2.0 * root)
 
-    source, _ = tracing._source(solve, 3)
-    assert source.count("if x1 == 0.0: raise give_up") == 2
-    first_step = re.search(r"= (v\d+ / x1)$", source, re.M).group(1)  # copy 0's, in the block
-    assert len(re.findall(rf"= {first_step}$", source, re.M)) == 2
-    program = tracing.compile_traced(solve, 3)
-    assert hexes(program(6.0, 3.0, 2.0)) == hexes(solve(6.0, 3.0, 2.0))  # leaves at the start
-    assert sweeps(program, 3, (6.0, 3.0, 2.0)) == 1
+    source, _ = tracing._source(solve, 2)
+    pivot = re.search(r"if v\d+ == 0\.0: raise give_up", source).group(0)  # the step's, in the loop
+    step = re.search(r"= (v\d+ / v\d+)$", source, re.M).group(1)
+    assert source.count(pivot) == 2
+    assert len(re.findall(rf"= {step}$", source, re.M)) == 2
+    program = tracing.compile_traced(solve, 2)
+    for a, x0 in [(4.0, 2.0), (2.0, 1.5), (2.0, 3.0)]:  # leaves at the start, then after steps
+        assert hexes(program(a, x0)) == hexes(solve(a, x0))
+        assert not gave_up(program, a, x0)
+    assert sweeps(program, 2, (4.0, 2.0)) == 1
     with pytest.raises(NumericDomainError, match="^division by zero$"):
-        program(0.0, 0.0, 5.0)
+        program(0.0, 0.0)
 
 
 def test_exits_with_different_plain_numbers_cannot_be_traced():
@@ -790,17 +809,21 @@ def test_a_finiteness_guard_adds_no_plain_finite_number():
 
 
 def test_the_liveness_pass_keeps_every_exit():
+    line = tracing._Line
     lines = [
-        "v0 = x0 * x1",
-        "for _ in ONCE:",
-        "    if fabs(v0) <= c0: v2_0 = x0; break",
-        "    v3 = x0 - v0",  # dead on every path: dropped
-        "    v4 = x0 + v0",
-        "    if not (fabs(v4) <= c0): raise give_up",
-        "    v2_0 = v4",
-        "v8 = v2_0 * c1",
+        line("v0 = x0 * x1", "v0", ("x0", "x1"), False, 0),
+        line("v1_0 = x0", None, ("x0",), True, 0),  # the carried iterate, set before the loop
+        line("for _ in c2:", None, (), True, 0),
+        line("v2 = v1_0 * v0", "v2", ("v1_0", "v0"), False, 1),
+        line("v3 = x0 - v2", "v3", ("x0", "v2"), False, 1),  # dead on every path: dropped
+        line("if fabs(v2) <= c0: break", None, ("v2",), True, 1),
+        line("v5 = v1_0 - v2", "v5", ("v1_0", "v2"), False, 1),  # read across the back edge
+        line("v1_0 = v5", None, ("v5",), True, 1),
+        line("else: raise give_up", None, (), True, 0),
+        line("v8 = v1_0 * c1", "v8", ("v1_0", "c1"), False, 0),
     ]
-    assert tracing._live_lines(lines, "(v8, )") == lines[:3] + lines[4:]
+    kept = ["    " * ln.depth + ln.text for ln in lines[:4] + lines[5:]]
+    assert tracing._live_lines(lines, ["v8"]) == kept
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,9 @@ reference it replaces (``dirac.evaluate_reduced``): equal numbers where
 it runs, the reference's results and errors where it falls back, and the
 element contraction it is generated from."""
 
+import hashlib
 import math
+import operator
 import re
 from dataclasses import replace
 
@@ -437,15 +439,15 @@ def test_no_zero_rate_is_negative():
 
 
 def test_liveness_pass_keeps_guards_and_lines_that_may_raise():
-    lines = [
-        "v0 = x0 * x1",  # dead, pure: dropped
-        "v1 = x0 ** c0",  # dead, may overflow: kept
-        "if x1 == 0.0: return None",
-        "v3 = sin(x0)",  # dead, may raise: kept
-        "v4 = x0 + x1",
-        "v5 = v4 * v4",
-    ]
-    assert tracing._live_lines(lines, "(v5, )") == lines[1:]
+    tape = tracing._Tape()
+    x0, x1 = tracing.Tracer(tape, "x0"), tracing.Tracer(tape, "x1")
+    x0 * x1  # dead, pure: dropped
+    x0.raw_pow(3.5)  # dead, may overflow: kept
+    x1.guard(operator.eq)
+    x0.call(math.sin)  # dead, may raise: kept
+    out = (x0 + x1) * (x0 + x1)
+    assert tracing._live_lines(tape.lines, [out.name]) == [line.text for line in tape.lines[1:]]
+    assert [line.may_raise for line in tape.lines] == [False, True, True, True, False, False]
 
 
 def test_transverse_hessian_code_is_only_the_live_lines():
@@ -549,6 +551,63 @@ def test_a_warm_newton_field_runs_one_sweep_more_than_the_loop_steps():
         assert executed(field, 6, (*y, *guess), "if not isfinite(") == len(calls)
         counts.append(len(calls))
     assert max(counts) < numcore.NEWTON_UNROLLED + 1
+
+
+def field_source(spec):
+    """The source and constants of a system's field program."""
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    return tracing._source(field.__globals__["reference"], field.__code__.co_argcount)
+
+
+def program_digest(spec):
+    source, consts = field_source(spec)
+    return hashlib.sha256((source + repr(sorted(consts.items()))).encode()).hexdigest()
+
+
+# sha256(source + sorted constants) of each field program.  The six catalog
+# systems with their declared consistency are as they were before Newton
+# was recorded as a loop; the forced-Newton programs are as the loop writes them.
+PROGRAM_DIGESTS = {
+    "ball_free": "135b95b6b20514f5a900c5d51b33af2ad16bc14a5d95ae71ca6d5b67aeaa1f30",
+    "ball_harmonic": "bc6fd9d32ddce48b3ca161d9150b699995352ac2d6652ecfcb901b013b43f05d",
+    "ball_magnetic": "bf77d57a5422b6a1dad14c78f888b5f3990a0c6e06c8803f8deb81bcd0189e99",
+    "skater_charged": "d0ee4d224791e16bed7023e81c937979fbdf194e7a385f18230d5d746355e0a2",
+    "skater_free": "81f847bd1d6150d423ffba5a427c5c339842bfeaf031400c6d4302a0d11ad92c",
+    "skater_slope": "e44b7123e0427f5a26376296fb925d25ec52d49eccb5498024ad7fc6491391cb",
+    "newton_ball_free": "b96b6ae0e6e08a6dd7738a47c229d60e15651c62503374ae1ea8eb2dddf4b127",
+    "newton_ball_harmonic": "6faf250902b569b3ac837e264785e58eabe474d7581e89f8fb95d305231debc7",
+    "newton_ball_magnetic": "122539816d380b2055711c128a4b459dca97c408a7926e05bcefde6cf19f7a04",
+    "newton_skater_charged": "602404c29fa78984a56cd04ece90354a994126e7cd57a2412ec7de640bb7c4c8",
+    "newton_skater_free": "22ea98603a80d77e8a8fadbd9b8b200eca5f8f6a8adc09d578e533daabd62963",
+    "newton_skater_slope": "2339f47f8406821bff79b0ebdc896fb511aaeb6fa8352a7c0e2e9ce91ceda67f",
+    "skater_quartic": "31d699c5ff200839f1df53ca073d7b7c76961e810b3e64188d4810595a9c7eea",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAM_DIGESTS))
+def test_field_programs_are_pinned(name):
+    assert program_digest(spec_named(name)) == PROGRAM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", [f"newton_{name}" for name in catalog_names()] + ["skater_quartic"])
+def test_a_newton_program_returns_the_residuals_its_loop_tests(name):
+    # one loop, and the transverse partials it returns are the names its test reads,
+    # so the tail reads the exit pass's sweep of H instead of sweeping again
+    source, _ = field_source(spec_named(name))
+    assert source.count("for _ in ") == 1 and source.count("else: raise give_up") == 1
+    tested = re.findall(r"fabs\((v\d+)\)", re.search(r"if (fabs.*): break", source).group(1))
+    returned = re.search(r"return \((.*), \)", source).group(1).split(", ")
+    assert returned[-len(tested) :] == tested
+
+
+def test_the_newton_loop_does_not_grow_with_its_steps(monkeypatch):
+    source, consts = field_source(quartic_skater())
+    loop = re.search(r"for _ in (c\d+):", source).group(1)
+    assert consts[loop] == (None,) * (numcore.NEWTON_UNROLLED + 1)
+    monkeypatch.setattr(numcore, "NEWTON_UNROLLED", 20)
+    longer, longer_consts = field_source(quartic_skater())
+    assert longer == source
+    assert longer_consts == {**consts, loop: (None,) * 21}
 
 
 def newton_workload():
