@@ -28,7 +28,7 @@ from .dirac import make_element, pairing, pairing_scale, reduced_vector_field
 from .errors import CatalogError
 from .frame import identity_frame, structure_functions_tangent
 from .integrate import simulate
-from .numcore import grad
+from .numcore import grad, max_abs
 from .systems import (
     ball_structure_constants,
     ball_transition_matrix,
@@ -94,9 +94,20 @@ def _random_reduced(spec, rng, eta_bound=2.0) -> PhaseState:
     return PhaseState(q=q, eta=eta, full=False)
 
 
-def _relative_error(pairs) -> float:
-    """The largest |got - want| / (1 + |want|) over (got, want) array pairs."""
-    return max(float(np.max(np.abs(got - want) / (1.0 + np.abs(want)))) for got, want in pairs)
+def _relative_error(got, want) -> float:
+    """The largest |got - want| / (1 + |want|) entry of two arrays; nan if any is nan."""
+    return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
+
+
+def _max_dev(got, want) -> float:
+    """The largest |got - want| entry of two arrays; nan if any is nan."""
+    return float(np.max(np.abs(got - want)))
+
+
+def _bounded(name: str, label: str, errors, tol: float) -> CheckResult:
+    """Pass when the largest of ``errors`` is at most ``tol``; by ``max_abs``, a nan fails."""
+    worst = max_abs(errors)
+    return CheckResult(name, worst <= tol, f"{label}={worst:.3e} tol={tol:g}")
 
 
 # -- per-system checks ------------------------------------------------------
@@ -107,37 +118,42 @@ def check_ad_gradient(spec, seed: int) -> CheckResult:
     name = f"ad_gradient_{spec.name}"
     rng = _rng(seed, name)
     h = 1e-6
-    worst = 0.0
     field = spec.hamiltonian
-    for _ in range(100):
-        p = np.concatenate(
-            [rng.uniform(-1.5, 1.5, spec.m), rng.uniform(-2.0, 2.0, spec.n_fiber)]
-        )
-        g = grad(field, p)
-        for j in range(spec.m + spec.n_fiber):
-            shifted = p.copy()
-            shifted[j] += h
-            up = field.value(shifted)
-            shifted[j] -= 2 * h
-            down = field.value(shifted)
-            fd = (up - down) / (2 * h)
-            worst = max(worst, abs(g[j] - fd) / (1.0 + abs(fd)))
-    return CheckResult(name, worst <= GRADIENT_TOL, f"max_rel_err={worst:.3e} tol={GRADIENT_TOL:g}")
+
+    def errors():
+        for _ in range(100):
+            p = np.concatenate(
+                [rng.uniform(-1.5, 1.5, spec.m), rng.uniform(-2.0, 2.0, spec.n_fiber)]
+            )
+            g = grad(field, p).tolist()  # floats, which max_abs compares fastest
+            for j in range(spec.m + spec.n_fiber):
+                shifted = p.copy()
+                shifted[j] += h
+                up = field.value(shifted)
+                shifted[j] -= 2 * h
+                down = field.value(shifted)
+                fd = (up - down) / (2 * h)
+                yield abs(g[j] - fd) / (1.0 + abs(fd))
+
+    return _bounded(name, "max_rel_err", errors(), GRADIENT_TOL)
 
 
 def check_oracle(spec, seed: int) -> CheckResult:
     """Reduced Dirac field against the classical transcription."""
     name = _ORACLE_CHECK_NAMES[spec.name]
     rng = _rng(seed, name)
-    worst = 0.0
-    for _ in range(100):
-        rs = _random_reduced(spec, rng)
-        qdot, etadot = reduced_vector_field(
-            spec.dirac, spec.hamiltonian, rs, solution=spec.consistency
-        )
-        qdot_o, etadot_o = oracle_reduced_field(spec, rs)
-        worst = max(worst, _relative_error(((qdot, qdot_o), (etadot, etadot_o))))
-    return CheckResult(name, worst <= ORACLE_TOL, f"max_err={worst:.3e} tol={ORACLE_TOL:g}")
+
+    def errors():
+        for _ in range(100):
+            rs = _random_reduced(spec, rng)
+            qdot, etadot = reduced_vector_field(
+                spec.dirac, spec.hamiltonian, rs, solution=spec.consistency
+            )
+            qdot_o, etadot_o = oracle_reduced_field(spec, rs)
+            yield _relative_error(qdot, qdot_o)
+            yield _relative_error(etadot, etadot_o)
+
+    return _bounded(name, "max_err", errors(), ORACLE_TOL)
 
 
 def check_isotropy(spec, seed: int) -> CheckResult:
@@ -146,13 +162,16 @@ def check_isotropy(spec, seed: int) -> CheckResult:
     name = f"isotropy_{spec.name}"
     widths = (spec.m, spec.n_fiber) + (spec.m, spec.k, spec.dirac.transverse) * 2
     cuts = list(accumulate(widths, initial=0))  # q, eta, then (a, xb, etadot_alpha) twice
-    worst = 0.0
-    for row in _isotropy_rows(spec.m, cuts[-1], _rng(seed, name)):
-        q, eta, *params = [row[i:j] for i, j in zip(cuts, cuts[1:])]
-        s = PhaseState(q=q, eta=eta, full=True)
-        e1, e2 = make_element(spec.dirac, s, *params[:3]), make_element(spec.dirac, s, *params[3:])
-        worst = max(worst, abs(pairing(e1, e2)) / max(pairing_scale(e1, e2), 1e-30))
-    return CheckResult(name, worst <= ISOTROPY_TOL, f"max_ratio={worst:.3e} tol={ISOTROPY_TOL:g}")
+
+    def ratios():
+        for row in _isotropy_rows(spec.m, cuts[-1], _rng(seed, name)):
+            q, eta, *params = [row[i:j] for i, j in zip(cuts, cuts[1:])]
+            s = PhaseState(q=q, eta=eta, full=True)
+            e1 = make_element(spec.dirac, s, *params[:3])
+            e2 = make_element(spec.dirac, s, *params[3:])
+            yield abs(pairing(e1, e2)) / max(pairing_scale(e1, e2), 1e-30)
+
+    return _bounded(name, "max_ratio", ratios(), ISOTROPY_TOL)
 
 
 def _isotropy_rows(m: int, width: int, rng):
@@ -175,15 +194,11 @@ def check_energy_and_consistency(spec, seed: int):
         eta *= 2.0 / nrm
     traj = simulate(spec, PhaseState(q=q, eta=eta, full=False), t_end=10.0, dt=1e-3, stride=10)
     h = traj.observables["H"]
-    drift = float(np.max(np.abs(h - h[0])) / max(1.0, abs(h[0])))
+    drift = np.abs(h - h[0]) / max(1.0, abs(h[0]))
     res_c = float(np.max(traj.observables["consistency_residual_inf"]))
     res_a = float(np.max(traj.observables["admissibility_residual_inf"]))
     return [
-        CheckResult(
-            f"energy_{spec.name}",
-            drift <= ENERGY_DRIFT_TOL,
-            f"rel_drift={drift:.3e} tol={ENERGY_DRIFT_TOL:g}",
-        ),
+        _bounded(f"energy_{spec.name}", "rel_drift", drift, ENERGY_DRIFT_TOL),
         CheckResult(
             f"consistency_{spec.name}",
             res_c <= CONSISTENCY_TOL and res_a <= ADMISSIBILITY_TOL,
@@ -196,29 +211,23 @@ def check_energy_and_consistency(spec, seed: int):
 # -- closed-form regressions -------------------------------------------------
 
 
-def _max_error_vs_analytic(spec, ic: PhaseState, t_end: float, dt: float, stride: int) -> float:
+def _analytic_errors(spec, ic: PhaseState, t_end: float, dt: float, stride: int):
+    """Per sample, the largest |state - closed form| entry of the trajectory from ``ic``."""
     traj = simulate(spec, ic, t_end=t_end, dt=dt, stride=stride)
-    data = traj.reduced_array()
-    worst = 0.0
-    for t, row in zip(traj.times, data):
-        ref = spec.analytic(np.array(ic.q + ic.eta), float(t))
-        worst = max(worst, float(np.max(np.abs(row - ref))))
-    return worst
+    y0 = np.array(ic.q + ic.eta)
+    samples = zip(traj.times, traj.reduced_array())
+    return (_max_dev(row, spec.analytic(y0, float(t))) for t, row in samples)
 
 
 def check_skater_free_regression(seed: int) -> CheckResult:
     spec = build("skater_free")
     ic = PhaseState(q=(0.0, 0.0, 0.0), eta=(1.0, 1.0), full=False)
     start = time.perf_counter()
-    worst = _max_error_vs_analytic(spec, ic, t_end=2 * math.pi, dt=1e-3, stride=10)
+    errors = _analytic_errors(spec, ic, t_end=2 * math.pi, dt=1e-3, stride=10)
+    result = _bounded("analytic_skater_free", "max_err", errors, SKATER_FREE_TOL)
     elapsed = time.perf_counter() - start
-    ok = worst <= SKATER_FREE_TOL and elapsed <= 2.0
-    return CheckResult(
-        "analytic_skater_free",
-        ok,
-        f"max_err={worst:.3e} tol={SKATER_FREE_TOL:g} limit=2s",
-        runtime=elapsed,
-    )
+    ok = result.passed and elapsed <= 2.0
+    return replace(result, passed=ok, metric=f"{result.metric} limit=2s", runtime=elapsed)
 
 
 def slope_reference_ic() -> PhaseState:
@@ -237,22 +246,18 @@ def slope_reference_ic() -> PhaseState:
 def slope_regression_error(dt: float) -> float:
     spec = build("skater_slope")
     stride = max(1, round(0.01 / dt))
-    return _max_error_vs_analytic(spec, slope_reference_ic(), t_end=10.0, dt=dt, stride=stride)
+    return max_abs(_analytic_errors(spec, slope_reference_ic(), t_end=10.0, dt=dt, stride=stride))
 
 
 def check_skater_slope_regression(seed: int) -> CheckResult:
     worst = slope_regression_error(1e-3)
-    return CheckResult(
-        "analytic_skater_slope",
-        worst <= SKATER_SLOPE_TOL,
-        f"max_err={worst:.3e} tol={SKATER_SLOPE_TOL:g}",
-    )
+    return _bounded("analytic_skater_slope", "max_err", [worst], SKATER_SLOPE_TOL)
 
 
 def check_convergence_order(seed: int) -> CheckResult:
     coarse = slope_regression_error(2e-3)
     fine = slope_regression_error(1e-3)
-    ratio = coarse / fine
+    ratio = coarse / fine if fine else math.inf  # no error to shrink: no fourth order either
     lo, hi = ORDER_RATIO_RANGE
     return CheckResult(
         "convergence_order",
@@ -269,33 +274,22 @@ def check_structure_skater(seed: int) -> CheckResult:
     rng = _rng(seed, "structure_skater")
     fr = skater_frame()
     expected = skater_structure_constants()
-    worst = 0.0
-    for _ in range(20):
-        phi = rng.uniform(-math.pi, math.pi)
-        c = structure_functions_tangent(fr, [0.0, 0.0, phi])
-        worst = max(worst, float(np.max(np.abs(c - expected))))
-    return CheckResult(
-        "structure_skater",
-        worst <= STRUCTURE_SKATER_TOL,
-        f"max_dev={worst:.3e} tol={STRUCTURE_SKATER_TOL:g}",
-    )
+    phis = (rng.uniform(-math.pi, math.pi) for _ in range(20))
+    devs = (_max_dev(structure_functions_tangent(fr, [0.0, 0.0, phi]), expected) for phi in phis)
+    return _bounded("structure_skater", "max_dev", devs, STRUCTURE_SKATER_TOL)
 
 
 def check_structure_ball(seed: int) -> CheckResult:
     """The frame-change rule against the constants the ball systems run on."""
-    worst = 0.0
-    for k2, radius in ((1.0, 1.0), (0.4, 2.0)):
-        base = product_with_lie_algebra(identity_frame(2), 3, so3_constants())
+    base = product_with_lie_algebra(identity_frame(2), 3, so3_constants())
+
+    def deviation(k2, radius):
         rows = ball_transition_matrix(k2, radius).tolist()
-        rotated = change_frame(base, lambda q, rows=rows: rows)
-        got = rotated.structure([0.3, -0.7])
-        want = ball_structure_constants(k2, radius)
-        worst = max(worst, float(np.max(np.abs(got - want))))
-    return CheckResult(
-        "structure_ball",
-        worst <= STRUCTURE_BALL_TOL,
-        f"max_dev={worst:.3e} tol={STRUCTURE_BALL_TOL:g}",
-    )
+        rotated = change_frame(base, lambda q: rows)
+        return _max_dev(rotated.structure([0.3, -0.7]), ball_structure_constants(k2, radius))
+
+    devs = (deviation(k2, radius) for k2, radius in ((1.0, 1.0), (0.4, 2.0)))
+    return _bounded("structure_ball", "max_dev", devs, STRUCTURE_BALL_TOL)
 
 
 # -- qualitative trajectory shapes -------------------------------------------
@@ -346,10 +340,7 @@ def check_ball_free_line(seed: int) -> CheckResult:
     steps = np.diff(xy, axis=0)
     cross = np.abs(steps[:-1, 0] * steps[1:, 1] - steps[:-1, 1] * steps[1:, 0])
     norms = np.linalg.norm(steps[:-1], axis=1) * np.linalg.norm(steps[1:], axis=1)
-    worst = float(np.max(cross / norms))
-    return CheckResult(
-        "ball_free_line", worst <= LINE_TOL, f"max_curvature={worst:.3e} tol={LINE_TOL:g}"
-    )
+    return _bounded("ball_free_line", "max_curvature", cross / norms, LINE_TOL)
 
 
 def check_charged_skater_centered(seed: int) -> CheckResult:
@@ -357,14 +348,8 @@ def check_charged_skater_centered(seed: int) -> CheckResult:
     ic = PhaseState(q=(0.0, 0.0, 0.0), eta=(1.0, 1.0), full=False)
     free = simulate(build("skater_free"), ic, t_end=10.0, dt=1e-3, stride=10)
     charged = simulate(build("skater_charged", {"d": 0.0}), ic, t_end=10.0, dt=1e-3, stride=10)
-    base_free = free.reduced_array()[:, :3]
-    base_charged = charged.reduced_array()[:, :3]
-    worst = float(np.max(np.abs(base_free - base_charged)))
-    return CheckResult(
-        "charged_skater_centered",
-        worst <= CENTERED_CHARGE_TOL,
-        f"max_diff={worst:.3e} tol={CENTERED_CHARGE_TOL:g}",
-    )
+    diff = free.reduced_array()[:, :3] - charged.reduced_array()[:, :3]
+    return _bounded("charged_skater_centered", "max_diff", diff.flat, CENTERED_CHARGE_TOL)
 
 
 def check_legendre_hamilton(spec, seed: int) -> CheckResult:
@@ -374,16 +359,19 @@ def check_legendre_hamilton(spec, seed: int) -> CheckResult:
     rng = _rng(seed, name)
     alg = spec.dirac.alg
     lagr = mechanical_lagrangian(spec)
-    worst = 0.0
-    for _ in range(100):
-        vs = VelocityState(
-            q=rng.uniform(-1.5, 1.5, spec.m), x=rng.uniform(-2.0, 2.0, spec.n_fiber)
-        )
-        eta, qdot_l, etadot_l = lagrangian_dynamics(alg, lagr, vs)
-        ps = legendre_map(lagr, vs)
-        qdot_h, etadot_h = hamiltonian_vector_field(alg, spec.hamiltonian, ps)
-        worst = max(worst, _relative_error(((qdot_h, qdot_l), (etadot_h, etadot_l))))
-    return CheckResult(name, worst <= LEGENDRE_TOL, f"max_err={worst:.3e} tol={LEGENDRE_TOL:g}")
+
+    def errors():
+        for _ in range(100):
+            vs = VelocityState(
+                q=rng.uniform(-1.5, 1.5, spec.m), x=rng.uniform(-2.0, 2.0, spec.n_fiber)
+            )
+            _, qdot_l, etadot_l = lagrangian_dynamics(alg, lagr, vs)
+            ps = legendre_map(lagr, vs)
+            qdot_h, etadot_h = hamiltonian_vector_field(alg, spec.hamiltonian, ps)
+            yield _relative_error(qdot_h, qdot_l)
+            yield _relative_error(etadot_h, etadot_l)
+
+    return _bounded(name, "max_err", errors(), LEGENDRE_TOL)
 
 
 # -- registry ----------------------------------------------------------------

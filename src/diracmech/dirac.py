@@ -27,6 +27,7 @@ independent transcriptions of the classical constrained dynamics
 oracles for cross-validation.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,6 +80,8 @@ class DiracAlgebroid:
     k: int
 
     def __post_init__(self):
+        if type(self.k) is bool or not isinstance(self.k, numbers.Integral):
+            raise ValidationError(f"constraint rank must be an integer, got {self.k!r}")
         if not 1 <= self.k <= self.alg.rank:
             raise ValidationError(f"constraint rank {self.k} outside 1..{self.alg.rank}")
 
@@ -110,7 +113,7 @@ class ConsistencySolution:
     def __post_init__(self):
         if self.kind not in ("zero", "affine", "newton"):
             raise ValidationError(f"unknown consistency kind {self.kind!r}")
-        if self.kind == "affine" and self.affine_map is None:
+        if self.kind == "affine" and not callable(self.affine_map):
             raise ValidationError("affine consistency needs a map")
 
 
@@ -192,7 +195,7 @@ def solve_consistency(
     Declared closed forms are used directly; otherwise Newton runs from
     ``guess`` with the transverse Hessian block of H as Jacobian.
     """
-    _check_reduced(dirac, q, eta_a)
+    q, eta_a = _float_reduced(dirac, q, eta_a)
     return np.array(_transverse(dirac, h, q, eta_a, guess, solution), dtype=float)
 
 
@@ -221,7 +224,7 @@ def _newton_transverse(dirac, h, q, eta_a, guess) -> list:
     loop once; a block that is not constant cannot be traced there unless
     it is 1 x 1."""
     m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
-    head = [*q, *eta_a] if is_traced(eta_a) else [float(v) for v in (*q, *eta_a)]
+    head = [*q, *eta_a]
     alpha_idx = tuple(range(m + k, m + k + nt))
     jac = None
 
@@ -244,9 +247,16 @@ def _newton_transverse(dirac, h, q, eta_a, guess) -> list:
     return sol
 
 
-def _check_reduced(dirac: DiracAlgebroid, q, eta_a):
-    if len(q) != dirac.alg.m or len(eta_a) != dirac.k:
-        raise DimensionError(f"reduced state {len(q), len(eta_a)} on shape {dirac.alg.m, dirac.k}")
+def _float_reduced(dirac: DiracAlgebroid, q, eta_a) -> tuple:
+    """(q, eta_a) checked against the shape of ``dirac``, as two float lists."""
+    m, k = dirac.alg.m, dirac.k
+    try:
+        if len(q) != m or len(eta_a) != k:
+            raise DimensionError(f"reduced state {len(q), len(eta_a)} on shape {m, k}")
+        return [float(v) for v in q], [float(v) for v in eta_a]
+    except (TypeError, ValueError) as err:
+        message = f"reduced state must be sequences of numbers, not {q!r}, {eta_a!r}"
+        raise DimensionError(message) from err
 
 
 def complete_state(
@@ -289,10 +299,8 @@ def evaluate_reduced(
     ``guess`` unless a closed form is declared), and grad_H is taken at
     the completed state.  This is the field that ``reduced_field``
     compiles, run on floats."""
-    _check_reduced(dirac, q, eta_a)
+    q, eta_a = _float_reduced(dirac, q, eta_a)
     m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
-    q = [float(v) for v in q]
-    eta_a = [float(v) for v in eta_a]
     eta_alpha = _transverse(dirac, h, q, eta_a, guess, solution)
     out = _field_outputs(dirac, h, q, eta_a, eta_alpha)
     n = m + k

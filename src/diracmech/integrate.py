@@ -56,6 +56,7 @@ def rk4_step(f: Callable, s: PhaseState, dt: float) -> PhaseState:
 
     ``f`` maps a reduced PhaseState to (qdot, etadot_a).
     """
+    _require_real("dt", dt)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     m, k = len(s.q), len(s.eta)
@@ -114,6 +115,12 @@ def _float_guess(guess, nt: int) -> tuple:
         raise DimensionError(f"{message}: {err}") from err
 
 
+def _require_real(name: str, value) -> None:
+    """ValueError unless ``value`` is a real number; a bool is not one."""
+    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _time_grid(t_end: float, dt: float, n_steps: int):
     """The number of steps from 0 to ``t_end`` and the length of the last
     one, from ``n_steps = ceil(t_end / dt)``: whole steps of ``dt``, then
@@ -147,9 +154,8 @@ def simulate(
     integral = type(stride) is int or isinstance(stride, numbers.Integral)
     if not integral or type(stride) is bool:
         raise ValueError(f"stride must be an integer, got {stride!r}")
-    for name, value in (("t_end", t_end), ("dt", dt)):
-        if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+    _require_real("t_end", t_end)
+    _require_real("dt", dt)
     if t_end <= 0.0 or dt <= 0.0 or stride < 1:
         raise ValueError("t_end and dt must be positive, stride at least 1")
     if not all(math.isfinite(v) for v in (t_end, dt, t_end / dt)):

@@ -425,6 +425,21 @@ def _dual_sweep(f: ScalarField, p):
     return value, partials
 
 
+def _float_point(f: ScalarField, p) -> tuple:
+    """``p`` checked against the arity of ``f``, as (args, traced): a list
+    of floats, or with its tracing scalars kept when it holds any (a
+    tracing scalar has no float)."""
+    n = f.arity
+    try:
+        if len(p) != n:
+            raise DimensionError(f"point of length {len(p)} for field of arity {n}")
+        if is_traced(p):
+            return [v if isinstance(v, Tracer) else float(v) for v in p], True
+        return [float(v) for v in p], False
+    except (TypeError, ValueError) as err:
+        raise DimensionError(f"point {p!r} is not a sequence of numbers: {err}") from err
+
+
 def value_and_grad(f: ScalarField, p):
     """Value and gradient (a tuple) of ``f`` at ``p``.
 
@@ -432,16 +447,13 @@ def value_and_grad(f: ScalarField, p):
     that program.  Inside ``compile_traced`` a point holding tracing
     scalars records the sweep instead, so the caller's program contains it.
     """
-    n = f.arity
-    if len(p) != n:
-        raise DimensionError(f"point of length {len(p)} for field of arity {n}")
-    if is_traced(p):  # a tracing scalar has no float
-        value, partials = _dual_sweep(f, [v if isinstance(v, Tracer) else float(v) for v in p])
+    args, traced = _float_point(f, p)
+    if traced:
+        value, partials = _dual_sweep(f, args)
         return value, tuple(0.0 if v is ZERO else v for v in partials)
-    args = [float(v) for v in p]
     compiled = f._compiled
     if compiled is None:
-        compiled = f._compiled = compile_traced(lambda *xs: _dual_sweep(f, xs), n)
+        compiled = f._compiled = compile_traced(lambda *xs: _dual_sweep(f, xs), f.arity)
     return compiled(*args)
 
 
@@ -475,11 +487,9 @@ def _hessian_sweep(f: ScalarField, p, idx) -> tuple:
     return tuple(float(v) for v in first), tuple(float(h) for h in block)
 
 
-def _hessian_indices(f: ScalarField, p, idx) -> tuple:
-    """``idx`` as a tuple, checked against ``f`` and the point ``p``."""
+def _hessian_indices(f: ScalarField, idx) -> tuple:
+    """``idx`` as a tuple, checked against ``f``."""
     n = f.arity
-    if len(p) != n:
-        raise DimensionError(f"point of length {len(p)} for field of arity {n}")
     idx = tuple(idx)
     if idx not in f._hessians:  # only index sets that passed the check
         if len(set(idx)) < len(idx) or not all(isinstance(j, numbers.Integral) for j in idx):
@@ -489,16 +499,15 @@ def _hessian_indices(f: ScalarField, p, idx) -> tuple:
     return idx
 
 
-def _hessian_outputs(f: ScalarField, p, idx) -> tuple:
-    """The float point, and the first partials and block of ``f`` over
-    ``idx`` there, unchecked.  The first call for an index set compiles
-    ``_hessian_sweep``, and every call with that set runs that program."""
-    idx = _hessian_indices(f, p, idx)
+def _hessian_outputs(f: ScalarField, args: list, idx: tuple) -> tuple:
+    """The first partials and block of ``f`` over the index set ``idx`` at
+    the float point ``args``, both checked; the outputs are not.  The first
+    call for an index set compiles ``_hessian_sweep``, and every call with
+    that set runs that program."""
     compiled = f._hessians.get(idx)
     if compiled is None:
         compiled = f._hessians[idx] = compile_traced(lambda *xs: _hessian_sweep(f, xs, idx), f.arity)
-    args = [float(v) for v in p]
-    return (args, *compiled(*args))
+    return compiled(*args)
 
 
 def _require_finite(values, what: str, args) -> None:
@@ -515,14 +524,14 @@ def grad_and_hessian_rows(f: ScalarField, p, idx) -> tuple:
     block's check.  At tracing scalars the sweep is recorded, and the
     program gives up where that program's outputs are not finite; an
     entry the sweep leaves constant is a float."""
-    if is_traced(p):
-        first, block = _hessian_sweep(
-            f, [v if isinstance(v, Tracer) else float(v) for v in p], _hessian_indices(f, p, idx)
-        )
+    args, traced = _float_point(f, p)
+    idx = _hessian_indices(f, idx)
+    if traced:
+        first, block = _hessian_sweep(f, args, idx)
         first, block = (tuple(0.0 if v is ZERO else v for v in out) for out in (first, block))
         require_finite([*first, *block])
     else:
-        args, first, block = _hessian_outputs(f, p, idx)
+        first, block = _hessian_outputs(f, args, idx)
         if not math.isfinite(sum(first, sum(block))):  # a non-finite entry makes it so
             _require_finite(first, "derivative", args)
             _require_finite(block, "second derivative", args)
@@ -537,7 +546,8 @@ def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
     The first call for an index set compiles the nested-dual sweep of
     ``f``, and every call with that set runs that program.
     """
-    args, first, block = _hessian_outputs(f, p, idx)
+    args, _ = _float_point(f, p)
+    first, block = _hessian_outputs(f, args, _hessian_indices(f, idx))
     _require_finite(block, "second derivative", args)
     s = len(first)
     out = np.array(block, dtype=float).reshape(s, s)
@@ -575,6 +585,8 @@ def _float_square_rows(a) -> list:
             rows = [[float(v) for v in row] for row in a]
         except TypeError:  # not rows of numbers: numpy finds the shape
             a = np.array(a, dtype=float)
+        except ValueError as err:  # an entry that is not a number
+            raise DimensionError(f"matrix {a!r} is not rows of numbers: {err}") from err
         else:
             if any(len(row) != len(rows) for row in rows):
                 raise DimensionError(
@@ -613,8 +625,10 @@ def _float_system(a, b) -> tuple:
     rows = _float_square_rows(a)
     try:
         x = [float(v) for v in b]
-    except TypeError:  # not a sequence of numbers
+    except TypeError:  # not a sequence
         x = None
+    except ValueError as err:  # an entry that is not a number
+        raise DimensionError(f"right-hand side {b!r} is not a sequence of numbers: {err}") from err
     if x is None or len(x) != len(rows):
         raise DimensionError(f"right-hand side of length {shape_of(b)} for {len(rows)} equations")
     return rows, x

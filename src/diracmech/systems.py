@@ -32,6 +32,7 @@ from .dirac import (
 from .errors import (
     CatalogError,
     DegenerateParameterError,
+    DimensionError,
     UnsupportedError,
     ValidationError,
 )
@@ -476,9 +477,9 @@ def _spot_check_consistency(spec: SystemSpec, samples: int = 10):
         raise ValidationError("catalog systems declare a closed-form consistency solution")
     h = spec.hamiltonian
     rng = np.random.default_rng(20240917)
-    for _ in range(samples):
-        q = rng.uniform(-1.5, 1.5, spec.m)
-        eta_a = rng.uniform(-2.0, 2.0, spec.k)
+    for _ in range(samples):  # drawn as floats, which solve_consistency converts fastest
+        q = rng.uniform(-1.5, 1.5, spec.m).tolist()
+        eta_a = rng.uniform(-2.0, 2.0, spec.k).tolist()
         eta_alpha = solve_consistency(spec.dirac, h, q, eta_a, solution=spec.consistency)
         full = PhaseState(q=q, eta=tuple(eta_a) + tuple(eta_alpha), full=True)
         g = grad(h, full.q + full.eta)
@@ -563,6 +564,9 @@ def oracle_reduced_field(spec: SystemSpec, rs: PhaseState):
     metric = spec.metric
     if metric is None:
         raise UnsupportedError(f"system {spec.name!r} carries no metric data")
+    # a full state is the oracles' to reject, with their own message
+    if not rs.full and (len(rs.q) != spec.m or len(rs.eta) != spec.k):
+        raise DimensionError(f"reduced state {len(rs.q), len(rs.eta)} on shape {spec.m, spec.k}")
     if metric.a_par is None:
         return oracle_mechanical(
             metric.mass, metric.g_inv_sub, metric.potential, restricted_algebroid(spec), rs

@@ -33,7 +33,16 @@ from diracmech.errors import (
 )
 from diracmech.frame import decompose
 from diracmech.integrate import simulate
-from diracmech.numcore import ScalarField, grad, hessian_block, seed_duals, partials_of
+from diracmech.numcore import (
+    ScalarField,
+    gauss_solve,
+    grad,
+    hessian_block,
+    max_abs,
+    partials_of,
+    seed_duals,
+    solve_linear,
+)
 from diracmech.systems import build, catalog_names, oracle_reduced_field, skater_frame
 
 
@@ -635,7 +644,7 @@ def test_transverse_momentum_integrability_along_flow():
     def residual(dt):
         traj = simulate(spec, ic, t_end=1.0, dt=dt, stride=1)
         data = traj.reduced_array()
-        worst = 0.0
+        defects = []
         for i in range(1, len(data) - 1):
             q = data[i, : spec.m]
             rs = PhaseState(q, data[i, spec.m :], full=False)
@@ -647,8 +656,8 @@ def test_transverse_momentum_integrability_along_flow():
             d_eta = (traj.eta_alpha[i + 1] - traj.eta_alpha[i - 1]) / (2 * dt)
             for beta in range(spec.n_fiber - spec.k):
                 gradient = np.array(partials_of(a_vals[beta], spec.m))
-                worst = max(worst, abs(d_eta[beta] - gradient @ qdot))
-        return worst
+                defects.append(d_eta[beta] - gradient @ qdot)
+        return max_abs(defects)
 
     coarse, fine = residual(2e-3), residual(1e-3)
     assert 3.5 <= coarse / fine <= 4.5
@@ -721,6 +730,72 @@ REDUCED = PhaseState(q=(0.1, 0.2, 0.3), eta=(1.0, 0.5), full=False)
             lambda s: oracle_magnetic(1.0, s.metric.g_inv_sub, None, None, s.metric.potential, None, None, FULL),
             DimensionError,
             "reduced phase state required",
+        ),
+        (
+            lambda s: ConsistencySolution(kind="affine", affine_map=5),
+            ValidationError,
+            "affine consistency needs a map",
+        ),
+        (
+            lambda s: DiracAlgebroid(s.dirac.alg, k="2"),
+            ValidationError,
+            "constraint rank must be an integer, got '2'",
+        ),
+        (
+            lambda s: DiracAlgebroid(s.dirac.alg, k=2.0),
+            ValidationError,
+            "constraint rank must be an integer, got 2.0",
+        ),
+        # inputs that are not numbers, where a float conversion raised
+        (
+            lambda s: grad(s.hamiltonian, ["a"] * 6),
+            DimensionError,
+            f"point {['a'] * 6} is not a sequence of numbers: could not convert string to float: 'a'",
+        ),
+        (
+            lambda s: grad(s.hamiltonian, 5),
+            DimensionError,
+            "point 5 is not a sequence of numbers: object of type 'int' has no len()",
+        ),
+        (
+            lambda s: hessian_block(s.hamiltonian, ["a"] * 6, [5]),
+            DimensionError,
+            f"point {['a'] * 6} is not a sequence of numbers: could not convert string to float: 'a'",
+        ),
+        (
+            lambda s: hessian_block(s.hamiltonian, 5, [5]),
+            DimensionError,
+            "point 5 is not a sequence of numbers: object of type 'int' has no len()",
+        ),
+        (
+            lambda s: gauss_solve([[1.0, 0.0], [0.0, 1.0]], ["a", 1.0]),
+            DimensionError,
+            "right-hand side ['a', 1.0] is not a sequence of numbers: could not convert string to float: 'a'",
+        ),
+        (
+            lambda s: solve_linear([[1.0, 0.0], [0.0, 1.0]], ["a", 1.0]),
+            DimensionError,
+            "right-hand side ['a', 1.0] is not a sequence of numbers: could not convert string to float: 'a'",
+        ),
+        (
+            lambda s: gauss_solve([["a", 0.0], [0.0, 1.0]], [1.0, 1.0]),
+            DimensionError,
+            "matrix [['a', 0.0], [0.0, 1.0]] is not rows of numbers: could not convert string to float: 'a'",
+        ),
+        (
+            lambda s: evaluate_reduced(s.dirac, s.hamiltonian, ["a", 0, 0], [1.0, 1.0], solution=s.consistency),
+            DimensionError,
+            "reduced state must be sequences of numbers, not ['a', 0, 0], [1.0, 1.0]",
+        ),
+        (
+            lambda s: evaluate_reduced(s.dirac, s.hamiltonian, [0.0] * 3, ["a", 1.0]),  # by Newton
+            DimensionError,
+            "reduced state must be sequences of numbers, not [0.0, 0.0, 0.0], ['a', 1.0]",
+        ),
+        (
+            lambda s: solve_consistency(s.dirac, s.hamiltonian, ["a", "b", "c"], [1.0, 1.0], solution=s.consistency),
+            DimensionError,
+            "reduced state must be sequences of numbers, not ['a', 'b', 'c'], [1.0, 1.0]",
         ),
     ],
 )

@@ -103,6 +103,41 @@ def _caught_names(path: Path) -> set:
     return caught
 
 
+def _running_maxima(path: Path) -> list:
+    """The lines of ``path`` that write ``x = max(x, ...)``, with x in any
+    argument position."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id == "max"
+            and ast.unparse(node.targets[0]) in map(ast.unparse, node.value.args)
+        ):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_running_maximum_detector_sees_any_target(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "worst = max(worst, err)\n"
+        "self.top[0] = max(err, self.top[0])\n"
+        "scale = max(norm, 1e-30)\n"
+        "worst = max(errors)\n"
+    )
+    assert _running_maxima(path) == ["sample.py:1", "sample.py:2"]
+
+
+def test_no_file_keeps_a_running_maximum():
+    # max(x, nan) is x, so a running maximum drops a nan error unless it
+    # comes first; numcore.max_abs returns nan as soon as it meets one
+    files = sorted(PACKAGE_DIR.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert [line for path in files for line in _running_maxima(path)] == []
+
+
 def test_only_numcore_catches_float_errors():
     # generated code catches float errors by itself and then runs the
     # function it was traced from, so no other module needs to

@@ -10,6 +10,7 @@ from diracmech.dirac import ConsistencySolution, reduced_vector_field
 from diracmech.errors import (
     CatalogError,
     DegenerateParameterError,
+    DimensionError,
     UnsupportedError,
     ValidationError,
 )
@@ -349,6 +350,14 @@ def test_free_ball_matches_display():
             ),
             UnsupportedError,
             "system 'skater_free' carries no metric data",
+        ),
+        *(
+            (
+                lambda name=name: oracle_reduced_field(build(name), reduced((0.0, 0.0), (1.0, 1.0))),
+                DimensionError,
+                f"reduced state (2, 2) on shape {shape}",
+            )
+            for name, shape in (("skater_free", (3, 2)), ("skater_charged", (3, 2)), ("ball_magnetic", (2, 3)))
         ),
     ],
 )
