@@ -189,9 +189,6 @@ def check_energy_and_consistency(spec, seed: int):
     rng = _rng(seed, f"energy_{spec.name}")
     q = rng.uniform(-1.0, 1.0, spec.m)
     eta = rng.uniform(-1.0, 1.0, spec.k)
-    nrm = float(np.linalg.norm(eta))
-    if nrm > 2.0:
-        eta *= 2.0 / nrm
     traj = simulate(spec, PhaseState(q=q, eta=eta, full=False), t_end=10.0, dt=1e-3, stride=10)
     h = traj.observables["H"]
     drift = np.abs(h - h[0]) / max(1.0, abs(h[0]))

@@ -1,6 +1,6 @@
-"""Recursive-descent parser and evaluator for scalar expressions.
+"""Tokenizer, recursive-descent parser and evaluator for scalar expressions.
 
-Grammar:
+One compiled pattern reads the tokens, a named group per kind.  Grammar:
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := ('-' factor) | power
@@ -8,11 +8,13 @@ Grammar:
     atom   := number | identifier | identifier '(' expr (',' expr)* ')'
               | '(' expr ')'
 
+``expr`` and ``term`` are parsed by one left-associative loop.
 Evaluation runs over float, DualScalar or traced bindings, so parsed
 potentials are differentiated by the same machinery as builtin
 Hamiltonians: ``numcore.grad`` traces and compiles them once.
 """
 
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -53,8 +55,19 @@ FUNCTIONS = {
     "abs": abs,
 }
 
-_OPERATOR_CHARS = "+-*/^"
-_DIGITS = "0123456789"
+# One pattern reads every token, its group naming the kind: a number (ASCII
+# digits with an optional fraction and exponent), an identifier (a letter or
+# '_', then letters, digits and '_'), an operator, a parenthesis or a comma.
+# Whitespace, as ``str.isspace`` has it, separates tokens.
+_SPACE = re.compile(r"\s*")
+_TOKEN = re.compile(
+    r"(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<identifier>[^\W\d]\w*)"
+    r"|(?P<operator>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
+)
+_KINDS = dict(
+    number=NUMBER, identifier=IDENT, operator=OPERATOR, lparen=LPAREN, rparen=RPAREN, comma=COMMA
+)
 
 
 @dataclass(frozen=True)
@@ -99,67 +112,18 @@ class Call(ExprNode):
     args: tuple
 
 
-def _is_ident_start(ch):
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch):
-    return ch.isalnum() or ch == "_"
-
-
-def _scan_number(text, i):
-    n = len(text)
-    j = i
-    while j < n and text[j] in _DIGITS:
-        j += 1
-    if j < n and text[j] == ".":
-        j += 1
-        while j < n and text[j] in _DIGITS:
-            j += 1
-    if j < n and text[j] in "eE":
-        k = j + 1
-        if k < n and text[k] in "+-":
-            k += 1
-        if k < n and text[k] in _DIGITS:
-            j = k
-            while j < n and text[j] in _DIGITS:
-                j += 1
-    return j
-
-
 def tokenize(text: str) -> list:
-    """Longest-match tokenization; whitespace separates, anything else lexes."""
+    """Longest-match tokenization; whitespace separates, anything else lexes.
+    The identifier group also admits a first character that is a digit but
+    not a decimal one (``²``, ``½``): that one is illegal, tested apart."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = _scan_number(text, i)
-            tokens.append(Token(NUMBER, text[i:j], i))
-        elif _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            tokens.append(Token(IDENT, text[i:j], i))
-        elif ch in _OPERATOR_CHARS:
-            tokens.append(Token(OPERATOR, ch, i))
-            j = i + 1
-        elif ch == "(":
-            tokens.append(Token(LPAREN, ch, i))
-            j = i + 1
-        elif ch == ")":
-            tokens.append(Token(RPAREN, ch, i))
-            j = i + 1
-        elif ch == ",":
-            tokens.append(Token(COMMA, ch, i))
-            j = i + 1
-        else:
-            raise ExprError(f"illegal character {ch!r}", i)
-        i = tokens[-1].position + len(tokens[-1].text)
+    i = _SPACE.match(text).end()
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        if m is None or m.lastgroup == "identifier" and not (text[i].isalpha() or text[i] == "_"):
+            raise ExprError(f"illegal character {text[i]!r}", i)
+        tokens.append(Token(_KINDS[m.lastgroup], m.group(), i))
+        i = _SPACE.match(text, m.end()).end()
     return tokens
 
 
@@ -174,6 +138,9 @@ def _within(tok, depth):
     if depth > MAX_DEPTH:
         raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels", tok.position)
     return depth
+
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}  # of the binary operators but '^'
 
 
 class _Parser:
@@ -208,18 +175,14 @@ class _Parser:
     def binary(self, tok, left, right):
         return Binary(tok.text, left[0], right[0]), _within(tok, 1 + max(left[1], right[1]))
 
-    def expr(self):
-        parsed = self.term()
-        while self.at_operator("+", "-"):
-            tok = self.next()
-            parsed = self.binary(tok, parsed, self.term())
-        return parsed
-
-    def term(self):
+    def expr(self, floor=1):
+        """expr and term as one left-associative loop: it takes operators of
+        precedence ``floor`` or more, each with a right operand that takes
+        only the tighter ones."""
         parsed = self.factor()
-        while self.at_operator("*", "/"):
-            tok = self.next()
-            parsed = self.binary(tok, parsed, self.factor())
+        while (tok := self.peek()) is not None and _PRECEDENCE.get(tok.text, 0) >= floor:
+            self.next()
+            parsed = self.binary(tok, parsed, self.expr(_PRECEDENCE[tok.text] + 1))
         return parsed
 
     def factor(self):

@@ -385,10 +385,6 @@ class ScalarField:
         self._programs = {}  # key chosen by the compiling module -> its program
 
     @property
-    def names(self):
-        return self.base_names + self.fiber_names
-
-    @property
     def arity(self) -> int:
         return len(self.base_names) + len(self.fiber_names)
 
@@ -490,7 +486,10 @@ def _hessian_sweep(f: ScalarField, p, idx) -> tuple:
 def _hessian_indices(f: ScalarField, idx) -> tuple:
     """``idx`` as a tuple, checked against ``f``."""
     n = f.arity
-    idx = tuple(idx)
+    try:
+        idx = tuple(idx)
+    except TypeError as err:
+        raise DimensionError(f"index subset {idx!r} is not a sequence of integers: {err}") from err
     if idx not in f._hessians:  # only index sets that passed the check
         if len(set(idx)) < len(idx) or not all(isinstance(j, numbers.Integral) for j in idx):
             raise DimensionError(f"index subset {list(idx)} must hold distinct integers")
@@ -583,8 +582,11 @@ def _float_square_rows(a) -> list:
     if not isinstance(a, np.ndarray):
         try:
             rows = [[float(v) for v in row] for row in a]
-        except TypeError:  # not rows of numbers: numpy finds the shape
-            a = np.array(a, dtype=float)
+        except TypeError:  # not rows of numbers: numpy finds the shape, if there is one
+            try:
+                a = np.array(a, dtype=float)
+            except (TypeError, ValueError) as err:
+                raise DimensionError(f"matrix {a!r} is not rows of numbers") from err
         except ValueError as err:  # an entry that is not a number
             raise DimensionError(f"matrix {a!r} is not rows of numbers: {err}") from err
         else:
@@ -733,7 +735,8 @@ def newton_iterate(
     is, unchecked; the J of the iterate returned is left untouched.
 
     Returns the first iterate with ``max|F| <= tol``.  At a traced start
-    it records the loop once instead (``_newton_traced``).
+    it records the loop once instead (``_newton_traced``).  A start that is
+    not a sequence of numbers raises DimensionError.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -744,9 +747,13 @@ def newton_iterate(
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
-    if is_traced(x0):
-        return _newton_traced(residual_map, list(x0), tol, min(max_iter, NEWTON_UNROLLED))
-    x = [float(v) for v in x0]
+    try:
+        traced = is_traced(x0)
+        x = list(x0) if traced else [float(v) for v in x0]
+    except (TypeError, ValueError) as err:
+        raise DimensionError(f"Newton start {x0!r} is not a sequence of numbers: {err}") from err
+    if traced:
+        return _newton_traced(residual_map, x, tol, min(max_iter, NEWTON_UNROLLED))
     norm = math.inf
     for attempt in range(max_iter + 1):
         res, jac = residual_map(x)

@@ -38,6 +38,7 @@ from diracmech.numcore import (
     gauss_solve,
     grad,
     hessian_block,
+    mat_inverse,
     max_abs,
     partials_of,
     seed_duals,
@@ -796,6 +797,42 @@ REDUCED = PhaseState(q=(0.1, 0.2, 0.3), eta=(1.0, 0.5), full=False)
             lambda s: solve_consistency(s.dirac, s.hamiltonian, ["a", "b", "c"], [1.0, 1.0], solution=s.consistency),
             DimensionError,
             "reduced state must be sequences of numbers, not ['a', 'b', 'c'], [1.0, 1.0]",
+        ),
+        # inputs that escaped as a bare ValueError or TypeError
+        (
+            lambda s: solve_consistency(s.dirac, s.hamiltonian, [0.0] * 3, [1.0, 1.0], guess=["a"]),
+            DimensionError,
+            "Newton start ['a'] is not a sequence of numbers: could not convert string to float: 'a'",
+        ),
+        (
+            lambda s: evaluate_reduced(s.dirac, s.hamiltonian, [0.0] * 3, [1.0, 1.0], guess=5),
+            DimensionError,
+            "Newton start 5 is not a sequence of numbers: 'int' object is not iterable",
+        ),
+        (
+            lambda s: hessian_block(s.hamiltonian, [0.0] * 6, 5),
+            DimensionError,
+            "index subset 5 is not a sequence of integers: 'int' object is not iterable",
+        ),
+        (
+            lambda s: gauss_solve([[1.0, [2.0]], [3.0, 4.0]], [1.0, 1.0]),
+            DimensionError,
+            "matrix [[1.0, [2.0]], [3.0, 4.0]] is not rows of numbers",
+        ),
+        (
+            lambda s: mat_inverse([[1.0, [2.0]], [3.0, 4.0]]),
+            DimensionError,
+            "matrix [[1.0, [2.0]], [3.0, 4.0]] is not rows of numbers",
+        ),
+        (
+            lambda s: solve_linear([[1.0, [2.0]], [3.0, 4.0]], [1.0, 1.0]),
+            DimensionError,
+            "matrix [[1.0, [2.0]], [3.0, 4.0]] is not rows of numbers",
+        ),
+        (
+            lambda s: mat_inverse([[1.0, 2.0], [3.0, 4j]]),
+            DimensionError,
+            "matrix [[1.0, 2.0], [3.0, 4j]] is not rows of numbers",
         ),
     ],
 )

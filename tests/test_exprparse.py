@@ -68,6 +68,38 @@ def test_tokenize_positions_reconstruct_source():
     assert "".join(rebuilt).strip() == ""
 
 
+# The token rules at their edges: an exponent needs a digit, a fraction may
+# be bare on either side, an identifier starts with a letter or '_' and goes
+# on over letters, digits and '_', and any Unicode space separates.
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ("1e", [("number", "1", 0), ("identifier", "e", 1)]),
+        ("1e+", [("number", "1", 0), ("identifier", "e", 1), ("operator", "+", 2)]),
+        ("1e+5", [("number", "1e+5", 0)]),
+        ("1.e5", [("number", "1.e5", 0)]),
+        (".5", [("number", ".5", 0)]),
+        ("1.5.3", [("number", "1.5", 0), ("number", ".3", 3)]),
+        ("x²", [("identifier", "x²", 0)]),
+        ("_1", [("identifier", "_1", 0)]),
+        ("1_", [("number", "1", 0), ("identifier", "_", 1)]),
+        ("αβ", [("identifier", "αβ", 0)]),
+        ("x\u00a0y", [("identifier", "x", 0), ("identifier", "y", 2)]),  # no-break space
+        ("x\x1c2", [("identifier", "x", 0), ("number", "2", 2)]),  # file separator
+    ],
+)
+def test_token_rules(text, tokens):
+    assert [(t.kind, t.text, t.position) for t in tokenize(text)] == tokens
+
+
+@pytest.mark.parametrize("text, offset", [("..5", 0), ("²x", 0), ("٣", 0), ("x\u0301", 1)])
+def test_token_rules_illegal_character(text, offset):
+    with pytest.raises(ExprError) as info:
+        tokenize(text)
+    assert str(info.value) == f"illegal character {text[offset]!r} (offset {offset})"
+    assert info.value.offset == offset
+
+
 # -- parse ----------------------------------------------------------------
 
 
