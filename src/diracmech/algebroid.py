@@ -12,8 +12,8 @@ Python arithmetic with every sum in a fixed order, so its results do not
 depend on a BLAS kernel.  It reads a constant tensor and a map of q the
 same way, and leaves out every coefficient that is a plain float zero.
 The same code runs on floats and on tracing scalars: ``float_rates``
-runs code generated from it once per k, and ``dirac.reduced_field``
-traces it into the reduced field.
+runs code generated from it once per k, ``dirac.reduced_field`` traces
+it into the reduced field and the isotropy check into its pair program.
 """
 
 from dataclasses import dataclass

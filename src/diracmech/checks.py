@@ -24,7 +24,7 @@ from .algebroid import (
     legendre_map,
     product_with_lie_algebra,
 )
-from .dirac import make_element, pairing, pairing_scale, reduced_vector_field
+from .dirac import element_pairing, reduced_vector_field
 from .errors import CatalogError
 from .frame import identity_frame, structure_functions_tangent
 from .integrate import simulate
@@ -40,6 +40,7 @@ from .systems import (
     skater_structure_constants,
     so3_constants,
 )
+from .tracing import compile_traced
 
 __all__ = ["CheckResult", "available_checks", "run_checks"]
 
@@ -86,12 +87,6 @@ class CheckResult:
 
 def _rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng((int(seed), zlib.crc32(name.encode())))
-
-
-def _random_reduced(spec, rng, eta_bound=2.0) -> PhaseState:
-    q = rng.uniform(-1.5, 1.5, spec.m)
-    eta = rng.uniform(-eta_bound, eta_bound, spec.k)
-    return PhaseState(q=q, eta=eta, full=False)
 
 
 def _relative_error(got, want) -> float:
@@ -145,7 +140,8 @@ def check_oracle(spec, seed: int) -> CheckResult:
 
     def errors():
         for _ in range(100):
-            rs = _random_reduced(spec, rng)
+            q, eta = rng.uniform(-1.5, 1.5, spec.m), rng.uniform(-2.0, 2.0, spec.k)
+            rs = PhaseState(q=q, eta=eta, full=False)
             qdot, etadot = reduced_vector_field(
                 spec.dirac, spec.hamiltonian, rs, solution=spec.consistency
             )
@@ -157,21 +153,18 @@ def check_oracle(spec, seed: int) -> CheckResult:
 
 
 def check_isotropy(spec, seed: int) -> CheckResult:
-    """The pairing vanishes on pairs of structure elements: 1000 random pairs
-    from ``make_element``, each pairing against its ``pairing_scale``."""
+    """The pairing vanishes on pairs of structure elements: 1000 random
+    pairs, each pairing against its scale.  ``dirac.element_pairing`` of a
+    row, the element core and the pairing loop, is compiled once per call,
+    one program per system, and run on every row."""
     name = f"isotropy_{spec.name}"
     widths = (spec.m, spec.n_fiber) + (spec.m, spec.k, spec.dirac.transverse) * 2
     cuts = list(accumulate(widths, initial=0))  # q, eta, then (a, xb, etadot_alpha) twice
-
-    def ratios():
-        for row in _isotropy_rows(spec.m, cuts[-1], _rng(seed, name)):
-            q, eta, *params = [row[i:j] for i, j in zip(cuts, cuts[1:])]
-            s = PhaseState(q=q, eta=eta, full=True)
-            e1 = make_element(spec.dirac, s, *params[:3])
-            e2 = make_element(spec.dirac, s, *params[3:])
-            yield abs(pairing(e1, e2)) / max(pairing_scale(e1, e2), 1e-30)
-
-    return _bounded(name, "max_ratio", ratios(), ISOTROPY_TOL)
+    spans = list(zip(cuts, cuts[1:]))
+    program = compile_traced(lambda *row: element_pairing(spec.dirac, *(row[i:j] for i, j in spans)), cuts[-1])
+    sums = (program(*row) for row in _isotropy_rows(spec.m, cuts[-1], _rng(seed, name)))
+    ratios = (abs(total) / max(scale, 1e-30) for total, scale in sums)
+    return _bounded(name, "max_ratio", ratios, ISOTROPY_TOL)
 
 
 def _isotropy_rows(m: int, width: int, rng):

@@ -7,8 +7,11 @@ Membership of an element in the structure fixes
     qdot^i  = rho^i_b y^b,
     etadot_b = c^A_{bd} eta_A y^d - rho^l_b a_l        (b admissible),
 
-with etadot_alpha free.  Contracting with dH yields the consistency
-condition dH/deta_alpha = 0 plus the reduced phase equations
+with etadot_alpha free.  ``make_element`` checks its parameters for one
+element core, and ``pairing`` and ``pairing_scale`` share one loop; the
+isotropy check compiles the two (``element_pairing``) into one program
+per system.  Contracting with dH yields the consistency condition
+dH/deta_alpha = 0 plus the reduced phase equations
 
     qdot^i   = rho^i_a dH/deta_a
     etadot_b = c^a_{bd} eta_a dH/deta_d + c^alpha_{bd} eta_alpha dH/deta_d
@@ -61,6 +64,7 @@ __all__ = [
     "make_element",
     "pairing",
     "pairing_scale",
+    "element_pairing",
     "consistency_residual",
     "solve_consistency",
     "complete_state",
@@ -128,8 +132,15 @@ def make_element(dirac: DiracAlgebroid, s: PhaseState, a, xb, etadot_alpha) -> D
     a = _float_list(a, alg.m, "covector of length {} on base of dimension {n}")
     xb = _float_list(xb, k, "admissible velocity of length {}, expected {n}")
     etadot_alpha = _float_list(etadot_alpha, nt, "transverse rates of length {}, expected {n}")
-    qdot, etadot = alg.float_rates(s.q, s.eta, xb, a, k)
-    return DiracElement(s, tuple(a), (*xb, *(0.0,) * nt), tuple(qdot), (*etadot, *etadot_alpha))
+    return _element(dirac, s.q, s.eta, a, xb, etadot_alpha, s)
+
+
+def _element(dirac: DiracAlgebroid, q, eta, a, xb, etadot_alpha, base=None) -> DiracElement:
+    """``make_element`` over (q, eta) unchecked, from ``alg.scalar_rates``:
+    the one assembly of an element, on floats and on tracing scalars."""
+    qdot, etadot = dirac.alg.scalar_rates(q, eta, xb, a, dirac.k)
+    cov_fiber = (*xb, *(0.0,) * dirac.transverse)
+    return DiracElement(base, tuple(a), cov_fiber, tuple(qdot), (*etadot, *etadot_alpha))
 
 
 def _float_list(value, n: int, message: str):
@@ -147,31 +158,36 @@ def _float_list(value, n: int, message: str):
         raise DimensionError(f"{message}: {err}") from err
 
 
-def _paired(e1: DiracElement, e2: DiracElement):
-    """The pairing's covector and vector components, in its one order:
-    cov1 . vec2 over the base, then the fiber, then cov2 . vec1."""
-    return (e1.cov_base + e1.cov_fiber + e2.cov_base + e2.cov_fiber,
-            e2.vec_base + e2.vec_fiber + e1.vec_base + e1.vec_fiber)
+def _pairing_sums(e1: DiracElement, e2: DiracElement) -> tuple:
+    """(pairing, pairing_scale) from one loop in the pairing's one order,
+    cov1 . vec2 over the base, then the fiber, then cov2 . vec1: each
+    product and its absolute value added left to right from 0.0, not by
+    ``sum()``, which is compensated from Python 3.12."""
+    total = scale = 0.0
+    covs = e1.cov_base + e1.cov_fiber + e2.cov_base + e2.cov_fiber
+    for a, v in zip(covs, e2.vec_base + e2.vec_fiber + e1.vec_base + e1.vec_fiber):
+        total += a * v
+        scale += abs(a * v)
+    return total, scale
 
 
 def pairing(e1: DiracElement, e2: DiracElement) -> float:
-    """Symmetric pairing <cov1, vec2> + <cov2, vec1>; zero on the structure.
-    Its products are added left to right from 0.0 in ``_paired``'s order,
-    not by ``sum()``, which is compensated from Python 3.12."""
+    """Symmetric pairing <cov1, vec2> + <cov2, vec1>; zero on the structure."""
     if e1.base != e2.base:
         raise ValidationError("pairing requires elements over the same base point")
-    total = 0.0
-    for a, v in zip(*_paired(e1, e2)):
-        total += a * v
-    return float(total)
+    return float(_pairing_sums(e1, e2)[0])
 
 
 def pairing_scale(e1: DiracElement, e2: DiracElement) -> float:
     """Sum of absolute pairing terms, added as ``pairing`` adds them."""
-    total = 0.0
-    for a, v in zip(*_paired(e1, e2)):
-        total += abs(a * v)
-    return float(total)
+    return float(_pairing_sums(e1, e2)[1])
+
+
+def element_pairing(dirac: DiracAlgebroid, q, eta, *params) -> tuple:
+    """(pairing, pairing_scale) of the elements over (q, eta) with the
+    parameters (a, xb, etadot_alpha) ``params[:3]`` and ``params[3:]``,
+    unchecked, on floats or tracing scalars: ``check_isotropy`` compiles it."""
+    return _pairing_sums(_element(dirac, q, eta, *params[:3]), _element(dirac, q, eta, *params[3:]))
 
 
 def consistency_residual(dirac: DiracAlgebroid, h: ScalarField, s: PhaseState) -> np.ndarray:
@@ -456,7 +472,7 @@ def oracle_magnetic(
         shift_a = etad[a_i] - a_rows[a_i]
         for b_i in range(k):
             coeff = g_rows[a_i][b_i]
-            if _is_zero_const(coeff):
+            if not hasattr(coeff, "partials") and float(coeff) == 0.0:
                 continue
             kinetic = kinetic + coeff * shift_a * (etad[b_i] - a_rows[b_i])
     hc = kinetic / (2.0 * mass) + potential.fn(*qd)
@@ -471,7 +487,3 @@ def oracle_magnetic(
     qdot = rho @ geta
     etadot = np.einsum("abd,a,d->b", c, eta_ext, geta) - rho.T @ gq
     return qdot, etadot
-
-
-def _is_zero_const(x):
-    return not hasattr(x, "partials") and float(x) == 0.0

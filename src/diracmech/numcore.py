@@ -584,6 +584,8 @@ def _float_square_rows(a) -> list:
             rows = [[float(v) for v in row] for row in a]
         except TypeError:  # not rows of numbers: numpy finds the shape, if there is one
             try:
+                if np.array(a).dtype == object:  # numpy's float would make a None nan
+                    raise TypeError("an entry is not a number")
                 a = np.array(a, dtype=float)
             except (TypeError, ValueError) as err:
                 raise DimensionError(f"matrix {a!r} is not rows of numbers") from err
@@ -748,8 +750,8 @@ def newton_iterate(
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
     try:
-        traced = is_traced(x0)
-        x = list(x0) if traced else [float(v) for v in x0]
+        traced = is_traced(x := list(x0))  # read once: a one-shot start is its list
+        x = x if traced else [float(v) for v in x]
     except (TypeError, ValueError) as err:
         raise DimensionError(f"Newton start {x0!r} is not a sequence of numbers: {err}") from err
     if traced:

@@ -11,8 +11,8 @@ output is not finite, it runs that function, which gives the same
 numbers or raises the engine's error.  A function that cannot be traced
 (it compares or converts its arguments) is its own program.
 ``numcore.grad``, ``dirac.reduced_field`` (one program, called flat as
-``field(*y, *guess)``) and ``SkewAlgebroid.float_rates`` compile their
-programs this way.
+``field(*y, *guess)``), ``SkewAlgebroid.float_rates`` and the isotropy
+check (``dirac.element_pairing``) compile their programs this way.
 
 An iteration is recorded once, as a ``Loop`` the code leaves at the
 first converged iterate, so ``reduced_field`` holds the consistency

@@ -120,8 +120,10 @@ NAN_CASES = {
     ),
     "isotropy": (
         lambda: checks.check_isotropy(build("skater_free"), 0),
-        "pairing",
-        lambda pairing: _poisoned(pairing, 2, lambda _: math.nan),
+        "compile_traced",  # row 2's pairing nan
+        lambda compile_traced: lambda fn, arity: _poisoned(
+            compile_traced(fn, arity), 2, lambda out: (math.nan, out[1])
+        ),
     ),
     # a nan momentum from legendre_map stops the gradient with an error, so
     # the nan goes into the Lagrangian side of the comparison instead

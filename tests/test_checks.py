@@ -1,11 +1,17 @@
 """The isotropy check: its random draws and its results, pinned."""
 
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from diracmech import checks
+from diracmech.algebroid import PhaseState, SkewAlgebroid
 from diracmech.checks import check_isotropy
-from diracmech.systems import build, catalog_names
+from diracmech.dirac import DiracAlgebroid, make_element, pairing, pairing_scale
+from diracmech.systems import build
+from diracmech.tracing import compile_traced
 
 # check_isotropy(build(name), seed).metric for seeds 0 and 1, recorded
 # when the check drew each parameter with its own rng.uniform call
@@ -46,19 +52,62 @@ def test_isotropy_block_draws_are_per_call_uniforms(name, seed):
     assert rng.random() == np.random.default_rng(seed).random(1000 * width + 1)[-1]
 
 
-def test_isotropy_pairs_every_draw_with_the_public_calls(monkeypatch):
-    calls = {"make_element": 0, "pairing": 0, "pairing_scale": 0}
+@pytest.mark.parametrize("name", sorted(ISOTROPY_METRICS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_isotropy_program_gives_the_public_calls_bit_for_bit(monkeypatch, name, seed):
+    """The check compiles one program and runs it on exactly its 1000 rows;
+    on each row the program's (pairing, scale) has the bits of
+    make_element, then pairing and pairing_scale, on that row."""
+    spec = build(name)
+    programs, seen = [], []
 
-    def counted(name):
-        fn = getattr(checks, name)
+    def recording(fn, arity):
+        program = compile_traced(fn, arity)
+        programs.append(program is not fn)  # traced, not the function itself
 
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+        def recorded(*row):
+            out = program(*row)
+            seen.append((row, out))
+            return out
 
-        return wrapper
+        return recorded
 
-    for name in calls:
-        monkeypatch.setattr(checks, name, counted(name))
-    assert check_isotropy(build(catalog_names()[0]), 0).passed
-    assert calls == {"make_element": 2000, "pairing": 1000, "pairing_scale": 1000}
+    monkeypatch.setattr(checks, "compile_traced", recording)
+    assert check_isotropy(spec, seed).metric == ISOTROPY_METRICS[name][seed]
+    assert programs == [True]
+    assert len(seen) == 1000
+    nt = spec.n_fiber - spec.k
+    cuts = np.cumsum([0, spec.m, spec.n_fiber] + [spec.m, spec.k, nt] * 2).tolist()
+    for row, out in seen:
+        q, eta, *params = [row[i:j] for i, j in zip(cuts, cuts[1:])]
+        s = PhaseState(q, eta)
+        e1 = make_element(spec.dirac, s, *params[:3])
+        e2 = make_element(spec.dirac, s, *params[3:])
+        want = (pairing(e1, e2), pairing_scale(e1, e2))
+        assert struct.pack("<2d", *out) == struct.pack("<2d", *want)
+
+
+def _bent(spec):
+    """``spec`` with c[0][0][1] and c[0][1][0] of its structure each raised
+    by 0.5: a symmetric part in the admissible lower pair, which a skew
+    structure does not have."""
+    alg = spec.dirac.alg
+
+    def structure(q):
+        c = alg.structure(q)
+        c = [[list(row) for row in plane] for plane in (c.tolist() if isinstance(c, np.ndarray) else c)]
+        c[0][0][1] += 0.5
+        c[0][1][0] += 0.5
+        return c
+
+    bent = SkewAlgebroid(alg.m, alg.rank, alg.anchor, structure)
+    return replace(spec, dirac=DiracAlgebroid(bent, spec.k))
+
+
+@pytest.mark.parametrize(
+    "name, metric",
+    [("skater_free", "max_ratio=9.325e-01 tol=1e-12"), ("ball_magnetic", "max_ratio=7.458e-01 tol=1e-12")],
+)
+def test_isotropy_fails_on_a_structure_that_is_not_skew(name, metric):
+    result = check_isotropy(_bent(build(name)), 0)
+    assert (result.passed, result.metric) == (False, metric)

@@ -834,6 +834,17 @@ REDUCED = PhaseState(q=(0.1, 0.2, 0.3), eta=(1.0, 0.5), full=False)
             DimensionError,
             "matrix [[1.0, 2.0], [3.0, 4j]] is not rows of numbers",
         ),
+        # a None entry, which numpy's float conversion makes nan
+        (
+            lambda s: mat_inverse([[1, None], [1, 2]]),
+            DimensionError,
+            "matrix [[1, None], [1, 2]] is not rows of numbers",
+        ),
+        (
+            lambda s: gauss_solve([[1, None], [1, 2]], [1.0, 1.0]),
+            DimensionError,
+            "matrix [[1, None], [1, 2]] is not rows of numbers",
+        ),
     ],
 )
 def test_public_entry_points_reject_bad_input(call, error, message):

@@ -371,6 +371,14 @@ def test_newton_iterate_on_lists():
     assert seen[0] == [3.0, 10.0]
 
 
+def test_newton_iterate_reads_a_one_shot_start_as_its_list():
+    def f(x):
+        return [x[0] * x[0] - 4.0], [[2.0 * x[0]]]
+
+    assert newton_iterate(f, (v for v in [3.0])) == newton_iterate(f, [3.0])
+    assert abs(newton_iterate(f, iter([3.0]))[0] - 2.0) <= 1e-12
+
+
 def test_newton_iterate_returns_a_start_that_solves_without_a_step():
     def f(x):
         return [x[0] - 1.0], [[0.0]]  # a singular Jacobian is never solved here
