@@ -70,11 +70,12 @@ class _Constant:
         return self.array
 
     def pinv(self, k):
-        """Pseudo-inverse rows of the first k columns (an anchor's), computed
-        once per k."""
+        """Pseudo-inverse rows of the first k columns (an anchor's), and those
+        columns' rows, as float (index, value) rows computed once per k."""
         rows = self._pinv.get(k)
         if rows is None:
-            rows = self._pinv[k] = np.linalg.pinv(self.array[:, :k]).tolist()
+            columns = self.array[:, :k]
+            rows = self._pinv[k] = (_index_rows(np.linalg.pinv(columns)), _index_rows(columns))
         return rows
 
 
@@ -162,19 +163,19 @@ class SkewAlgebroid:
         """How far qdot lies off the span of the first k sections: its
         largest coefficient on the other sections when the anchor is square,
         else its largest component off the image of the first k anchor
-        columns, through their pseudo-inverse (computed once per k for a
+        columns, through their pseudo-inverse (rows made once per k for a
         constant anchor, per call for a map).  Fixed-order float arithmetic
         apart from the pseudo-inverse itself."""
         qdot = [float(v) for v in qdot]
         if self.m == self.rank:
             return max_abs(gauss_solve(self.anchor(q), qdot)[k:])
-        anchor = self.anchor_array(q)
         if isinstance(self.anchor, _Constant):
-            pinv = self.anchor.pinv(k)
+            pinv, columns = self.anchor.pinv(k)
         else:
-            pinv = np.linalg.pinv(anchor[:, :k]).tolist()
-        z = [dot(enumerate(p), qdot) for p in pinv]
-        return max_abs(v - dot(enumerate(row[:k]), z) for v, row in zip(qdot, anchor.tolist()))
+            anchor = self.anchor_array(q)[:, :k]
+            pinv, columns = _index_rows(np.linalg.pinv(anchor)), _index_rows(anchor)
+        z = [dot(p, qdot) for p in pinv]
+        return max_abs(v - dot(row, z) for v, row in zip(qdot, columns))
 
 
 def _checked_rows(value, shape, what):
@@ -185,6 +186,11 @@ def _checked_rows(value, shape, what):
     if found != shape:
         raise DimensionError(f"{what} of shape {found}, expected {shape}")
     return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _index_rows(array) -> list:
+    """The rows of a 2-D array as float (index, value) rows, zeros kept."""
+    return [tuple(enumerate(row)) for row in array.tolist()]
 
 
 def _pairs(values) -> tuple:

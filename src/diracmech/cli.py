@@ -8,7 +8,8 @@ Subcommands:
                solution, and the reduced field at one state
 
 Numbers in CSV output are the shortest decimal strings that round-trip
-the underlying binary values, so files are bit-exact regression
+the underlying binary values (the ``repr`` of each Python float, each
+array column converted once), so files are bit-exact regression
 baselines.  An optional config file (INI style, sections [run] and
 [params]) mirrors the flags; explicit flags win.
 """
@@ -24,7 +25,7 @@ from .algebroid import PhaseState
 from .checks import run_checks
 from .dirac import evaluate_reduced
 from .errors import EngineError, TruncatedTrajectoryError
-from .integrate import simulate
+from .integrate import OBSERVABLE_NAMES, simulate
 from .systems import build, catalog_names, hamiltonian_with_potential
 
 __all__ = ["RunConfig", "main", "cmd_list", "cmd_simulate", "cmd_check", "cmd_inspect"]
@@ -54,11 +55,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(value: float) -> str:
-    """Shortest decimal that round-trips the float."""
-    return repr(float(value))
-
-
 def _fmt17(value: float) -> str:
     return f"{float(value):.17g}"
 
@@ -86,15 +82,11 @@ def _write_csv(stream, spec, traj):
         + ["H", "res_consistency", "res_admissibility"]
     )
     stream.write(",".join(header) + "\n")
-    obs = traj.observables
-    for i, (t, state) in enumerate(zip(traj.times, traj.states)):
-        row = [t, *state.q, *state.eta, *traj.eta_alpha[i]]
-        row += [
-            obs["H"][i],
-            obs["consistency_residual_inf"][i],
-            obs["admissibility_residual_inf"][i],
-        ]
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    obs = [traj.observables[name].tolist() for name in OBSERVABLE_NAMES]
+    columns = zip(traj.times.tolist(), traj.states, traj.eta_alpha.tolist(), *obs, strict=True)
+    for t, state, eta_alpha, *diagnostics in columns:  # all floats: repr round-trips them
+        row = (t, *state.q, *state.eta, *eta_alpha, *diagnostics)
+        stream.write(",".join(map(repr, row)) + "\n")
 
 
 def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:

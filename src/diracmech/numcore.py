@@ -10,12 +10,13 @@ derivative rules.
 
 ``grad`` compiles a field's dual sweep with ``tracing.compile_traced``,
 and ``hessian_block`` its nested-dual sweep once per index set, so the
-generated code applies DualScalar's rules operation for operation.  The
-nested sweep's program returns the first partials over the index set
-ahead of the block, so ``grad_and_hessian_rows`` gives a Newton residual
-and its Jacobian rows from one run.  At a traced point the seed partials
-are ``tracing.ZERO``, a zero that drops out of every rule, so
-structurally zero partials cost no code.
+generated code applies DualScalar's rules operation for operation;
+``dual_sweep`` runs the sweep itself, for a caller that reads one point
+and no program.  The nested sweep's program returns the first partials
+over the index set ahead of the block, so ``grad_and_hessian_rows``
+gives a Newton residual and its Jacobian rows from one run.  At a traced
+point the seed partials are ``tracing.ZERO``, a zero that drops out of
+every rule, so structurally zero partials cost no code.
 
 The linear algebra and every sum in ``dot`` run on Python floats in a
 fixed order, so no result depends on the BLAS kernel numpy loads.
@@ -47,6 +48,7 @@ __all__ = [
     "DualScalar",
     "ScalarField",
     "seed_duals",
+    "dual_sweep",
     "value_and_grad",
     "grad",
     "grad_and_hessian_rows",
@@ -400,7 +402,7 @@ class ScalarField:
         return float(value_of(out))
 
 
-def _dual_sweep(f: ScalarField, p):
+def dual_sweep(f: ScalarField, p):
     """The value and partials of ``f`` at ``p`` from one dual sweep.
 
     At tracing scalars the sweep is seeded with ``ZERO`` and recorded.  At
@@ -445,11 +447,11 @@ def value_and_grad(f: ScalarField, p):
     """
     args, traced = _float_point(f, p)
     if traced:
-        value, partials = _dual_sweep(f, args)
+        value, partials = dual_sweep(f, args)
         return value, tuple(0.0 if v is ZERO else v for v in partials)
     compiled = f._compiled
     if compiled is None:
-        compiled = f._compiled = compile_traced(lambda *xs: _dual_sweep(f, xs), f.arity)
+        compiled = f._compiled = compile_traced(lambda *xs: dual_sweep(f, xs), f.arity)
     return compiled(*args)
 
 
@@ -464,7 +466,7 @@ def _hessian_sweep(f: ScalarField, p, idx) -> tuple:
     one nested-dual sweep: the inner value carries the first partials.  At
     tracing scalars the inner level is seeded with ``ZERO`` and the sweep
     recorded.  At floats it returns floats, finite or not; the code traced
-    from it gives up wherever one is not, by ``_dual_sweep``'s argument, so
+    from it gives up wherever one is not, by ``dual_sweep``'s argument, so
     its callers check the outputs they read."""
     s = len(idx)
     traced = is_traced(p)

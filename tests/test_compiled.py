@@ -15,9 +15,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracmech import numcore, tracing
+from diracmech.algebroid import PhaseState
+from diracmech.checks import ADMISSIBILITY_TOL, CONSISTENCY_TOL, ORACLE_TOL
+from diracmech.dirac import (
+    ConsistencySolution,
+    complete_state,
+    consistency_residual,
+    reduced_vector_field,
+)
 from diracmech.exprparse import parse_text
-from diracmech.numcore import ScalarField, grad, hessian_block, seed_duals
-from diracmech.systems import build, catalog_names, hamiltonian_with_potential, mechanical_lagrangian
+from diracmech.numcore import ScalarField, grad, hessian_block, max_abs, seed_duals
+from diracmech.systems import (
+    build,
+    catalog_names,
+    hamiltonian_with_potential,
+    mechanical_lagrangian,
+    oracle_reduced_field,
+)
 
 SPECS = {name: build(name) for name in catalog_names()}
 
@@ -115,6 +129,33 @@ def test_compiled_parsed_potential_matches_dual_sweep(case):
     name, text = case
     spec = hamiltonian_with_potential(SPECS[name], parse_text(text))
     assert_compiled_matches_dual(spec.hamiltonian, random_points(spec, 20, seed=5))
+
+
+def relative_error(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want) / (1.0 + np.abs(want))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(system_and_potential())
+def test_reduced_field_with_a_parsed_potential_matches_the_oracle(case):
+    """One Dirac structure serves H plus any potential: under the declared
+    consistency and under forced Newton, the reduced field matches the
+    classical oracle, the completed state meets the consistency condition
+    and the velocity lies in the constraint."""
+    name, text = case
+    spec = hamiltonian_with_potential(SPECS[name], parse_text(text))
+    dirac, h = spec.dirac, spec.hamiltonian
+    rng = np.random.default_rng(8)
+    for _ in range(2):
+        rs = PhaseState(rng.uniform(-1.5, 1.5, spec.m), rng.uniform(-2.0, 2.0, spec.k), full=False)
+        qdot_o, etadot_o = oracle_reduced_field(spec, rs)
+        for solution in (spec.consistency, ConsistencySolution(kind="newton")):
+            qdot, etadot = reduced_vector_field(dirac, h, rs, solution=solution)
+            assert relative_error(qdot, qdot_o) <= ORACLE_TOL
+            assert relative_error(etadot, etadot_o) <= ORACLE_TOL
+            full, _ = complete_state(dirac, h, rs, solution=solution)
+            assert max_abs(consistency_residual(dirac, h, full)) <= CONSISTENCY_TOL
+            assert dirac.alg.admissibility_residual(rs.q, qdot, spec.k) <= ADMISSIBILITY_TOL
 
 
 # Every rule with partials on both operands, on one variable and on two.
@@ -229,7 +270,7 @@ def test_generated_source_reads_only_generated_names():
         spec.fiber_names,
         lambda *a: spec.hamiltonian.fn(*a) + a[0] / math.inf - a[1] * -0.0 + math.nan * 0.0 * a[2],
     )
-    source, consts = tracing._source(lambda *xs: numcore._dual_sweep(f, xs), f.arity)
+    source, consts = tracing._source(lambda *xs: numcore.dual_sweep(f, xs), f.arity)
     generated = re.compile(r"[xvdc]\d+")
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
     assert names
@@ -504,7 +545,7 @@ def test_catalog_programs_are_generated_and_never_give_up(name):
     spec = quartic_skater() if name == "skater_quartic" else SPECS[name]
     h, idx = spec.hamiltonian, transverse(spec)
     points = [[float(v) for v in p] for p in random_points(spec, 200, seed=3)]
-    for sweep, extra in ((numcore._dual_sweep, ()), (numcore._hessian_sweep, (idx,))):
+    for sweep, extra in ((numcore.dual_sweep, ()), (numcore._hessian_sweep, (idx,))):
         program, calls = counted_program(sweep, h, *extra)
         assert is_generated(program)
         for p in points:
@@ -573,7 +614,7 @@ def test_catalog_contractions_are_generated_code(name):
 
 def test_commutative_operations_are_recorded_once():
     h = SPECS["skater_charged"].hamiltonian
-    source, _ = tracing._source(lambda *xs: numcore._dual_sweep(h, xs), h.arity)
+    source, _ = tracing._source(lambda *xs: numcore.dual_sweep(h, xs), h.arity)
     pairs = re.findall(r"= (\w+) ([+*]) (\w+)$", source, flags=re.MULTILINE)
     assert pairs
     assert not {(a, op, b) for a, op, b in pairs} & {(b, op, a) for a, op, b in pairs if a != b}

@@ -1,21 +1,25 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
+from diracmech import numcore, tracing
 from diracmech.algebroid import PhaseState, change_frame, product_with_lie_algebra
 from diracmech.dirac import ConsistencySolution, reduced_vector_field
 from diracmech.errors import (
     CatalogError,
     DegenerateParameterError,
     DimensionError,
+    NumericDomainError,
     UnsupportedError,
     ValidationError,
 )
 from diracmech.exprparse import parse_text
 from diracmech.frame import identity_frame, structure_functions_tangent
+from diracmech.numcore import ScalarField
 from diracmech.systems import (
     analytic_state,
     ball_transition_matrix,
@@ -129,6 +133,44 @@ def test_spot_check_rejects_wrong_consistency():
     broken = replace(spec, consistency=ConsistencySolution(kind="zero"))
     with pytest.raises(ValidationError):
         _spot_check_consistency(broken)
+
+
+def test_spot_check_rejects_a_scaled_affine_consistency_map():
+    spec = build("ball_magnetic")
+    a_perp = spec.consistency.affine_map
+    scaled = ConsistencySolution(kind="affine", affine_map=lambda q: [1.5 * v for v in a_perp(q)])
+    match = r"'ball_magnetic' violates the consistency condition \(residual \d\.\d{3}e[+-]\d+\)"
+    with pytest.raises(ValidationError, match=match):
+        _spot_check_consistency(replace(spec, consistency=scaled))
+
+
+def test_spot_check_raises_where_the_hamiltonian_is_not_finite():
+    # exp(800 x) overflows for x > 0.89, which the drawn x in [-1.5, 1.5) reach
+    spec = build("skater_free")
+    base = spec.hamiltonian.fn
+
+    def fn(x, *rest):
+        return base(x, *rest) + numcore.exp(800.0 * x)
+
+    blown = replace(spec, hamiltonian=ScalarField(spec.base_names, spec.fiber_names, fn))
+    with pytest.raises(NumericDomainError):
+        _spot_check_consistency(blown)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_build_compiles_nothing(name, monkeypatch):
+    # every binding of compile_traced in the package, as numcore imports it by name
+    original, arities = tracing.compile_traced, []
+
+    def counted(fn, arity):
+        arities.append(arity)
+        return original(fn, arity)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("diracmech") and getattr(module, "compile_traced", None) is original:
+            monkeypatch.setattr(module, "compile_traced", counted)
+    build(name)
+    assert arities == []
 
 
 def test_spot_check_rejects_newton_consistency():
