@@ -1,4 +1,5 @@
-"""The isotropy check: its random draws and its results, pinned."""
+"""The random-state checks: their draws and results pinned, the programs
+they run matched bit for bit, and the faults they exist to catch."""
 
 import struct
 from dataclasses import replace
@@ -8,8 +9,16 @@ import pytest
 
 from diracmech import checks
 from diracmech.algebroid import PhaseState, SkewAlgebroid
-from diracmech.checks import check_isotropy
-from diracmech.dirac import DiracAlgebroid, make_element, pairing, pairing_scale
+from diracmech.checks import check_ad_gradient, check_isotropy, check_legendre_hamilton, check_oracle
+from diracmech.dirac import (
+    DiracAlgebroid,
+    make_element,
+    pairing,
+    pairing_scale,
+    reduced_field,
+    reduced_vector_field,
+)
+from diracmech.numcore import grad
 from diracmech.systems import build
 from diracmech.tracing import compile_traced
 
@@ -25,12 +34,44 @@ ISOTROPY_METRICS = {
 }
 
 
+# check_ad_gradient(build(name), seed).metric for seeds 0 and 1, recorded
+# when the finite differences ran ScalarField.value on ndarray copies
+AD_GRADIENT_METRICS = {
+    "skater_free": ("max_rel_err=2.239e-10 tol=1e-06", "max_rel_err=2.370e-10 tol=1e-06"),
+    "skater_slope": ("max_rel_err=2.483e-10 tol=1e-06", "max_rel_err=2.703e-10 tol=1e-06"),
+    "skater_charged": ("max_rel_err=5.841e-10 tol=1e-06", "max_rel_err=3.734e-10 tol=1e-06"),
+    "ball_free": ("max_rel_err=2.056e-10 tol=1e-06", "max_rel_err=2.841e-10 tol=1e-06"),
+    "ball_magnetic": ("max_rel_err=3.229e-10 tol=1e-06", "max_rel_err=2.588e-10 tol=1e-06"),
+    "ball_harmonic": ("max_rel_err=7.490e-10 tol=1e-06", "max_rel_err=4.328e-10 tol=1e-06"),
+}
+
+# check_legendre_hamilton(build(name), seed).metric for seeds 0 and 1,
+# recorded when _relative_error compared ndarrays
+LEGENDRE_METRICS = {
+    "skater_free": ("max_err=0.000e+00 tol=1e-12", "max_err=0.000e+00 tol=1e-12"),
+    "skater_slope": ("max_err=0.000e+00 tol=1e-12", "max_err=0.000e+00 tol=1e-12"),
+    "ball_free": ("max_err=0.000e+00 tol=1e-12", "max_err=0.000e+00 tol=1e-12"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(ISOTROPY_METRICS))
 def test_isotropy_metrics_are_pinned(name):
     spec = build(name)
     for seed, metric in enumerate(ISOTROPY_METRICS[name]):
         result = check_isotropy(spec, seed)
         assert (result.name, result.passed, result.metric) == (f"isotropy_{name}", True, metric)
+
+
+@pytest.mark.parametrize(
+    "check, prefix, name, metrics",
+    [(check_ad_gradient, "ad_gradient", *item) for item in sorted(AD_GRADIENT_METRICS.items())]
+    + [(check_legendre_hamilton, "legendre_hamilton", *item) for item in sorted(LEGENDRE_METRICS.items())],
+)
+def test_gradient_and_legendre_metrics_are_pinned(check, prefix, name, metrics):
+    spec = build(name)
+    for seed, metric in enumerate(metrics):
+        result = check(spec, seed)
+        assert (result.name, result.passed, result.metric) == (f"{prefix}_{name}", True, metric)
 
 
 @pytest.mark.parametrize("name", ["skater_free", "ball_magnetic"])  # the two system shapes
@@ -111,3 +152,75 @@ def _bent(spec):
 def test_isotropy_fails_on_a_structure_that_is_not_skew(name, metric):
     result = check_isotropy(_bent(build(name)), 0)
     assert (result.passed, result.metric) == (False, metric)
+
+
+def _recording_field(monkeypatch, adjust=lambda out: out):
+    """Patch the check's ``reduced_field`` to record each call of the
+    program it returns, as (args, out), after ``adjust`` of the output."""
+    seen = []
+
+    def recording(dirac, h, solution):
+        program = reduced_field(dirac, h, solution)
+
+        def recorded(*xs):
+            out = adjust(program(*xs))
+            seen.append((xs, out))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(checks, "reduced_field", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(ISOTROPY_METRICS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_oracle_program_gives_the_public_field_bit_for_bit(monkeypatch, name, seed):
+    """The oracle check runs the compiled field on its 100 rows, from the
+    zero guess; on each row the program's (qdot, etadot) has the bits of
+    reduced_vector_field on that row."""
+    spec = build(name)
+    m, k, nt = spec.m, spec.k, spec.n_fiber - spec.k
+    seen = _recording_field(monkeypatch)
+    assert check_oracle(spec, seed).passed
+    assert len(seen) == 100
+    for xs, out in seen:
+        assert xs[m + k :] == (0.0,) * nt
+        rs = PhaseState(xs[:m], xs[m : m + k], full=False)
+        qdot, etadot = reduced_vector_field(spec.dirac, spec.hamiltonian, rs, solution=spec.consistency)
+        got = struct.pack(f"<{m + k}d", *out[: m + k])
+        assert got == struct.pack(f"<{m + k}d", *qdot.tolist(), *etadot.tolist())
+
+
+@pytest.mark.parametrize("name", ["skater_charged", "ball_harmonic"])
+def test_oracle_fails_on_a_wrong_compiled_field(monkeypatch, name):
+    """etadot off by 1e-9 relative in the program the check runs is caught."""
+    spec = build(name)
+    m, k = spec.m, spec.k
+
+    def off(out):
+        return (*out[:m], *(v * (1 + 1e-9) for v in out[m : m + k]), *out[m + k :])
+
+    _recording_field(monkeypatch, off)
+    result = check_oracle(spec, 0)
+    assert not result.passed
+    assert float(result.metric.split()[0].split("=")[1]) > 1e-10
+
+
+@pytest.mark.parametrize("name", ["skater_charged", "ball_harmonic"])
+def test_ad_gradient_fails_on_a_wrong_gradient_program(monkeypatch, name):
+    """A gradient program scaled by 1 + 1e-5 is caught: the finite
+    differences run H's own function, not code generated from it."""
+    spec = build(name)
+    h = spec.hamiltonian
+    grad(h, [0.1] * h.arity)  # compiles the program
+    program = h._compiled
+
+    def scaled(*xs):
+        value, g = program(*xs)
+        return value, tuple(v * (1 + 1e-5) for v in g)
+
+    monkeypatch.setattr(h, "_compiled", scaled)
+    result = check_ad_gradient(spec, 0)
+    assert not result.passed
+    assert float(result.metric.split()[0].split("=")[1]) > 1e-6
