@@ -5,7 +5,8 @@ Subcommands:
     simulate   integrate a system and write a CSV trajectory
     check      run the verification suites, one PASS/FAIL line each
     inspect    print frame/anchor, structure nonzeros, consistency
-               solution, and the reduced field at one state
+               solution, and the reduced field at one state; with
+               --program, the compiled field program too
 
 Numbers in CSV output are the shortest decimal strings that round-trip
 the underlying binary values (the ``repr`` of each Python float, each
@@ -23,10 +24,11 @@ from dataclasses import dataclass, field
 from . import exprparse
 from .algebroid import PhaseState
 from .checks import run_checks
-from .dirac import evaluate_reduced
+from .dirac import evaluate_reduced, reduced_field
 from .errors import EngineError, TruncatedTrajectoryError
 from .integrate import OBSERVABLE_NAMES, simulate
 from .systems import build, catalog_names, hamiltonian_with_potential
+from .tracing import source_of
 
 __all__ = ["RunConfig", "main", "cmd_list", "cmd_simulate", "cmd_check", "cmd_inspect"]
 
@@ -147,7 +149,7 @@ def cmd_check(scope: str = "all", seed: int = 0, out=None, err=None) -> int:
     return 0 if failed == 0 else 1
 
 
-def cmd_inspect(system: str, q_values, eta_values, out=None, err=None) -> int:
+def cmd_inspect(system: str, q_values, eta_values, out=None, err=None, program=False) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
@@ -187,6 +189,9 @@ def cmd_inspect(system: str, q_values, eta_values, out=None, err=None) -> int:
     out.write("reduced field:\n")
     for name, v in zip(spec.reduced_names, (*qdot, *etadot)):
         out.write(f"  d({name})/dt={_fmt17(v)}\n")
+    if program:
+        source = source_of(reduced_field(spec.dirac, spec.hamiltonian, spec.consistency))
+        out.write(f"field program ({len(source.splitlines())} lines):\n{source}\n")
     return 0
 
 
@@ -271,6 +276,7 @@ def _build_parser() -> _ArgumentParser:
     ins.add_argument("--system", required=True)
     ins.add_argument("--q", required=True, help="comma-separated base coordinates")
     ins.add_argument("--eta", required=True, help="comma-separated admissible momenta")
+    ins.add_argument("--program", action="store_true", help="print the compiled field program")
 
     return parser
 
@@ -299,7 +305,8 @@ def _run(args) -> int:
     if args.command == "check":
         return cmd_check(scope=args.system, seed=args.seed)
     if args.command == "inspect":
-        return cmd_inspect(args.system, _parse_floats(args.q), _parse_floats(args.eta))
+        q, eta = _parse_floats(args.q), _parse_floats(args.eta)
+        return cmd_inspect(args.system, q, eta, program=args.program)
     raise UsageError(f"unknown command {args.command!r}")
 
 

@@ -2,14 +2,16 @@
 with transverse momenta and diagnostic observables stored per sample.
 
 ``simulate`` calls the one compiled field, ``dirac.reduced_field``, flat
-as ``field(*y, *guess)`` whatever its consistency kind, and takes every
-step with the one program ``tracing.rk4_step_program`` writes per state
-length: three straight-line calls of the field, then the update with
-Neumaier's compensation as a branch-free TwoSum.  ``rk4_step`` runs the
-same program.  Each state reached is evaluated once: that evaluation
-is the recorded sample, k1 of the next step and its Newton warm start.
-Every sum is in a fixed order, so identical inputs give bit-identical
-output, whatever BLAS kernel numpy loads.
+as ``field(*y, *guess)`` whatever its consistency kind, and takes all of
+a run's steps in the one program ``tracing.rk4_program`` writes per state
+length: each step three straight-line calls of the field, then the update
+with Neumaier's compensation as a branch-free TwoSum.  The program hands
+each recorded state and its evaluation back; ``simulate`` keeps the time
+grid, the observables and the failure handling.  ``rk4_step`` runs the
+same program for one step.  Each state reached is evaluated once: that
+evaluation is the recorded sample, k1 of the next step and its Newton
+warm start.  Every sum is in a fixed order, so identical inputs give
+bit-identical output, whatever BLAS kernel numpy loads.
 """
 
 import math
@@ -24,7 +26,7 @@ from .dirac import reduced_field
 from .errors import DimensionError, EngineError, TruncatedTrajectoryError
 from .numcore import max_abs, shape_of
 from .systems import SystemSpec
-from .tracing import rk4_step_program
+from .tracing import rk4_program
 
 __all__ = ["Trajectory", "rk4_step", "simulate", "observables"]
 
@@ -73,8 +75,12 @@ def rk4_step(f: Callable, s: PhaseState, dt: float) -> PhaseState:
     except EngineError as err:
         err.stage_index = 0
         raise
-    y, _ = rk4_step_program(m + k, 0)(field, *y, *(0.0,) * (m + k), *k1, dt)
+    y, _, _ = rk4_program(m + k, 0)(field, None, _propagate, *y, *(0.0,) * (m + k), k1, 1, 1, dt, dt)
     return PhaseState(q=y[:m], eta=y[m:], full=False)
+
+
+def _propagate(step: int, err: EngineError) -> None:
+    """``rk4_step``'s stage errors propagate as they are."""
 
 
 def _observables_of(spec: SystemSpec, q, evaluation) -> tuple:
@@ -176,7 +182,6 @@ def simulate(
     m, n = spec.m, spec.m + spec.k
     nt = spec.n_fiber - spec.k
     field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
-    advance = rk4_step_program(n, nt)
 
     times = []
     rows = []  # recorded reduced states
@@ -197,32 +202,36 @@ def simulate(
     def time_of(step):
         return t_end if step == n_steps and last != dt else step * dt
 
-    y = (*ic.q, *ic.eta)
-    comp = (0.0,) * n
-    # the last evaluation: k1 and the Newton guess of the next step are
-    # here[:n + nt], and Newton starts the first state from zeros
-    here = (0.0,) * (n + nt)
-    step = 0
-    try:
-        for step in range(n_steps + 1):
-            if step:
-                h = dt if step < n_steps else last
-                y, comp = advance(field, *y, *comp, *here[: n + nt], h)
-            try:  # the sample when recorded, and stage 0 of the next step
-                here = field(*y, *here[n : n + nt])
-            except EngineError as err:
-                err.stage_index = 0
-                raise
-            if step % stride == 0 or step == n_steps:
-                times.append(time_of(step))
-                rows.append(y)
-                eta_rows.append(here[n : n + nt])
-                obs_rows.append(_observables_of(spec, y[:m], here))
-    except EngineError as err:
+    def failed(step, err):
         failed_time = time_of(step)
         raise TruncatedTrajectoryError(
             f"integration of {spec.name!r} failed near t={failed_time:.6g}: {err}",
             partial=partial(),
             failed_time=failed_time,
         ) from err
+
+    def sample(step, y, here):
+        times.append(time_of(step))
+        rows.append(y)
+        eta_rows.append(here[n : n + nt])
+        try:
+            obs_rows.append(_observables_of(spec, y[:m], here))
+        except EngineError as err:
+            failed(step, err)
+
+    def evaluated(step, y, guess):  # the first and the last state
+        try:
+            here = field(*y, *guess)
+        except EngineError as err:
+            err.stage_index = 0
+            failed(step, err)
+        sample(step, y, here)
+        return here
+
+    # Newton starts the first state from zeros
+    y = (*ic.q, *ic.eta)
+    here = evaluated(0, y, (0.0,) * nt)
+    run = rk4_program(n, nt)
+    y, _, guess = run(field, sample, failed, *y, *(0.0,) * n, here, n_steps, stride, dt, last)
+    evaluated(n_steps, y, guess)
     return partial()

@@ -4,11 +4,12 @@ float code: the one module that writes program text.
 ``compile_traced`` runs a function once on tracing scalars that know no
 calculus: each float operation on one records one line of straight-line
 code, and the lines are compiled into one Python function.  Products
-with 1.0 are folded, and one backward liveness pass drops the lines
-nothing reads.  A compiled program stands in for the function it was
-traced from: where a domain guard holds, a float operation raises or an
-output is not finite, it runs that function, which gives the same
-numbers or raises the engine's error.  A function that cannot be traced
+with 1.0 are folded, one backward liveness pass drops the lines nothing
+reads, and a value read once is written inline into its reader.  A
+compiled program stands in for the function it was traced from: where a
+domain guard holds, a float operation raises or an output is not
+finite, it runs that function, which gives the same numbers or raises
+the engine's error.  A function that cannot be traced
 (it compares or converts its arguments) is its own program.
 ``numcore.grad``, ``dirac.reduced_field`` (one program, called flat as
 ``field(*y, *guess)``), ``SkewAlgebroid.float_rates`` and the isotropy
@@ -18,14 +19,17 @@ An iteration is recorded once, as a ``Loop`` the code leaves at the
 first converged iterate, so ``reduced_field`` holds the consistency
 solve's Newton steps in its program.
 
-``rk4_step_program`` writes the integrator's RK4 step once per state
-length: straight-line calls of a compiled field, and no system's code.
+``rk4_program`` writes the integrator's RK4 steps once per state length:
+one loop over a run's steps that calls a compiled field and hands the
+recorded states back, and no system's code.  ``source_of`` shows the
+text of a compiled program.
 """
 
 import functools
 import math
 import numbers
 import operator
+import re
 from typing import Callable, NamedTuple
 
 from .errors import EngineError
@@ -37,7 +41,8 @@ __all__ = [
     "compile_traced",
     "is_traced",
     "require_finite",
-    "rk4_step_program",
+    "rk4_program",
+    "source_of",
 ]
 
 
@@ -349,18 +354,63 @@ def require_finite(values) -> None:
     tape.guard(f"if not isfinite({' + '.join(traced) or '0.0'}): raise give_up", traced)
 
 
-def _live_lines(lines, needed) -> list:
+def _live_lines(lines, outputs) -> list:
     """The text of ``lines``, indented, without each fresh assignment that
-    cannot raise and that no output (``needed``) or kept line reads.  One
-    backward pass holds on every path: only a Loop's carried writes, which
-    all stay, feed an earlier line."""
-    needed, kept = set(needed), []
+    cannot raise and that no output or kept line reads, and with each value
+    read once written into its reader (``_inlined``).  One backward pass
+    holds on every path: only a Loop's carried writes, which all stay, feed
+    an earlier line."""
+    needed, kept = set(outputs), []
     for line in reversed(lines):
         if line.name is None or line.may_raise or line.name in needed:
-            kept.append("    " * line.depth + line.text)
+            kept.append(line)
             needed.update(line.reads)
     kept.reverse()
-    return kept
+    return _inlined(kept, set(outputs))
+
+
+# A value is written into its reader while its source holds fewer than
+# this many parentheses; a reader has at most two operands, so no line
+# nests near the 200 levels CPython's parser allows.
+_MAX_PARENTHESES = 64
+
+_VALUE = re.compile(r"\bv\d+\b")
+
+
+def _inlined(lines, outputs: set) -> list:
+    """The text of ``lines``, indented, with each value that is no output
+    and that one depth-0 assignment reads once, no Loop line between them,
+    written into that assignment in parentheses: the same float operations
+    on the same operands, without a store and a load.  Guards and a Loop's
+    carried writes read names, as recorded."""
+    # name -> the count of Loop body lines before its one reader, or None
+    # where that reader is no depth-0 assignment or more lines read it
+    looped, reader = 0, {}
+    for line in lines:
+        looped += line.depth > 0
+        at = looped if line.depth == 0 and line.name else None
+        for name in line.reads:
+            reader[name] = None if name in reader else at
+    looped, source, text = 0, {}, []  # source: the values still to be written
+    for line in lines:
+        looped += line.depth > 0
+        name = line.name
+        if name is None:
+            text.append("    " * line.depth + line.text)
+            continue
+        expr = line.text[len(name) + 3 :]  # an assignment is "name = expr"
+        if not source.keys().isdisjoint(line.reads):
+            expr = _VALUE.sub(lambda v: source.pop(v[0], v[0]), expr)
+        if (
+            reader.get(name) == looped
+            and line.depth == 0
+            and name not in outputs
+            and expr.count("(") < _MAX_PARENTHESES
+        ):
+            source[name] = f"({expr})"
+        else:
+            text.append(f"{'    ' * line.depth}{name} = {expr}")
+    return text
 
 
 def _output(tape: _Tape, out, flat: list) -> str:
@@ -417,42 +467,61 @@ def compile_traced(fn: Callable, arity: int) -> Callable:
     return namespace["traced"]
 
 
+def source_of(program: Callable) -> str:
+    """The source of ``program``, a function ``compile_traced`` generated,
+    written again from the function it stands for."""
+    return _source(program.__globals__["reference"], program.__code__.co_argcount)[0]
+
+
 @functools.cache
-def rk4_step_program(n: int, nt: int) -> Callable:
-    """One RK4 step and its compensated update, as straight-line code for
-    states of ``n`` floats: ``step(field, y.., e.., a.., g.., h) -> (y',
-    e')``, with a.. = k1 = ``field(*y, *g)[:n]`` and g.. the ``nt`` numbers
-    the field reads after the state, the same at every stage.  An
-    EngineError in stage s gets ``stage_index = s``.  Knuth's TwoSum adds
-    the increment plus the carried error e to y and gives the new error e'
+def rk4_program(n: int, nt: int) -> Callable:
+    """The RK4 steps of a run, as one program for states of ``n`` floats:
+    ``run(field, sample, failed, y.., e.., a, n_steps, stride, dt, last)
+    -> ((y..), (e..), (g..))`` takes ``n_steps`` steps, of ``dt`` but the
+    last, of ``last``.  ``a`` is the evaluation ``field(*y, *g)`` of each
+    state: k1, then the ``nt`` numbers g the field reads after the state at
+    every stage.  Each state but the last is evaluated once, and every
+    ``stride``-th goes to ``sample(step, (y..), a)``.  An EngineError in
+    stage s (0: the evaluation) gets ``stage_index = s`` and goes to
+    ``failed(step, err)``, then propagates.  Knuth's TwoSum adds the
+    increment plus the carried error e to y and gives the new error
     exactly, without a branch: Neumaier's compensation."""
 
-    def each(text: str, sep: str = ", ") -> str:  # ``text`` at every index of the state
+    def each(text: str, sep: str = "") -> str:  # ``text`` at every index of the state
         return sep.join(text.format(i) for i in range(n))
 
-    g = "".join(f", g{j}" for j in range(nt))
-    next_line = "\n    "
-    source = f"""def step(field, {each("y{}")}, {each("e{}")}, {each("a{}")}{g}, h):
-    half = 0.5 * h
-    stage = 1
-    try:
-        b = field({each("y{0} + half * a{0}")}{g})
-        stage = 2
-        c = field({each("y{0} + half * b[{0}]")}{g})
-        stage = 3
-        d = field({each("y{0} + h * c[{0}]")}{g})
-    except EngineError as err:
-        err.stage_index = stage
-        raise
-    sixth = h / 6.0
-    {each("u{0} = sixth * (a{0} + 2.0 * b[{0}] + 2.0 * c[{0}] + d[{0}]) + e{0}", next_line)}
-    {each("v{0} = y{0} + u{0}", next_line)}
-    {each("w{0} = v{0} - y{0}", next_line)}
-    return ({each("v{}, ", "")}), ({each("(y{0} - (v{0} - w{0})) + (u{0} - w{0}), ", "")})
+    g, next_line = "".join(f"a[{n + j}], " for j in range(nt)), "\n            "
+    source = f"""def run(field, sample, failed, {each("y{}, ")}{each("e{}, ")}a, n_steps, stride, dt, last):
+    for step in range(1, n_steps + 1):
+        h = last if step == n_steps else dt
+        half = 0.5 * h
+        try:
+            stage = 1
+            b = field({each("y{0} + half * a[{0}], ")}{g})
+            stage = 2
+            c = field({each("y{0} + half * b[{0}], ")}{g})
+            stage = 3
+            d = field({each("y{0} + h * c[{0}], ")}{g})
+            sixth = h / 6.0
+            {each("u{0} = sixth * (a[{0}] + 2.0 * b[{0}] + 2.0 * c[{0}] + d[{0}]) + e{0}", next_line)}
+            {each("v{0} = y{0} + u{0}", next_line)}
+            {each("w{0} = v{0} - y{0}", next_line)}
+            {each("e{0} = (y{0} - (v{0} - w{0})) + (u{0} - w{0})", next_line)}
+            {each("y{0} = v{0}", next_line)}
+            if step == n_steps:
+                return ({each("y{}, ")}), ({each("e{}, ")}), ({g})
+            stage = 0
+            a = field({each("y{}, ")}{g})
+        except EngineError as err:
+            err.stage_index = stage
+            failed(step, err)
+            raise
+        if step % stride == 0:
+            sample(step, ({each("y{}, ")}), a)
 """
     namespace = {"EngineError": EngineError}
-    exec(compile(source, "<rk4_step>", "exec"), namespace)
-    return namespace["step"]
+    exec(compile(source, "<rk4>", "exec"), namespace)
+    return namespace["run"]
 
 
 # numcore imports this module first thing, and a tracer's ** goes through

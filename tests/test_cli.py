@@ -292,6 +292,19 @@ def test_inspect_skater_structure_lines(capsys):
     assert "eta_alpha_1=0" in out
 
 
+def test_inspect_prints_the_field_program(capsys):
+    argv = ["inspect", "--system", "ball_free", "--q", "0.1,0.2", "--eta", "1,0,0"]
+    assert run_main(argv) == 0
+    plain = capsys.readouterr().out
+    assert run_main([*argv, "--program"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(plain)
+    header, first, *program = out[len(plain) :].splitlines()
+    assert header == "field program (14 lines):"
+    assert first == "def traced(x0, x1, x2, x3, x4, x5, x6):"
+    assert len(program) == 13 and program[-1] == "    return reference(x0, x1, x2, x3, x4, x5, x6)"
+
+
 def test_inspect_ball_structure_value(capsys):
     assert cmd_inspect("ball_free", [0.0, 0.0], [1.0, 0.0, 0.0]) == 0
     out = capsys.readouterr().out

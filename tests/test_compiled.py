@@ -613,9 +613,12 @@ def test_catalog_contractions_are_generated_code(name):
 
 
 def test_commutative_operations_are_recorded_once():
+    # the lines the trace records, before the program writes single-use values inline
     h = SPECS["skater_charged"].hamiltonian
-    source, _ = tracing._source(lambda *xs: numcore.dual_sweep(h, xs), h.arity)
-    pairs = re.findall(r"= (\w+) ([+*]) (\w+)$", source, flags=re.MULTILINE)
+    tape = tracing._Tape()
+    numcore.dual_sweep(h, [tracing.Tracer(tape, f"x{j}") for j in range(h.arity)])
+    recorded = "\n".join(line.text for line in tape.lines)
+    pairs = re.findall(r"= (\w+) ([+*]) (\w+)$", recorded, flags=re.MULTILINE)
     assert pairs
     assert not {(a, op, b) for a, op, b in pairs} & {(b, op, a) for a, op, b in pairs if a != b}
-    assert sum(line.strip().startswith("v") for line in source.splitlines()) == 48
+    assert sum(line.text.startswith("v") for line in tape.lines) == 48

@@ -5,15 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diracmech.algebroid import PhaseState
+from diracmech.algebroid import PhaseState, SkewAlgebroid
 from diracmech.checks import ADMISSIBILITY_TOL, CONSISTENCY_TOL, ENERGY_DRIFT_TOL
 from diracmech.dirac import ConsistencySolution, reduced_field, solve_consistency
-from diracmech.errors import DimensionError, NumericDomainError, TruncatedTrajectoryError
+from diracmech.errors import (
+    DimensionError,
+    NumericDomainError,
+    SingularMatrixError,
+    TruncatedTrajectoryError,
+)
 from diracmech.exprparse import parse_text
 from diracmech.integrate import MAX_STEPS, observables, rk4_step, simulate
 from diracmech.numcore import ScalarField, max_abs
 from diracmech.systems import analytic_state, build, hamiltonian_with_potential
-from diracmech.tracing import rk4_step_program
+from diracmech.tracing import rk4_program
 
 
 def reduced(q, eta):
@@ -183,6 +188,29 @@ def test_simulate_failure_at_a_reached_state_is_stage_zero():
     err = info.value
     assert err.failed_time == 0.0 and len(err.partial) == 0
     assert err.__cause__.stage_index == 0
+
+
+def test_simulate_failure_in_a_sample_carries_no_stage(monkeypatch):
+    # the third recorded sample's admissibility residual raises: its state
+    # is in the partial trajectory, its observables are not
+    calls = []
+
+    def singular(self, q, qdot, k):
+        calls.append(q)
+        if len(calls) == 3:
+            raise SingularMatrixError("singular constraint block")
+        return 0.0
+
+    monkeypatch.setattr(SkewAlgebroid, "admissibility_residual", singular)
+    with pytest.raises(TruncatedTrajectoryError) as info:
+        simulate(build("skater_free"), reduced((0.1, -0.2, 0.3), (1.0, 0.5)), t_end=0.1, dt=1e-3)
+    err = info.value
+    assert err.failed_time == 20 * 1e-3
+    assert str(err) == "integration of 'skater_free' failed near t=0.02: singular constraint block"
+    assert len(err.partial) == 3 and len(err.partial.times) == 3
+    assert [len(col) for col in err.partial.observables.values()] == [2, 2, 2]
+    assert isinstance(err.__cause__, SingularMatrixError)
+    assert not hasattr(err.__cause__, "stage_index")
 
 
 def test_simulate_validates_inputs():
@@ -485,10 +513,11 @@ def neumaier(u, delta):
 
 
 def generated_update(u, delta):
-    """The generated step's update of u by delta: every stage slope is -0.0,
-    so the increment is -0.0 and the carried error is the whole of delta."""
-    step = rk4_step_program(1, 0)
-    (v,), (err,) = step(lambda y: (-0.0,), u, delta, -0.0, 1.0)
+    """The update of u by delta in one step of the generated run: every
+    stage slope is -0.0, so the increment is -0.0 and the carried error is
+    the whole of delta."""
+    run = rk4_program(1, 0)
+    (v,), (err,), () = run(lambda y: (-0.0,), None, None, u, delta, (-0.0,), 1, 1, 1.0, 1.0)
     return v, err
 
 

@@ -351,11 +351,17 @@ def test_maps_generate_the_code_of_constants(name):
 
 
 def test_skater_contraction_multiplies_by_no_zero():
+    # the lines the trace records, before the program writes single-use values inline
     alg = build("skater_free").dirac.alg
     for k in range(1, alg.rank + 1):
-        source, consts = contraction_source(alg, k)
-        zeros = {name for name, v in consts.items() if v == 0.0}
-        products = re.findall(r"= (\w+) \* (\w+)$", source, flags=re.MULTILINE)
+        alg.rates([0.1] * alg.m, [0.2] * alg.rank, [0.3] * k, [0.4] * alg.m, k)
+        program = alg._cache[("rates", k)]
+        tape = tracing._Tape()
+        args = [tracing.Tracer(tape, f"x{j}") for j in range(program.__code__.co_argcount)]
+        program.__globals__["reference"](*args)
+        zeros = {name for name, v in tape.consts.items() if v == 0.0}
+        recorded = "\n".join(line.text for line in tape.lines)
+        products = re.findall(r"= (\w+) \* (\w+)$", recorded, flags=re.MULTILINE)
         assert products
         assert not [p for p in products if zeros & set(p)]
 
@@ -553,6 +559,34 @@ def test_a_warm_newton_field_runs_one_sweep_more_than_the_loop_steps():
     assert max(counts) < numcore.NEWTON_UNROLLED + 1
 
 
+def test_a_long_single_use_chain_compiles_to_the_reference_numbers():
+    # the derivative of 400 nested sines is a chain of 400 products, each
+    # read once: written into one expression it would pass the parser's
+    # limit on nested parentheses
+    spec = build("skater_free")
+    base = spec.hamiltonian.fn
+
+    def fn(x, y, phi, *eta):
+        wave = x
+        for _ in range(400):
+            wave = numcore.sin(wave)
+        return base(x, y, phi, *eta) + 0.01 * wave
+
+    h = ScalarField(spec.base_names, spec.fiber_names, fn)
+    field = reduced_field(spec.dirac, h, spec.consistency)
+    from test_compiled import fallback_calls
+
+    n, nt = spec.m + spec.k, spec.n_fiber - spec.k
+    rng = np.random.default_rng(29)
+    points = [(rng.uniform(-1.5, 1.5, 3).tolist(), rng.uniform(-2.0, 2.0, 2).tolist()) for _ in range(20)]
+    outs = []
+    assert fallback_calls(field, lambda: outs.extend(field(*q, *eta, *[0.0] * nt) for q, eta in points)) == []
+    for (q, eta), out in zip(points, outs):
+        eta_alpha, g, qdot, etadot = evaluate_reduced(spec.dirac, h, q, eta, solution=spec.consistency)
+        want = [*qdot, *etadot, *eta_alpha, h.value(q + eta + eta_alpha.tolist()), *g]
+        assert bits(out).tolist() == bits(want).tolist()
+
+
 def field_source(spec):
     """The source and constants of a system's field program."""
     field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
@@ -564,23 +598,22 @@ def program_digest(spec):
     return hashlib.sha256((source + repr(sorted(consts.items()))).encode()).hexdigest()
 
 
-# sha256(source + sorted constants) of each field program.  The six catalog
-# systems with their declared consistency are as they were before Newton
-# was recorded as a loop; the forced-Newton programs are as the loop writes them.
+# sha256(source + sorted constants) of each field program, as written with
+# each single-use value inline in its reader.
 PROGRAM_DIGESTS = {
-    "ball_free": "135b95b6b20514f5a900c5d51b33af2ad16bc14a5d95ae71ca6d5b67aeaa1f30",
-    "ball_harmonic": "bc6fd9d32ddce48b3ca161d9150b699995352ac2d6652ecfcb901b013b43f05d",
-    "ball_magnetic": "bf77d57a5422b6a1dad14c78f888b5f3990a0c6e06c8803f8deb81bcd0189e99",
-    "skater_charged": "d0ee4d224791e16bed7023e81c937979fbdf194e7a385f18230d5d746355e0a2",
-    "skater_free": "81f847bd1d6150d423ffba5a427c5c339842bfeaf031400c6d4302a0d11ad92c",
-    "skater_slope": "e44b7123e0427f5a26376296fb925d25ec52d49eccb5498024ad7fc6491391cb",
-    "newton_ball_free": "b96b6ae0e6e08a6dd7738a47c229d60e15651c62503374ae1ea8eb2dddf4b127",
-    "newton_ball_harmonic": "6faf250902b569b3ac837e264785e58eabe474d7581e89f8fb95d305231debc7",
-    "newton_ball_magnetic": "122539816d380b2055711c128a4b459dca97c408a7926e05bcefde6cf19f7a04",
-    "newton_skater_charged": "602404c29fa78984a56cd04ece90354a994126e7cd57a2412ec7de640bb7c4c8",
-    "newton_skater_free": "22ea98603a80d77e8a8fadbd9b8b200eca5f8f6a8adc09d578e533daabd62963",
-    "newton_skater_slope": "2339f47f8406821bff79b0ebdc896fb511aaeb6fa8352a7c0e2e9ce91ceda67f",
-    "skater_quartic": "31d699c5ff200839f1df53ca073d7b7c76961e810b3e64188d4810595a9c7eea",
+    "ball_free": "a15dc45148452849472a445bc7745f238cdf0d5094a117784e8a9545cdd5300c",
+    "ball_harmonic": "b7ad8f528c858da7c9d03bd60baa3f0d8ed073941e5040d4870f3f498589e233",
+    "ball_magnetic": "71243f6f3859af74ca2e233d807d4a2cf8838334275896934892fe1250a653f3",
+    "skater_charged": "d20fdc85b9d4316e0a8f94d92b8ae5c503547adf8dc5066ade6de97bed249bc2",
+    "skater_free": "69e65849a5cb7ddbb5d897275aa115bbb19c6cc9f309641a911e77c0ce4ac3fa",
+    "skater_slope": "05ed13a149c91ef7ad00a1090f324a41001cdbe4b4d3cccc28c492bc1c555c95",
+    "newton_ball_free": "c2c2a700e90b5820ca69ee498dfe454430144a03652102dc4c5ac4619e1bb1c4",
+    "newton_ball_harmonic": "036c2e3cce3c35350794b84b52da996fa45461ac44a1794ada37115d64c3d8b3",
+    "newton_ball_magnetic": "49af6b75993325bae21b65ae330a5d060d6811e26ba3a71768abb7c3f9d3e825",
+    "newton_skater_charged": "79b89e1c73794f8e6dd9d9c3619b2d9768a2202cbad821c70764e6b2299043f0",
+    "newton_skater_free": "ec45bc5cee5633f73abdb8a9ed413900d97d2b70a6bbc45d53ce04cc6edab81f",
+    "newton_skater_slope": "a7d47705da872c5fac5511aaf565a5ca0d438b7d022edb7618cd3e2cd1b7b65f",
+    "skater_quartic": "fc3abcef20cc11b332e957ab5bfd2cf4c9d0bb523eb4a3b60e7ce4900b53d7d3",
 }
 
 
