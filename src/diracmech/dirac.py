@@ -347,13 +347,13 @@ def reduced_field(
     (``numcore.newton_iterate`` at tracing scalars): H's transverse sweep,
     its test and one step, which the code leaves at the first iterate that
     converged, as the loop returns it, and whose sweep at that iterate the
-    rest of the field reads.  Where the code gives up,
-    and for a system that cannot be traced, the program runs the same
-    field on floats (``tracing.compile_traced``): for ``newton`` the float
-    loop, then the program traced from the solved eta_alpha on.  It is
-    compiled on the first call for a (dirac, solution) pair and cached on
-    ``h`` by the solution's kind and map: equal solutions share one
-    program, and the map is never hashed.
+    rest of the field reads.  Where the code gives up, and for a system
+    that cannot be traced, the program runs the same field on floats
+    (``tracing.compile_traced``): for ``newton`` the float loop, then H's
+    compiled gradient and the compiled contraction.  It is compiled on
+    the first call for a (dirac, solution) pair and cached on ``h`` by the
+    solution's kind and map: equal solutions share one program, and the
+    map is never hashed.
     """
     # the cached program holds dirac and solution, so their ids stay theirs
     key = (id(dirac), solution.kind, id(solution.affine_map))
@@ -364,22 +364,13 @@ def reduced_field(
 
 
 def _compile_field(dirac, h, solution) -> Callable:
-    m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
-    n = m + k
-    newton = nt and solution.kind == "newton"
-    solved = None  # the field at a solved eta_alpha, compiled for the first float Newton loop
+    m, n = dirac.alg.m, dirac.alg.m + dirac.k
 
     def field(*xs):
-        nonlocal solved
         q, eta_a = xs[:m], xs[m:n]
-        eta_alpha = _transverse(dirac, h, q, eta_a, xs[n:], solution)
-        if not newton or is_traced(eta_a):
-            return _field_outputs(dirac, h, q, eta_a, eta_alpha)
-        if solved is None:
-            solved = compile_traced(lambda *x: _field_outputs(dirac, h, x[:m], x[m:n], x[n:]), n + nt)
-        return solved(*xs[:n], *eta_alpha)
+        return _field_outputs(dirac, h, q, eta_a, _transverse(dirac, h, q, eta_a, xs[n:], solution))
 
-    return compile_traced(field, n + nt)
+    return compile_traced(field, n + dirac.transverse)
 
 
 def reduced_vector_field(

@@ -210,14 +210,14 @@ def simulate(
             failed_time=failed_time,
         ) from err
 
-    def sample(step, y, here):
-        times.append(time_of(step))
-        rows.append(y)
-        eta_rows.append(here[n : n + nt])
+    def sample(step, y, here):  # all four columns, or none where the observables raise
         try:
             obs_rows.append(_observables_of(spec, y[:m], here))
         except EngineError as err:
             failed(step, err)
+        times.append(time_of(step))
+        rows.append(y)
+        eta_rows.append(here[n : n + nt])
 
     def evaluated(step, y, guess):  # the first and the last state
         try:

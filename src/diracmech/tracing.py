@@ -3,14 +3,14 @@ float code: the one module that writes program text.
 
 ``compile_traced`` runs a function once on tracing scalars that know no
 calculus: each float operation on one records one line of straight-line
-code, and the lines are compiled into one Python function.  Products
-with 1.0 are folded, one backward liveness pass drops the lines nothing
-reads, and a value read once is written inline into its reader.  A
-compiled program stands in for the function it was traced from: where a
-domain guard holds, a float operation raises or an output is not
+code as a form over the names it reads.  Products with 1.0 are folded,
+and one pass writes the lines into one Python function, without those
+nothing reads and with each value read once inline in its reader.  A
+compiled program stands in for the function it was traced from: where
+a domain guard holds, a float operation raises or an output is not
 finite, it runs that function, which gives the same numbers or raises
-the engine's error.  A function that cannot be traced
-(it compares or converts its arguments) is its own program.
+the engine's error.  A function that cannot be traced (it compares or
+converts its arguments) is its own program.
 ``numcore.grad``, ``dirac.reduced_field`` (one program, called flat as
 ``field(*y, *guess)``), ``SkewAlgebroid.float_rates`` and the isotropy
 check (``dirac.element_pairing``) compile their programs this way.
@@ -29,7 +29,6 @@ import functools
 import math
 import numbers
 import operator
-import re
 from typing import Callable, NamedTuple
 
 from .errors import EngineError
@@ -74,9 +73,12 @@ class _Untraceable(TypeError):
 
 
 class _Line(NamedTuple):
-    """One line of a traced program; ``name`` is None but for a fresh assignment."""
+    """One line of a traced program: ``form`` with one ``{}`` per name in
+    ``reads``, in order.  A fresh assignment has a ``name`` and its form is
+    the expression, such as ``"{} * {}"``; for any other line ``name`` is
+    None and the form is the whole line."""
 
-    text: str
+    form: str
     name: str | None
     reads: tuple
     may_raise: bool
@@ -96,8 +98,8 @@ class _Tape:
         self.lines = []
         self.consts = {}
         self._const_names = {}
-        self._names = {}  # expression -> the name it was first assigned to
-        self.guards = set()  # the guard lines recorded
+        self._names = {}  # (form, reads) -> the name it was first assigned to
+        self.guards = set()  # the (form, reads) of the guards recorded
         self.defined = set()  # the names the Loop being recorded defines
 
     def const(self, c) -> str:
@@ -108,24 +110,24 @@ class _Tape:
             self.consts[name] = c
         return name
 
-    def let(self, expr: str, reads: tuple, may_raise: bool = False) -> str:
-        name = self._names.get(expr)
+    def let(self, form: str, reads: tuple, may_raise: bool = False) -> str:
+        name = self._names.get((form, reads))
         if name is None:  # an expression already assigned has the same value
-            name = self._names[expr] = f"v{len(self.lines)}"
-            self.add(f"{name} = {expr}", reads, may_raise, name)
+            name = self._names[form, reads] = f"v{len(self.lines)}"
+            self.add(form, reads, may_raise, name)
         return name
 
-    def guard(self, text: str, reads: tuple) -> None:
-        if text not in self.guards:  # a test already passed passes again
-            self.guards.add(text)
-            self.add(text, reads)
+    def guard(self, form: str, reads: tuple) -> None:
+        if (form, reads) not in self.guards:  # a test already passed passes again
+            self.guards.add((form, reads))
+            self.add(form, reads)
 
-    def add(self, text: str, reads: tuple, may_raise: bool = True, name=None) -> None:
+    def add(self, form: str, reads: tuple, may_raise: bool = True, name=None) -> None:
         """Record one line: in a Loop unless it reads nothing the loop defines."""
         depth = 0 if self.defined.isdisjoint(reads) else 1
         if depth and name:
             self.defined.add(name)
-        self.lines.append(_Line(text, name, reads, may_raise, depth))
+        self.lines.append(_Line(form, name, reads, may_raise, depth))
 
     def is_const(self, name: str, text) -> bool:
         """Whether ``name`` is the float constant written ``text``."""
@@ -151,8 +153,8 @@ class Tracer:
         self.tape = tape
         self.name = name
 
-    def _let(self, expr: str, reads: tuple, may_raise: bool = False) -> "Tracer":
-        return Tracer(self.tape, self.tape.let(expr, reads, may_raise))
+    def _let(self, form: str, reads: tuple, may_raise: bool = False) -> "Tracer":
+        return Tracer(self.tape, self.tape.let(form, reads, may_raise))
 
     def _binary(self, op: str, other, reflected=False):
         if isinstance(other, Tracer):
@@ -171,19 +173,19 @@ class Tracer:
         # a NaN output gives up through the sum check: one line for both orders
         if op in ("+", "*") and b < a:
             a, b = b, a
-        return self._let(f"{a} {op} {b}", (a, b), op in ("/", "**"))
+        return self._let(f"{{}} {op} {{}}", (a, b), op in ("/", "**"))
 
     def guard(self, test) -> None:
         """Give up where ``test(self, 0.0)`` holds (operator.eq, lt or le)."""
-        self.tape.guard(f"if {self.name} {_COMPARISONS[test]} 0.0: raise give_up", (self.name,))
+        self.tape.guard(f"if {{}} {_COMPARISONS[test]} 0.0: raise give_up", (self.name,))
 
     def sign(self) -> "Tracer":
         """1.0 where this value is >= 0.0, else -1.0."""
-        return self._let(f"1.0 if {self.name} >= 0.0 else -1.0", (self.name,))
+        return self._let("1.0 if {} >= 0.0 else -1.0", (self.name,))
 
     def call(self, fn) -> "Tracer":
         """``fn(self)`` for ``fn`` one of the math functions in ``_HELPERS``."""
-        return self._let(f"{fn.__name__}({self.name})", (self.name,), fn is not math.fabs)
+        return self._let(f"{fn.__name__}({{}})", (self.name,), fn is not math.fabs)
 
     def raw_pow(self, exponent) -> "Tracer":
         """``self ** exponent`` once ``numcore.power``'s guards have run."""
@@ -218,7 +220,7 @@ class Tracer:
         return numcore.power(other, self)
 
     def __neg__(self):
-        return self._let(f"-{self.name}", (self.name,))
+        return self._let("-{}", (self.name,))
 
     def __pos__(self):
         return self
@@ -318,7 +320,7 @@ class Loop:
     def _carry(self, x, depth: int) -> None:
         for c, v in zip(self.x, x):
             name = _name(self.tape, v)
-            self.tape.lines.append(_Line(f"{c.name} = {name}", None, (name,), True, depth))
+            self.tape.lines.append(_Line(f"{c.name} = {{}}", None, (name,), True, depth))
 
     def until_converged(self, residual_map: Callable, tol: float):
         """``residual_map(self.x) -> (F, J)``, and the test on F.  The map is
@@ -329,7 +331,7 @@ class Loop:
         if names != [[_name(tape, v) for v in row] for row in (again[0], *again[1])]:
             raise _Untraceable("the residual map recorded different outputs at one iterate")
         tol = tape.const(float(tol))
-        test = " and ".join(f"fabs({r}) <= {tol}" for r in names[0]) or "True"
+        test = " and ".join(f"fabs({{}}) <= {tol}" for _ in names[0]) or "True"
         tape.lines.append(_Line(f"if {test}: break", None, tuple(names[0]), True, 1))
         self.shared = dict(tape._names), set(tape.guards)
         return res, jac
@@ -351,22 +353,8 @@ def require_finite(values) -> None:
     ones left out: the program's output check, on values it does not return."""
     tape = _tape_of(values)
     traced = tuple(_name(tape, v) for v in values if isinstance(v, Tracer) or not math.isfinite(v))
-    tape.guard(f"if not isfinite({' + '.join(traced) or '0.0'}): raise give_up", traced)
-
-
-def _live_lines(lines, outputs) -> list:
-    """The text of ``lines``, indented, without each fresh assignment that
-    cannot raise and that no output or kept line reads, and with each value
-    read once written into its reader (``_inlined``).  One backward pass
-    holds on every path: only a Loop's carried writes, which all stay, feed
-    an earlier line."""
-    needed, kept = set(outputs), []
-    for line in reversed(lines):
-        if line.name is None or line.may_raise or line.name in needed:
-            kept.append(line)
-            needed.update(line.reads)
-    kept.reverse()
-    return _inlined(kept, set(outputs))
+    total = " + ".join("{}" for _ in traced) or "0.0"
+    tape.guard(f"if not isfinite({total}): raise give_up", traced)
 
 
 # A value is written into its reader while its source holds fewer than
@@ -374,42 +362,38 @@ def _live_lines(lines, outputs) -> list:
 # nests near the 200 levels CPython's parser allows.
 _MAX_PARENTHESES = 64
 
-_VALUE = re.compile(r"\bv\d+\b")
 
-
-def _inlined(lines, outputs: set) -> list:
-    """The text of ``lines``, indented, with each value that is no output
-    and that one depth-0 assignment reads once, no Loop line between them,
-    written into that assignment in parentheses: the same float operations
-    on the same operands, without a store and a load.  Guards and a Loop's
-    carried writes read names, as recorded."""
-    # name -> the count of Loop body lines before its one reader, or None
-    # where that reader is no depth-0 assignment or more lines read it
-    looped, reader = 0, {}
-    for line in lines:
-        looped += line.depth > 0
-        at = looped if line.depth == 0 and line.name else None
-        for name in line.reads:
-            reader[name] = None if name in reader else at
-    looped, source, text = 0, {}, []  # source: the values still to be written
-    for line in lines:
-        looped += line.depth > 0
+def _live_lines(lines, outputs) -> list:
+    """The text of ``lines``, indented, from one pass over the records.
+    Backward, it drops each fresh assignment that cannot raise and that no
+    output or kept line reads (only a Loop's carried writes, which all
+    stay, feed an earlier line), and notes each value that is no output
+    and that one depth-0 assignment reads once.  Forward, it writes each
+    line from its form, and such a value into its reader in parentheses:
+    the same float operations on the same operands, without a store and a
+    load.  A Loop writes before it only lines that read nothing it
+    defines, so those operands are the same after it.  Guards and a
+    Loop's lines read names."""
+    reader = dict.fromkeys(outputs, False)  # needed name -> read once, by a depth-0 assignment
+    kept, once = [], set()
+    for line in reversed(lines):
         name = line.name
-        if name is None:
-            text.append("    " * line.depth + line.text)
-            continue
-        expr = line.text[len(name) + 3 :]  # an assignment is "name = expr"
-        if not source.keys().isdisjoint(line.reads):
-            expr = _VALUE.sub(lambda v: source.pop(v[0], v[0]), expr)
-        if (
-            reader.get(name) == looped
-            and line.depth == 0
-            and name not in outputs
-            and expr.count("(") < _MAX_PARENTHESES
-        ):
-            source[name] = f"({expr})"
+        if name is None or line.may_raise or name in reader:
+            kept.append(line)
+            if reader.get(name) and not line.depth:
+                once.add(name)
+            at = name is not None and not line.depth
+            for read in line.reads:
+                reader[read] = read not in reader and at
+    inline, text = {}, []  # inline: the values still to be written
+    for line in reversed(kept):
+        expr = line.form.format(*[inline.pop(read, read) for read in line.reads])
+        if line.name is None:
+            text.append("    " * line.depth + expr)
+        elif line.name in once and expr.count("(") < _MAX_PARENTHESES:
+            inline[line.name] = f"({expr})"
         else:
-            text.append(f"{'    ' * line.depth}{name} = {expr}")
+            text.append(f"{'    ' * line.depth}{line.name} = {expr}")
     return text
 
 

@@ -245,6 +245,30 @@ def test_simulate_truncation_writes_partial_and_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_simulate_failure_in_a_sample_writes_the_samples_before_it(tmp_path, capsys, monkeypatch):
+    # the third recorded sample's admissibility residual raises mid-run
+    from diracmech.algebroid import SkewAlgebroid
+    from diracmech.errors import SingularMatrixError
+
+    calls = []
+
+    def singular(self, q, qdot, k):
+        calls.append(q)
+        if len(calls) == 3:
+            raise SingularMatrixError("singular constraint block")
+        return 0.0
+
+    monkeypatch.setattr(SkewAlgebroid, "admissibility_residual", singular)
+    path = tmp_path / "partial.csv"
+    config = RunConfig(system="skater_free", ic=[0.1, -0.2, 0.3, 1.0, 0.5], t_end=0.1, out=str(path))
+    assert cmd_simulate(config) == 2
+    err = capsys.readouterr().err
+    assert err == "error: integration of 'skater_free' failed near t=0.02: singular constraint block\n"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,x,y,phi,eta1,eta2,eta_alpha_1,H,res_consistency,res_admissibility"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "0.01"]
+
+
 # -- check ------------------------------------------------------------------------
 
 

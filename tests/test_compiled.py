@@ -617,8 +617,11 @@ def test_commutative_operations_are_recorded_once():
     h = SPECS["skater_charged"].hamiltonian
     tape = tracing._Tape()
     numcore.dual_sweep(h, [tracing.Tracer(tape, f"x{j}") for j in range(h.arity)])
-    recorded = "\n".join(line.text for line in tape.lines)
-    pairs = re.findall(r"= (\w+) ([+*]) (\w+)$", recorded, flags=re.MULTILINE)
+    pairs = [
+        (line.reads[0], line.form.split()[1], line.reads[1])
+        for line in tape.lines
+        if line.name and line.form in ("{} + {}", "{} * {}")
+    ]
     assert pairs
     assert not {(a, op, b) for a, op, b in pairs} & {(b, op, a) for a, op, b in pairs if a != b}
-    assert sum(line.text.startswith("v") for line in tape.lines) == 48
+    assert sum(line.name is not None for line in tape.lines) == 48

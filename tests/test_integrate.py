@@ -191,8 +191,8 @@ def test_simulate_failure_at_a_reached_state_is_stage_zero():
 
 
 def test_simulate_failure_in_a_sample_carries_no_stage(monkeypatch):
-    # the third recorded sample's admissibility residual raises: its state
-    # is in the partial trajectory, its observables are not
+    # the third recorded sample's admissibility residual raises: the partial
+    # trajectory holds the two samples before it, and nothing of the third
     calls = []
 
     def singular(self, q, qdot, k):
@@ -207,7 +207,7 @@ def test_simulate_failure_in_a_sample_carries_no_stage(monkeypatch):
     err = info.value
     assert err.failed_time == 20 * 1e-3
     assert str(err) == "integration of 'skater_free' failed near t=0.02: singular constraint block"
-    assert len(err.partial) == 3 and len(err.partial.times) == 3
+    assert len(err.partial) == 2 and len(err.partial.times) == 2
     assert [len(col) for col in err.partial.observables.values()] == [2, 2, 2]
     assert isinstance(err.__cause__, SingularMatrixError)
     assert not hasattr(err.__cause__, "stage_index")

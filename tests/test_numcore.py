@@ -793,6 +793,44 @@ def test_no_line_or_guard_of_the_exit_block_is_shared_after_it():
         program(0.0, 0.0)
 
 
+def test_values_from_before_a_loop_read_once_after_it_keep_their_numbers():
+    # ``scale`` is computed before the loop, and the residual map's ``cos(a) - a``
+    # is hoisted before it (it reads nothing the loop defines); each is read
+    # once, by an assignment after the loop
+    def solve(a, x0):
+        scale, seen = numcore.sin(a) * x0, []
+
+        def residual(x):
+            seen.append(numcore.cos(a) - a)
+            return [x[0] * x[0] - a], [[2.0 * x[0]]]
+
+        return newton_iterate(residual, [x0])[0] * scale + seen[-1]
+
+    tape = tracing._Tape()
+    solve(tracing.Tracer(tape, "x0"), tracing.Tracer(tape, "x1"))
+    body = [i for i, line in enumerate(tape.lines) if line.depth]
+    readers = {}
+    for i, line in enumerate(tape.lines):
+        for name in line.reads:
+            readers.setdefault(name, []).append(i)
+    across = [
+        line.name
+        for line in tape.lines[: body[0]]
+        if line.name
+        and len(readers.get(line.name, ())) == 1
+        and readers[line.name][0] > body[-1]
+        and tape.lines[readers[line.name][0]].name
+    ]
+    assert len(across) == 2
+    program = tracing.compile_traced(solve, 2)
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        a = rng.uniform(0.5, 4.0)
+        x0 = math.sqrt(a) * rng.uniform(0.8, 1.25)
+        assert hexes([program(a, x0)]) == hexes([solve(a, x0)])
+        assert not gave_up(program, a, x0)
+
+
 def test_exits_with_different_plain_numbers_cannot_be_traced():
     def changing(a, x0):  # a plain Jacobian at the start, a traced one after
         calls = []
@@ -819,18 +857,21 @@ def test_a_finiteness_guard_adds_no_plain_finite_number():
 def test_the_liveness_pass_keeps_every_exit():
     line = tracing._Line
     lines = [
-        line("v0 = x0 * x1", "v0", ("x0", "x1"), False, 0),
-        line("v1_0 = x0", None, ("x0",), True, 0),  # the carried iterate, set before the loop
+        line("{} * {}", "v0", ("x0", "x1"), False, 0),
+        line("v1_0 = {}", None, ("x0",), True, 0),  # the carried iterate, set before the loop
         line("for _ in c2:", None, (), True, 0),
-        line("v2 = v1_0 * v0", "v2", ("v1_0", "v0"), False, 1),
-        line("v3 = x0 - v2", "v3", ("x0", "v2"), False, 1),  # dead on every path: dropped
-        line("if fabs(v2) <= c0: break", None, ("v2",), True, 1),
-        line("v5 = v1_0 - v2", "v5", ("v1_0", "v2"), False, 1),  # read across the back edge
-        line("v1_0 = v5", None, ("v5",), True, 1),
+        line("{} * {}", "v2", ("v1_0", "v0"), False, 1),
+        line("{} - {}", "v3", ("x0", "v2"), False, 1),  # dead on every path: dropped
+        line("if fabs({}) <= c0: break", None, ("v2",), True, 1),
+        line("{} - {}", "v5", ("v1_0", "v2"), False, 1),  # read across the back edge
+        line("v1_0 = {}", None, ("v5",), True, 1),
         line("else: raise give_up", None, (), True, 0),
-        line("v8 = v1_0 * c1", "v8", ("v1_0", "c1"), False, 0),
+        line("{} * {}", "v8", ("v1_0", "c1"), False, 0),
     ]
-    kept = ["    " * ln.depth + ln.text for ln in lines[:4] + lines[5:]]
+    def text(ln):  # the line as written from its record
+        return (f"{ln.name} = " if ln.name else "") + ln.form.format(*ln.reads)
+
+    kept = ["    " * ln.depth + text(ln) for ln in lines[:4] + lines[5:]]
     assert tracing._live_lines(lines, ["v8"]) == kept
 
 

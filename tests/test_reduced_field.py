@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diracmech import dirac, exprparse, numcore, tracing
+from diracmech import checks, dirac, exprparse, numcore, tracing
 from diracmech.algebroid import PhaseState, SkewAlgebroid, change_frame, from_tangent_frame
 from diracmech.dirac import ConsistencySolution, DiracAlgebroid, evaluate_reduced, reduced_field
 from diracmech.errors import (
@@ -360,8 +360,7 @@ def test_skater_contraction_multiplies_by_no_zero():
         args = [tracing.Tracer(tape, f"x{j}") for j in range(program.__code__.co_argcount)]
         program.__globals__["reference"](*args)
         zeros = {name for name, v in tape.consts.items() if v == 0.0}
-        recorded = "\n".join(line.text for line in tape.lines)
-        products = re.findall(r"= (\w+) \* (\w+)$", recorded, flags=re.MULTILINE)
+        products = [line.reads for line in tape.lines if line.name and line.form == "{} * {}"]
         assert products
         assert not [p for p in products if zeros & set(p)]
 
@@ -452,7 +451,11 @@ def test_liveness_pass_keeps_guards_and_lines_that_may_raise():
     x1.guard(operator.eq)
     x0.call(math.sin)  # dead, may raise: kept
     out = (x0 + x1) * (x0 + x1)
-    assert tracing._live_lines(tape.lines, [out.name]) == [line.text for line in tape.lines[1:]]
+
+    def text(ln):  # the line as written from its record
+        return (f"{ln.name} = " if ln.name else "") + ln.form.format(*ln.reads)
+
+    assert tracing._live_lines(tape.lines, [out.name]) == [text(line) for line in tape.lines[1:]]
     assert [line.may_raise for line in tape.lines] == [False, True, True, True, False, False]
 
 
@@ -620,6 +623,80 @@ PROGRAM_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(PROGRAM_DIGESTS))
 def test_field_programs_are_pinned(name):
     assert program_digest(spec_named(name)) == PROGRAM_DIGESTS[name]
+
+
+def generated_digest(program):
+    """``program_digest`` of any program ``compile_traced`` generated."""
+    assert program.__code__.co_filename == "<traced>"
+    source, consts = tracing._source(program.__globals__["reference"], program.__code__.co_argcount)
+    return hashlib.sha256((source + repr(sorted(consts.items()))).encode()).hexdigest()
+
+
+def catalog_programs(name, monkeypatch):
+    """The other programs a catalog system's runs and checks compile, as
+    they compile them: H's gradient, its transverse Hessian sweep, the
+    contraction at the system's k and the isotropy pair program."""
+    spec = build(name)
+    h, alg, k = spec.hamiltonian, spec.dirac.alg, spec.k
+    point = [0.1] * h.arity
+    numcore.grad(h, point)
+    idx = tuple(range(alg.m + k, alg.m + alg.rank))
+    numcore.grad_and_hessian_rows(h, point, idx)
+    alg.float_rates([0.1] * alg.m, [0.2] * alg.rank, [0.3] * k, [0.4] * alg.m, k)
+    compiled = []
+
+    def capture(fn, arity):
+        compiled.append(tracing.compile_traced(fn, arity))
+        return compiled[-1]
+
+    monkeypatch.setattr(checks, "compile_traced", capture)
+    checks.check_isotropy(spec, 0)
+    (pairing,) = compiled
+    return {
+        "gradient": h._compiled,
+        "hessian": h._hessians[idx],
+        "contraction": alg._cache[("rates", k)],
+        "isotropy": pairing,
+    }
+
+
+# sha256(source + sorted constants) of the other generated programs of each
+# catalog system, system/program
+CATALOG_PROGRAM_DIGESTS = {
+    "ball_free/gradient": "a5b720b0efb50a227467b1686a23f945b1a49e85c5971b3403ed8f1e3f97157a",
+    "ball_free/hessian": "fb05c807f641b9c57bbf102b6a38d56e4de2936e7d3e187c312ed869b3737bf9",
+    "ball_free/contraction": "535dbc565bcaf4703a6166674c32e1a63241cad6cc6b3bb7ca94aee7f3603f35",
+    "ball_free/isotropy": "e854d8ec5fd0e9b512a179019514889c5f2de102a0eb3e2b1c45935505d3193e",
+    "ball_harmonic/gradient": "5464c176567be7a08d1699104c455ce8949750d062c040048e85d9c8d0ef556f",
+    "ball_harmonic/hessian": "917fa20db343beac8bafc6d97f6df2b2b1b644653c2e20a66f75951b322f97ef",
+    "ball_harmonic/contraction": "535dbc565bcaf4703a6166674c32e1a63241cad6cc6b3bb7ca94aee7f3603f35",
+    "ball_harmonic/isotropy": "e854d8ec5fd0e9b512a179019514889c5f2de102a0eb3e2b1c45935505d3193e",
+    "ball_magnetic/gradient": "c9387e376350f18c0b19eb627dfb8915195eb7f0542f81ee9bd6d912f52eef76",
+    "ball_magnetic/hessian": "9d6365319cb1f0ceb9a7258fc7a2de2d7c18260f8bd4910ec00c31a09559b782",
+    "ball_magnetic/contraction": "535dbc565bcaf4703a6166674c32e1a63241cad6cc6b3bb7ca94aee7f3603f35",
+    "ball_magnetic/isotropy": "e854d8ec5fd0e9b512a179019514889c5f2de102a0eb3e2b1c45935505d3193e",
+    "skater_charged/gradient": "d001c2a2a57c2be56ab50a3beb8f822b3318e7113d67b2efe50661475f60c4c7",
+    "skater_charged/hessian": "5f129c2ef93cfcb4fb32e707212f883dc51e6c9ca43fcfe030c0e8fcfba72752",
+    "skater_charged/contraction": "33d78ddd32f00985ff4f218f7b3e089b70423f07844b2c0fea287e904a674b1e",
+    "skater_charged/isotropy": "253cd8c558ed3542d1d1b4b17127bb9d2385dc2fdc91c8a0b20dccce0136d13c",
+    "skater_free/gradient": "b11761ea2bf136b43e773f1bc276b54940dbf0a7748178ab2b384fe590794a35",
+    "skater_free/hessian": "bb1fcf6cf047a01ef0efeb510fb6c3e43e123c0f9c4cb4602158acddb5eef18b",
+    "skater_free/contraction": "33d78ddd32f00985ff4f218f7b3e089b70423f07844b2c0fea287e904a674b1e",
+    "skater_free/isotropy": "253cd8c558ed3542d1d1b4b17127bb9d2385dc2fdc91c8a0b20dccce0136d13c",
+    "skater_slope/gradient": "f7755fb94a35acd2879fc11ae4c2a17a4a808d97db4be11ec61c4c14b7e2bf65",
+    "skater_slope/hessian": "bb1fcf6cf047a01ef0efeb510fb6c3e43e123c0f9c4cb4602158acddb5eef18b",
+    "skater_slope/contraction": "33d78ddd32f00985ff4f218f7b3e089b70423f07844b2c0fea287e904a674b1e",
+    "skater_slope/isotropy": "253cd8c558ed3542d1d1b4b17127bb9d2385dc2fdc91c8a0b20dccce0136d13c",
+}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_programs_are_pinned(name, monkeypatch):
+    digests = {
+        f"{name}/{kind}": generated_digest(program)
+        for kind, program in catalog_programs(name, monkeypatch).items()
+    }
+    assert digests == {key: CATALOG_PROGRAM_DIGESTS.get(key) for key in digests}
 
 
 @pytest.mark.parametrize("name", [f"newton_{name}" for name in catalog_names()] + ["skater_quartic"])
