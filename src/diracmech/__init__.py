@@ -31,7 +31,7 @@ from .numcore import (
     newton_solve,
     solve_linear,
 )
-from .frame import FrameField, decompose, frame_inverse, frame_matrix, structure_functions_tangent
+from .frame import FrameField, frame_matrix, structure_functions_tangent
 from .algebroid import (
     PhaseState,
     SkewAlgebroid,
@@ -57,7 +57,7 @@ from .dirac import (
     reduced_vector_field,
     solve_consistency,
 )
-from .systems import SystemSpec, analytic_state, build, catalog_names, hamiltonian_with_potential
+from .systems import SystemSpec, build, catalog_names, hamiltonian_with_potential
 from .integrate import Trajectory, observables, rk4_step, simulate
 
 __version__ = "0.1.0"
@@ -87,14 +87,11 @@ __all__ = [
     "UnsupportedError",
     "ValidationError",
     "VelocityState",
-    "analytic_state",
     "build",
     "catalog_names",
     "change_frame",
     "consistency_residual",
-    "decompose",
     "evaluate_reduced",
-    "frame_inverse",
     "frame_matrix",
     "from_tangent_frame",
     "grad",

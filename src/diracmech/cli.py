@@ -304,10 +304,9 @@ def _run(args) -> int:
         return cmd_simulate(RunConfig(**merged))
     if args.command == "check":
         return cmd_check(scope=args.system, seed=args.seed)
-    if args.command == "inspect":
-        q, eta = _parse_floats(args.q), _parse_floats(args.eta)
-        return cmd_inspect(args.system, q, eta, program=args.program)
-    raise UsageError(f"unknown command {args.command!r}")
+    # "inspect": argparse requires one of the four commands
+    q, eta = _parse_floats(args.q), _parse_floats(args.eta)
+    return cmd_inspect(args.system, q, eta, program=args.program)
 
 
 def main(argv=None) -> int:

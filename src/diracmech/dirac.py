@@ -223,10 +223,11 @@ def _transverse(dirac, h, q, eta_a, guess, solution) -> list:
     if nt == 0 or solution.kind == "zero":
         return [0.0] * nt
     if solution.kind == "affine":
-        out = list(solution.affine_map(list(q)))
-        if len(out) != nt or any(hasattr(v, "__len__") for v in out):  # one number each
-            raise DimensionError(f"affine map returned {np.shape(out)}, expected {(nt,)}")
-        return out
+        out = solution.affine_map(list(q))
+        shape = shape_of(out)
+        if shape != (nt,) or any(hasattr(v, "__len__") for v in out):  # one number each
+            raise DimensionError(f"affine map returned {shape}, expected {(nt,)}")
+        return list(out)
     return _newton_transverse(dirac, h, q, eta_a, guess)
 
 
@@ -249,6 +250,9 @@ def _newton_transverse(dirac, h, q, eta_a, guess) -> list:
         res, jac = grad_and_hessian_rows(h, head + eta_alpha, alpha_idx)
         return res, jac
 
+    length = shape_of(guess)[:1]  # a non-sequence is newton_iterate's to reject
+    if length and length[0] != nt:
+        raise DimensionError(f"guess of length {length[0]}, expected {nt}")
     try:
         sol = newton_iterate(residual_map, [0.0] * nt if guess is None else guess)
         # enforce the nondegeneracy precondition even when the start already

@@ -297,7 +297,9 @@ def free_variables(e: ExprNode) -> set:
         for a in e.args:
             out |= free_variables(a)
         return out
-    return set()
+    if isinstance(e, Constant):
+        return set()
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def to_source(e: ExprNode) -> str:

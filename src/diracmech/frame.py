@@ -16,14 +16,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .numcore import mat_inverse, partials_of, seed_duals, solve_linear, value_of
+from .numcore import mat_inverse, partials_of, seed_duals, value_of
 
 __all__ = [
     "FrameField",
     "frame_matrix",
-    "frame_inverse",
     "structure_functions_tangent",
-    "decompose",
     "eval_matrix_with_partials",
     "frame_change_structure",
 ]
@@ -65,10 +63,6 @@ def frame_matrix(fr: FrameField, q) -> np.ndarray:
         raise DimensionError(f"frame map needs a 2-d layout, got shape {rho.shape}")
     rho.flags.writeable = False
     return rho
-
-
-def frame_inverse(fr: FrameField, q) -> np.ndarray:
-    return mat_inverse(frame_matrix(fr, q))
 
 
 def eval_matrix_with_partials(entry_map: Callable, q, shape=None):
@@ -119,13 +113,6 @@ def structure_functions_tangent(fr: FrameField, q) -> np.ndarray:
     c = frame_change_structure(mat_inverse(values), values, partials)
     c.flags.writeable = False
     return c
-
-
-def decompose(fr: FrameField, q, v) -> np.ndarray:
-    """Coefficients z with rho(q) z = v."""
-    if len(v) != fr.n:
-        raise DimensionError(f"velocity of length {len(v)} on a chart of dimension {fr.n}")
-    return solve_linear(frame_matrix(fr, q), v)
 
 
 def identity_frame(n: int, k: int | None = None) -> FrameField:

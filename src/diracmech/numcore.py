@@ -397,10 +397,6 @@ class ScalarField:
             )
         return self.fn(*args)
 
-    def value(self, p) -> float:
-        out = self(*[float(v) for v in p])
-        return float(value_of(out))
-
 
 def dual_sweep(f: ScalarField, p):
     """The value and partials of ``f`` at ``p`` from one dual sweep.

@@ -46,7 +46,6 @@ __all__ = [
     "CATALOG_DEFAULTS",
     "catalog_names",
     "build",
-    "analytic_state",
     "hamiltonian_with_potential",
     "skater_frame",
     "ball_transition_matrix",
@@ -54,7 +53,6 @@ __all__ = [
     "ball_structure_constants",
     "skater_structure_constants",
     "mechanical_lagrangian",
-    "restricted_algebroid",
     "oracle_reduced_field",
 ]
 
@@ -453,6 +451,8 @@ def build(name: str, overrides: Mapping | None = None) -> SystemSpec:
     override must be a finite number, and ``m`` and ``k2`` positive."""
     if name not in _BUILDERS:
         raise CatalogError(f"unknown system {name!r}; available: {', '.join(catalog_names())}")
+    if overrides is not None and not isinstance(overrides, Mapping):
+        raise CatalogError(f"overrides of system {name!r} must be a mapping, got {overrides!r}")
     params = dict(CATALOG_DEFAULTS[name])
     for key, value in (overrides or {}).items():
         if key not in params:
@@ -492,22 +492,14 @@ def _spot_check_consistency(spec: SystemSpec, samples: int = 10):
             )
 
 
-def analytic_state(spec: SystemSpec, ic: PhaseState, t: float) -> PhaseState:
-    """Evaluate the closed-form solution through the given initial state."""
-    if spec.analytic is None:
-        raise UnsupportedError(f"system {spec.name!r} has no closed-form solution")
-    if ic.full or len(ic.q) != spec.m or len(ic.eta) != spec.k:
-        raise ValidationError("initial condition must be a reduced state of matching shape")
-    out = spec.analytic(np.array(ic.q + ic.eta), float(t))
-    return PhaseState(q=out[: spec.m], eta=out[spec.m :], full=False)
-
-
 def hamiltonian_with_potential(spec: SystemSpec, extra: exprparse.ExprNode) -> SystemSpec:
     """Add a position-only potential term to the Hamiltonian.
 
     Momentum dependence is rejected since it would invalidate the
     declared consistency solution.
     """
+    if not isinstance(extra, exprparse.ExprNode):
+        raise ValidationError(f"potential must be a parsed expression, got {extra!r}")
     names = exprparse.free_variables(extra)
     bad = names - set(spec.base_names)
     if bad:
@@ -524,10 +516,6 @@ def hamiltonian_with_potential(spec: SystemSpec, extra: exprparse.ExprNode) -> S
 
 
 # -- oracle wiring ----------------------------------------------------------
-
-
-def restricted_algebroid(spec: SystemSpec) -> SkewAlgebroid:
-    return restrict_to_constraint(spec.dirac.alg, spec.k)
 
 
 def mechanical_lagrangian(spec: SystemSpec) -> ScalarField:
@@ -568,9 +556,8 @@ def oracle_reduced_field(spec: SystemSpec, rs: PhaseState):
     if not rs.full and (len(rs.q) != spec.m or len(rs.eta) != spec.k):
         raise DimensionError(f"reduced state {len(rs.q), len(rs.eta)} on shape {spec.m, spec.k}")
     if metric.a_par is None:
-        return oracle_mechanical(
-            metric.mass, metric.g_inv_sub, metric.potential, restricted_algebroid(spec), rs
-        )
+        restricted = restrict_to_constraint(spec.dirac.alg, spec.k)
+        return oracle_mechanical(metric.mass, metric.g_inv_sub, metric.potential, restricted, rs)
     alg, k = spec.dirac.alg, spec.k
     return oracle_magnetic(
         metric.mass,

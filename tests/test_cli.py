@@ -584,6 +584,13 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert done.stdout == capsys.readouterr().out
 
 
+def test_importing_the_main_module_runs_nothing(capsys):
+    import diracmech.__main__ as entry
+
+    assert entry.main is main
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_simulate_into_a_pipe_closed_after_one_line_exits_quietly(unbuffered):
     # about 500 kB of CSV, far more than a pipe holds, so writes fail once

@@ -21,6 +21,8 @@ from diracmech.dirac import (
     ConsistencySolution,
     complete_state,
     consistency_residual,
+    evaluate_reduced,
+    reduced_field,
     reduced_vector_field,
 )
 from diracmech.exprparse import parse_text
@@ -54,7 +56,7 @@ def is_generated(program):
 
 
 def assert_compiled_matches_dual(f, points):
-    """The compiled value equals ``f.value`` bit for bit, and the compiled
+    """The compiled value equals ``f`` at floats bit for bit, and the compiled
     gradient equals the dual sweep's under ``==``, differing in bits only
     as signed zeros."""
     grad(f, points[0])
@@ -66,7 +68,7 @@ def assert_compiled_matches_dual(f, points):
         assert out is not None, f"compiled code gave up at {p}"
         value, partials = out
         dual = f(*seed_duals(p))
-        assert bits(value) == bits(f.value(p)) == bits(dual.value)
+        assert bits(value) == bits(float(f(*p))) == bits(dual.value)
         got = np.array(partials, dtype=float)
         want = np.array(dual.partials, dtype=float)
         assert np.array_equal(got, want)
@@ -172,6 +174,23 @@ POTENTIALS = [
 def test_compiled_potential_matches_dual_sweep(name, text):
     spec = hamiltonian_with_potential(SPECS[name], parse_text(text))
     assert_compiled_matches_dual(spec.hamiltonian, random_points(spec, 200, seed=6))
+
+
+@pytest.mark.parametrize("text", ["x^0", "(2+cos(x))^y"])
+def test_zero_and_variable_exponents_generate_the_gradient_and_the_field(text):
+    # H is the dual sweep's value: for a variable exponent exp(y log b),
+    # which can differ from b ** y in the last bit
+    spec = hamiltonian_with_potential(SPECS["ball_free"], parse_text(text))
+    h, n = spec.hamiltonian, spec.m + spec.k
+    field = reduced_field(spec.dirac, h, spec.consistency)
+    for p in random_points(spec, 20, seed=8):
+        q, eta = p[: spec.m].tolist(), p[spec.m : n].tolist()
+        eta_alpha, g, qdot, etadot = evaluate_reduced(spec.dirac, h, q, eta, solution=spec.consistency)
+        dual = h(*seed_duals([*q, *eta, *eta_alpha.tolist()]))
+        assert g.tolist() == list(dual.partials)
+        want = [*qdot, *etadot, *eta_alpha, dual.value, *g]
+        assert list(field(*q, *eta, *[0.0] * len(eta_alpha))) == want
+    assert is_generated(h._compiled) and is_generated(field)
 
 
 def test_second_grad_does_not_trace_again():
@@ -369,6 +388,14 @@ def test_non_finite_residual_is_reported_ahead_of_the_block():
     with pytest.raises(numcore.NumericDomainError) as info:
         hessian_block(f, p, (1,))
     assert str(info.value) == "non-finite second derivative at (0.0, 10000000000.0)"
+
+
+def test_an_infinite_block_under_finite_first_partials_is_reported():
+    # at e = 6.68e-8 the first partial of exp(1e10 e) is 1.3e300 and the second overflows
+    f = ScalarField(["x"], ["e"], lambda x, e: x + numcore.exp(1e10 * e))
+    with pytest.raises(numcore.NumericDomainError) as info:
+        numcore.grad_and_hessian_rows(f, (0.0, 6.68e-8), (1,))
+    assert str(info.value) == "non-finite second derivative at (0.0, 6.68e-08)"
 
 
 def test_newton_residual_comes_from_the_transverse_sweep():

@@ -31,7 +31,7 @@ from diracmech.errors import (
     NumericDomainError,
     ValidationError,
 )
-from diracmech.frame import decompose
+from diracmech.frame import frame_matrix
 from diracmech.integrate import simulate
 from diracmech.numcore import (
     ScalarField,
@@ -632,7 +632,7 @@ def test_velocity_admissibility_through_frame():
             qdot, _ = reduced_vector_field(
                 spec.dirac, spec.hamiltonian, rs, solution=spec.consistency
             )
-            z = decompose(fr, rs.q, qdot)
+            z = solve_linear(frame_matrix(fr, rs.q), qdot)
             assert abs(z[2]) <= 1e-12 * max(np.linalg.norm(z), 1e-30)
 
 
@@ -803,6 +803,11 @@ REDUCED = PhaseState(q=(0.1, 0.2, 0.3), eta=(1.0, 0.5), full=False)
             lambda s: solve_consistency(s.dirac, s.hamiltonian, [0.0] * 3, [1.0, 1.0], guess=["a"]),
             DimensionError,
             "Newton start ['a'] is not a sequence of numbers: could not convert string to float: 'a'",
+        ),
+        (
+            lambda s: solve_consistency(s.dirac, s.hamiltonian, [0.0] * 3, [1.0, 1.0], guess=[0.0, 0.0]),
+            DimensionError,
+            "guess of length 2, expected 1",
         ),
         (
             lambda s: evaluate_reduced(s.dirac, s.hamiltonian, [0.0] * 3, [1.0, 1.0], guess=5),

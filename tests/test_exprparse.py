@@ -228,6 +228,13 @@ def test_free_variables(text, expected):
     assert free_variables(parse_text(text)) == expected
 
 
+@pytest.mark.parametrize("walk", [free_variables, to_source, lambda e: eval_expr(e, {"x": 1.0})])
+def test_tree_walks_reject_a_string_for_a_tree(walk):
+    with pytest.raises(TypeError) as info:
+        walk("x^2")
+    assert str(info.value) == "not an expression node: 'x^2'"
+
+
 # -- properties ---------------------------------------------------------------
 
 

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from diracmech import numcore
-from diracmech.errors import DimensionError, SingularMatrixError, ValidationError
+from diracmech.errors import DimensionError, ValidationError
 from diracmech.frame import (
     FrameField,
-    decompose,
     eval_matrix_with_partials,
-    frame_inverse,
     frame_matrix,
     identity_frame,
     structure_functions_tangent,
@@ -38,7 +36,7 @@ def shear_frame():
     return FrameField(n=2, k=1, rho=rho)
 
 
-# -- frame_matrix / frame_inverse -------------------------------------------
+# -- frame_matrix -----------------------------------------------------------
 
 
 def test_skater_frame_at_zero():
@@ -61,26 +59,6 @@ def test_identity_frame():
 def test_frame_rank_validation():
     with pytest.raises(ValidationError):
         FrameField(n=3, k=0, rho=lambda q: np.eye(3).tolist())
-
-
-def test_frame_inverse_orthonormal_is_transpose():
-    fr = skater_frame()
-    rho = frame_matrix(fr, (0.0, 0.0, 0.0))
-    assert np.allclose(frame_inverse(fr, (0.0, 0.0, 0.0)), rho.T, atol=1e-15)
-
-
-def test_frame_inverse_scaled_identity():
-    fr = FrameField(n=2, k=1, rho=lambda q: [[2.0, 0.0], [0.0, 2.0]])
-    assert np.allclose(frame_inverse(fr, (0.0, 0.0)), 0.5 * np.eye(2), atol=1e-16)
-    assert np.allclose(
-        frame_inverse(identity_frame(3), (0.0, 0.0, 0.0)), np.eye(3), atol=1e-16
-    )
-
-
-def test_frame_inverse_degenerate_point():
-    fr = FrameField(n=2, k=1, rho=lambda q: [[q[0], 0.0], [0.0, 1.0]])
-    with pytest.raises(SingularMatrixError):
-        frame_inverse(fr, (0.0, 0.0))
 
 
 # -- structure functions -----------------------------------------------------
@@ -144,34 +122,6 @@ def test_structure_matches_numeric_commutator(maker):
                 assembled = rho @ c[:, j, k]
                 numeric = _numeric_commutator(fr, q, j, k)
                 assert np.max(np.abs(assembled - numeric)) <= 1e-5
-
-
-# -- decompose ----------------------------------------------------------------
-
-
-def test_decompose_skater_first_column():
-    z = decompose(skater_frame(), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    assert np.allclose(z, [1, 0, 0], atol=1e-15)
-
-
-def test_decompose_skater_quarter_turn():
-    z = decompose(skater_frame(), (0.0, 0.0, math.pi / 2), (0.0, 1.0, 0.0))
-    assert np.allclose(z, [1, 0, 0], atol=1e-15)
-
-
-def test_decompose_roundtrip():
-    fr = shear_frame()
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        q = rng.uniform(-1.5, 1.5, 2)
-        z = rng.uniform(-2, 2, 2)
-        v = frame_matrix(fr, q) @ z
-        assert np.max(np.abs(decompose(fr, q, v) - z)) <= 1e-12
-
-
-def test_decompose_dimension_error():
-    with pytest.raises(DimensionError):
-        decompose(skater_frame(), (0.0, 0.0, 0.0), (1.0, 0.0))
 
 
 @pytest.mark.parametrize(

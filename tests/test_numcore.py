@@ -84,7 +84,7 @@ def test_grad_matches_finite_differences_on_catalog_hamiltonians():
                 up, down = p.copy(), p.copy()
                 up[j] += h
                 down[j] -= h
-                fd = (f.value(up) - f.value(down)) / (2 * h)
+                fd = (float(f(*up.tolist())) - float(f(*down.tolist()))) / (2 * h)
                 assert abs(g[j] - fd) <= 1e-6 * (1 + abs(fd))
 
 
@@ -539,6 +539,20 @@ def test_dual_variable_exponent():
     assert abs(out.partials[0] - 4.0 * (math.log(2.0) + 1.0)) <= 1e-13
 
 
+def test_dual_unary_plus_and_repr():
+    x = DualScalar(1.0, (2.0,))
+    assert +x is x
+    assert repr(x) == "DualScalar(1.0, (2.0,))"
+
+
+def test_a_piecewise_field_branches_on_dual_comparisons():
+    # x <= 0 and e >= 0 cannot be traced, so grad takes the dual sweep
+    f = ScalarField(("x",), ("e",), lambda x, e: (x * x if x <= 0.0 else x) + (e * e if e >= 0.0 else -e))
+    assert grad(f, (-1.5, 2.0)).tolist() == [-3.0, 4.0]
+    assert grad(f, (1.5, -2.0)).tolist() == [1.0, -1.0]
+    assert f._compiled.__code__.co_filename != "<traced>"
+
+
 def test_dual_division_by_zero():
     x = DualScalar(1.0, (1.0,))
     with pytest.raises(NumericDomainError):
@@ -667,6 +681,36 @@ def test_a_traced_jacobian_larger_than_one_cannot_be_traced():
         )
 
     assert tracing.compile_traced(coupled, 3) is coupled
+
+
+def test_traced_unary_plus_is_generated_code():
+    program = tracing.compile_traced(lambda x: +x, 1)
+    assert program.__code__.co_filename == "<traced>"
+    assert program(3.0) == 3.0
+
+
+def test_compile_traced_returns_a_function_it_cannot_trace_itself():
+    saved = []
+    tracing.compile_traced(lambda x: saved.append(x) or x, 1)
+
+    def float_to_traced_power(x):  # power reads the float of its exponent
+        return 2.0**x
+
+    def mixes_traces(x):
+        return x + saved[0]
+
+    def returns_a_string(x):
+        return [x, "a"]
+
+    def nested_newton(a):  # the residual map runs a Newton solve from a traced start
+        def residual(x):
+            return [x[0] * x[0] - square_root(a, x[0])[0]], [[2.0 * x[0]]]
+
+        return newton_iterate(residual, [a])
+
+    for fn in (float_to_traced_power, mixes_traces, returns_a_string, nested_newton):
+        assert tracing.compile_traced(fn, 1) is fn
+    assert abs(nested_newton(16.0)[0] - 2.0) <= 1e-12
 
 
 def test_unrolled_newton_leaves_a_comparing_function_untraceable():

@@ -21,7 +21,6 @@ from diracmech.exprparse import parse_text
 from diracmech.frame import identity_frame, structure_functions_tangent
 from diracmech.numcore import ScalarField
 from diracmech.systems import (
-    analytic_state,
     ball_transition_matrix,
     build,
     catalog_names,
@@ -72,8 +71,8 @@ def test_build_parameter_override_scales_hamiltonian():
         + 0.5 * p[4] ** 2
         + 0.25 * (p[5] ** 2 + (e5 - 2.0 * x) ** 2)
     )
-    assert abs(doubled.hamiltonian.value(p) - want) <= 1e-15
-    assert base.hamiltonian.value(p) != doubled.hamiltonian.value(p)
+    assert abs(doubled.hamiltonian(*p) - want) <= 1e-15
+    assert base.hamiltonian(*p) != doubled.hamiltonian(*p)
 
 
 def test_build_unknown_name_and_param():
@@ -184,54 +183,45 @@ def test_spot_check_rejects_newton_consistency():
 
 def test_analytic_free_skater_reproduces_ic_at_zero():
     spec = build("skater_free")
-    ic = reduced((0.4, -0.1, 0.7), (0.8, 1.2))
-    out = analytic_state(spec, ic, 0.0)
-    assert np.allclose(out.q + out.eta, ic.q + ic.eta, atol=1e-15)
+    ic = (0.4, -0.1, 0.7, 0.8, 1.2)
+    out = spec.analytic(np.array(ic), 0.0)
+    assert np.allclose(out, ic, atol=1e-15)
 
 
 def test_analytic_free_skater_period_closure():
     spec = build("skater_free")
-    ic = reduced((0.0, 0.0, 0.0), (1.0, 1.0))
-    out = analytic_state(spec, ic, 2 * math.pi)
-    assert abs(out.q[0]) <= 1e-12 and abs(out.q[1]) <= 1e-12
-    assert abs(out.q[2] - 2 * math.pi) <= 1e-12
+    out = spec.analytic(np.array([0.0, 0.0, 0.0, 1.0, 1.0]), 2 * math.pi)
+    assert abs(out[0]) <= 1e-12 and abs(out[1]) <= 1e-12
+    assert abs(out[2] - 2 * math.pi) <= 1e-12
 
 
 def test_analytic_slope_skater_frozen_values():
     # printed closed form with constants (0, 0, 1, 1, 0) evaluated at t = pi
     spec = build("skater_slope")
-    ic = reduced((0.25, -1.0, 0.0), (1.0, 1.0))
-    out = analytic_state(spec, ic, math.pi)
+    out = spec.analytic(np.array([0.25, -1.0, 0.0, 1.0, 1.0]), math.pi)
     want_x = 0.25 * math.cos(2 * math.pi) + math.sin(math.pi)
     want_y = -math.pi / 2 + 0.25 * math.sin(2 * math.pi) - math.cos(math.pi)
     want_eta1 = -math.sin(math.pi) + 1.0
-    assert abs(out.q[0] - want_x) <= 1e-14
-    assert abs(out.q[1] - want_y) <= 1e-14
-    assert abs(out.q[2] - math.pi) <= 1e-14
-    assert abs(out.eta[0] - want_eta1) <= 1e-14
-    assert abs(out.eta[1] - 1.0) <= 1e-15
+    assert abs(out[0] - want_x) <= 1e-14
+    assert abs(out[1] - want_y) <= 1e-14
+    assert abs(out[2] - math.pi) <= 1e-14
+    assert abs(out[3] - want_eta1) <= 1e-14
+    assert abs(out[4] - 1.0) <= 1e-15
 
 
 def test_analytic_rejects_zero_rotation():
     spec = build("skater_free")
     with pytest.raises(DegenerateParameterError):
-        analytic_state(spec, reduced((0.0, 0.0, 0.0), (1.0, 0.0)), 1.0)
-
-
-def test_analytic_unsupported_for_charged():
-    spec = build("skater_charged")
-    with pytest.raises(UnsupportedError):
-        analytic_state(spec, reduced((0.0, 0.0, 0.0), (1.0, 1.0)), 1.0)
+        spec.analytic(np.array([0.0, 0.0, 0.0, 1.0, 0.0]), 1.0)
 
 
 def test_analytic_ball_free_line():
     spec = build("ball_free", {"m": 2.0, "R": 1.5, "k2": 0.5})
-    ic = reduced((1.0, -1.0), (0.8, 0.4, 0.1))
-    out = analytic_state(spec, ic, 2.0)
+    out = spec.analytic(np.array([1.0, -1.0, 0.8, 0.4, 0.1]), 2.0)
     s = 0.5 + 1.5**2
-    assert abs(out.q[0] - (1.0 + 2.0 * 1.5 * 0.8 / (2.0 * s))) <= 1e-15
-    assert abs(out.q[1] - (-1.0 - 2.0 * 1.5 * 0.4 / (2.0 * s))) <= 1e-15
-    assert out.eta == ic.eta
+    assert abs(out[0] - (1.0 + 2.0 * 1.5 * 0.8 / (2.0 * s))) <= 1e-15
+    assert abs(out[1] - (-1.0 - 2.0 * 1.5 * 0.4 / (2.0 * s))) <= 1e-15
+    assert out[2:].tolist() == [0.8, 0.4, 0.1]
 
 
 @pytest.mark.parametrize("name", ["skater_free", "skater_slope"])
@@ -268,7 +258,7 @@ def test_harmonic_potential_equals_ball_harmonic():
     rng = np.random.default_rng(5)
     for _ in range(20):
         p = np.concatenate([rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 5)])
-        assert augmented.hamiltonian.value(p) == harmonic.hamiltonian.value(p)
+        assert augmented.hamiltonian(*p.tolist()) == harmonic.hamiltonian(*p.tolist())
         rs = reduced(p[:2], rng.uniform(-2, 2, 3))
         a = np.concatenate(field_at(augmented, rs))
         b = np.concatenate(field_at(harmonic, rs))
@@ -372,14 +362,19 @@ def test_free_ball_matches_display():
     "call, error, message",
     [
         (
-            lambda: analytic_state(build("skater_slope"), reduced((0.0, 0.0, 0.0), (1.0, 0.0)), 1.0),
+            lambda: build("skater_slope").analytic(np.array([0.0, 0.0, 0.0, 1.0, 0.0]), 1.0),
             DegenerateParameterError,
             "closed form needs nonzero initial rotation (eta2 != 0)",
         ),
         (
-            lambda: analytic_state(build("skater_free"), reduced((0.0, 0.0), (1.0, 1.0)), 1.0),
+            lambda: hamiltonian_with_potential(build("ball_free"), "x^2"),
             ValidationError,
-            "initial condition must be a reduced state of matching shape",
+            "potential must be a parsed expression, got 'x^2'",
+        ),
+        (
+            lambda: build("skater_free", [1, 2]),
+            CatalogError,
+            "overrides of system 'skater_free' must be a mapping, got [1, 2]",
         ),
         (
             lambda: mechanical_lagrangian(build("skater_charged")),
