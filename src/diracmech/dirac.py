@@ -144,10 +144,8 @@ def _element(dirac: DiracAlgebroid, q, eta, a, xb, etadot_alpha, base=None) -> D
 
 
 def _float_list(value, n: int, message: str):
-    """``value`` as n floats (a list or tuple of exact floats as it is), or
-    DimensionError(message formatted with its shape and n)."""
-    if type(value) in (list, tuple) and len(value) == n and {*map(type, value)} <= {float}:
-        return value
+    """``value`` as a list of n floats, or DimensionError(message formatted
+    with its shape and n)."""
     shape = shape_of(value)
     message = message.format(shape, n=n)
     if shape != (n,):
@@ -225,21 +223,24 @@ def _transverse(dirac, h, q, eta_a, guess, solution) -> list:
     if solution.kind == "affine":
         out = solution.affine_map(list(q))
         shape = shape_of(out)
-        if shape != (nt,) or any(hasattr(v, "__len__") for v in out):  # one number each
+        if shape != (nt,):
             raise DimensionError(f"affine map returned {shape}, expected {(nt,)}")
+        for j, v in enumerate(out):
+            if hasattr(v, "__len__"):  # one number each
+                raise DimensionError(f"affine map returned {v!r} as entry {j}, expected a number")
         return list(out)
     return _newton_transverse(dirac, h, q, eta_a, guess)
 
 
 def _newton_transverse(dirac, h, q, eta_a, guess) -> list:
     """Newton's solution of dH/deta_alpha = 0 from ``guess``, as a list.
-    Each iterate runs H's compiled transverse sweep once
-    (``grad_and_hessian_rows``): its first partials are the residual, and
-    the step's elimination consumes its block rows.  The rows at the
-    solution are eliminated once more, to check that the block is
-    nonsingular there.  At tracing scalars ``newton_iterate`` records the
-    loop once; a block that is not constant cannot be traced there unless
-    it is 1 x 1."""
+    Each iterate runs H's nested-dual sweep over the transverse momenta
+    once (``grad_and_hessian_rows``, which on floats compiles nothing):
+    its first partials are the residual, and the step's elimination
+    consumes its block rows.  The rows at the solution are eliminated once
+    more, to check that the block is nonsingular there.  At tracing
+    scalars ``newton_iterate`` records the loop, sweep included, once; a
+    block that is not constant cannot be traced there unless it is 1 x 1."""
     m, k, nt = dirac.alg.m, dirac.k, dirac.transverse
     head = [*q, *eta_a]
     alpha_idx = tuple(range(m + k, m + k + nt))

@@ -2,8 +2,7 @@
 
 A frame field is an invertible matrix-valued map q -> rho(q) whose
 column j holds the coefficients of the frame section f_j in the
-coordinate basis.  The first k columns span the constraint
-distribution.  Structure functions follow the convention
+coordinate basis.  Structure functions follow the convention
 
     [f_k, f_j] = c^i_{jk} f_i,
 
@@ -15,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError
 from .numcore import mat_inverse, partials_of, seed_duals, value_of
 
 __all__ = [
@@ -29,7 +28,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrameField:
-    """Base dimension, constraint rank, and the frame-entry map.
+    """Base dimension and the frame-entry map.
 
     ``rho(q)`` must return an n x n nested sequence (rows) and accept
     DualScalar coordinates, since structure functions differentiate the
@@ -37,12 +36,7 @@ class FrameField:
     """
 
     n: int
-    k: int
     rho: Callable
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValidationError(f"constraint rank {self.k} outside 1..{self.n}")
 
 
 def _check_point(fr: FrameField, q):
@@ -65,7 +59,7 @@ def frame_matrix(fr: FrameField, q) -> np.ndarray:
     return rho
 
 
-def eval_matrix_with_partials(entry_map: Callable, q, shape=None):
+def eval_matrix_with_partials(entry_map: Callable, q, shape):
     """Evaluate a matrix-valued map at q through dual coordinates.
 
     Returns (values, partials) with values[r, c] the entries and
@@ -75,7 +69,7 @@ def eval_matrix_with_partials(entry_map: Callable, q, shape=None):
     rows = entry_map(duals)
     nrows = len(rows)
     ncols = len(rows[0])
-    if shape is not None and (nrows, ncols) != shape:
+    if (nrows, ncols) != shape:
         raise DimensionError(f"matrix map returned {nrows}x{ncols}, expected {shape}")
     m = len(q)
     values = np.empty((nrows, ncols))
@@ -115,7 +109,7 @@ def structure_functions_tangent(fr: FrameField, q) -> np.ndarray:
     return c
 
 
-def identity_frame(n: int, k: int | None = None) -> FrameField:
-    """Coordinate-basis frame; constraint spans the first k directions."""
+def identity_frame(n: int) -> FrameField:
+    """Coordinate-basis frame."""
     rows = np.eye(n).tolist()
-    return FrameField(n=n, k=n if k is None else k, rho=lambda q: rows)
+    return FrameField(n=n, rho=lambda q: rows)

@@ -1,7 +1,6 @@
 """Numerical substrate: forward-mode dual scalars, fields compiled to
-straight-line value-and-gradient and Hessian-block code, small dense
-linear algebra on float lists with explicit pivot control, and a plain
-Newton iteration.
+straight-line value-and-gradient code, small dense linear algebra on
+float lists with explicit pivot control, and a plain Newton iteration.
 
 Dual scalars carry a full partials vector (one slot per active variable)
 and nest, so Hessian blocks come from running duals through duals.
@@ -9,14 +8,14 @@ and nest, so Hessian blocks come from running duals through duals.
 derivative rules.
 
 ``grad`` compiles a field's dual sweep with ``tracing.compile_traced``,
-and ``hessian_block`` its nested-dual sweep once per index set, so the
-generated code applies DualScalar's rules operation for operation;
-``dual_sweep`` runs the sweep itself, for a caller that reads one point
-and no program.  The nested sweep's program returns the first partials
-over the index set ahead of the block, so ``grad_and_hessian_rows``
-gives a Newton residual and its Jacobian rows from one run.  At a traced
-point the seed partials are ``tracing.ZERO``, a zero that drops out of
-every rule, so structurally zero partials cost no code.
+so the generated code applies DualScalar's rules operation for
+operation; ``dual_sweep`` runs the sweep itself.  ``hessian_block`` and
+``grad_and_hessian_rows`` run the nested-dual sweep, which gives the
+first partials over the index set ahead of the block (a Newton residual
+and its Jacobian rows), on floats and compile nothing; a traced Newton
+field program records the sweep inline.  At a traced point the seed
+partials are ``tracing.ZERO``, a zero that drops out of every rule, so
+structurally zero partials cost no code.
 
 The linear algebra and every sum in ``dot`` run on Python floats in a
 fixed order, so no result depends on the BLAS kernel numpy loads.
@@ -303,11 +302,14 @@ def power(base, exponent):
 
     Integer exponents work for any base; non-integer exponents require a
     positive base (negative base would leave the reals), and a varying
-    exponent additionally routes through exp/log.
+    exponent takes the partials of exp(exponent * log(base)) at the value
+    base ** exponent, as floats compute it.
     """
-    exp_is_dual = isinstance(exponent, DualScalar)
-    if exp_is_dual and any(_scalar(p) != 0.0 for p in exponent.partials):
-        return exp(exponent * log(base))
+    if isinstance(exponent, DualScalar) and any(_scalar(p) != 0.0 for p in exponent.partials):
+        scaled = exponent * log(base)  # log raises, or guards, where base <= 0
+        b, e = value_of(base), exponent.value
+        v = power(b, e) if isinstance(b, DualScalar) or isinstance(e, DualScalar) else _positive_pow(b, e)
+        return DualScalar(v, tuple(v * a for a in scaled.partials))
     # float() of a traced exponent raises: the dual rule above branches on
     # the exponent's partials, so such fields stay on the dual sweep
     e = _scalar(value_of(exponent))
@@ -341,6 +343,16 @@ def _pow_int(base, n):
     return _plain_pow(base, n)
 
 
+def _positive_pow(base, e):
+    """base ** e of plain numbers once log has held base > 0: one ``**``
+    line where either is a tracing scalar."""
+    if isinstance(base, Tracer):
+        return base.raw_pow(e)
+    if isinstance(e, Tracer):
+        return e.raw_rpow(base)
+    return power(base, e)
+
+
 def _plain_pow(base, e):
     """base ** e for a plain or traced base once ``power``'s other guards
     have run: a zero base with a negative exponent raises here."""
@@ -369,21 +381,20 @@ class ScalarField:
     ``fn`` takes one positional argument per variable (base variables
     first) and must accept DualScalar as well as float inputs.  It must be
     a pure function of its arguments: ``grad`` compiles its dual sweep
-    once and reuses the result, and ``hessian_block`` does the same once
-    per index set.  Value-dependent branches (comparisons, ``float`` or
-    ``bool`` of an argument) are allowed, but such a field runs on the
-    dual sweep.  Programs that other modules compile around the field
+    once and reuses the result (Hessian blocks run the nested sweep on
+    floats).  Value-dependent branches (comparisons, ``float`` or ``bool``
+    of an argument) are allowed, but such a field runs on the dual sweep.
+    Programs that other modules compile around the field
     (``dirac.reduced_field``) are cached on it too, in ``_programs``.
     """
 
-    __slots__ = ("base_names", "fiber_names", "fn", "_compiled", "_hessians", "_programs")
+    __slots__ = ("base_names", "fiber_names", "fn", "_compiled", "_programs")
 
     def __init__(self, base_names: Sequence[str], fiber_names: Sequence[str], fn: Callable):
         self.base_names = tuple(base_names)
         self.fiber_names = tuple(fiber_names)
         self.fn = fn
         self._compiled = None  # the gradient program, filled by the first grad
-        self._hessians = {}  # tuple(idx) -> the program of that Hessian block
         self._programs = {}  # key chosen by the compiling module -> its program
 
     @property
@@ -488,23 +499,11 @@ def _hessian_indices(f: ScalarField, idx) -> tuple:
         idx = tuple(idx)
     except TypeError as err:
         raise DimensionError(f"index subset {idx!r} is not a sequence of integers: {err}") from err
-    if idx not in f._hessians:  # only index sets that passed the check
-        if len(set(idx)) < len(idx) or not all(isinstance(j, numbers.Integral) for j in idx):
-            raise DimensionError(f"index subset {list(idx)} must hold distinct integers")
-        if any(j < 0 or j >= n for j in idx):
-            raise DimensionError(f"index subset {list(idx)} outside arity {n}")
+    if len(set(idx)) < len(idx) or not all(isinstance(j, numbers.Integral) for j in idx):
+        raise DimensionError(f"index subset {list(idx)} must hold distinct integers")
+    if any(j < 0 or j >= n for j in idx):
+        raise DimensionError(f"index subset {list(idx)} outside arity {n}")
     return idx
-
-
-def _hessian_outputs(f: ScalarField, args: list, idx: tuple) -> tuple:
-    """The first partials and block of ``f`` over the index set ``idx`` at
-    the float point ``args``, both checked; the outputs are not.  The first
-    call for an index set compiles ``_hessian_sweep``, and every call with
-    that set runs that program."""
-    compiled = f._hessians.get(idx)
-    if compiled is None:
-        compiled = f._hessians[idx] = compile_traced(lambda *xs: _hessian_sweep(f, xs, idx), f.arity)
-    return compiled(*args)
 
 
 def _require_finite(values, what: str, args) -> None:
@@ -515,36 +514,30 @@ def _require_finite(values, what: str, args) -> None:
 def grad_and_hessian_rows(f: ScalarField, p, idx) -> tuple:
     """The first partials of ``f`` over ``idx`` at ``p`` (a tuple) and its
     second-derivative block over ``idx`` as float rows (lists of the
-    caller's own), from one run of ``hessian_block``'s program: the
+    caller's own), from one nested-dual sweep (``hessian_block``'s): the
     residual and the Jacobian rows of Newton on d f / d x_idx = 0.  A
     non-finite first partial raises as in ``value_and_grad``, ahead of the
     block's check.  At tracing scalars the sweep is recorded, and the
-    program gives up where that program's outputs are not finite; an
-    entry the sweep leaves constant is a float."""
+    caller's program gives up where its outputs are not finite; an entry
+    the sweep leaves constant is a float."""
     args, traced = _float_point(f, p)
-    idx = _hessian_indices(f, idx)
+    first, block = _hessian_sweep(f, args, _hessian_indices(f, idx))
     if traced:
-        first, block = _hessian_sweep(f, args, idx)
         first, block = (tuple(0.0 if v is ZERO else v for v in out) for out in (first, block))
         require_finite([*first, *block])
     else:
-        first, block = _hessian_outputs(f, args, idx)
-        if not math.isfinite(sum(first, sum(block))):  # a non-finite entry makes it so
-            _require_finite(first, "derivative", args)
-            _require_finite(block, "second derivative", args)
+        _require_finite(first, "derivative", args)
+        _require_finite(block, "second derivative", args)
     s = len(first)
     return first, [list(block[r * s : (r + 1) * s]) for r in range(s)]
 
 
 def hessian_block(f: ScalarField, p, idx) -> np.ndarray:
     """Second-derivative block of ``f`` over the variable subset ``idx``, as
-    a read-only (len(idx), len(idx)) array.
-
-    The first call for an index set compiles the nested-dual sweep of
-    ``f``, and every call with that set runs that program.
-    """
+    a read-only (len(idx), len(idx)) array, from one nested-dual sweep run
+    on floats; it compiles nothing."""
     args, _ = _float_point(f, p)
-    first, block = _hessian_outputs(f, args, _hessian_indices(f, idx))
+    first, block = _hessian_sweep(f, args, _hessian_indices(f, idx))
     _require_finite(block, "second derivative", args)
     s = len(first)
     out = np.array(block, dtype=float).reshape(s, s)
@@ -740,10 +733,7 @@ def newton_iterate(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    # type() first: an ABC check costs about 1 µs, on every solve
-    if type(max_iter) is not int and (
-        isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
-    ):
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")

@@ -62,8 +62,7 @@ class MetricBlocks:
     """Metric and momentum-shift data backing the oracle dynamics."""
 
     mass: float
-    g_sub: Callable      # q -> (k, k) rows, metric on the constraint
-    g_inv_sub: Callable  # q -> (k, k) rows, its inverse
+    g_inv_sub: Callable  # q -> (k, k) rows, inverse of the metric on the constraint
     g_full: Callable     # q -> (N, N) rows, metric on the whole fiber
     potential: ScalarField
     a_par: Callable | None = None   # q -> length-k admissible shift components
@@ -126,9 +125,8 @@ def _skew_constants(rank: int, entries: Mapping) -> np.ndarray:
 def _diagonal_metric(mass, diagonal, k, potential) -> MetricBlocks:
     """Metric data of the constant metric diag(``diagonal``) on the fiber,
     whose first k sections span the constraint."""
-    sub = diagonal[:k]
-    g_sub, g_inv, g_full = (np.diag(d).tolist() for d in (sub, [1.0 / v for v in sub], diagonal))
-    return MetricBlocks(mass, lambda q: g_sub, lambda q: g_inv, lambda q: g_full, potential)
+    g_inv, g_full = (np.diag(d).tolist() for d in ([1.0 / v for v in diagonal[:k]], diagonal))
+    return MetricBlocks(mass, lambda q: g_inv, lambda q: g_full, potential)
 
 
 # -- skater geometry -------------------------------------------------------
@@ -143,7 +141,7 @@ def skater_frame() -> FrameField:
         s = numcore.sin(phi)
         return [[c, 0.0, -s], [s, 0.0, c], [0.0, 1.0, 0.0]]
 
-    return FrameField(n=3, k=2, rho=rho)
+    return FrameField(n=3, rho=rho)
 
 
 def skater_structure_constants() -> np.ndarray:

@@ -191,6 +191,10 @@ class Tracer:
         """``self ** exponent`` once ``numcore.power``'s guards have run."""
         return self._binary("**", exponent)
 
+    def raw_rpow(self, base) -> "Tracer":
+        """``base ** self`` once ``numcore.power``'s guards have run."""
+        return self._binary("**", base, reflected=True)
+
     def __add__(self, other):
         return self._binary("+", other)
 

@@ -71,7 +71,7 @@ def test_from_tangent_frame_identity_plane():
 
 
 def test_from_tangent_frame_polar():
-    fr = FrameField(n=2, k=1, rho=lambda q: [[1.0, 0.0], [0.0, 1.0 / q[0]]])
+    fr = FrameField(n=2, rho=lambda q: [[1.0, 0.0], [0.0, 1.0 / q[0]]])
     alg = from_tangent_frame(fr)
     assert abs(alg.structure((2.0, 0.0))[1, 0, 1] - 0.5) <= 1e-14
 
@@ -320,9 +320,10 @@ def test_lagrangian_dynamics_skater_restricted():
     assert np.allclose(etadot, [0.0, 0.0], atol=1e-15)
 
 
-def _metric_dynamics_reference(alg_c, mass, g_sub, potential, vs):
+def _metric_dynamics_reference(alg_c, mass, g_full, potential, vs):
     """Velocity form of the constrained metric dynamics, transcribed
-    independently of the Lagrangian-side evaluator:
+    independently of the Lagrangian-side evaluator, with g the metric on
+    the constraint, the (k, k) block of ``g_full`` that it reads:
 
         eta_a    = m g_ab x^b
         qdot     = rho x
@@ -333,7 +334,7 @@ def _metric_dynamics_reference(alg_c, mass, g_sub, potential, vs):
     x = np.asarray(vs.x)
     k = alg_c.rank
     duals = numcore.seed_duals(q)
-    rows = g_sub(duals)
+    rows = g_full(duals)
     g_vals = np.array([[numcore.value_of(rows[r][c]) for c in range(k)] for r in range(k)])
     g_part = np.array(
         [[numcore.partials_of(rows[r][c], len(q)) for c in range(k)] for r in range(k)]
@@ -365,7 +366,7 @@ def test_mechanical_lagrangian_reproduces_metric_dynamics(name):
         vs = VelocityState(rng.uniform(-1.5, 1.5, spec.m), rng.uniform(-2, 2, spec.k))
         eta, qdot, etadot = lagrangian_dynamics(alg_c, lagr_c, vs)
         eta_r, qdot_r, etadot_r = _metric_dynamics_reference(
-            alg_c, metric.mass, metric.g_sub, metric.potential, vs
+            alg_c, metric.mass, metric.g_full, metric.potential, vs
         )
         for got, want in ((eta, eta_r), (qdot, qdot_r), (etadot, etadot_r)):
             assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
@@ -375,7 +376,7 @@ def _restricted_lagrangian_fn(metric, m_dim, k):
     def fn(*args):
         q = args[:m_dim]
         x = args[m_dim:]
-        rows = metric.g_sub(list(q))
+        rows = metric.g_full(list(q))  # its (k, k) block, read below, is the metric on the constraint
         quad = 0.0
         for a in range(k):
             for b in range(k):

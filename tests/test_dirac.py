@@ -329,14 +329,14 @@ class ListKind(list):
 
 @pytest.mark.parametrize("n", [0, 1, 3, len(SPECIAL)])
 def test_float_list_exact_types_equal_the_checked_path(n):
-    """Lists and tuples of floats are taken as they are, while a list
-    subclass and a float64 vector take the checked path; all give the
-    same floats."""
+    """A list subclass, a list, a tuple and a float64 vector of floats all
+    give the same floats, as a list."""
     values = SPECIAL[:n]
     want = _float_list(ListKind(values), n, "{}")
     assert type(want) is list and all(type(v) is float for v in want)
     for value in (values, tuple(values), np.array(values, dtype=np.float64)):
         out = _float_list(value, n, "{}")
+        assert type(out) is list
         assert [bits(v) for v in out] == [bits(v) for v in want] == [bits(v) for v in values]
 
 
@@ -457,20 +457,18 @@ def test_newton_reports_a_non_finite_residual_first():
 
 
 def test_newton_builds_one_hessian_block_per_residual(monkeypatch):
-    # each residual is one run of H's transverse sweep program, which gives
-    # the residual and the Jacobian rows; the full gradient is never taken
+    # each residual is one run of H's transverse sweep, which gives the
+    # residual and the Jacobian rows; the full gradient is never taken
     from diracmech import dirac, numcore
 
     spec = build("ball_magnetic")
-    h, start = spec.hamiltonian, spec.m + spec.k
-    idx = tuple(range(start, start + spec.dirac.transverse))
-    hessian_block(h, [0.1] * h.arity, idx)  # compiles the program
-    counts = {"residual": 0, "program": 0, "value_and_grad": 0}
-    program, iterate, full_gradient = h._hessians[idx], dirac.newton_iterate, numcore.value_and_grad
+    h = spec.hamiltonian
+    counts = {"residual": 0, "sweep": 0, "value_and_grad": 0}
+    sweep, iterate, full_gradient = numcore._hessian_sweep, dirac.newton_iterate, numcore.value_and_grad
 
-    def counted_program(*xs):
-        counts["program"] += 1
-        return program(*xs)
+    def counted_sweep(*args):
+        counts["sweep"] += 1
+        return sweep(*args)
 
     def counted_iterate(residual_map, *args, **kwargs):
         def counted_map(x):
@@ -483,14 +481,50 @@ def test_newton_builds_one_hessian_block_per_residual(monkeypatch):
         counts["value_and_grad"] += 1
         return full_gradient(*args, **kwargs)
 
-    monkeypatch.setitem(h._hessians, idx, counted_program)
+    monkeypatch.setattr(numcore, "_hessian_sweep", counted_sweep)
     monkeypatch.setattr(dirac, "newton_iterate", counted_iterate)
     for module in (dirac, numcore):
         monkeypatch.setattr(module, "value_and_grad", counted_gradient)
     sol = solve_consistency(spec.dirac, h, (0.2, -0.1), (1.0, 0.3, -0.2))
     assert np.max(np.abs(sol - [0.0, 0.2])) <= 1e-12
-    assert counts["program"] == counts["residual"] >= 2
+    assert counts["sweep"] == counts["residual"] >= 2
     assert counts["value_and_grad"] == 0
+
+
+# SHA-256 over the bytes of the Newton solution of solve_consistency and of
+# hessian_block over the transverse momenta there, at 50 reduced states drawn
+# from default_rng(21), recorded when the float Newton loop ran a compiled
+# Hessian program
+FLOAT_NEWTON_DIGESTS = {
+    "skater_charged": "42c807ec6d8caec46514a83ef6b76ef425b979a66cff7c2fda86e399eac917e1",
+    "ball_magnetic": "cdd4e5d515ae38657db4ae3cfbff43e2d8e14b47e1e39b61e0631e0eb97ff5d9",
+    "skater_quartic": "5335cfd81b87f280ccc4053e852b491ea9bfde5ab05a7930f805fd90db185f5a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_NEWTON_DIGESTS))
+def test_float_newton_compiles_nothing(name, monkeypatch):
+    from diracmech import numcore
+
+    spec = build(name.replace("quartic", "charged"))
+    h = spec.hamiltonian
+    if name == "skater_quartic":
+        h = ScalarField(spec.base_names, spec.fiber_names, lambda *a: spec.hamiltonian.fn(*a) + 0.25 * a[5] ** 4)
+
+    def refuse(fn, arity):
+        raise AssertionError("the float Newton path compiled a program")
+
+    monkeypatch.setattr(numcore, "compile_traced", refuse)
+    start = spec.m + spec.k
+    idx = list(range(start, start + spec.dirac.transverse))
+    rng = np.random.default_rng(21)
+    digest = hashlib.sha256()
+    for _ in range(50):
+        q, eta = rng.uniform(-1.5, 1.5, spec.m).tolist(), rng.uniform(-2.0, 2.0, spec.k).tolist()
+        sol = solve_consistency(spec.dirac, h, q, eta)
+        digest.update(sol.tobytes())
+        digest.update(hessian_block(h, [*q, *eta, *sol.tolist()], idx).tobytes())
+    assert digest.hexdigest() == FLOAT_NEWTON_DIGESTS[name]
 
 
 # -- reduced field -------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diracmech import numcore
-from diracmech.errors import DimensionError, ValidationError
+from diracmech.errors import DimensionError
 from diracmech.frame import (
     FrameField,
     eval_matrix_with_partials,
@@ -21,7 +21,7 @@ def polar_frame():
         r = q[0]
         return [[1.0, 0.0], [0.0, 1.0 / r]]
 
-    return FrameField(n=2, k=1, rho=rho)
+    return FrameField(n=2, rho=rho)
 
 
 def shear_frame():
@@ -33,7 +33,7 @@ def shear_frame():
             [0.2 * x * y, 1.0 + 0.1 * numcore.cos(y)],
         ]
 
-    return FrameField(n=2, k=1, rho=rho)
+    return FrameField(n=2, rho=rho)
 
 
 # -- frame_matrix -----------------------------------------------------------
@@ -52,13 +52,8 @@ def test_skater_frame_at_quarter_turn():
 
 
 def test_identity_frame():
-    fr = identity_frame(4, 2)
+    fr = identity_frame(4)
     assert np.array_equal(frame_matrix(fr, (1.0, 2.0, 3.0, 4.0)), np.eye(4))
-
-
-def test_frame_rank_validation():
-    with pytest.raises(ValidationError):
-        FrameField(n=3, k=0, rho=lambda q: np.eye(3).tolist())
 
 
 # -- structure functions -----------------------------------------------------
@@ -77,7 +72,7 @@ def test_skater_structure_constants():
 
 
 def test_constant_frame_has_zero_structure():
-    fr = FrameField(n=3, k=1, rho=lambda q: [[1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+    fr = FrameField(n=3, rho=lambda q: [[1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
     c = structure_functions_tangent(fr, (0.3, 0.4, 0.5))
     assert np.array_equal(c, np.zeros((3, 3, 3)))
 
@@ -129,11 +124,11 @@ def test_structure_matches_numeric_commutator(maker):
     [
         (lambda: frame_matrix(skater_frame(), (0.0, 0.0)), "point of length 2 on a chart of dimension 3"),
         (
-            lambda: frame_matrix(FrameField(n=1, k=1, rho=lambda q: []), (0.0,)),
+            lambda: frame_matrix(FrameField(n=1, rho=lambda q: []), (0.0,)),
             "frame map needs a 2-d layout, got shape (0,)",
         ),
         (
-            lambda: frame_matrix(FrameField(n=1, k=1, rho=lambda q: [1.0]), (0.0,)),
+            lambda: frame_matrix(FrameField(n=1, rho=lambda q: [1.0]), (0.0,)),
             "frame map needs a 2-d layout, got a non-sequence row",
         ),
         (

@@ -287,18 +287,23 @@ def test_newton_field_raises_the_reference_errors():
 
 
 @pytest.mark.parametrize(
-    "affine_map, shape",
-    [(lambda q: [q[0], q[1]], "(2,)"), (lambda q: np.array([[q[0]]]), "(1, 1)"), (lambda q: None, "()")],
+    "name, affine_map, message",
+    [
+        ("skater_charged", lambda q: [q[0], q[1]], "affine map returned (2,), expected (1,)"),
+        ("skater_charged", lambda q: np.array([[q[0]]]), "affine map returned (1, 1), expected (1,)"),
+        ("skater_charged", lambda q: None, "affine map returned (), expected (1,)"),
+        ("ball_magnetic", lambda q: [1.0, [2.0]], "affine map returned [2.0] as entry 1, expected a number"),
+    ],
 )
-def test_affine_map_of_the_wrong_shape_is_rejected(affine_map, shape):
-    spec = build("skater_charged")
+def test_affine_map_of_the_wrong_shape_is_rejected(name, affine_map, message):
+    spec = build(name)
     bad = ConsistencySolution(kind="affine", affine_map=affine_map)
-    message = f"affine map returned {shape}, expected (1,)"
+    q, eta = [0.1, 0.2, 0.3][: spec.m], [1.0, 0.5, -0.5][: spec.k]
     with pytest.raises(DimensionError) as info:
-        dirac.solve_consistency(spec.dirac, spec.hamiltonian, [0.1, 0.2, 0.3], [1.0, 0.5], solution=bad)
+        dirac.solve_consistency(spec.dirac, spec.hamiltonian, q, eta, solution=bad)
     assert str(info.value) == message
     with pytest.raises(DimensionError) as info:
-        reduced_field(spec.dirac, spec.hamiltonian, bad)(0.1, 0.2, 0.3, 1.0, 0.5, 0.0)
+        reduced_field(spec.dirac, spec.hamiltonian, bad)(*q, *eta, *[0.0] * spec.dirac.transverse)
     assert str(info.value) == message
 
 
@@ -634,14 +639,13 @@ def generated_digest(program):
 
 def catalog_programs(name, monkeypatch):
     """The other programs a catalog system's runs and checks compile, as
-    they compile them: H's gradient, its transverse Hessian sweep, the
-    contraction at the system's k and the isotropy pair program."""
+    they compile them: H's gradient, the contraction at the system's k and
+    the isotropy pair program; and H's transverse Hessian sweep, compiled
+    alone, as a Newton field program records it inline."""
     spec = build(name)
     h, alg, k = spec.hamiltonian, spec.dirac.alg, spec.k
-    point = [0.1] * h.arity
-    numcore.grad(h, point)
+    numcore.grad(h, [0.1] * h.arity)
     idx = tuple(range(alg.m + k, alg.m + alg.rank))
-    numcore.grad_and_hessian_rows(h, point, idx)
     alg.float_rates([0.1] * alg.m, [0.2] * alg.rank, [0.3] * k, [0.4] * alg.m, k)
     compiled = []
 
@@ -654,7 +658,7 @@ def catalog_programs(name, monkeypatch):
     (pairing,) = compiled
     return {
         "gradient": h._compiled,
-        "hessian": h._hessians[idx],
+        "hessian": tracing.compile_traced(lambda *xs: numcore._hessian_sweep(h, xs, idx), h.arity),
         "contraction": alg._cache[("rates", k)],
         "isotropy": pairing,
     }

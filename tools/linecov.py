@@ -70,10 +70,9 @@ def _blocks(node) -> list:
     return [child for block in fields if isinstance(block, list) for child in block]
 
 
-def run_traced(pytest_args) -> tuple:
-    """(exit code of the suite, {file name: lines run})."""
-    import pytest  # imported before tracing starts, so its own import is not traced
-
+def trace_package(fn) -> tuple:
+    """(``fn()``, {file name: lines run}), with ``fn`` called under
+    ``sys.settrace`` and only frames whose code lives in the package traced."""
     prefix = str(PACKAGE) + os.sep
     seen = {}
 
@@ -89,21 +88,36 @@ def run_traced(pytest_args) -> tuple:
         seen.setdefault(name, set())
         return local
 
-    os.chdir(ROOT)
     sys.settrace(scope)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
+        result = fn()
     finally:
         sys.settrace(None)
-    return int(code), {Path(name).name: lines for name, lines in seen.items()}
+    return result, {Path(name).name: lines for name, lines in seen.items()}
 
 
-def main(argv) -> int:
-    code, seen = run_traced(argv)
+def not_run(seen) -> list:
+    """(file name, first line, text) of each statement of the package that
+    owns none of the lines ``seen`` holds for its file."""
     missed = []
     for path in sorted(PACKAGE.glob("*.py")):
         ran = seen.get(path.name, set())
         missed += [(path.name, first, text) for own, first, text in statements(path) if ran.isdisjoint(own)]
+    return missed
+
+
+def run_traced(pytest_args) -> tuple:
+    """(exit code of the suite, {file name: lines run})."""
+    import pytest  # imported before tracing starts, so its own import is not traced
+
+    os.chdir(ROOT)
+    code, seen = trace_package(lambda: pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args]))
+    return int(code), seen
+
+
+def main(argv) -> int:
+    code, seen = run_traced(argv)
+    missed = not_run(seen)
     unexpected = [m for m in missed if (m[0], m[2]) not in ALLOWED]
     stale = sorted(set(ALLOWED) - {(name, text) for name, _, text in missed})
     for name, first, text in missed:
