@@ -344,7 +344,8 @@ def reduced_field(
     the closed consistency forms read not at all.  It returns one flat
     tuple, equal to ``evaluate_reduced``: qdot, etadot_a (together the
     derivative of y, ``[:n]``), eta_alpha ``[n:n + nt]``, H ``[n + nt]``
-    and grad_H ``[n + nt + 1:]``.
+    and grad_H ``[n + nt + 1:]``; ``field(*y, *guess, True)`` may return
+    the first n + nt alone, and does not give up where only the rest fail.
 
     One tape holds the consistency solve, the dual sweep of H and the
     element contraction.  ``zero`` is constants and ``affine`` its traced
@@ -352,13 +353,13 @@ def reduced_field(
     (``numcore.newton_iterate`` at tracing scalars): H's transverse sweep,
     its test and one step, which the code leaves at the first iterate that
     converged, as the loop returns it, and whose sweep at that iterate the
-    rest of the field reads.  Where the code gives up, and for a system
-    that cannot be traced, the program runs the same field on floats
-    (``tracing.compile_traced``): for ``newton`` the float loop, then H's
-    compiled gradient and the compiled contraction.  It is compiled on
-    the first call for a (dirac, solution) pair and cached on ``h`` by the
-    solution's kind and map: equal solutions share one program, and the
-    map is never hashed.
+    rest of the field reads (what only H reads runs once, after the loop).
+    Where the code gives up, and for a system that cannot be traced, the
+    program runs the same field on floats, in full: for ``newton`` the
+    float loop, then H's compiled gradient and the compiled contraction
+    (``tracing.compile_traced``).  It is compiled on the first call for a
+    (dirac, solution) pair and cached on ``h`` by the solution's kind and
+    map: equal solutions share one program, and the map is never hashed.
     """
     # the cached program holds dirac and solution, so their ids stay theirs
     key = (id(dirac), solution.kind, id(solution.affine_map))
@@ -369,13 +370,13 @@ def reduced_field(
 
 
 def _compile_field(dirac, h, solution) -> Callable:
-    m, n = dirac.alg.m, dirac.alg.m + dirac.k
+    m, n, nt = dirac.alg.m, dirac.alg.m + dirac.k, dirac.transverse
 
-    def field(*xs):
+    def field(*xs):  # the program's trailing flag is not read
         q, eta_a = xs[:m], xs[m:n]
-        return _field_outputs(dirac, h, q, eta_a, _transverse(dirac, h, q, eta_a, xs[n:], solution))
+        return _field_outputs(dirac, h, q, eta_a, _transverse(dirac, h, q, eta_a, xs[n : n + nt], solution))
 
-    return compile_traced(field, n + dirac.transverse)
+    return compile_traced(field, n + nt, lead=n + nt)
 
 
 def reduced_vector_field(

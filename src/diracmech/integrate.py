@@ -9,9 +9,11 @@ with Neumaier's compensation as a branch-free TwoSum.  The program hands
 each recorded state and its evaluation back; ``simulate`` keeps the time
 grid, the observables and the failure handling.  ``rk4_step`` runs the
 same program for one step.  Each state reached is evaluated once: that
-evaluation is the recorded sample, k1 of the next step and its Newton
-warm start.  Every sum is in a fixed order, so identical inputs give
-bit-identical output, whatever BLAS kernel numpy loads.
+evaluation is k1 of the next step and its Newton warm start.  Only the
+evaluations a sample records compute H and grad H; the stages and the
+other states ask the field for the derivative and eta_alpha alone.  Every
+sum is in a fixed order, so identical inputs give bit-identical output,
+whatever BLAS kernel numpy loads.
 """
 
 import math
@@ -63,8 +65,8 @@ def rk4_step(f: Callable, s: PhaseState, dt: float) -> PhaseState:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     m, k = len(s.q), len(s.eta)
 
-    def field(*y):
-        qdot, etadot = f(PhaseState(q=y[:m], eta=y[m:], full=False))
+    def field(*y):  # the state, then the program's flag, not read
+        qdot, etadot = f(PhaseState(q=y[:m], eta=y[m : m + k], full=False))
         if len(qdot) != m or len(etadot) != k:
             raise DimensionError(f"rates of lengths {len(qdot), len(etadot)}, expected {m, k}")
         return (*(float(v) for v in qdot), *(float(v) for v in etadot))
@@ -155,7 +157,8 @@ def simulate(
     steps; the final state is then recorded at ``t_end``.
 
     A failure mid-run raises TruncatedTrajectoryError carrying the partial
-    trajectory, at the time of the state or step whose evaluation failed.
+    trajectory, at the time of the state or step whose evaluation failed:
+    the next recorded state where only H or partials the field omits fail.
     """
     integral = type(stride) is int or isinstance(stride, numbers.Integral)
     if not integral or type(stride) is bool:

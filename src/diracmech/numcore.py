@@ -89,6 +89,11 @@ def _scalar(x):
     return x
 
 
+def _nonzero(x) -> bool:
+    """Whether a possibly nested dual is nonzero at any level."""
+    return any(map(_nonzero, (x.value, *x.partials))) if isinstance(x, DualScalar) else x != 0.0
+
+
 def _fails(x, test) -> bool:
     """Whether the innermost value of ``x`` satisfies ``test`` (operator.eq,
     lt or le) against 0.0, the domain test on which a dual rule raises.
@@ -302,10 +307,11 @@ def power(base, exponent):
 
     Integer exponents work for any base; non-integer exponents require a
     positive base (negative base would leave the reals), and a varying
-    exponent takes the partials of exp(exponent * log(base)) at the value
-    base ** exponent, as floats compute it.
+    exponent, one with a partial nonzero at any level of nesting, takes
+    the partials of exp(exponent * log(base)) at the value base **
+    exponent, as floats compute it.
     """
-    if isinstance(exponent, DualScalar) and any(_scalar(p) != 0.0 for p in exponent.partials):
+    if isinstance(exponent, DualScalar) and any(_nonzero(p) for p in exponent.partials):
         scaled = exponent * log(base)  # log raises, or guards, where base <= 0
         b, e = value_of(base), exponent.value
         v = power(b, e) if isinstance(b, DualScalar) or isinstance(e, DualScalar) else _positive_pow(b, e)

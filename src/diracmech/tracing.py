@@ -20,9 +20,9 @@ first converged iterate, so ``reduced_field`` holds the consistency
 solve's Newton steps in its program.
 
 ``rk4_program`` writes the integrator's RK4 steps once per state length:
-one loop over a run's steps that calls a compiled field and hands the
-recorded states back, and no system's code.  ``source_of`` shows the
-text of a compiled program.
+one loop over a run's steps that calls a compiled field, for the
+derivative alone where no sample reads H, and hands the recorded states
+back, and no system's code.  ``source_of`` shows a compiled program.
 """
 
 import functools
@@ -367,7 +367,7 @@ def require_finite(values) -> None:
 _MAX_PARENTHESES = 64
 
 
-def _live_lines(lines, outputs) -> list:
+def _live_lines(lines, outputs, lead=None) -> list:
     """The text of ``lines``, indented, from one pass over the records.
     Backward, it drops each fresh assignment that cannot raise and that no
     output or kept line reads (only a Loop's carried writes, which all
@@ -377,28 +377,45 @@ def _live_lines(lines, outputs) -> list:
     the same float operations on the same operands, without a store and a
     load.  A Loop writes before it only lines that read nothing it
     defines, so those operands are the same after it.  Guards and a
-    Loop's lines read names."""
+    Loop's lines read names.  With ``lead``, the names of the leading
+    outputs, those return early where the flag ``lead`` is set, after what
+    they, the guards and the Loops read; the rest follows at depth 0, where
+    a Loop's lines before its test read the exit pass's values."""
+    late = set()  # the names written after the early return
+    if lead is not None:
+        first, stepping, after = set(lead), False, 0
+        for line in reversed(lines):  # a Loop's lines after its test come first
+            stepping = line.depth and (stepping or not after) and not line.form.endswith(": break")
+            after = line.depth
+            if line.name is None or line.name in first or stepping:
+                first.update(line.reads)
+            else:
+                late.add(line.name)
     reader = dict.fromkeys(outputs, False)  # needed name -> read once, by a depth-0 assignment
     kept, once = [], set()
     for line in reversed(lines):
         name = line.name
         if name is None or line.may_raise or name in reader:
-            kept.append(line)
-            if reader.get(name) and not line.depth:
+            depth = 0 if name in late else line.depth
+            kept.append((line, depth))
+            if reader.get(name) and not depth:
                 once.add(name)
-            at = name is not None and not line.depth
+            at = name is not None and not depth
             for read in line.reads:
                 reader[read] = read not in reader and at
-    inline, text = {}, []  # inline: the values still to be written
-    for line in reversed(kept):
+    inline, text, rest = {}, [], []  # inline: the values still to be written
+    for line, depth in reversed(kept):
+        out = rest if line.name in late else text
         expr = line.form.format(*[inline.pop(read, read) for read in line.reads])
         if line.name is None:
-            text.append("    " * line.depth + expr)
+            out.append("    " * depth + expr)
         elif line.name in once and expr.count("(") < _MAX_PARENTHESES:
             inline[line.name] = f"({expr})"
         else:
-            text.append(f"{'    ' * line.depth}{line.name} = {expr}")
-    return text
+            out.append(f"{'    ' * depth}{line.name} = {expr}")
+    if lead is not None:
+        text.append(f"if lead and isfinite({' + '.join(lead) or '0.0'}): return ({''.join(f'{v}, ' for v in lead)})")
+    return text + rest
 
 
 def _output(tape: _Tape, out, flat: list) -> str:
@@ -411,7 +428,7 @@ def _output(tape: _Tape, out, flat: list) -> str:
     return name
 
 
-def _source(fn: Callable, arity: int):
+def _source(fn: Callable, arity: int, lead: int | None = None):
     """Trace ``fn`` once: the source of ``compile_traced``'s function and
     the constants it reads, or None when ``fn`` cannot be traced."""
     tape = _Tape()
@@ -422,9 +439,9 @@ def _source(fn: Callable, arity: int):
         return None
     args = ", ".join(f"x{j}" for j in range(arity))
     source = [
-        f"def traced({args}):",
+        f"def traced({args}{'' if lead is None else ', lead=False'}):",
         "    try:",
-        *(f"        {line}" for line in _live_lines(tape.lines, flat)),
+        *(f"        {line}" for line in _live_lines(tape.lines, flat, None if lead is None else flat[:lead])),
         f"        if isfinite({' + '.join(flat) or '0.0'}): return {result}",
         "    except (give_up, *float_errors): pass",
         f"    return reference({args})",
@@ -432,7 +449,7 @@ def _source(fn: Callable, arity: int):
     return "\n".join(source), tape.consts
 
 
-def compile_traced(fn: Callable, arity: int) -> Callable:
+def compile_traced(fn: Callable, arity: int, lead: int | None = None) -> Callable:
     """Trace ``fn`` once and compile it to straight-line float code.
 
     ``fn`` is called with ``arity`` tracing scalars that stand for plain
@@ -444,21 +461,24 @@ def compile_traced(fn: Callable, arity: int) -> Callable:
     ..., x{arity-1})``, which gives the same numbers or raises.  The code
     gives up where a recorded guard holds (a rule would raise there), a
     float operation raises, or the sum of the outputs, in order, is not
-    finite.  A ``fn`` that cannot be traced is returned as it is.
+    finite.  A ``fn`` that cannot be traced is returned as it is.  With
+    ``lead``, a flag after the numbers (default False) returns the first
+    ``lead`` of ``fn``'s flat outputs alone once their sum is finite, and
+    skips the lines only the rest need; ``fn`` must ignore the flag.
     """
-    traced = _source(fn, arity)
+    traced = _source(fn, arity, lead)
     if traced is None:
         return fn
     source, consts = traced
-    namespace = {**_HELPERS, **consts, "reference": fn}
+    namespace = {**_HELPERS, **consts, "reference": fn, "source": source}
     exec(compile(source, "<traced>", "exec"), namespace)
     return namespace["traced"]
 
 
 def source_of(program: Callable) -> str:
-    """The source of ``program``, a function ``compile_traced`` generated,
-    written again from the function it stands for."""
-    return _source(program.__globals__["reference"], program.__code__.co_argcount)[0]
+    """The text of ``program``, a function ``compile_traced`` generated,
+    as it was compiled."""
+    return program.__globals__["source"]
 
 
 @functools.cache
@@ -466,14 +486,14 @@ def rk4_program(n: int, nt: int) -> Callable:
     """The RK4 steps of a run, as one program for states of ``n`` floats:
     ``run(field, sample, failed, y.., e.., a, n_steps, stride, dt, last)
     -> ((y..), (e..), (g..))`` takes ``n_steps`` steps, of ``dt`` but the
-    last, of ``last``.  ``a`` is the evaluation ``field(*y, *g)`` of each
-    state: k1, then the ``nt`` numbers g the field reads after the state at
+    last, of ``last``.  ``a`` is the evaluation ``field(*y, *g, lead)`` of
+    each state: k1, then the ``nt`` numbers g the field reads after it at
     every stage.  Each state but the last is evaluated once, and every
-    ``stride``-th goes to ``sample(step, (y..), a)``.  An EngineError in
-    stage s (0: the evaluation) gets ``stage_index = s`` and goes to
-    ``failed(step, err)``, then propagates.  Knuth's TwoSum adds the
-    increment plus the carried error e to y and gives the new error
-    exactly, without a branch: Neumaier's compensation."""
+    ``stride``-th goes to ``sample(step, (y..), a)``; the stages and other
+    states set ``lead``.  An EngineError in stage s (0: the evaluation)
+    gets ``stage_index = s`` and goes to ``failed(step, err)``, then
+    propagates.  Knuth's TwoSum adds the increment plus the carried error e
+    to y, and the new error exactly, without a branch: Neumaier's compensation."""
 
     def each(text: str, sep: str = "") -> str:  # ``text`` at every index of the state
         return sep.join(text.format(i) for i in range(n))
@@ -485,11 +505,11 @@ def rk4_program(n: int, nt: int) -> Callable:
         half = 0.5 * h
         try:
             stage = 1
-            b = field({each("y{0} + half * a[{0}], ")}{g})
+            b = field({each("y{0} + half * a[{0}], ")}{g}True)
             stage = 2
-            c = field({each("y{0} + half * b[{0}], ")}{g})
+            c = field({each("y{0} + half * b[{0}], ")}{g}True)
             stage = 3
-            d = field({each("y{0} + h * c[{0}], ")}{g})
+            d = field({each("y{0} + h * c[{0}], ")}{g}True)
             sixth = h / 6.0
             {each("u{0} = sixth * (a[{0}] + 2.0 * b[{0}] + 2.0 * c[{0}] + d[{0}]) + e{0}", next_line)}
             {each("v{0} = y{0} + u{0}", next_line)}
@@ -499,7 +519,7 @@ def rk4_program(n: int, nt: int) -> Callable:
             if step == n_steps:
                 return ({each("y{}, ")}), ({each("e{}, ")}), ({g})
             stage = 0
-            a = field({each("y{}, ")}{g})
+            a = field({each("y{}, ")}{g}step % stride)
         except EngineError as err:
             err.stage_index = stage
             failed(step, err)

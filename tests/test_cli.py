@@ -324,9 +324,12 @@ def test_inspect_prints_the_field_program(capsys):
     out = capsys.readouterr().out
     assert out.startswith(plain)
     header, first, *program = out[len(plain) :].splitlines()
-    assert header == "field program (14 lines):"
-    assert first == "def traced(x0, x1, x2, x3, x4, x5, x6):"
-    assert len(program) == 13 and program[-1] == "    return reference(x0, x1, x2, x3, x4, x5, x6)"
+    assert header == "field program (15 lines):"
+    assert first == "def traced(x0, x1, x2, x3, x4, x5, x6, lead=False):"
+    assert len(program) == 14 and program[-1] == "    return reference(x0, x1, x2, x3, x4, x5, x6)"
+    # the derivative-only return comes before the line that computes H
+    early = [line for line in program if line.startswith("        if lead and isfinite(")]
+    assert len(early) == 1 and program.index(early[0]) < len(program) - 4
 
 
 def test_inspect_ball_structure_value(capsys):

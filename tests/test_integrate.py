@@ -190,6 +190,24 @@ def test_simulate_failure_at_a_reached_state_is_stage_zero():
     assert err.__cause__.stage_index == 0
 
 
+@pytest.mark.parametrize(
+    "stride, t_end, failed_time",
+    [(1, 0.02, 0.001), (4, 0.02, 0.004), (100, 0.005, 0.005)],
+)
+def test_where_only_h_fails_a_recorded_or_final_state_fails(stride, t_end, failed_time):
+    # -x^2 pulls the skater out past sqrt(max float) within the first step,
+    # where x**2 overflows and its partial -2x does not: the stages and the
+    # states no sample reads do not evaluate H, the next sample or the final
+    # state does, in full
+    spec = hamiltonian_with_potential(build("skater_free"), parse_text("-x^2"))
+    with pytest.raises(TruncatedTrajectoryError) as info:
+        simulate(spec, reduced((1.34078e154, 0.0, 0.0), (1e150, 0.0)), t_end=t_end, dt=1e-3, stride=stride)
+    err = info.value
+    assert err.failed_time == failed_time and err.__cause__.stage_index == 0
+    assert str(err.__cause__) == "power overflow for exponent 2"
+    assert len(err.partial) == 1 and err.partial.times.tolist() == [0.0]
+
+
 def test_simulate_failure_in_a_sample_carries_no_stage(monkeypatch):
     # the third recorded sample's admissibility residual raises: the partial
     # trajectory holds the two samples before it, and nothing of the third
@@ -517,7 +535,7 @@ def generated_update(u, delta):
     stage slope is -0.0, so the increment is -0.0 and the carried error is
     the whole of delta."""
     run = rk4_program(1, 0)
-    (v,), (err,), () = run(lambda y: (-0.0,), None, None, u, delta, (-0.0,), 1, 1, 1.0, 1.0)
+    (v,), (err,), () = run(lambda y, lead: (-0.0,), None, None, u, delta, (-0.0,), 1, 1, 1.0, 1.0)
     return v, err
 
 

@@ -562,7 +562,7 @@ def test_a_warm_newton_field_runs_one_sweep_more_than_the_loop_steps():
         numcore.newton_iterate(residual, guess)
         assert fallback_calls(field, lambda: field(*y, *guess)) == []
         # each sweep ends in its finiteness guard
-        assert executed(field, 6, (*y, *guess), "if not isfinite(") == len(calls)
+        assert executed(field, (*y, *guess), "if not isfinite(") == len(calls)
         counts.append(len(calls))
     assert max(counts) < numcore.NEWTON_UNROLLED + 1
 
@@ -596,9 +596,10 @@ def test_a_long_single_use_chain_compiles_to_the_reference_numbers():
 
 
 def field_source(spec):
-    """The source and constants of a system's field program."""
+    """The source and constants of a system's field program, as compiled."""
     field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
-    return tracing._source(field.__globals__["reference"], field.__code__.co_argcount)
+    consts = {name: v for name, v in field.__globals__.items() if re.fullmatch(r"c\d+", name)}
+    return tracing.source_of(field), consts
 
 
 def program_digest(spec):
@@ -607,21 +608,22 @@ def program_digest(spec):
 
 
 # sha256(source + sorted constants) of each field program, as written with
-# each single-use value inline in its reader.
+# each single-use value inline in its reader, and with the lines only H and
+# its partials read after the derivative-only return.
 PROGRAM_DIGESTS = {
-    "ball_free": "a15dc45148452849472a445bc7745f238cdf0d5094a117784e8a9545cdd5300c",
-    "ball_harmonic": "b7ad8f528c858da7c9d03bd60baa3f0d8ed073941e5040d4870f3f498589e233",
-    "ball_magnetic": "71243f6f3859af74ca2e233d807d4a2cf8838334275896934892fe1250a653f3",
-    "skater_charged": "d20fdc85b9d4316e0a8f94d92b8ae5c503547adf8dc5066ade6de97bed249bc2",
-    "skater_free": "69e65849a5cb7ddbb5d897275aa115bbb19c6cc9f309641a911e77c0ce4ac3fa",
-    "skater_slope": "05ed13a149c91ef7ad00a1090f324a41001cdbe4b4d3cccc28c492bc1c555c95",
-    "newton_ball_free": "c2c2a700e90b5820ca69ee498dfe454430144a03652102dc4c5ac4619e1bb1c4",
-    "newton_ball_harmonic": "036c2e3cce3c35350794b84b52da996fa45461ac44a1794ada37115d64c3d8b3",
-    "newton_ball_magnetic": "49af6b75993325bae21b65ae330a5d060d6811e26ba3a71768abb7c3f9d3e825",
-    "newton_skater_charged": "79b89e1c73794f8e6dd9d9c3619b2d9768a2202cbad821c70764e6b2299043f0",
-    "newton_skater_free": "ec45bc5cee5633f73abdb8a9ed413900d97d2b70a6bbc45d53ce04cc6edab81f",
-    "newton_skater_slope": "a7d47705da872c5fac5511aaf565a5ca0d438b7d022edb7618cd3e2cd1b7b65f",
-    "skater_quartic": "fc3abcef20cc11b332e957ab5bfd2cf4c9d0bb523eb4a3b60e7ce4900b53d7d3",
+    "ball_free": "2fb1dcb37d63db7bb0b3c6d3103bce7fb9d617babd111cbc150aa6298a1d07fb",
+    "ball_harmonic": "f0d01adef427cb045f208f55fd5486cef62d176c2da2e0ce62d6ebc32e7064cc",
+    "ball_magnetic": "ee181645ea7791fd76d04f38912a894dc2e398284445155d1fcd11c694532e24",
+    "skater_charged": "4f480ce40773779ffe1d77c3eb97a87794d6e40382c213619218c0cda8b34ff1",
+    "skater_free": "a240e82acecf2b08846d61b3af8ceabd1323d9264fbf5a1d173d950476ef9718",
+    "skater_slope": "75230fb2af58155e2b21ab5bd0bbef9e8cd0beece56d0d273f78dabf1e4d1185",
+    "newton_ball_free": "d6e63be61ac63455e44714efcfaa883eb33056770106a166bf1ec049b8d75667",
+    "newton_ball_harmonic": "fe80271d894fd54fd707be5bf320bbd0deed837e1e90d713fb9b66da6974d1d2",
+    "newton_ball_magnetic": "837a6346c9106475e563f31d2049773873e8f2d1b45901f08064736e2962a143",
+    "newton_skater_charged": "8f33b7e408ca7d154156d4ed7cea9c43805dc072348c4c82eaac1e9291661568",
+    "newton_skater_free": "44ab3ab6c85b75a7350f9ad92c4876eb8e6851c7e259b946b915da4fbd34c30c",
+    "newton_skater_slope": "2607485142c7eb30d39f081507099e540bac1bde620a183b8b4246094d1707c6",
+    "skater_quartic": "b97e112545e141dea2824abea83371cbafc2f0b4a9e8ad1d9577fa65131d0c30",
 }
 
 
@@ -710,8 +712,80 @@ def test_a_newton_program_returns_the_residuals_its_loop_tests(name):
     source, _ = field_source(spec_named(name))
     assert source.count("for _ in ") == 1 and source.count("else: raise give_up") == 1
     tested = re.findall(r"fabs\((v\d+)\)", re.search(r"if (fabs.*): break", source).group(1))
-    returned = re.search(r"return \((.*), \)", source).group(1).split(", ")
+    returned = re.findall(r"return \((.*), \)", source)[-1].split(", ")
     assert returned[-len(tested) :] == tested
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAM_DIGESTS))
+def test_a_flagged_call_returns_the_full_call_s_leading_outputs(name, monkeypatch):
+    spec = spec_named(name)
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    calls = count_reference_calls(monkeypatch)
+    n, nt = spec.m + spec.k, spec.n_fiber - spec.k
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        y = [*rng.uniform(-1.5, 1.5, spec.m), *rng.uniform(-2.0, 2.0, spec.k)]
+        guess = rng.uniform(-1.0, 1.0, nt).tolist()
+        lead = field(*y, *guess, True)
+        assert len(lead) == n + nt
+        assert bits(lead).tolist() == bits(field(*y, *guess)[: n + nt]).tolist()
+    assert calls == []
+
+
+def test_source_of_is_the_text_the_program_was_compiled_from():
+    for name in ("ball_magnetic", "skater_quartic"):
+        spec = spec_named(name)
+        field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+        source = tracing.source_of(field)
+        assert source.count("if lead and isfinite(") == 1
+        namespace = dict(field.__globals__)
+        exec(compile(source, "<traced>", "exec"), namespace)
+        assert namespace["traced"].__code__ == field.__code__
+
+
+def test_the_newton_loop_runs_no_line_only_h_and_its_partials_read():
+    # H's value, its quartic term among it, runs once after the loop, on the
+    # exit pass's values; every name the loop sets is read before the
+    # derivative-only return
+    source, consts = field_source(quartic_skater())
+    lines = source.splitlines()
+    start = next(i for i, line in enumerate(lines) if "for _ in " in line)
+    end = lines.index("        else: raise give_up")
+    early = next(i for i, line in enumerate(lines) if "if lead and isfinite(" in line)
+    head = "\n".join(lines[start:early + 1])
+    for line in lines[start + 1 : end]:
+        assigned = re.match(r" *(v\d+) = ", line)
+        if assigned:
+            assert len(re.findall(rf"\b{assigned.group(1)}\b", head)) > 1, line
+    four = next(name for name, v in consts.items() if v == 4.0)
+    power = [i for i, line in enumerate(lines) if re.search(rf"\*\* {four}\b", line)]
+    assert len(power) == 1 and power[0] > early > end
+
+
+def test_a_flagged_call_does_not_give_up_where_only_h_fails():
+    # 1e300*x^2 overflows at x = 1e5, while its partial 2e305 does not
+    spec = hamiltonian_with_potential(build("skater_free"), exprparse.parse_text("1e300*x^2"))
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    y = (1e5, 0.0, 0.3, 1.0, 0.5, 0.0)
+    with pytest.raises(NumericDomainError, match="non-finite derivative"):
+        field(*y)
+    lead = field(*y, True)
+    # a potential with the same partial there and a finite value
+    slope = exprparse.parse_text(f"{1e300 * 2e5!r}*(x - 100000.0)")
+    same = hamiltonian_with_potential(build("skater_free"), slope)
+    want = reduced_field(same.dirac, same.hamiltonian, same.consistency)(*y)
+    assert bits(lead).tolist() == bits(want[:6]).tolist()
+    # a domain guard is before the early return: the flagged call still raises
+    wall = hamiltonian_with_potential(build("skater_free"), exprparse.parse_text("0.001*log(x)"))
+    with pytest.raises(NumericDomainError, match="log of a non-positive value"):
+        reduced_field(wall.dirac, wall.hamiltonian, wall.consistency)(-0.5, 0.0, 0.0, 1.0, 0.5, 0.0, True)
+
+
+def test_an_untraceable_field_ignores_the_flag():
+    spec = branching_skater()
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    for y in ([0.5, 0.1, 0.2, 1.0, 0.5, 0.0], [-0.5, 0.1, 0.2, 1.0, 0.5, 0.0]):
+        assert bits(field(*y, True)).tolist() == bits(field(*y)).tolist()
 
 
 def test_the_newton_loop_does_not_grow_with_its_steps(monkeypatch):
