@@ -38,7 +38,7 @@ from .numcore import (
     max_abs,
     shape_of,
 )
-from .tracing import compile_traced
+from .tracing import compile_traced, is_traced
 
 __all__ = [
     "SkewAlgebroid",
@@ -52,6 +52,11 @@ __all__ = [
     "lagrangian_dynamics",
     "legendre_map",
 ]
+
+# Float runs of an admissibility residual at one k before a program is compiled
+# for it: a compile costs what a hundred skater or three hundred ball samples
+# save, so a short run, such as one CLI call at stride 1, pays for none
+RESIDUAL_FLOAT_RUNS = 100
 
 
 class _Constant:
@@ -98,7 +103,9 @@ class SkewAlgebroid:
             value = getattr(self, what)
             if not callable(value):
                 object.__setattr__(self, what, _Constant(value, shape, what))
-        # ("rates", k) -> the compiled contraction
+        # ("rates", k) -> the compiled contraction; ("admissibility", k) -> the
+        # residual program called next, with a path the one compiled for it,
+        # and ("float runs", k) -> how many float runs the residual has made
         object.__setattr__(self, "_cache", {})
 
     def anchor_array(self, q) -> np.ndarray:
@@ -166,16 +173,42 @@ class SkewAlgebroid:
         columns, through their pseudo-inverse (rows made once per k for a
         constant anchor, per call for a map).  Fixed-order float arithmetic
         apart from the pseudo-inverse itself."""
-        qdot = [float(v) for v in qdot]
+        program = self._cache.get(("admissibility", k))
+        if program is None:
+            return max_abs(self._off_span(q, [float(v) for v in qdot], k))
+        return max_abs(program(*q, *map(float, qdot)))
+
+    def _off_span(self, q, qdot, k, replay=None) -> list:
+        """The components whose largest magnitude is the residual, at tracing
+        scalars along the decisions ``replay`` iterates over.  On floats,
+        past ``RESIDUAL_FLOAT_RUNS`` at k, it records a square anchor's
+        elimination decisions (``solve_in_place``) and makes the program
+        traced along them the one called next, which gives up to this float
+        run where a guard fails: each pivot order met costs one compile, and
+        a map that cannot be traced (numpy's) keeps the float run."""
+        runs = self._cache["float runs", k] = self._cache.get(("float runs", k), 0) + 1
+        path = replay or ([] if runs > RESIDUAL_FLOAT_RUNS else None)
         if self.m == self.rank:
-            return max_abs(gauss_solve(self.anchor(q), qdot)[k:])
-        if isinstance(self.anchor, _Constant):
-            pinv, columns = self.anchor.pinv(k)
+            out = gauss_solve(self.anchor(q), qdot, path)[k:]
         else:
-            anchor = self.anchor_array(q)[:, :k]
-            pinv, columns = _index_rows(np.linalg.pinv(anchor)), _index_rows(anchor)
-        z = [dot(p, qdot) for p in pinv]
-        return max_abs(v - dot(row, z) for v, row in zip(qdot, columns))
+            if isinstance(self.anchor, _Constant):
+                pinv, columns = self.anchor.pinv(k)
+            else:
+                anchor = self.anchor_array(q)[:, :k]
+                pinv, columns = _index_rows(np.linalg.pinv(anchor)), _index_rows(anchor)
+            z = [dot(p, qdot) for p in pinv]
+            out = [v - dot(row, z) for v, row in zip(qdot, columns)]
+        if isinstance(path, list):
+            m, taken = self.m, tuple(path)
+            if ("admissibility", k, taken) not in self._cache:
+
+                def off_span(*xs):  # traced along ``taken``; on floats the float run
+                    replay = iter(taken) if is_traced(xs) else None
+                    return self._off_span(xs[:m], list(xs[m:]), k, replay)
+
+                self._cache["admissibility", k, taken] = compile_traced(off_span, 2 * m)
+            self._cache["admissibility", k] = self._cache["admissibility", k, taken]
+        return out
 
 
 def _checked_rows(value, shape, what):
@@ -208,9 +241,14 @@ class PhaseState:
     full: bool = True
 
     def __init__(self, q, eta, full=True):
-        object.__setattr__(self, "q", _coordinates(q))
-        object.__setattr__(self, "eta", _coordinates(eta))
-        object.__setattr__(self, "full", bool(full))
+        self.__dict__.update(q=_coordinates(q), eta=_coordinates(eta), full=bool(full))
+
+    @classmethod
+    def of_floats(cls, q: tuple, eta: tuple, full: bool = True) -> "PhaseState":
+        """The state of two tuples of floats, taken as they are."""
+        state = cls.__new__(cls)
+        state.__dict__.update(q=q, eta=eta, full=full)
+        return state
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,7 @@ def _newton_transverse(dirac, h, q, eta_a, guess) -> list:
         # enforce the nondegeneracy precondition even when the start already
         # solves the condition (a flat transverse block means the condition
         # does not select a unique momentum); the last rows are at ``sol``
-        solve_in_place(jac, [[0.0] * nt])
+        solve_in_place(jac, [])
     except SingularMatrixError as err:
         raise DegenerateHamiltonianError(
             "transverse Hessian block is singular; the dynamics does not project "

@@ -11,8 +11,10 @@ grid, the observables and the failure handling.  ``rk4_step`` runs the
 same program for one step.  Each state reached is evaluated once: that
 evaluation is k1 of the next step and its Newton warm start.  Only the
 evaluations a sample records compute H and grad H; the stages and the
-other states ask the field for the derivative and eta_alpha alone.  Every
-sum is in a fixed order, so identical inputs give bit-identical output,
+other states ask the field for the derivative and eta_alpha alone.  A
+sample's admissibility residual runs a program compiled per pivot order
+of the anchor, and its state keeps the loop's float tuples.  Every sum
+is in a fixed order, so identical inputs give bit-identical output,
 whatever BLAS kernel numpy loads.
 """
 
@@ -88,12 +90,12 @@ def _propagate(step: int, err: EngineError) -> None:
 def _observables_of(spec: SystemSpec, q, evaluation) -> tuple:
     """Energy plus the two residual diagnostics from one evaluation of the
     compiled field (see ``dirac.reduced_field`` for its layout)."""
-    n = spec.m + spec.k
-    nt = spec.n_fiber - spec.k
+    alg, k = spec.dirac.alg, spec.dirac.k
+    at_h = alg.m + alg.rank  # n + nt
     return (
-        evaluation[n + nt],
-        max_abs(evaluation[n + nt + 1 + n :]),
-        spec.dirac.alg.admissibility_residual(q, evaluation[: spec.m], spec.k),
+        evaluation[at_h],
+        max_abs(evaluation[at_h + 1 + alg.m + k :]),
+        alg.admissibility_residual(q, evaluation[: alg.m], k),
     )
 
 
@@ -195,7 +197,7 @@ def simulate(
         columns = list(zip(*obs_rows)) or [()] * len(OBSERVABLE_NAMES)
         return Trajectory(
             times=np.array(times),
-            states=tuple(PhaseState(q=y[:m], eta=y[m:], full=False) for y in rows),
+            states=tuple(PhaseState.of_floats(y[:m], y[m:], False) for y in rows),
             eta_alpha=np.array(eta_rows) if eta_rows else np.zeros((0, nt)),
             observables={
                 name: np.array(col) for name, col in zip(OBSERVABLE_NAMES, columns)

@@ -41,7 +41,7 @@ from .errors import (
     NumericDomainError,
     SingularMatrixError,
 )
-from .tracing import ZERO, Loop, Tracer, compile_traced, is_traced, require_finite
+from .tracing import ZERO, Loop, Tracer, compile_traced, decided, is_traced, require_finite
 
 __all__ = [
     "DualScalar",
@@ -635,7 +635,7 @@ def _float_system(a, b) -> tuple:
     return rows, x
 
 
-def solve_in_place(a: list, columns: list) -> None:
+def solve_in_place(a: list, columns: list, path=None) -> None:
     """Solve a x = b in place for each right-hand side b in ``columns``: one
     Gaussian elimination of the float rows ``a`` with partial pivoting (the
     first row of largest magnitude), then back substitution per column,
@@ -645,7 +645,10 @@ def solve_in_place(a: list, columns: list) -> None:
     float lists and every column a float list of its length.  The columns
     may hold tracing scalars, and so may ``a`` when it is 1 x 1: its
     zero test is then a guard, and the solve the division it comes to.
-    A larger traced ``a`` cannot be traced: the pivot search compares.
+    Given a list ``path``, the decisions, each test of the running maximum,
+    the pivot search, the zero skips and the singular checks, are appended
+    to it; a larger traced ``a`` follows the ones ``path`` iterates over,
+    each then a guard (``tracing.decided``).
     """
     n = len(a)
     if n == 1 and isinstance(a[0][0], Tracer):
@@ -657,18 +660,21 @@ def solve_in_place(a: list, columns: list) -> None:
     for row in a:
         for v in row:
             v = abs(v)
-            if v > biggest or v != v:  # a nan stays, and gives a nan threshold
+            # a nan stays, and gives a nan threshold
+            if (v > biggest or v != v) if path is None else (
+                decided(operator.gt, v, biggest, path) or decided(operator.ne, v, v, path)
+            ):
                 biggest = v
-    if biggest == 0.0:
+    if (biggest == 0.0) if path is None else decided(operator.eq, biggest, 0.0, path):
         raise SingularMatrixError("zero matrix")
     threshold = SINGULARITY_RELATIVE_THRESHOLD * biggest
     for col in range(n):
         pivot_row, size = col, abs(a[col][col])
         for r in range(col + 1, n):
             v = abs(a[r][col])
-            if v > size:
+            if (v > size) if path is None else decided(operator.gt, v, size, path):
                 pivot_row, size = r, v
-        if size < threshold:
+        if (size < threshold) if path is None else decided(operator.lt, size, threshold, path):
             raise SingularMatrixError(
                 f"pivot {a[pivot_row][col]:.3e} below {threshold:.3e} in column {col}"
             )
@@ -680,7 +686,7 @@ def solve_in_place(a: list, columns: list) -> None:
         pivot = top[col]
         for r in range(col + 1, n):
             row = a[r]
-            if row[col] != 0.0:
+            if (row[col] != 0.0) if path is None else decided(operator.ne, row[col], 0.0, path):
                 lam = row[col] / pivot
                 # row[col] is not read again, so it is not updated
                 for j in range(col + 1, n):
@@ -699,11 +705,12 @@ def solve_in_place(a: list, columns: list) -> None:
                 x[r] = x[r] / row[r]
 
 
-def gauss_solve(a, b) -> list:
+def gauss_solve(a, b, path=None) -> list:
     """Solve a x = b as float lists (``solve_in_place`` on copies).  ``a``
-    is an ndarray or a sequence of rows."""
-    a, x = _float_system(a, b)
-    solve_in_place(a, [x])
+    is an ndarray or a sequence of rows; at a traced ``b`` it is square
+    rows, copied as they are, and ``path`` a float run's decisions."""
+    a, x = ([list(row) for row in a], list(b)) if is_traced(b) else _float_system(a, b)
+    solve_in_place(a, [x], path)
     return x
 
 

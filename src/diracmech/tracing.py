@@ -12,7 +12,8 @@ finite, it runs that function, which gives the same numbers or raises
 the engine's error.  A function that cannot be traced (it compares or
 converts its arguments) is its own program.
 ``numcore.grad``, ``dirac.reduced_field`` (one program, called flat as
-``field(*y, *guess)``), ``SkewAlgebroid.float_rates`` and the isotropy
+``field(*y, *guess)``), ``SkewAlgebroid.float_rates``, its admissibility
+residual (along a float run's ``decided`` comparisons) and the isotropy
 check (``dirac.element_pairing``) compile their programs this way.
 
 An iteration is recorded once, as a ``Loop`` the code leaves at the
@@ -38,6 +39,7 @@ __all__ = [
     "Tracer",
     "ZERO",
     "compile_traced",
+    "decided",
     "is_traced",
     "require_finite",
     "rk4_program",
@@ -64,8 +66,8 @@ _HELPERS = {
     "give_up": _GiveUp,
 }
 
-# the domain tests a guard records, as the program writes them
-_COMPARISONS = {operator.eq: "==", operator.lt: "<", operator.le: "<="}
+# the tests a guard records, as the program writes them
+_COMPARISONS = {operator.eq: "==", operator.ne: "!=", operator.lt: "<", operator.le: "<=", operator.gt: ">"}
 
 
 class _Untraceable(TypeError):
@@ -287,6 +289,21 @@ def _tape_of(values) -> _Tape:
     if len(tapes) != 1:
         raise _Untraceable("no single trace records these values")
     return tapes.pop()
+
+
+def decided(test, x, y, path) -> bool:
+    """``test(x, y)`` (of ``_COMPARISONS``), appended to the list ``path``; or
+    the next result of the float run ``path`` iterates over, which the
+    program gives up unless a traced x or y has."""
+    if isinstance(path, list):
+        path.append(test(x, y))
+        return path[-1]
+    outcome = next(path)
+    if isinstance(x, Tracer) or isinstance(y, Tracer):
+        tape = _tape_of((x, y))
+        form = f"if {'not ' if outcome else ''}{{}} {_COMPARISONS[test]} {{}}: raise give_up"
+        tape.guard(form, (_name(tape, x), _name(tape, y)))
+    return outcome
 
 
 def _name(tape: _Tape, v) -> str:

@@ -1,11 +1,13 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracmech import numcore
+from diracmech import algebroid, numcore, tracing
 from diracmech.algebroid import (
     PhaseState,
     SkewAlgebroid,
@@ -20,8 +22,9 @@ from diracmech.algebroid import (
 )
 from diracmech.errors import DimensionError, ValidationError
 from diracmech.frame import FrameField, identity_frame, structure_functions_tangent
+from diracmech.dirac import reduced_field
 from diracmech.integrate import simulate
-from diracmech.numcore import ScalarField, grad, max_abs
+from diracmech.numcore import ScalarField, gauss_solve, grad, max_abs
 from diracmech.systems import (
     ball_structure_constants,
     ball_transition_matrix,
@@ -243,6 +246,133 @@ def test_admissibility_of_a_constant_anchor_given_as_a_map_has_the_same_bits():
         got, want = mapped.admissibility_residual(q, qdot, k), alg.admissibility_residual(q, qdot, k)
         mismatches += np.float64(got).view(np.uint64) != np.float64(want).view(np.uint64)
     assert mismatches == 0
+
+
+
+def residual_programs(alg, k) -> dict:
+    """The admissibility programs ``alg`` compiled at k, by decision path."""
+    return {
+        key[2]: program
+        for key, program in alg._cache.items()
+        if key[:2] == ("admissibility", k) and len(key) == 3
+    }
+
+
+@pytest.fixture
+def compile_at_once(monkeypatch):
+    """Residual programs compiled from the first float run on."""
+    monkeypatch.setattr(algebroid, "RESIDUAL_FLOAT_RUNS", 0)
+
+
+def float_residual(alg, q, qdot, k) -> float:
+    """The residual of a square anchor by the float elimination itself."""
+    return max_abs(gauss_solve(alg.anchor(q), [float(v) for v in qdot])[k:])
+
+
+def same_bits(got, want) -> bool:
+    return np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+@pytest.mark.parametrize("float_runs, programs", [(None, 2), (0, 3)])
+def test_skater_residuals_across_pivot_orders_have_the_float_bits(float_runs, programs, monkeypatch):
+    # phi runs from 0 exactly (sin phi is 0: a zero skip) across pi/4 and 3pi/4,
+    # where the row of largest magnitude in the anchor's first column changes.
+    # After the float runs, the order met is compiled (|sin| > |cos| at sample
+    # 101), then the first order again past 3pi/4; compiled at once, all three
+    if float_runs is not None:
+        monkeypatch.setattr(algebroid, "RESIDUAL_FLOAT_RUNS", float_runs)
+    spec = build("skater_free")
+    alg, k = spec.dirac.alg, spec.k
+    traj = simulate(spec, PhaseState((0.0, 0.0, 0.0), (1.0, 1.0), full=False), t_end=3.0, dt=1e-3)
+    assert len(traj) == 301 and traj.states[0].q[2] == 0.0 and traj.states[-1].q[2] > 3 * math.pi / 4
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    column = traj.observables["admissibility_residual_inf"]
+    for state, eta_alpha, got in zip(traj.states, traj.eta_alpha, column):
+        qdot = field(*state.q, *state.eta, *eta_alpha)[: alg.m]
+        assert same_bits(got, float_residual(alg, state.q, qdot, k))
+    assert len(residual_programs(alg, k)) == programs
+
+
+def test_a_short_run_compiles_no_residual_program():
+    alg = build("skater_free").dirac.alg
+    for _ in range(algebroid.RESIDUAL_FLOAT_RUNS):
+        alg.admissibility_residual((0.0, 0.0, 0.3), [0.3, -0.7, 0.2], 2)
+    assert residual_programs(alg, 2) == {}
+    alg.admissibility_residual((0.0, 0.0, 0.3), [0.3, -0.7, 0.2], 2)
+    assert [p.__code__.co_filename for p in residual_programs(alg, 2).values()] == ["<traced>"]
+
+
+def test_a_residual_program_gives_up_at_another_pivot_order(compile_at_once):
+    alg = build("skater_free").dirac.alg
+    qdot = [0.3, -0.7, 0.2]
+    alg.admissibility_residual((0.0, 0.0, 0.3), qdot, 2)  # |cos phi| > |sin phi|
+    program = alg._cache["admissibility", 2]
+    assert program.__code__.co_filename == "<traced>"
+    assert same_bits(max_abs(program(0.0, 0.0, 0.5, *qdot)), float_residual(alg, (0.0, 0.0, 0.5), qdot, 2))
+    assert alg._cache["admissibility", 2] is program
+    q = (0.0, 0.0, 1.2)  # |sin phi| > |cos phi|: the guard on the pivot row gives up
+    assert same_bits(max_abs(program(*q, *qdot)), float_residual(alg, q, qdot, 2))
+    # the float run it gave up to made the program of its own order the next one
+    assert alg._cache["admissibility", 2] is not program
+    assert set(residual_programs(alg, 2).values()) == {program, alg._cache["admissibility", 2]}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_velocity_gives_the_float_residual(bad, compile_at_once):
+    skater = build("skater_free").dirac.alg
+    ball = build("ball_free").dirac.alg
+    anchor = ball.anchor(None)
+    ball_as_map = SkewAlgebroid(m=2, rank=5, anchor=lambda q: anchor, structure=ball.structure)
+    for alg, q, qdot, reference in (
+        (skater, (0.1, 0.2, 0.3), [0.3, bad, 0.2], lambda q, qdot, k: float_residual(skater, q, qdot, k)),
+        (ball, (0.1, 0.2), [bad, 0.4], ball_as_map.admissibility_residual),
+    ):
+        k = alg.rank - 1
+        alg.admissibility_residual(q, [0.3, -0.7, 0.2][: alg.m], k)
+        assert residual_programs(alg, k)
+        got, want = alg.admissibility_residual(q, qdot, k), reference(q, qdot, k)
+        assert math.isnan(got) if math.isnan(want) else same_bits(got, want)
+
+
+def test_a_numpy_frame_anchor_keeps_the_float_path(compile_at_once):
+    alg = from_tangent_frame(skater_frame())  # frame_matrix converts its entries to floats
+    qdot = [0.3, -0.7, 0.2]
+    for phi in (0.0, 0.3, 1.2):
+        q = (0.1, 0.2, phi)
+        assert same_bits(alg.admissibility_residual(q, qdot, 2), float_residual(alg, q, qdot, 2))
+    programs = residual_programs(alg, 2).values()
+    assert programs and all(program.__code__.co_filename != "<traced>" for program in programs)
+
+
+def residual_program_digest(program) -> str:
+    """sha256(source + sorted constants) of a compiled residual program."""
+    consts = {name: v for name, v in program.__globals__.items() if re.fullmatch(r"c\d+", name)}
+    return hashlib.sha256((tracing.source_of(program) + repr(sorted(consts.items()))).encode()).hexdigest()
+
+
+# the skater's residual program at each decision path a 0 to 3 rad turn meets, by
+# a heading on it, and the ball's constant anchor at k = 3
+RESIDUAL_PROGRAM_DIGESTS = {
+    "skater_free/phi=0": "05e79f9eb3dc55e9b27b76b5d5e38bb8ba555567a069221082a82a4b83cc5d3e",
+    "skater_free/phi=0.3": "d731f264c97edc0cc16155cdb70a567f2716c93f7a5f4ed19b01409474b01632",
+    "skater_free/phi=1.2": "16bd5b6ff4659c8e6befb3dd7b051080270fd3582b7aa0b3b65e1720a2cfc7e8",
+    "ball_free/k=3": "98f45fa3293d074206d54571cf09cbf853cee250229f4b1639b458fec7f0d193",
+}
+
+
+def test_admissibility_programs_are_pinned(compile_at_once):
+    digests = {}
+    for label in RESIDUAL_PROGRAM_DIGESTS:
+        name, point = label.split("/")
+        alg = build(name).dirac.alg
+        if name == "ball_free":
+            alg.admissibility_residual((0.1, 0.2), [0.3, -0.7], 3)
+            (program,) = residual_programs(alg, 3).values()
+        else:
+            alg.admissibility_residual((0.1, 0.2, float(point[len("phi=") :])), [0.3, -0.7, 0.2], 2)
+            (program,) = residual_programs(alg, 2).values()
+        digests[label] = residual_program_digest(program)
+    assert digests == RESIDUAL_PROGRAM_DIGESTS
 
 
 # -- Hamiltonian side -----------------------------------------------------------

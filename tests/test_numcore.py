@@ -303,6 +303,56 @@ def test_gauss_solve_messages():
         assert str(info.value) == message
 
 
+def test_a_float_solve_appends_its_decisions_in_order():
+    # each magnitude above the largest so far? (else: is it nan?), zero matrix?,
+    # then per column: each pivot test, the singular test, each zero skip
+    path = []
+    assert gauss_solve([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0], path) == gauss_solve([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0])
+    assert path == [True, True, True, True, False, True, False, True, False]
+    path = []
+    gauss_solve([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 3.0]], [1.0, 2.0, 3.0], path)
+    largest = [True, *[False] * 14, True]
+    assert path == [*largest, False, False, False, False, False, True, False, False, False, False]
+
+
+def traced_solve(taken):
+    """A 2 x 2 solve of x0, x1, compiled along the decisions ``taken``; on
+    floats the solve itself."""
+
+    def solve(x0, x1):
+        path = iter(taken) if tracing.is_traced((x0, x1)) else None
+        return gauss_solve([[x0, 1.0], [x1, 2.0]], [1.0, x0], path)
+
+    return solve, tracing.compile_traced(solve, 2)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(0.5, 0.75), (4.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1e-300, 0.0), (math.nan, 1.0), (0.5, math.inf)],
+)
+def test_a_solve_traced_along_a_path_has_its_bits_or_gives_up(point):
+    # traced at |x0| < |x1|: the second row pivots, and no entry under it is zero
+    taken = []
+    gauss_solve([[0.5, 1.0], [0.75, 2.0]], [1.0, 0.5], taken)
+    solve, program = traced_solve(taken)
+    assert program is not solve and "raise give_up" in tracing.source_of(program)
+    try:
+        want = solve(*point)
+    except SingularMatrixError as err:  # x1 = 2 x0: the second pivot is zero
+        with pytest.raises(SingularMatrixError, match=re.escape(str(err))):
+            program(*point)
+    else:
+        got = program(*point)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
+def test_a_larger_traced_solve_without_a_path_is_untraceable():
+    def solve(x0, x1):
+        return gauss_solve([[x0, 1.0], [x1, 2.0]], [1.0, x0])
+
+    assert tracing.compile_traced(solve, 2) is solve
+
+
 def test_mat_inverse_columns_are_gauss_solves():
     rng = np.random.default_rng(4)
     a = rng.uniform(-1, 1, (4, 4)) + 2.0 * np.eye(4)

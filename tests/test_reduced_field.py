@@ -623,7 +623,7 @@ PROGRAM_DIGESTS = {
     "newton_skater_charged": "8f33b7e408ca7d154156d4ed7cea9c43805dc072348c4c82eaac1e9291661568",
     "newton_skater_free": "44ab3ab6c85b75a7350f9ad92c4876eb8e6851c7e259b946b915da4fbd34c30c",
     "newton_skater_slope": "2607485142c7eb30d39f081507099e540bac1bde620a183b8b4246094d1707c6",
-    "skater_quartic": "b97e112545e141dea2824abea83371cbafc2f0b4a9e8ad1d9577fa65131d0c30",
+    "skater_quartic": "552e54ab8bf91902fa1a4ff06c7cd765b53f6f5b959c1c9d32208eb613fef1ce",
 }
 
 

@@ -34,6 +34,8 @@ def _cli_runs(out_dir: str) -> list:
     return [
         ["simulate", "--system", "ball_magnetic", "--potential", "0.5*(x^2+y^2)", "--ic", "0,0,1,0,0",
          "--t-end", "0.1", "--out", f"{out_dir}/orbit.csv"],
+        ["simulate", "--system", "skater_free", "--ic", "0,0,0,1,1", "--t-end", "3", "--stride", "10",
+         "--out", f"{out_dir}/skater.csv"],
         ["inspect", "--system", "ball_harmonic", "--q", "0.1,0.2", "--eta", "1,0,0", "--program"],
         ["check", "--system", "all", "--seed", "0"],
         ["check", "--system", "all", "--seed", "1"],
