@@ -185,7 +185,8 @@ class SkewAlgebroid:
         elimination decisions (``solve_in_place``) and makes the program
         traced along them the one called next, which gives up to this float
         run where a guard fails: each pivot order met costs one compile, and
-        a map that cannot be traced (numpy's) keeps the float run."""
+        a map that cannot be traced (numpy's) keeps the float run, which
+        stops recording after its first try."""
         runs = self._cache["float runs", k] = self._cache.get(("float runs", k), 0) + 1
         path = replay or ([] if runs > RESIDUAL_FLOAT_RUNS else None)
         if self.m == self.rank:
@@ -206,7 +207,10 @@ class SkewAlgebroid:
                     replay = iter(taken) if is_traced(xs) else None
                     return self._off_span(xs[:m], list(xs[m:]), k, replay)
 
-                self._cache["admissibility", k, taken] = compile_traced(off_span, 2 * m)
+                program = self._cache["admissibility", k, taken] = compile_traced(off_span, 2 * m)
+                if program is off_span:  # untraceable: from now on float runs that record nothing
+                    self._cache["float runs", k] = float("-inf")
+                    return out
             self._cache["admissibility", k] = self._cache["admissibility", k, taken]
         return out
 

@@ -23,7 +23,10 @@ solve's Newton steps in its program.
 ``rk4_program`` writes the integrator's RK4 steps once per state length:
 one loop over a run's steps that calls a compiled field, for the
 derivative alone where no sample reads H, and hands the recorded states
-back, and no system's code.  ``source_of`` shows a compiled program.
+back.  ``fused_rk4_program`` writes the same loop with one field's
+derivative lines, from its line records, in place of those calls (a
+call in a trace inlined); a stage whose lines give up calls the field.
+``source_of`` shows a compiled program or loop.
 """
 
 import functools
@@ -294,15 +297,19 @@ def _tape_of(values) -> _Tape:
 def decided(test, x, y, path) -> bool:
     """``test(x, y)`` (of ``_COMPARISONS``), appended to the list ``path``; or
     the next result of the float run ``path`` iterates over, which the
-    program gives up unless a traced x or y has."""
+    program gives up unless a traced x or y has, except where no float,
+    nan included, has it: ``v > v``, ``v < v`` and ``0.0 > fabs(v)``."""
     if isinstance(path, list):
         path.append(test(x, y))
         return path[-1]
     outcome = next(path)
     if isinstance(x, Tracer) or isinstance(y, Tracer):
         tape = _tape_of((x, y))
-        form = f"if {'not ' if outcome else ''}{{}} {_COMPARISONS[test]} {{}}: raise give_up"
-        tape.guard(form, (_name(tape, x), _name(tape, y)))
+        a, b = _name(tape, x), _name(tape, y)
+        never = a == b and test in (operator.gt, operator.lt) or test is operator.gt and tape.is_const(a, "0.0") and any(
+            line[:2] == ("fabs({})", b) for line in tape.lines)
+        if not never:  # a float run never has such a test hold
+            tape.guard(f"if {'not ' if outcome else ''}{{}} {_COMPARISONS[test]} {{}}: raise give_up", (a, b))
     return outcome
 
 
@@ -384,7 +391,7 @@ def require_finite(values) -> None:
 _MAX_PARENTHESES = 64
 
 
-def _live_lines(lines, outputs, lead=None) -> list:
+def _live_lines(lines, outputs, lead=None, rest=True) -> list:
     """The text of ``lines``, indented, from one pass over the records.
     Backward, it drops each fresh assignment that cannot raise and that no
     output or kept line reads (only a Loop's carried writes, which all
@@ -397,7 +404,8 @@ def _live_lines(lines, outputs, lead=None) -> list:
     Loop's lines read names.  With ``lead``, the names of the leading
     outputs, those return early where the flag ``lead`` is set, after what
     they, the guards and the Loops read; the rest follows at depth 0, where
-    a Loop's lines before its test read the exit pass's values."""
+    a Loop's lines before its test read the exit pass's values; without
+    ``rest``, only what comes before that return."""
     late = set()  # the names written after the early return
     if lead is not None:
         first, stepping, after = set(lead), False, 0
@@ -420,9 +428,9 @@ def _live_lines(lines, outputs, lead=None) -> list:
             at = name is not None and not depth
             for read in line.reads:
                 reader[read] = read not in reader and at
-    inline, text, rest = {}, [], []  # inline: the values still to be written
+    inline, text, late_text = {}, [], []  # inline: the values still to be written
     for line, depth in reversed(kept):
-        out = rest if line.name in late else text
+        out = late_text if line.name in late else text
         expr = line.form.format(*[inline.pop(read, read) for read in line.reads])
         if line.name is None:
             out.append("    " * depth + expr)
@@ -430,9 +438,11 @@ def _live_lines(lines, outputs, lead=None) -> list:
             inline[line.name] = f"({expr})"
         else:
             out.append(f"{'    ' * depth}{line.name} = {expr}")
+    if not rest:
+        return text
     if lead is not None:
         text.append(f"if lead and isfinite({' + '.join(lead) or '0.0'}): return ({''.join(f'{v}, ' for v in lead)})")
-    return text + rest
+    return text + late_text
 
 
 def _output(tape: _Tape, out, flat: list) -> str:
@@ -445,15 +455,21 @@ def _output(tape: _Tape, out, flat: list) -> str:
     return name
 
 
+def _trace(fn: Callable, arity: int):
+    """``fn`` run once on tracing scalars: (tape, result source, flat output names), or None."""
+    tape, flat = _Tape(), []
+    try:
+        return tape, _output(tape, fn(*[Tracer(tape, f"x{j}") for j in range(arity)]), flat), flat
+    except Exception:  # fn itself, on floats, raises what is wrong
+        return None
+
+
 def _source(fn: Callable, arity: int, lead: int | None = None):
     """Trace ``fn`` once: the source of ``compile_traced``'s function and
     the constants it reads, or None when ``fn`` cannot be traced."""
-    tape = _Tape()
-    flat = []
-    try:
-        result = _output(tape, fn(*[Tracer(tape, f"x{j}") for j in range(arity)]), flat)
-    except Exception:  # fn itself, on floats, raises what is wrong
+    if (traced := _trace(fn, arity)) is None:
         return None
+    tape, result, flat = traced
     args = ", ".join(f"x{j}" for j in range(arity))
     source = [
         f"def traced({args}{'' if lead is None else ', lead=False'}):",
@@ -501,50 +517,85 @@ def source_of(program: Callable) -> str:
 @functools.cache
 def rk4_program(n: int, nt: int) -> Callable:
     """The RK4 steps of a run, as one program for states of ``n`` floats:
-    ``run(field, sample, failed, y.., e.., a, n_steps, stride, dt, last)
+    ``run(field, sample, failed, y.., e.., k0, n_steps, stride, dt, last)
     -> ((y..), (e..), (g..))`` takes ``n_steps`` steps, of ``dt`` but the
-    last, of ``last``.  ``a`` is the evaluation ``field(*y, *g, lead)`` of
+    last, of ``last``.  ``k0`` is the evaluation ``field(*y, *g, lead)`` of
     each state: k1, then the ``nt`` numbers g the field reads after it at
     every stage.  Each state but the last is evaluated once, and every
-    ``stride``-th goes to ``sample(step, (y..), a)``; the stages and other
+    ``stride``-th goes to ``sample(step, (y..), k0)``; the stages and other
     states set ``lead``.  An EngineError in stage s (0: the evaluation)
     gets ``stage_index = s`` and goes to ``failed(step, err)``, then
     propagates.  Knuth's TwoSum adds the increment plus the carried error e
     to y, and the new error exactly, without a branch: Neumaier's compensation."""
+    return _rk4(n, nt, None, {})
+
+
+def fused_rk4_program(field: Callable, n: int, nt: int) -> Callable:
+    """``rk4_program(n, nt)`` with the lines before the early return of
+    ``field`` (compiled with ``lead = n + nt``, traced again) in place of
+    its call in the stages and unrecorded states, after the ``x*`` they
+    read bound to the inputs; where they give up, the stage calls it.  A
+    field that is not such a program gets ``rk4_program(n, nt)`` itself."""
+    traced = field.__code__.co_filename == "<traced>" and _trace(field.__globals__["reference"], n + nt)
+    if not traced:
+        return rk4_program(n, nt)
+    tape, _, flat = traced
+    lines = _live_lines(tape.lines, flat, flat[: n + nt], rest=False)
+    return _rk4(n, nt, (lines, flat[: n + nt], {r for line in tape.lines for r in line.reads}), tape.consts)
+
+
+def _rk4(n: int, nt: int, fused, consts: dict) -> Callable:
+    """The one text of the RK4 loop: a stage calls the field, or with
+    ``fused`` runs the field's lines (``fused_rk4_program``)."""
 
     def each(text: str, sep: str = "") -> str:  # ``text`` at every index of the state
         return sep.join(text.format(i) for i in range(n))
 
-    g, next_line = "".join(f"a[{n + j}], " for j in range(nt)), "\n            "
-    source = f"""def run(field, sample, failed, {each("y{}, ")}{each("e{}, ")}a, n_steps, stride, dt, last):
+    def indented(lines: list) -> list:
+        return [f"    {line}" for line in lines]
+
+    def evaluation(s: int, inputs: list) -> str:  # the lines that set k{s}_0.. to the field at ``inputs``
+        inputs += [f"k0_{n + j}" for j in range(nt)]
+        outs = [f"k{s}_{i}" for i in range(n if s else n + nt)]
+        # indexing, not ``*_`` unpacking, which costs about 0.2 µs a stage
+        text = [f"k{s} = field({', '.join(inputs)}, {'True' if s else 'step % stride'})"]
+        text += [f"{out} = k{s}[{i}]" for i, out in enumerate(outs)]
+        if fused is not None:
+            lines, lead, read = fused
+            body = ["try:", *indented(lines), f"    if not isfinite({' + '.join(lead)}): raise give_up"]
+            body += [f"    {out} = {name}" for out, name in zip(outs, lead)] + ["except (give_up, *float_errors):"]
+            body += indented(text)
+            binds = [f"x{j} = {value}" for j, value in enumerate(inputs) if f"x{j}" in read]
+            text = binds + (body if s else ["if step % stride:", *indented(body), "else:", *indented(text)])
+        return "".join(f"\n            {line}" for line in text)
+
+    next_line = "\n            "
+    source = f"""def run(field, sample, failed, {each("y{}, ")}{each("e{}, ")}k0, n_steps, stride, dt, last):
+    {"; ".join(f"k0_{i} = k0[{i}]" for i in range(n + nt))}
     for step in range(1, n_steps + 1):
         h = last if step == n_steps else dt
         half = 0.5 * h
         try:
-            stage = 1
-            b = field({each("y{0} + half * a[{0}], ")}{g}True)
-            stage = 2
-            c = field({each("y{0} + half * b[{0}], ")}{g}True)
-            stage = 3
-            d = field({each("y{0} + h * c[{0}], ")}{g}True)
+            stage = 1{evaluation(1, [f"y{i} + half * k0_{i}" for i in range(n)])}
+            stage = 2{evaluation(2, [f"y{i} + half * k1_{i}" for i in range(n)])}
+            stage = 3{evaluation(3, [f"y{i} + h * k2_{i}" for i in range(n)])}
             sixth = h / 6.0
-            {each("u{0} = sixth * (a[{0}] + 2.0 * b[{0}] + 2.0 * c[{0}] + d[{0}]) + e{0}", next_line)}
-            {each("v{0} = y{0} + u{0}", next_line)}
-            {each("w{0} = v{0} - y{0}", next_line)}
-            {each("e{0} = (y{0} - (v{0} - w{0})) + (u{0} - w{0})", next_line)}
-            {each("y{0} = v{0}", next_line)}
+            {each("u{0} = sixth * (k0_{0} + 2.0 * k1_{0} + 2.0 * k2_{0} + k3_{0}) + e{0}", next_line)}
+            {each("s{0} = y{0} + u{0}", next_line)}
+            {each("w{0} = s{0} - y{0}", next_line)}
+            {each("e{0} = (y{0} - (s{0} - w{0})) + (u{0} - w{0})", next_line)}
+            {each("y{0} = s{0}", next_line)}
             if step == n_steps:
-                return ({each("y{}, ")}), ({each("e{}, ")}), ({g})
-            stage = 0
-            a = field({each("y{}, ")}{g}step % stride)
+                return ({each("y{}, ")}), ({each("e{}, ")}), ({"".join(f"k0_{n + j}, " for j in range(nt))})
+            stage = 0{evaluation(0, [f"y{i}" for i in range(n)])}
         except EngineError as err:
             err.stage_index = stage
             failed(step, err)
             raise
         if step % stride == 0:
-            sample(step, ({each("y{}, ")}), a)
+            sample(step, ({each("y{}, ")}), k0)
 """
-    namespace = {"EngineError": EngineError}
+    namespace = {**_HELPERS, **consts, "EngineError": EngineError, "source": source}
     exec(compile(source, "<rk4>", "exec"), namespace)
     return namespace["run"]
 

@@ -506,7 +506,8 @@ def test_golden_potential_csv_digest(tmp_path):
 
 # Regenerates every pinned output in a fresh interpreter and prints the
 # digests as JSON: the six CSV and inspect outputs, the --potential CSV,
-# and the four Newton trajectories of test_integrate.
+# the four Newton trajectories of test_integrate and its seven 3,000-step
+# runs, which take the fused step loop.
 _DIGEST_CHILD = r"""
 import contextlib, hashlib, io, json, pathlib, sys, tempfile
 sys.path[:0] = sys.argv[1:3]
@@ -535,6 +536,8 @@ for name in sorted(ti.NEWTON_DIGESTS):
         spec, t_end, stride = ti.newton_spec(build(name)), 0.5, 5
         ic = ti.reduced((0.1, -0.2, 0.3), (1.0, 0.5)) if spec.m == 3 else ti.reduced((0.2, -0.1), (1.0, 0.3, -0.2))
     out["newton_" + name] = ti.trajectory_digest(simulate(spec, ic, t_end=t_end, dt=1e-3, stride=stride))
+for name in sorted(ti.LONG_RUN_DIGESTS):
+    out["long_" + name] = ti.trajectory_digest(ti.long_run(name))
 print(json.dumps(out, sort_keys=True))
 """
 
@@ -555,11 +558,12 @@ def test_pinned_outputs_do_not_depend_on_the_blas_kernel():
         assert done.returncode == 0, done.stderr
         digests.append(json.loads(done.stdout))
     assert digests[0] == digests[1]
-    from test_integrate import NEWTON_DIGESTS
+    from test_integrate import LONG_RUN_DIGESTS, NEWTON_DIGESTS
 
     want = {name: list(pair) for name, pair in GOLDEN_DIGESTS.items()}
     want["potential"] = GOLDEN_POTENTIAL_DIGEST
     want.update({"newton_" + name: digest for name, digest in NEWTON_DIGESTS.items()})
+    want.update({"long_" + name: digest for name, digest in LONG_RUN_DIGESTS.items()})
     assert digests[0] == want
 
 

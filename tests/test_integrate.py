@@ -14,11 +14,12 @@ from diracmech.errors import (
     SingularMatrixError,
     TruncatedTrajectoryError,
 )
+from diracmech import integrate, numcore, tracing
 from diracmech.exprparse import parse_text
-from diracmech.integrate import MAX_STEPS, observables, rk4_step, simulate
+from diracmech.integrate import MAX_STEPS, OBSERVABLE_NAMES, observables, rk4_step, simulate
 from diracmech.numcore import ScalarField, max_abs
 from diracmech.systems import build, hamiltonian_with_potential
-from diracmech.tracing import rk4_program
+from diracmech.tracing import fused_rk4_program, rk4_program, source_of
 
 
 def reduced(q, eta):
@@ -649,3 +650,210 @@ def test_observables_rejects_states_of_another_shape(state, message):
     with pytest.raises(DimensionError) as info:
         observables(build("skater_free"), state)
     assert str(info.value) == message
+
+
+# -- the fused loop ------------------------------------------------------------------
+
+# SHA-256 (trajectory_digest) of one 3,000-step run (t_end = 3, dt = 1e-3,
+# stride 10) per catalog system from its golden CSV state, and of the quartic
+# skater, whose consistency only Newton solves; recorded with the plain step
+# loop, which calls the field in every stage.  A run this long takes the
+# field's fused loop from its first step.
+LONG_RUN_DIGESTS = {
+    "ball_free": "7b7494bb4554768464e82a8116a6119c8359436afb561ed1586aac2c5acb4492",
+    "ball_harmonic": "705837ca68ff6eea09b0139fa604cda71fb4d115eae0b9c593b217d23f7d0782",
+    "ball_magnetic": "7b3d500b7edd19488bffd174f6f73fd3eb031959b416153a86803d31df2f8d4d",
+    "skater_charged": "7bd11a05ff3f8463c552cb0a619d8732d9e0096732d56509d4523017da132f9b",
+    "skater_free": "a7b5eb981a7e79c4c18ee6679c368cc7a6bf2d494e5ad13b09a39669127c0076",
+    "skater_slope": "afe08a8ac5f7a33d192c7ce81a385a9ddabf2c2d3a3114ee2f7f9e66699c6ad5",
+    "quartic": "c64684abfdc99f0c7ce92ef153417286c5c5bc1b4398d7913b7591d34445c4e0",
+}
+LONG_RUN_IC = {
+    "ball_free": ((0.2, -0.1), (1.0, 0.3, -0.2)),
+    "ball_harmonic": ((0.2, -0.1), (1.0, 0.3, -0.2)),
+    "ball_magnetic": ((0.2, -0.1), (1.0, 0.3, -0.2)),
+    "skater_charged": ((0.1, -0.2, 0.3), (1.0, 0.5)),
+    "skater_free": ((0.1, -0.2, 0.3), (1.0, 0.5)),
+    "skater_slope": ((0.25, -1.0, 0.0), (1.0, 1.0)),
+    "quartic": ((0.1, -0.2, 0.3), (1.0, 0.5)),
+}
+
+
+def long_run(name):
+    spec = quartic_skater() if name == "quartic" else build(name)
+    return simulate(spec, reduced(*LONG_RUN_IC[name]), t_end=3.0, dt=1e-3, stride=10)
+
+
+@pytest.mark.parametrize("name", sorted(LONG_RUN_DIGESTS))
+def test_long_runs_are_pinned_bit_for_bit(name):
+    traj = long_run(name)
+    assert len(traj) == 301
+    assert trajectory_digest(traj) == LONG_RUN_DIGESTS[name]
+
+
+FUSED_SYSTEMS = (*sorted(LONG_RUN_IC), "newton_ball_harmonic", "newton_ball_magnetic", "newton_skater_charged")
+
+
+def fused_system(name):
+    """A fresh system of FUSED_SYSTEMS, so that no steps were run on its field."""
+    if name == "quartic":
+        return quartic_skater()
+    return newton_spec(build(name[len("newton_") :])) if name.startswith("newton_") else build(name)
+
+
+def fused_loop(spec):
+    """The loop simulate runs on ``spec``'s field once it has fused it."""
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    return spec.hamiltonian._programs["rk4", field]
+
+
+def plain_and_fused(monkeypatch, make_spec, run):
+    """``run(spec)`` on a fresh system through the plain loop, then on
+    another through the fused one: the two results, or the two errors."""
+    outcomes = []
+    for threshold in (math.inf, 1):
+        monkeypatch.setattr(integrate, "FUSE_AFTER_STEPS", threshold)
+        spec = make_spec()
+        try:
+            outcomes.append(run(spec))
+        except TruncatedTrajectoryError as err:
+            outcomes.append(err)
+        field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+        assert (("rk4", field) in spec.hamiltonian._programs) == (threshold == 1)
+    assert "raise give_up" in source_of(fused_loop(spec))
+    return outcomes
+
+
+@pytest.mark.parametrize("t_end, stride", [(0.2, 1), (0.2, 10), (0.2505, 10)])
+@pytest.mark.parametrize("name", FUSED_SYSTEMS)
+def test_the_fused_loop_gives_the_plain_loops_bits(monkeypatch, name, t_end, stride):
+    ic = reduced(*LONG_RUN_IC[name.removeprefix("newton_")])
+    plain, fused = plain_and_fused(
+        monkeypatch, lambda: fused_system(name), lambda spec: simulate(spec, ic, t_end=t_end, dt=1e-3, stride=stride)
+    )
+    assert len(fused) == len(plain) == (200 // stride + 1 if t_end == 0.2 else 27)
+    assert fused.times.tolist() == plain.times.tolist()
+    assert [s.q + s.eta for s in fused.states] == [s.q + s.eta for s in plain.states]
+    assert bits(fused.eta_alpha).tolist() == bits(plain.eta_alpha).tolist()
+    for key in OBSERVABLE_NAMES:
+        assert bits(fused.observables[key]).tolist() == bits(plain.observables[key]).tolist()
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "stage, make_spec, ic, dt, stride, failed_time, partial_len",
+    [
+        # the log wall at x = 0 is crossed in stage 2 (see the stage-index test)
+        (2, lambda: hamiltonian_with_potential(build("skater_free"), parse_text("log(x)")),
+         (float(np.random.default_rng(8).uniform(0.05, 0.2)), 0.0, math.pi), 0.01, 3, 0.07, 3),
+        # a domain error only within 1e-6 of the state reached at step 5, which no stage
+        # comes near, and no sample records at stride 3
+        (0, lambda: hamiltonian_with_potential(build("skater_free"), parse_text(
+            "0*log((x-0.4340191751651761)^2+(y-0.1439190215442247)^2-1e-12)")),
+         (0.1, -0.2, 0.3), 0.1, 3, 0.5, 2),
+    ],
+)
+def test_the_fused_loop_fails_where_the_plain_loop_fails(monkeypatch, stage, make_spec, ic, dt, stride, failed_time,
+                                                           partial_len):
+    eta = (1.0, 0.001) if stage else (1.0, 2.0)
+    plain, fused = plain_and_fused(
+        monkeypatch, make_spec, lambda spec: simulate(spec, reduced(ic, eta), t_end=1.0, dt=dt, stride=stride)
+    )
+    for err in (plain, fused):
+        assert isinstance(err, TruncatedTrajectoryError)
+        assert err.__cause__.stage_index == stage and isinstance(err.__cause__, NumericDomainError)
+        assert err.failed_time == failed_time and len(err.partial) == partial_len
+        assert [len(col) for col in err.partial.observables.values()] == [partial_len] * 3
+    assert str(fused) == str(plain) == f"integration of 'skater_free' failed near t={failed_time:g}: log of a non-positive value"
+    assert trajectory_digest(fused.partial) == trajectory_digest(plain.partial)
+
+
+def test_a_fused_newton_stage_that_gives_up_calls_the_field(monkeypatch):
+    # a one-pass Newton loop converges only where its start already solves the
+    # condition, so at every stage of the quartic skater the fused lines give up
+    monkeypatch.setattr(numcore, "NEWTON_UNROLLED", 0)
+    spec = quartic_skater()
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    n, nt = spec.m + spec.k, spec.n_fiber - spec.k
+    fused = fused_rk4_program(field, n, nt)
+    assert "for _ in " in source_of(fused)
+    y = (0.1, -0.2, 0.3, 1.0, 0.5)
+    here = field(*y, 0.0)
+    runs = []
+    for program in (rk4_program(n, nt), fused):
+        calls, samples = [], []
+
+        def counted(*xs):
+            calls.append(xs[-1])
+            return field(*xs)
+
+        out = program(counted, lambda step, y, a: samples.append((step, y, a)), None, *y, *(0.0,) * n, here, 40, 7, 1e-3, 1e-3)
+        runs.append((out, samples, calls))
+    (plain_out, plain_samples, plain_calls), (fused_out, fused_samples, fused_calls) = runs
+    assert fused_out == plain_out and fused_samples == plain_samples and len(fused_samples) == 5
+    # the plain loop calls the field at every stage and state; the fused one
+    # where its lines give up, here at each stage and unrecorded state, and at
+    # the states a sample records
+    assert len(plain_calls) == 4 * 40 - 1
+    assert fused_calls.count(True) > 3 * 40 and fused_calls.count(0) == 5
+
+
+# SHA-256 of the text of each system's fused loop: the RK4 loop with the
+# lines of the field before its early return written into every stage
+FUSED_PROGRAM_DIGESTS = {
+    "ball_free": "609f6e19bba6e4e79efa687c39de65099142cc80ff8e06332d375ffb373bab5c",
+    "ball_harmonic": "1c746fb9bd802c0a3c6a16849d229340fbfe7cbfc8c9cbcc3c885d8d8412ae73",
+    "ball_magnetic": "1bbfdf1907f30a7099c5a8d1b9848dd03849a16906169df67903ced5a227aa9d",
+    "quartic": "2f6061aa025276ed8d46197bb3672b48e9197d60c24b401f9585a97351d1fe8b",
+    "skater_charged": "cbca165a93a35c60ca049ce106f47c4d09f1486aa3a83d7f0a0604cbf27b5e4f",
+    "skater_free": "500294262fb6e22b4ad6567970ad4a4aa1ebd5667a7264381370e16f8d43dab9",
+    "skater_slope": "7333e95eeaadf33b9b7fae3c3c983f1804a092a28a6d7c37ea3c4c68b27836d6",
+    "newton_ball_harmonic": "51e41286323756e3cd047044d6469e7048cd7407838376c009f7108981da2ea1",
+    "newton_ball_magnetic": "917d7ee3ef1e652fdf0faf3a432a751d5c174a6fa44b65c4ad72f66e48fc3489",
+    "newton_skater_charged": "182b2c59a4dba7cf3729d7e294f68781f9711a0ddfca7041b5486f6a5697b761",
+}
+
+
+def test_fused_programs_are_pinned():
+    digests = {}
+    for name in FUSED_PROGRAM_DIGESTS:
+        spec = fused_system(name)
+        field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+        text = source_of(fused_rk4_program(field, spec.m + spec.k, spec.n_fiber - spec.k))
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == FUSED_PROGRAM_DIGESTS
+
+
+def test_a_fresh_48_step_run_compiles_no_fused_loop(monkeypatch):
+    # as a record op does: a system built afresh with a potential, 48 steps at stride 1
+    spec = hamiltonian_with_potential(build("skater_charged"), parse_text("0.3*sin(x)+y^2/(2+cos(x))"))
+    n, nt = spec.m + spec.k, spec.n_fiber - spec.k
+    rk4_program(n, nt)  # compiled once per state length
+    compiled = []
+
+    def counted(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(tracing, "compile", counted, raising=False)
+    monkeypatch.setattr(integrate, "FUSE_AFTER_STEPS", 100)
+    per_run = []
+    for _ in range(4):
+        before = len(compiled)
+        simulate(spec, reduced((0.1, -0.2, 0.3), (1.0, 0.5)), t_end=0.048, dt=1e-3, stride=1)
+        per_run.append(compiled[before:].count("<rk4>"))
+    # 48 and 96 steps run on the field: none; 144 pass 100: one, kept for later runs
+    assert per_run == [0, 0, 1, 0]
+    assert "raise give_up" in source_of(fused_loop(spec))
+
+
+def test_an_untraceable_field_is_not_fused(monkeypatch):
+    from test_reduced_field import branching_skater
+
+    monkeypatch.setattr(integrate, "FUSE_AFTER_STEPS", 1)
+    spec = branching_skater()
+    simulate(spec, reduced((0.5, 0.1, 0.2), (1.0, 0.5)), t_end=0.01, dt=1e-3)
+    assert fused_loop(spec) is rk4_program(spec.m + spec.k, spec.n_fiber - spec.k)
