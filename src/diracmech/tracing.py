@@ -23,9 +23,10 @@ solve's Newton steps in its program.
 ``rk4_program`` writes the integrator's RK4 steps once per state length:
 one loop over a run's steps that calls a compiled field, for the
 derivative alone where no sample reads H, and hands the recorded states
-back.  ``fused_rk4_program`` writes the same loop with one field's
-derivative lines, from its line records, in place of those calls (a
-call in a trace inlined); a stage whose lines give up calls the field.
+back.  ``fused_rk4_program`` writes the same loop with the derivative
+lines one field program wrote at its compile, kept on it, in place of
+those calls (a call in a trace inlined); a stage whose lines give up
+calls the field.
 ``source_of`` shows a compiled program or loop.
 """
 
@@ -391,7 +392,7 @@ def require_finite(values) -> None:
 _MAX_PARENTHESES = 64
 
 
-def _live_lines(lines, outputs, lead=None, rest=True) -> list:
+def _live_lines(lines, outputs, lead=None) -> list:
     """The text of ``lines``, indented, from one pass over the records.
     Backward, it drops each fresh assignment that cannot raise and that no
     output or kept line reads (only a Loop's carried writes, which all
@@ -404,8 +405,7 @@ def _live_lines(lines, outputs, lead=None, rest=True) -> list:
     Loop's lines read names.  With ``lead``, the names of the leading
     outputs, those return early where the flag ``lead`` is set, after what
     they, the guards and the Loops read; the rest follows at depth 0, where
-    a Loop's lines before its test read the exit pass's values; without
-    ``rest``, only what comes before that return."""
+    a Loop's lines before its test read the exit pass's values."""
     late = set()  # the names written after the early return
     if lead is not None:
         first, stepping, after = set(lead), False, 0
@@ -438,8 +438,6 @@ def _live_lines(lines, outputs, lead=None, rest=True) -> list:
             inline[line.name] = f"({expr})"
         else:
             out.append(f"{'    ' * depth}{line.name} = {expr}")
-    if not rest:
-        return text
     if lead is not None:
         text.append(f"if lead and isfinite({' + '.join(lead) or '0.0'}): return ({''.join(f'{v}, ' for v in lead)})")
     return text + late_text
@@ -455,31 +453,31 @@ def _output(tape: _Tape, out, flat: list) -> str:
     return name
 
 
-def _trace(fn: Callable, arity: int):
-    """``fn`` run once on tracing scalars: (tape, result source, flat output names), or None."""
+def _source(fn: Callable, arity: int, lead: int | None = None):
+    """Trace ``fn`` once: the source of ``compile_traced``'s function, the
+    constants it reads and, with ``lead``, what ``fused_rk4_program`` writes
+    from it (None without); or None when ``fn`` cannot be traced."""
     tape, flat = _Tape(), []
     try:
-        return tape, _output(tape, fn(*[Tracer(tape, f"x{j}") for j in range(arity)]), flat), flat
+        result = _output(tape, fn(*[Tracer(tape, f"x{j}") for j in range(arity)]), flat)
     except Exception:  # fn itself, on floats, raises what is wrong
         return None
-
-
-def _source(fn: Callable, arity: int, lead: int | None = None):
-    """Trace ``fn`` once: the source of ``compile_traced``'s function and
-    the constants it reads, or None when ``fn`` cannot be traced."""
-    if (traced := _trace(fn, arity)) is None:
-        return None
-    tape, result, flat = traced
+    first = None if lead is None else flat[:lead]
+    lines = _live_lines(tape.lines, flat, first)
     args = ", ".join(f"x{j}" for j in range(arity))
     source = [
         f"def traced({args}{'' if lead is None else ', lead=False'}):",
         "    try:",
-        *(f"        {line}" for line in _live_lines(tape.lines, flat, None if lead is None else flat[:lead])),
+        *(f"        {line}" for line in lines),
         f"        if isfinite({' + '.join(flat) or '0.0'}): return {result}",
         "    except (give_up, *float_errors): pass",
         f"    return reference({args})",
     ]
-    return "\n".join(source), tape.consts
+    lead_lines = None
+    if first is not None:  # the lines before the early return, the names it returns, every name read
+        early = next(i for i, line in enumerate(lines) if line.startswith("if lead and "))
+        lead_lines = lines[:early], first, {r for line in tape.lines for r in line.reads}, tape.consts
+    return "\n".join(source), tape.consts, lead_lines
 
 
 def compile_traced(fn: Callable, arity: int, lead: int | None = None) -> Callable:
@@ -497,15 +495,19 @@ def compile_traced(fn: Callable, arity: int, lead: int | None = None) -> Callabl
     finite.  A ``fn`` that cannot be traced is returned as it is.  With
     ``lead``, a flag after the numbers (default False) returns the first
     ``lead`` of ``fn``'s flat outputs alone once their sum is finite, and
-    skips the lines only the rest need; ``fn`` must ignore the flag.
+    skips the lines only the rest need; ``fn`` must ignore the flag.  The
+    program then keeps the lines before that return as ``lead_lines``,
+    for ``fused_rk4_program``.
     """
     traced = _source(fn, arity, lead)
     if traced is None:
         return fn
-    source, consts = traced
+    source, consts, lead_lines = traced
     namespace = {**_HELPERS, **consts, "reference": fn, "source": source}
     exec(compile(source, "<traced>", "exec"), namespace)
-    return namespace["traced"]
+    program = namespace["traced"]
+    program.lead_lines = lead_lines
+    return program
 
 
 def source_of(program: Callable) -> str:
@@ -527,26 +529,22 @@ def rk4_program(n: int, nt: int) -> Callable:
     gets ``stage_index = s`` and goes to ``failed(step, err)``, then
     propagates.  Knuth's TwoSum adds the increment plus the carried error e
     to y, and the new error exactly, without a branch: Neumaier's compensation."""
-    return _rk4(n, nt, None, {})
+    return _rk4(n, nt, None)
 
 
 def fused_rk4_program(field: Callable, n: int, nt: int) -> Callable:
-    """``rk4_program(n, nt)`` with the lines before the early return of
-    ``field`` (compiled with ``lead = n + nt``, traced again) in place of
-    its call in the stages and unrecorded states, after the ``x*`` they
-    read bound to the inputs; where they give up, the stage calls it.  A
-    field that is not such a program gets ``rk4_program(n, nt)`` itself."""
-    traced = field.__code__.co_filename == "<traced>" and _trace(field.__globals__["reference"], n + nt)
-    if not traced:
-        return rk4_program(n, nt)
-    tape, _, flat = traced
-    lines = _live_lines(tape.lines, flat, flat[: n + nt], rest=False)
-    return _rk4(n, nt, (lines, flat[: n + nt], {r for line in tape.lines for r in line.reads}), tape.consts)
+    """``rk4_program(n, nt)`` with the lines ``field`` wrote before its
+    early return (compiled with ``lead = n + nt``, kept as ``lead_lines``)
+    in place of its call in the stages and unrecorded states, after the
+    ``x*`` they read bound to the inputs; where they give up, the stage
+    calls it.  A field without them gets ``rk4_program(n, nt)`` itself."""
+    fused = getattr(field, "lead_lines", None)
+    return rk4_program(n, nt) if fused is None else _rk4(n, nt, fused)
 
 
-def _rk4(n: int, nt: int, fused, consts: dict) -> Callable:
+def _rk4(n: int, nt: int, fused) -> Callable:
     """The one text of the RK4 loop: a stage calls the field, or with
-    ``fused`` runs the field's lines (``fused_rk4_program``)."""
+    ``fused``, a field's ``lead_lines``, runs its lines (``fused_rk4_program``)."""
 
     def each(text: str, sep: str = "") -> str:  # ``text`` at every index of the state
         return sep.join(text.format(i) for i in range(n))
@@ -561,7 +559,7 @@ def _rk4(n: int, nt: int, fused, consts: dict) -> Callable:
         text = [f"k{s} = field({', '.join(inputs)}, {'True' if s else 'step % stride'})"]
         text += [f"{out} = k{s}[{i}]" for i, out in enumerate(outs)]
         if fused is not None:
-            lines, lead, read = fused
+            lines, lead, read, _ = fused
             body = ["try:", *indented(lines), f"    if not isfinite({' + '.join(lead)}): raise give_up"]
             body += [f"    {out} = {name}" for out, name in zip(outs, lead)] + ["except (give_up, *float_errors):"]
             body += indented(text)
@@ -595,7 +593,7 @@ def _rk4(n: int, nt: int, fused, consts: dict) -> Callable:
         if step % stride == 0:
             sample(step, ({each("y{}, ")}), k0)
 """
-    namespace = {**_HELPERS, **consts, "EngineError": EngineError, "source": source}
+    namespace = {**_HELPERS, **(fused[3] if fused else {}), "EngineError": EngineError, "source": source}
     exec(compile(source, "<rk4>", "exec"), namespace)
     return namespace["run"]
 

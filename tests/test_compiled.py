@@ -290,7 +290,7 @@ def test_generated_source_reads_only_generated_names():
         spec.fiber_names,
         lambda *a: spec.hamiltonian.fn(*a) + a[0] / math.inf - a[1] * -0.0 + math.nan * 0.0 * a[2],
     )
-    source, consts = tracing._source(lambda *xs: numcore.dual_sweep(f, xs), f.arity)
+    source, consts, _ = tracing._source(lambda *xs: numcore.dual_sweep(f, xs), f.arity)
     generated = re.compile(r"[xvdc]\d+")
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
     assert names
@@ -493,7 +493,7 @@ def test_generated_hessian_source_reads_only_generated_names():
         spec.fiber_names,
         lambda *a: spec.hamiltonian.fn(*a) + a[0] / math.inf - a[1] * -0.0 + math.nan * 0.0 * a[2] * a[5],
     )
-    source, consts = tracing._source(lambda *xs: numcore._hessian_sweep(f, xs, (0, 1, 5)), f.arity)
+    source, consts, _ = tracing._source(lambda *xs: numcore._hessian_sweep(f, xs, (0, 1, 5)), f.arity)
     generated = re.compile(r"[xvdc]\d+")
     names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
     assert names

@@ -827,6 +827,23 @@ def test_fused_programs_are_pinned():
     assert digests == FUSED_PROGRAM_DIGESTS
 
 
+def test_a_compiled_field_is_fused_without_tracing_it_again(monkeypatch):
+    specs = {name: fused_system(name) for name in FUSED_PROGRAM_DIGESTS}
+    fields = {name: reduced_field(spec.dirac, spec.hamiltonian, spec.consistency) for name, spec in specs.items()}
+
+    def no_trace(*args):
+        raise AssertionError("a field's lines are traced again")
+
+    monkeypatch.setattr(tracing, "Tracer", no_trace)
+    digests = {}
+    for name, spec in specs.items():
+        n, nt = spec.m + spec.k, spec.n_fiber - spec.k
+        fused = fused_rk4_program(fields[name], n, nt)
+        assert fused is not rk4_program(n, nt)
+        digests[name] = hashlib.sha256(source_of(fused).encode()).hexdigest()
+    assert digests == FUSED_PROGRAM_DIGESTS
+
+
 def test_a_fresh_48_step_run_compiles_no_fused_loop(monkeypatch):
     # as a record op does: a system built afresh with a potential, 48 steps at stride 1
     spec = hamiltonian_with_potential(build("skater_charged"), parse_text("0.3*sin(x)+y^2/(2+cos(x))"))

@@ -177,7 +177,7 @@ def test_generated_code_has_one_exit_to_its_reference():
     def fn(x, y):
         return numcore.log(x) / y + numcore.sqrt(y) * x**0.5
 
-    source, _ = tracing._source(fn, 2)
+    source, _, _ = tracing._source(fn, 2)
     assert "raise give_up" in source
     assert "return None" not in source
     assert source.count("reference(") == 1

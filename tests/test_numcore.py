@@ -658,7 +658,7 @@ def gave_up(program, *args):
 
 def test_traced_newton_is_the_loop_recorded_once():
     program = tracing.compile_traced(square_root, 2)
-    source, consts = tracing._source(square_root, 2)
+    source, consts, _ = tracing._source(square_root, 2)
     assert program.__code__.co_filename == "<traced>"
     tests = [line.strip() for line in source.splitlines() if "fabs(" in line]
     assert len(tests) == 1 and tests[0].startswith("if fabs(") and tests[0].endswith(": break")
@@ -891,7 +891,7 @@ def test_no_line_or_guard_of_the_exit_block_is_shared_after_it():
         root = square_root(a, x0)[0]
         return root, numcore.divide(root * root - a, 2.0 * root)
 
-    source, _ = tracing._source(solve, 2)
+    source, _, _ = tracing._source(solve, 2)
     pivot = re.search(r"if v\d+ == 0\.0: raise give_up", source).group(0)  # the step's, in the loop
     step = re.search(r"= (v\d+ / v\d+)$", source, re.M).group(1)
     assert source.count(pivot) == 2
@@ -961,7 +961,7 @@ def test_a_finiteness_guard_adds_no_plain_finite_number():
         tracing.require_finite([x, 2.0, math.inf, x * 3.0, -0.0])
         return x
 
-    source, consts = tracing._source(f, 1)
+    source, consts, _ = tracing._source(f, 1)
     guard = re.search(r"if not isfinite\((.*)\): raise give_up", source).group(1).split(" + ")
     assert [consts.get(name, name) for name in guard] == ["x0", math.inf, "v0"]
 

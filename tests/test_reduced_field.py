@@ -321,7 +321,7 @@ def contraction_source(alg, k):
     at k, traced again from the function the program runs in its place."""
     alg.rates([0.1] * alg.m, [0.2] * alg.rank, [0.3] * k, [0.4] * alg.m, k)
     program = alg._cache[("rates", k)]
-    return tracing._source(program.__globals__["reference"], program.__code__.co_argcount)
+    return tracing._source(program.__globals__["reference"], program.__code__.co_argcount)[:2]
 
 
 @pytest.mark.parametrize("name", ["skater_charged", "ball_magnetic"])
@@ -466,7 +466,7 @@ def test_liveness_pass_keeps_guards_and_lines_that_may_raise():
 
 def test_transverse_hessian_code_is_only_the_live_lines():
     h = build("ball_magnetic").hamiltonian
-    source, _ = tracing._source(lambda *xs: numcore._hessian_sweep(h, xs, (5, 6))[1], h.arity)
+    source, _, _ = tracing._source(lambda *xs: numcore._hessian_sweep(h, xs, (5, 6))[1], h.arity)
     body = source.splitlines()[1:-1]
     assert len(body) <= 6, source
     hessian_block(h, [0.1] * 7, (5, 6))
@@ -477,7 +477,7 @@ def test_transverse_newton_program_is_only_the_live_lines():
     # x5 + x5 and x6 - x0 doubled, each times 0.5 (the block is constant),
     # and a later line reads every assignment
     h = build("ball_magnetic").hamiltonian
-    source, _ = tracing._source(lambda *xs: numcore._hessian_sweep(h, xs, (5, 6)), h.arity)
+    source, _, _ = tracing._source(lambda *xs: numcore._hessian_sweep(h, xs, (5, 6)), h.arity)
     body = [line.strip() for line in source.splitlines()]
     assigned = [(j, line.split(" = ")[0]) for j, line in enumerate(body) if re.match(r"v\d+ = ", line)]
     assert len(assigned) <= 5, source
@@ -635,7 +635,7 @@ def test_field_programs_are_pinned(name):
 def generated_digest(program):
     """``program_digest`` of any program ``compile_traced`` generated."""
     assert program.__code__.co_filename == "<traced>"
-    source, consts = tracing._source(program.__globals__["reference"], program.__code__.co_argcount)
+    source, consts, _ = tracing._source(program.__globals__["reference"], program.__code__.co_argcount)
     return hashlib.sha256((source + repr(sorted(consts.items()))).encode()).hexdigest()
 
 
