@@ -559,12 +559,15 @@ def _rk4(n: int, nt: int, fused) -> Callable:
         text = [f"k{s} = field({', '.join(inputs)}, {'True' if s else 'step % stride'})"]
         text += [f"{out} = k{s}[{i}]" for i, out in enumerate(outs)]
         if fused is not None:
-            lines, lead, read, _ = fused
-            body = ["try:", *indented(lines), f"    if not isfinite({' + '.join(lead)}): raise give_up"]
+            lines, lead, read, consts = fused
+            # a finite constant output is left out of the sum: where only it
+            # would make the sum overflow, the field gives the same numbers
+            checked = [name for name in lead if not (name in consts and math.isfinite(consts[name]))]
+            body = [f"x{j} = {value}" for j, value in enumerate(inputs) if f"x{j}" in read]
+            body += ["try:", *indented(lines), f"    if not isfinite({' + '.join(checked) or '0.0'}): raise give_up"]
             body += [f"    {out} = {name}" for out, name in zip(outs, lead)] + ["except (give_up, *float_errors):"]
             body += indented(text)
-            binds = [f"x{j} = {value}" for j, value in enumerate(inputs) if f"x{j}" in read]
-            text = binds + (body if s else ["if step % stride:", *indented(body), "else:", *indented(text)])
+            text = body if s else ["if step % stride:", *indented(body), "else:", *indented(text)]
         return "".join(f"\n            {line}" for line in text)
 
     next_line = "\n            "

@@ -804,16 +804,16 @@ def test_a_fused_newton_stage_that_gives_up_calls_the_field(monkeypatch):
 # SHA-256 of the text of each system's fused loop: the RK4 loop with the
 # lines of the field before its early return written into every stage
 FUSED_PROGRAM_DIGESTS = {
-    "ball_free": "609f6e19bba6e4e79efa687c39de65099142cc80ff8e06332d375ffb373bab5c",
-    "ball_harmonic": "1c746fb9bd802c0a3c6a16849d229340fbfe7cbfc8c9cbcc3c885d8d8412ae73",
-    "ball_magnetic": "1bbfdf1907f30a7099c5a8d1b9848dd03849a16906169df67903ced5a227aa9d",
-    "quartic": "2f6061aa025276ed8d46197bb3672b48e9197d60c24b401f9585a97351d1fe8b",
-    "skater_charged": "cbca165a93a35c60ca049ce106f47c4d09f1486aa3a83d7f0a0604cbf27b5e4f",
-    "skater_free": "500294262fb6e22b4ad6567970ad4a4aa1ebd5667a7264381370e16f8d43dab9",
-    "skater_slope": "7333e95eeaadf33b9b7fae3c3c983f1804a092a28a6d7c37ea3c4c68b27836d6",
-    "newton_ball_harmonic": "51e41286323756e3cd047044d6469e7048cd7407838376c009f7108981da2ea1",
-    "newton_ball_magnetic": "917d7ee3ef1e652fdf0faf3a432a751d5c174a6fa44b65c4ad72f66e48fc3489",
-    "newton_skater_charged": "182b2c59a4dba7cf3729d7e294f68781f9711a0ddfca7041b5486f6a5697b761",
+    "ball_free": "78046aeada6471116b23d5e49102edb4c1ff1248f907c052407c66da94ec4ffe",
+    "ball_harmonic": "03f204f3c01c28e1151692ef703dce345fcf1426f09524e14a79f8ea68b44514",
+    "ball_magnetic": "7f17561064d0e31e2eb636f0d30d48b55040b5542e9b07f00a003418a3af5970",
+    "quartic": "46b0d5af94cdd9f8f5915ceb52d21392ce6db33bf1f3305e751dae47f63c8623",
+    "skater_charged": "7fc7e91ac08294623f8800cb5a8dd6992530b5bbecb71d7601d6bfbc1b0cfb8b",
+    "skater_free": "a9bcdded0db4b570008088282e549dbeb15b8bfeb2c53e191f02ffb19e82daa4",
+    "skater_slope": "7e1e857f338af24da596b9e030a7935832a47310da9144cc0da487e4f5c30c87",
+    "newton_ball_harmonic": "3e25083f8c2478d2e8de1590289d4865ae79faa704e9f6282731d43d165248b1",
+    "newton_ball_magnetic": "f52a66511c3d548be25e6ecdc489042a861d32f9f04442da54d6318d546a3362",
+    "newton_skater_charged": "d7596b557fc34a595dd06946a2963eed758cd6694cbc5a6f63f839b281b54933",
 }
 
 
