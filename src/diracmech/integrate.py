@@ -42,8 +42,8 @@ OBSERVABLE_NAMES = ("H", "consistency_residual_inf", "admissibility_residual_inf
 MAX_STEPS = 10**8
 
 # Steps run on one compiled field from which simulate runs its fused loop.
-# Its compile (2-6 ms) pays for itself after about 800-3,000 steps on the
-# catalog and forced-Newton fields (1-4 µs saved a step, CPython 3.11, x86-64).
+# Its compile (1.3-2.4 ms) pays for itself after about 1,700-3,200 steps on the
+# catalog and forced-Newton fields (0.5-1.4 µs saved a step, CPython 3.11, x86-64).
 FUSE_AFTER_STEPS = 2500
 
 

@@ -24,9 +24,8 @@ solve's Newton steps in its program.
 one loop over a run's steps that calls a compiled field, for the
 derivative alone where no sample reads H, and hands the recorded states
 back.  ``fused_rk4_program`` writes the same loop with the derivative
-lines one field program wrote at its compile, kept on it, in place of
-those calls (a call in a trace inlined); a stage whose lines give up
-calls the field.
+lines a field program kept from its compile in place of those calls (a
+call in a trace inlined); a stage whose lines give up calls the field.
 ``source_of`` shows a compiled program or loop.
 """
 
@@ -496,8 +495,7 @@ def compile_traced(fn: Callable, arity: int, lead: int | None = None) -> Callabl
     ``lead``, a flag after the numbers (default False) returns the first
     ``lead`` of ``fn``'s flat outputs alone once their sum is finite, and
     skips the lines only the rest need; ``fn`` must ignore the flag.  The
-    program then keeps the lines before that return as ``lead_lines``,
-    for ``fused_rk4_program``.
+    lines before that return stay on the program as ``lead_lines``.
     """
     traced = _source(fn, arity, lead)
     if traced is None:
@@ -505,9 +503,8 @@ def compile_traced(fn: Callable, arity: int, lead: int | None = None) -> Callabl
     source, consts, lead_lines = traced
     namespace = {**_HELPERS, **consts, "reference": fn, "source": source}
     exec(compile(source, "<traced>", "exec"), namespace)
-    program = namespace["traced"]
-    program.lead_lines = lead_lines
-    return program
+    namespace["traced"].lead_lines = lead_lines
+    return namespace["traced"]
 
 
 def source_of(program: Callable) -> str:
@@ -560,8 +557,7 @@ def _rk4(n: int, nt: int, fused) -> Callable:
         text += [f"{out} = k{s}[{i}]" for i, out in enumerate(outs)]
         if fused is not None:
             lines, lead, read, consts = fused
-            # a finite constant output is left out of the sum: where only it
-            # would make the sum overflow, the field gives the same numbers
+            # a finite constant only makes the sum overflow, where the field gives the same numbers
             checked = [name for name in lead if not (name in consts and math.isfinite(consts[name]))]
             body = [f"x{j} = {value}" for j, value in enumerate(inputs) if f"x{j}" in read]
             body += ["try:", *indented(lines), f"    if not isfinite({' + '.join(checked) or '0.0'}): raise give_up"]
