@@ -6,10 +6,11 @@ as ``field(*y, *guess)`` whatever its consistency kind, and takes all of
 a run's steps in the one program ``tracing.rk4_program`` writes per state
 length: each step three straight-line calls of the field, then the update
 with Neumaier's compensation as a branch-free TwoSum; once the field has
-run FUSE_AFTER_STEPS steps, in the same loop with the field's lines in
-place of those calls (``tracing.fused_rk4_program``).  The program hands
-each recorded state and its evaluation back; ``simulate`` keeps the time
-grid, the observables and the failure handling.  ``rk4_step`` runs the
+run FUSE_AFTER_STEPS steps, in the same loop with the field's lines, but
+float operations that only set the sign of a zero rate, in place of those
+calls (``tracing.fused_rk4_program``).  The program hands each recorded
+state and its evaluation back; ``simulate`` keeps the time grid, the
+observables and the failure handling.  ``rk4_step`` runs the
 plain loop for one step.  Each state reached is evaluated once: that
 evaluation is k1 of the next step and its Newton warm start.  Only the
 evaluations a sample records compute H and grad H; the stages and the
@@ -41,10 +42,10 @@ OBSERVABLE_NAMES = ("H", "consistency_residual_inf", "admissibility_residual_inf
 # Longest run simulate accepts; far above any run in the checks (10^4 steps).
 MAX_STEPS = 10**8
 
-# Steps run on one compiled field from which simulate runs its fused loop.
-# Its compile (1.3-2.4 ms) pays for itself after about 1,700-3,200 steps on the
-# catalog and forced-Newton fields (0.5-1.4 µs saved a step, CPython 3.11, x86-64).
-FUSE_AFTER_STEPS = 2500
+# Steps run on one compiled field from which simulate runs its fused loop. Its compile
+# (1.7-3.6 ms) pays back after 1,350-2,500 steps, and 2,800-3,100 on newton_ball_magnetic
+# (1.0-1.8 µs saved a step, CPython 3.11, x86-64); CI's 3,000-step runs still fuse.
+FUSE_AFTER_STEPS = 3000
 
 
 @dataclass(frozen=True)
@@ -251,6 +252,7 @@ def simulate(
     if steps >= FUSE_AFTER_STEPS and ("rk4", field) not in programs:
         programs["rk4", field] = fused_rk4_program(field, n, nt)
     run = programs.get(("rk4", field)) or rk4_program(n, nt)
-    y, _, guess = run(field, sample, failed, *y, *(0.0,) * n, here, n_steps, stride, dt, last)
+    # either loop starts from no -0.0, so the fused one gives the same bits (see fused_rk4_program)
+    y, _, guess = run(field, sample, failed, *(0.0 + v for v in y), *(0.0,) * n, here, n_steps, stride, dt, last)
     evaluated(n_steps, y, guess)
     return partial()

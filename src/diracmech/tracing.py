@@ -26,9 +26,13 @@ derivative alone where no sample reads H, and hands the recorded states
 back.  ``fused_rk4_program`` writes the same loop with the derivative
 lines a field program kept from its compile in place of those calls (a
 call in a trace inlined); a stage whose lines give up calls the field.
+``_rewrite`` first drops float operations: exactly, on constants and by
+identities; for a finite operand, which the stage then checks; and up to
+the sign of a zero, where no run can see it (``fused_rk4_program``).
 ``source_of`` shows a compiled program or loop.
 """
 
+import contextlib
 import functools
 import math
 import numbers
@@ -391,7 +395,7 @@ def require_finite(values) -> None:
 _MAX_PARENTHESES = 64
 
 
-def _live_lines(lines, outputs, lead=None) -> list:
+def _live_lines(lines, outputs, lead=None, late=frozenset()) -> list:
     """The text of ``lines``, indented, from one pass over the records.
     Backward, it drops each fresh assignment that cannot raise and that no
     output or kept line reads (only a Loop's carried writes, which all
@@ -403,18 +407,8 @@ def _live_lines(lines, outputs, lead=None) -> list:
     defines, so those operands are the same after it.  Guards and a
     Loop's lines read names.  With ``lead``, the names of the leading
     outputs, those return early where the flag ``lead`` is set, after what
-    they, the guards and the Loops read; the rest follows at depth 0, where
-    a Loop's lines before its test read the exit pass's values."""
-    late = set()  # the names written after the early return
-    if lead is not None:
-        first, stepping, after = set(lead), False, 0
-        for line in reversed(lines):  # a Loop's lines after its test come first
-            stepping = line.depth and (stepping or not after) and not line.form.endswith(": break")
-            after = line.depth
-            if line.name is None or line.name in first or stepping:
-                first.update(line.reads)
-            else:
-                late.add(line.name)
+    they, the guards and the Loops read; the ``late`` lines follow at depth
+    0, where a Loop's lines before its test read the exit pass's values."""
     reader = dict.fromkeys(outputs, False)  # needed name -> read once, by a depth-0 assignment
     kept, once = [], set()
     for line in reversed(lines):
@@ -462,7 +456,15 @@ def _source(fn: Callable, arity: int, lead: int | None = None):
     except Exception:  # fn itself, on floats, raises what is wrong
         return None
     first = None if lead is None else flat[:lead]
-    lines = _live_lines(tape.lines, flat, first)
+    late, need, stepping, after = set(), set(first or ()), False, 0  # late: what no lead output, guard or Loop step reads
+    for line in reversed(tape.lines if lead is not None else ()):  # a Loop's lines after its test come first
+        stepping = line.depth and (stepping or not after) and not line.form.endswith(": break")
+        after = line.depth
+        if line.name is None or line.name in need or stepping:
+            need.update(line.reads)
+        else:
+            late.add(line.name)
+    lines = _live_lines(tape.lines, flat, first, late)
     args = ", ".join(f"x{j}" for j in range(arity))
     source = [
         f"def traced({args}{'' if lead is None else ', lead=False'}):",
@@ -472,10 +474,7 @@ def _source(fn: Callable, arity: int, lead: int | None = None):
         "    except (give_up, *float_errors): pass",
         f"    return reference({args})",
     ]
-    lead_lines = None
-    if first is not None:  # the lines before the early return, the names it returns, every name read
-        early = next(i for i, line in enumerate(lines) if line.startswith("if lead and "))
-        lead_lines = lines[:early], first, {r for line in tape.lines for r in line.reads}, tape.consts
+    lead_lines = None if lead is None else ([line for line in tape.lines if line.name not in late], first, tape.consts)
     return "\n".join(source), tape.consts, lead_lines
 
 
@@ -495,7 +494,8 @@ def compile_traced(fn: Callable, arity: int, lead: int | None = None) -> Callabl
     ``lead``, a flag after the numbers (default False) returns the first
     ``lead`` of ``fn``'s flat outputs alone once their sum is finite, and
     skips the lines only the rest need; ``fn`` must ignore the flag.  The
-    lines before that return stay on the program as ``lead_lines``.
+    records of the lines before that return, those ``lead`` names and the
+    constants stay on the program as ``lead_lines``.
     """
     traced = _source(fn, arity, lead)
     if traced is None:
@@ -530,18 +530,80 @@ def rk4_program(n: int, nt: int) -> Callable:
 
 
 def fused_rk4_program(field: Callable, n: int, nt: int) -> Callable:
-    """``rk4_program(n, nt)`` with the lines ``field`` wrote before its
-    early return (compiled with ``lead = n + nt``, kept as ``lead_lines``)
-    in place of its call in the stages and unrecorded states, after the
-    ``x*`` they read bound to the inputs; where they give up, the stage
-    calls it.  A field without them gets ``rk4_program(n, nt)`` itself."""
+    """``rk4_program(n, nt)`` with the line records ``field`` kept before its
+    early return (``lead_lines``, from ``lead = n + nt``), after ``_rewrite``,
+    in place of its call in the stages and unrecorded states: rates go to
+    ``kS_i``; stage 0 reads ``y*`` and sets the guesses after its check.
+    Where they give up, the stage calls ``field``.  A rate may differ from
+    the field's in the sign of a zero alone: each traced operation erases
+    such a difference or passes it on, raising alike (``x/±0`` and
+    ``log(±0)`` raise), and no guard sees it.  ``simulate`` starts e at +0.0,
+    TwoSum never makes e or u -0.0, and either loop gets ``0.0 + y``; so ``u
+    = sixth*(...) + e``, ``y + half*k``, every stage input, fallback call and
+    state have the plain loop's bits."""
     fused = getattr(field, "lead_lines", None)
-    return rk4_program(n, nt) if fused is None else _rk4(n, nt, fused)
+    return rk4_program(n, nt) if fused is None else _rk4(n, nt, _rewrite(*fused, n))
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "**": operator.pow}
+_BINARY = {f"{{}} {op} {{}}": op for op in _OPERATORS}  # the binary float operations by form
+_SIGN_BLIND = {"cos({})", "exp({})", "fabs({})", "1.0 if {} >= 0.0 else -1.0"}  # calls blind to the sign of a zero
+_ZEROS = ("0.0", "-0.0")
+
+
+def _rewrite(lines, lead, consts, n: int):
+    """``lines`` with fewer float operations, then the stage's finiteness check
+    (of the outputs but zero constants, then each x a rule checks); their
+    outputs ``lead`` (``n`` rates, then guesses); the constants.  (a) For any
+    float: an operation on constants is done now; ``-0.0 + x``, ``x - 0.0``,
+    ``1.0 * x``, ``x / 1.0``, ``x ** 1.0`` are x, ``-1.0 * x`` -x.  (b) For a
+    finite x, checked: ``x - x`` outside a Loop is 0.0.  (c) Up to the sign of
+    a zero, on a depth-0 line that only such lines, rates, guards and
+    sign-blind calls read: ``±0.0 + x``, ``x ± ±0.0`` are x, ``±0.0 * x`` ±0.0, x checked."""
+    seen, free = set(lead[n:]), set()  # free: where (c) holds, from the readers back
+    for line in reversed(lines):
+        if line.name is not None and not line.depth and line.name not in seen:
+            free.add(line.name)
+        elif not (line.form in _SIGN_BLIND or line.form.endswith(": raise give_up")):
+            seen.update(line.reads)
+    texts = {c: repr(v) for c, v in consts.items() if type(v) is float}  # how each float constant is written
+    consts, alias, kept, added, names = dict(consts), {}, [], [], {text: c for c, text in texts.items()}
+
+    def const(value: float) -> str:
+        name = names.setdefault(repr(value), f"c{len(consts)}")
+        consts[name], texts[name] = value, repr(value)
+        return name
+    for line in lines:
+        reads, op, form, to = tuple(map(alias.get, line.reads, line.reads)), _BINARY.get(line.form), line.form, None
+        (a, b), loose = (*reads, None, None)[:2], line.name in free
+        ta, tb = texts.get(a), texts.get(b)
+        if op and ta is not None and tb is not None:  # (a), by the program's own float operation
+            with contextlib.suppress(*_HELPERS["float_errors"]):
+                value = _OPERATORS[op](consts[a], consts[b])
+                to = const(value) if type(value) is float else None  # a negative base to a fraction is complex
+        elif op and tb == _IDENTITIES.get(op, "1.0") or op in ("+", "-") and tb in _ZEROS and loose:  # ** has 1.0
+            to = a
+        elif op == "+" and (ta == "-0.0" or ta == "0.0" and loose) or op == "*" and ta == "1.0":
+            to = b
+        elif op == "*" and "-1.0" in (ta, tb):
+            form, reads = "-{}", (b if ta == "-1.0" else a,)
+        elif op == "-" and a == b and not line.depth or op == "*" and loose and (ta in _ZEROS or tb in _ZEROS):
+            to = const(0.0) if op == "-" else a if ta in _ZEROS else b  # (b), (c)
+            added.append(b if ta in _ZEROS else a)
+        if to is None:
+            kept.append(line if reads == line.reads and form == line.form else line._replace(form=form, reads=reads))
+        else:
+            alias[line.name] = to
+    outputs = [alias.get(v, v) for v in lead]
+    total = [v for v in outputs if texts.get(v) not in _ZEROS]
+    total = (*total, *(v for v in dict.fromkeys(added) if v not in total))
+    kept.append(_Line(f"if not isfinite({' + '.join(['{}'] * len(total)) or '0.0'}): raise give_up", None, total, True, 0))
+    return kept, outputs, consts
 
 
 def _rk4(n: int, nt: int, fused) -> Callable:
-    """The one text of the RK4 loop: a stage calls the field, or with
-    ``fused``, a field's ``lead_lines``, runs its lines (``fused_rk4_program``)."""
+    """The one text of the RK4 loop: a stage calls the field, or runs the
+    lines ``fused``, from ``_rewrite`` (``fused_rk4_program``)."""
 
     def each(text: str, sep: str = "") -> str:  # ``text`` at every index of the state
         return sep.join(text.format(i) for i in range(n))
@@ -549,20 +611,36 @@ def _rk4(n: int, nt: int, fused) -> Callable:
     def indented(lines: list) -> list:
         return [f"    {line}" for line in lines]
 
-    def evaluation(s: int, inputs: list) -> str:  # the lines that set k{s}_0.. to the field at ``inputs``
-        inputs += [f"k0_{n + j}" for j in range(nt)]
-        outs = [f"k{s}_{i}" for i in range(n if s else n + nt)]
+    def state(step: str, k: str) -> list:  # the field's inputs at y + step * k
+        return [f"y{i} + {step} * {k}_{i}" if step else f"y{i}" for i in range(n)] + [f"k0_{n + j}" for j in range(nt)]
+
+    def stage(k: str, inputs: list) -> list:  # the fused lines that set {k}_0.. at ``inputs``, or give up
+        lines, lead, _ = fused
+        names = {f"x{j}": value for j, value in enumerate(inputs) if value.isidentifier()}
+        defined, lines = {line.name for line in lines}, [
+            *(_Line(value, f"x{j}", (), False, 0) for j, value in enumerate(inputs) if f"x{j}" not in names), *lines]
+        for i, name in enumerate(lead[:n]):  # a rate line assigns {k}_i, or it is copied there
+            if name in defined and name not in names:
+                names[name] = f"{k}_{i}"
+            else:
+                lines.append(_Line(f"{k}_{i} = {{}}", None, (name,), True, 0))
+        lines += [_Line(f"k0_{n + j} = {{}}", None, (g,), True, 0)  # the guesses, but those in place
+                  for j, g in enumerate(lead[n:]) if k == "k0" and names.get(g) != f"k0_{n + j}"]
+        return _live_lines([line if names.keys().isdisjoint((line.name, *line.reads)) else line._replace(
+            name=names.get(line.name, line.name), reads=tuple(names.get(r, r) for r in line.reads)) for line in lines],
+            [f"{k}_{i}" for i in range(n)])
+
+    if fused is not None:  # stage 0's lines, and those of stages 1-3 with kS_, kP_, hS for k{s}_, k{s-1}_, the step
+        zero, later = stage("k0", state("", "")), "\n".join(stage("kS", state("hS", "kP")))
+
+    def evaluation(s: int, step: str = "") -> str:  # the lines that set k{s}_0.. to the field at y + step * k{s-1}
+        inputs, outs = state(step, f"k{s - 1}"), [f"k{s}_{i}" for i in range(n if s else n + nt)]
         # indexing, not ``*_`` unpacking, which costs about 0.2 µs a stage
         text = [f"k{s} = field({', '.join(inputs)}, {'True' if s else 'step % stride'})"]
         text += [f"{out} = k{s}[{i}]" for i, out in enumerate(outs)]
         if fused is not None:
-            lines, lead, read, consts = fused
-            # a finite constant only makes the sum overflow, where the field gives the same numbers
-            checked = [name for name in lead if not (name in consts and math.isfinite(consts[name]))]
-            body = [f"x{j} = {value}" for j, value in enumerate(inputs) if f"x{j}" in read]
-            body += ["try:", *indented(lines), f"    if not isfinite({' + '.join(checked) or '0.0'}): raise give_up"]
-            body += [f"    {out} = {name}" for out, name in zip(outs, lead)] + ["except (give_up, *float_errors):"]
-            body += indented(text)
+            lines = later.replace("kS_", f"k{s}_").replace("kP_", f"k{s - 1}_").replace("hS", step).split("\n")
+            body = ["try:", *indented(lines if s else zero), "except (give_up, *float_errors):", *indented(text)]
             text = body if s else ["if step % stride:", *indented(body), "else:", *indented(text)]
         return "".join(f"\n            {line}" for line in text)
 
@@ -573,9 +651,9 @@ def _rk4(n: int, nt: int, fused) -> Callable:
         h = last if step == n_steps else dt
         half = 0.5 * h
         try:
-            stage = 1{evaluation(1, [f"y{i} + half * k0_{i}" for i in range(n)])}
-            stage = 2{evaluation(2, [f"y{i} + half * k1_{i}" for i in range(n)])}
-            stage = 3{evaluation(3, [f"y{i} + h * k2_{i}" for i in range(n)])}
+            stage = 1{evaluation(1, "half")}
+            stage = 2{evaluation(2, "half")}
+            stage = 3{evaluation(3, "h")}
             sixth = h / 6.0
             {each("u{0} = sixth * (k0_{0} + 2.0 * k1_{0} + 2.0 * k2_{0} + k3_{0}) + e{0}", next_line)}
             {each("s{0} = y{0} + u{0}", next_line)}
@@ -584,7 +662,7 @@ def _rk4(n: int, nt: int, fused) -> Callable:
             {each("y{0} = s{0}", next_line)}
             if step == n_steps:
                 return ({each("y{}, ")}), ({each("e{}, ")}), ({"".join(f"k0_{n + j}, " for j in range(nt))})
-            stage = 0{evaluation(0, [f"y{i}" for i in range(n)])}
+            stage = 0{evaluation(0)}
         except EngineError as err:
             err.stage_index = stage
             failed(step, err)
@@ -592,7 +670,7 @@ def _rk4(n: int, nt: int, fused) -> Callable:
         if step % stride == 0:
             sample(step, ({each("y{}, ")}), k0)
 """
-    namespace = {**_HELPERS, **(fused[3] if fused else {}), "EngineError": EngineError, "source": source}
+    namespace = {**_HELPERS, **(fused[2] if fused else {}), "EngineError": EngineError, "source": source}
     exec(compile(source, "<rk4>", "exec"), namespace)
     return namespace["run"]
 

@@ -1,9 +1,12 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracmech.algebroid import PhaseState, SkewAlgebroid
 from diracmech.checks import ADMISSIBILITY_TOL, CONSISTENCY_TOL, ENERGY_DRIFT_TOL
@@ -20,6 +23,7 @@ from diracmech.integrate import MAX_STEPS, OBSERVABLE_NAMES, observables, rk4_st
 from diracmech.numcore import ScalarField, max_abs
 from diracmech.systems import build, hamiltonian_with_potential
 from diracmech.tracing import fused_rk4_program, rk4_program, source_of
+from test_compiled import SPECS, potentials
 
 
 def reduced(q, eta):
@@ -804,16 +808,16 @@ def test_a_fused_newton_stage_that_gives_up_calls_the_field(monkeypatch):
 # SHA-256 of the text of each system's fused loop: the RK4 loop with the
 # lines of the field before its early return written into every stage
 FUSED_PROGRAM_DIGESTS = {
-    "ball_free": "78046aeada6471116b23d5e49102edb4c1ff1248f907c052407c66da94ec4ffe",
-    "ball_harmonic": "03f204f3c01c28e1151692ef703dce345fcf1426f09524e14a79f8ea68b44514",
-    "ball_magnetic": "7f17561064d0e31e2eb636f0d30d48b55040b5542e9b07f00a003418a3af5970",
-    "quartic": "46b0d5af94cdd9f8f5915ceb52d21392ce6db33bf1f3305e751dae47f63c8623",
-    "skater_charged": "7fc7e91ac08294623f8800cb5a8dd6992530b5bbecb71d7601d6bfbc1b0cfb8b",
-    "skater_free": "a9bcdded0db4b570008088282e549dbeb15b8bfeb2c53e191f02ffb19e82daa4",
-    "skater_slope": "7e1e857f338af24da596b9e030a7935832a47310da9144cc0da487e4f5c30c87",
-    "newton_ball_harmonic": "3e25083f8c2478d2e8de1590289d4865ae79faa704e9f6282731d43d165248b1",
-    "newton_ball_magnetic": "f52a66511c3d548be25e6ecdc489042a861d32f9f04442da54d6318d546a3362",
-    "newton_skater_charged": "d7596b557fc34a595dd06946a2963eed758cd6694cbc5a6f63f839b281b54933",
+    "ball_free": "1cd7eddf16d60312cbd05998e3c85037895330cfe0886111120c3adf1bbb7569",
+    "ball_harmonic": "e55f4ed59ec9324e40575a3c36203bc56f52328e5d559a2c1a7d02c339b9b0a6",
+    "ball_magnetic": "5037520c8dc43bf99cd44d1587d1eda9a484cc410bbe3df9762a4abb580f73ee",
+    "quartic": "3cf0591deb24249f6de4c5252fb6f368f7774f4e985b8e3091e4b664cb96bdae",
+    "skater_charged": "b95585d134b74e888674af2aa1ea4654a99c95257b0c64bbb206470ba961de7a",
+    "skater_free": "e663e0fa853dbbc1d9f7e8a96b0a20597f54fefcf487857da92805fe396d3442",
+    "skater_slope": "b12bd5f16309c06da4934bf5978ef7c200e1c982d5326fdccd88fa5550311f70",
+    "newton_ball_harmonic": "14fddbf36fb90c81592e736521f69e31de80a8fefafe1cbbf6f76dc8fb2e5e57",
+    "newton_ball_magnetic": "ed736b29a71d66afa30f41176fa3f21dac911b2fec2013c96ae64ab4d6b6cbb2",
+    "newton_skater_charged": "97be3a674869f109fcb1474c5c2707ef0face4e020e9af1ce8d51a131986ba25",
 }
 
 
@@ -874,3 +878,134 @@ def test_an_untraceable_field_is_not_fused(monkeypatch):
     spec = branching_skater()
     simulate(spec, reduced((0.5, 0.1, 0.2), (1.0, 0.5)), t_end=0.01, dt=1e-3)
     assert fused_loop(spec) is rk4_program(spec.m + spec.k, spec.n_fiber - spec.k)
+
+
+# -- the rewrite of the fused stages -------------------------------------------------
+
+
+def rewritten(fn, arity, lead, n):
+    """The lines ``fused_rk4_program`` writes from ``fn``'s trace, whose
+    first ``lead`` outputs lead and first ``n`` are rates, before and after
+    its rewrite: each text, then the outputs, the names the stage's check
+    sums and the constants after it."""
+    lines, outputs, consts = tracing._source(fn, arity, lead)[2]
+    kept, outputs_after, consts_after = tracing._rewrite(lines, outputs, consts, n)
+    after = tracing._live_lines(kept[:-1], outputs_after)
+    return tracing._live_lines(lines, outputs), after, outputs_after, list(kept[-1].reads), consts_after
+
+
+def test_the_rewrite_folds_constants_and_exact_identities_wherever_they_are_read():
+    # x - x is 0.0 for a finite x, which the check adds; (0.0 + 3.0) * 2.0 is done
+    # now, and -0.0 + x1, from 0.0 * -1.0, is x1 also for the guess
+    before, after, outputs, check, consts = rewritten(lambda x, y: (((x - x) + 3.0) * 2.0, (x - x) * -1.0 + y), 2, 2, 1)
+    assert before == ["v0 = x0 - x0", "v2 = c1 * (c0 + v0)", "v4 = (c2 * v0) + x1"] and after == []
+    assert repr(consts[outputs[0]]) == "6.0" and outputs[1] == "x1" and check == [outputs[0], "x1", "x0"]
+    # -1.0 * x is -x and x ** 1.0 is x, also for guesses only
+    before, after, outputs, check, _ = rewritten(lambda x, y: (x**1.0 + -1.0 * y, y), 2, 2, 0)
+    assert before == ["v2 = (x0 ** c0) + (c1 * x1)"] and after == ["v2 = x0 + (-x1)"] and check == ["v2", "x1"]
+
+
+def test_the_rewrite_drops_zeros_from_rates_alone():
+    def fn(x, y):
+        return 0.0 + x * y, 0.0 * x + y, (y + 0.0) - (-0.0)
+
+    before, after, outputs, check, _ = rewritten(fn, 2, 3, 3)
+    assert before == ["v1 = c0 + (x0 * x1)", "v3 = (c0 * x0) + x1", "v5 = (c0 + x1) - c1"]
+    # 0.0 + x, x + 0.0 and x - -0.0 are x, and 0.0 * x is 0.0 with x checked
+    assert after == ["v0 = x0 * x1"] and outputs == ["v0", "x1", "x1"] and check == ["v0", "x1", "x1", "x0"]
+    # a guess sees the sign of a zero: nothing changes
+    assert rewritten(fn, 2, 3, 0)[:2] == (before, before)
+
+
+def test_a_line_that_a_rate_and_a_guess_read_is_left_as_it_is():
+    before, after, outputs, check, _ = rewritten(lambda x, y: (0.0 + x * y, 0.0 + x * y), 2, 2, 1)
+    assert after == before == ["v1 = c0 + (x0 * x1)"] and outputs == check == ["v1", "v1"]
+
+
+@pytest.mark.parametrize("name", ["quartic", "newton_ball_harmonic", "newton_ball_magnetic", "newton_skater_charged"])
+def test_a_newton_fields_guess_lines_are_left_as_they_are(name):
+    spec = fused_system(name)
+    field = reduced_field(spec.dirac, spec.hamiltonian, spec.consistency)
+    lines, lead, consts = field.lead_lines
+    n = spec.m + spec.k
+    kept, outputs, _ = tracing._rewrite(lines, lead, consts, n)
+    # the Loop's lines, its carried writes and every line they read
+    needed, guess_lines = set(lead[n:]), []
+    for line in reversed(lines):
+        if line.name in needed or line.depth or line.name is None and line.form.split(" = ")[0] in needed:
+            needed.update(line.reads)
+            guess_lines.append(line)
+    assert outputs[n:] == lead[n:] and len(guess_lines) > 8
+    assert set(guess_lines) <= set(kept)
+
+
+def test_the_fused_loop_checks_what_a_product_with_zero_drops():
+    # the rate reads x = y * 1e300 only through 0.0 * x, which its stage drops; where
+    # x overflows (y > 1.8e8, after 18 steps) the field gives nan, and the stage, which
+    # checks x, calls it, so the fused loop carries the same nan as the plain loop
+    field = tracing.compile_traced(lambda y: (0.0 + (1e10 + 0.0 * (y * 1e300)),), 1, lead=1)
+    fused = fused_rk4_program(field, 1, 0)
+    assert "k1_0 = c" in source_of(fused)  # the rate is the constant 1e10
+    runs = []
+    for program in (rk4_program(1, 0), fused):
+        samples = []
+        out = program(field, lambda step, y, k: samples.append((step, y, k)), None, 1.0, 0.0, field(1.0), 40, 7, 1e-3, 1e-3)
+        runs.append(repr((out, samples)))
+    assert runs[0] == runs[1] and "nan" in runs[0]
+
+
+def test_skater_free_stages_add_no_zero_and_multiply_by_none():
+    spec = fused_system("skater_free")
+    program = fused_rk4_program(reduced_field(spec.dirac, spec.hamiltonian, spec.consistency), 5, 1)
+    zeros = [name for name, value in program.__globals__.items() if type(value) is float and value == 0.0]
+    text = source_of(program)
+    assert zeros and "= field(" in text
+    for zero in zeros:
+        assert not re.search(rf"\b{zero} [+*] |[-+*] {zero}\b", text)
+
+
+def state_component(momentum):
+    """A signed zero, a subnormal, an ordinary value or one near 1e154, whose
+    square is near the largest float; for a momentum also one near 2^1023."""
+    near = [(0.5e154, 1.5e154)] + [(2.0**1022 * 1.5, 2.0**1023 * 1.99)] * momentum
+    return st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-2.2e-308, 2.2e-308),
+        st.floats(-1.5, 1.5),
+        *(st.floats(*span).flatmap(lambda v: st.sampled_from([v, -v])) for span in near),
+    )
+
+
+@st.composite
+def drawn_runs(draw):
+    name = draw(st.sampled_from(sorted(SPECS)))
+    spec = SPECS[name]
+    q = tuple(draw(state_component(False)) for _ in range(spec.m))
+    eta = tuple(draw(state_component(True)) for _ in range(spec.k))
+    # a step near 1e154 takes a state near 1e154 near 2^1023 within a stage
+    dt = draw(st.sampled_from([1e-3, 1.0, 2e154]))
+    return name, draw(potentials(spec.base_names)), draw(st.booleans()), reduced(q, eta), dt
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(drawn_runs())
+# the force -1e154 takes eta_1 to -1e308 in stage 1, where eta_1 + eta_1 overflows
+@example(("skater_free", "(x*y)", False, reduced((0.0, 1e154, 0.0), (1.0, 1.0)), 2e154))
+def test_the_fused_loop_gives_the_plain_loops_bits_on_drawn_systems_and_states(case):
+    # 40 steps at stride 7 through the plain loop, then through the fused one: the
+    # same bits, or the same failure at the same time and stage after the same samples
+    name, text, newton, ic, dt = case
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        for threshold in (math.inf, 1):
+            patch.setattr(integrate, "FUSE_AFTER_STEPS", threshold)
+            spec = hamiltonian_with_potential(SPECS[name], parse_text(text))
+            try:
+                traj = simulate(newton_spec(spec) if newton else spec, ic, t_end=40 * dt, dt=dt, stride=7)
+                outcomes.append((bits(traj.times).tolist(), trajectory_digest(traj)))
+            except TruncatedTrajectoryError as err:
+                cause, partial = err.__cause__, err.partial
+                outcomes.append((type(cause), str(err), err.failed_time, cause.stage_index, len(partial), trajectory_digest(partial)))
+            except OverflowError as err:  # a float potential's ** under Newton, in both loops alike
+                outcomes.append((type(err), str(err)))
+    assert outcomes[0] == outcomes[1]
